@@ -23,8 +23,8 @@ scores are recorded and printed but not individually gated — they are
 noisier than the aggregate on shared CI hardware.
 
 The kernel rows time each matrix config twice in the same run — the
-default path (array-native kernels, :mod:`repro.core.kernels`) and the
-legacy fused loop (``kernels=False``) — and gate their ratio.  Like the
+default path (the vectorized kernels, :mod:`repro.core.kernels`) and
+the fused loop (``kernels=False``) — and gate their ratio.  Like the
 bank gate, the ratio is self-normalizing: both sides see the same host,
 so the check is immune to machine-speed drift entirely.  Every config
 named in ``KERNEL_MIN_SPEEDUPS`` runs a vectorized fast path and must
@@ -35,11 +35,12 @@ rows through the episode-vectorized adaptive walk.
 The bank rows interleave best-of-``BANK_INTERLEAVE`` sequential vs bank
 timings (the side order flips each round so drift and cache-warming
 bias cancel instead of landing on one side).  Two ratios are gated:
-the legacy lockstep row (both sides ``kernels=False``, shared-decode
+the lockstep-lane row (both sides ``kernels=False``, shared-decode
 machinery, ``BANK_MIN_SPEEDUP``) and the batched-advancer row (both
-sides ``kernels=True``, per-signature series sharing via
-:func:`repro.core.kernels.run_bank_batched`,
-``BANK_BATCHED_MIN_SPEEDUP``).
+sides on the default route: every matrix config is a Threshold config,
+so each bank member runs through
+:func:`repro.core.kernels.run_bank_batched` with per-signature series
+sharing, ``BANK_BATCHED_MIN_SPEEDUP``).
 
 The family rows time the decision-layer detectors (``focus``,
 ``newma``) on the same trace, giving them a calibration-normalized
@@ -209,9 +210,9 @@ def _measure_bank(trace, bank_configs):
     """Both bank ratios, interleaved best-of-``BANK_INTERLEAVE``.
 
     Each round times sequential-vs-bank back to back and flips which
-    side goes first on alternate rounds, for both the legacy lockstep
+    side goes first on alternate rounds, for both the lockstep-lane
     ratio (``kernels=False`` both sides) and the batched-advancer ratio
-    (``kernels=True`` both sides).  Interleaving is the de-flake: the
+    (the default route on both sides).  Interleaving is the de-flake: the
     old scheme timed all sequential samples under different cache/drift
     conditions than the bank samples, and the recorded speedup swung
     1.07x-1.36x run to run.
@@ -224,9 +225,7 @@ def _measure_bank(trace, bank_configs):
         "bank": lambda: DetectorBank(bank_configs).run(trace, kernels=False),
         "seq-kernel": lambda: [run_detector(trace, c, kernels=True)
                                for c in bank_configs],
-        "batched": lambda: DetectorBank(bank_configs).run(
-            trace, kernels=True, batched=True
-        ),
+        "batched": lambda: DetectorBank(bank_configs).run(trace),
     }
     samples = {
         "seq": seq_samples,

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -395,20 +394,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             print("--trace records serial evaluation only; forcing --jobs 1",
                   file=sys.stderr)
             jobs = 1
-    if args.numba:
-        # The env variable is the single switch the kernel layer
-        # consults, so setting it here covers parallel workers too
-        # (fork/spawn both inherit the environment).  Soft-failing: a
-        # numba-less host silently keeps the NumPy path.
-        os.environ["REPRO_NUMBA"] = "1"
     sweep = Sweep(
         profile, cache_dir=cache_dir, benchmarks=benchmarks,
-        bank=not args.no_bank,
-        kernels=False if args.no_kernels else None,
-        batched=False if args.no_batched else None,
-        mmap=False if args.no_mmap else None,
-        store=not args.no_store,
-        tracer=tracer,
+        kernels=not args.no_kernels, tracer=tracer,
     )
     grid = paper_grid(profile)
     if args.families:
@@ -427,8 +415,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     print(f"cache: {sweep.cache_path}")
     print(f"manifest: {sweep.manifest_path}")
-    if sweep.store:
-        print(f"results db: {sweep.db_path}")
+    print(f"results db: {sweep.db_path}")
     if tracer is not None:
         tracer.save(args.trace)
         print(f"spans: {len(tracer.spans)} -> {args.trace}")
@@ -918,38 +905,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample wall time and tracemalloc peak per work chunk",
     )
     sweep_parser.add_argument(
-        "--no-bank", action="store_true",
-        help="evaluate one run_detector call per grid point instead of "
-             "single-pass multi-config banks (same records, slower)",
-    )
-    sweep_parser.add_argument(
         "--no-kernels", action="store_true",
-        help="disable the array-native detector kernels and use the "
+        help="disable the vectorized detector kernels and use the "
              "incremental fused loop everywhere (same records, slower)",
-    )
-    sweep_parser.add_argument(
-        "--no-batched", action="store_true",
-        help="run vectorized bank members through independent per-lane "
-             "calls instead of the shared batched advancer (same "
-             "records, slower)",
-    )
-    sweep_parser.add_argument(
-        "--numba", action="store_true",
-        help="compile the weighted similarity kernel with numba when "
-             "available (sets REPRO_NUMBA=1; soft-fails to the NumPy "
-             "path when numba is not installed — same records either way)",
-    )
-    sweep_parser.add_argument(
-        "--no-mmap", action="store_true",
-        help="heap-copy cached traces instead of mapping them read-only "
-             "(same records; also settable via REPRO_MMAP=0)",
-    )
-    sweep_parser.add_argument(
-        "--no-store", action="store_true",
-        help="bypass the content-addressed chunk store and SQLite result "
-             "database; parallel results return over the pipe with the "
-             "legacy ordered-delivery barrier (same cache bytes, no "
-             "resume, no `repro results`)",
     )
     sweep_parser.add_argument(
         "--trace", default=None, metavar="FILE",

@@ -40,14 +40,7 @@ from repro.core.detector import (
     detect,
 )
 from repro.core.engine import run_detector
-from repro.core.kernels import (
-    DenseAdvancer,
-    dense_eligible,
-    kernels_enabled,
-    run_dense,
-    run_vectorized,
-    vectorized_eligible,
-)
+from repro.core.kernels import run_vectorized, vectorized_eligible
 from repro.core.runtime import (
     CheckpointError,
     DetectorRuntime,
@@ -112,10 +105,6 @@ __all__ = [
     "run_detector",
     "DetectorRuntime",
     "DetectorBank",
-    "DenseAdvancer",
-    "dense_eligible",
-    "kernels_enabled",
-    "run_dense",
     "run_vectorized",
     "vectorized_eligible",
     "PhaseTracker",

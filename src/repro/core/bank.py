@@ -5,25 +5,25 @@ trace.  Running :func:`~repro.core.engine.run_detector` per grid point
 re-decodes the trace (ndarray → list) and re-slices it into
 ``skipFactor`` groups once per configuration, even though that work is
 identical for every member with the same skip factor.  The bank
-amortizes it: the trace is decoded exactly once, members are grouped
-into *lanes* by skip factor, and each lane's group chunking is built
-once per segment and shared by all of its members — converting the
-sweep's hot path from O(configs × trace walks) to O(trace walks) of
-decode/chunk work.
+amortizes it, and splits its members between the two whole-trace
+routes of :func:`repro.core.kernels.kernel_path`:
 
-Every member is an independent :class:`~repro.core.runtime.DetectorRuntime`
-advanced in lockstep over the shared groups, so results (states, phases,
-similarity statistics, observability events) are bit-identical to
-running each configuration alone — pinned by the equivalence tests and
-by the sweep cache byte-equality test.
+- **vectorized** members (fresh, unobserved, standard-component,
+  Threshold analyzer) run through
+  :func:`~repro.core.kernels.run_bank_batched`, which shares the
+  trace's dense remap and every per-signature similarity series;
+- every other member (the Average analyzer, observed or custom
+  members, or all of them with ``kernels=False``) runs on the
+  **lockstep lanes**: the trace is decoded exactly once, members are
+  grouped into lanes by skip factor, and each lane's group chunking is
+  built once per segment and shared by all of its members, advanced on
+  the fused loop (custom components take the reference ``step()``
+  path through the same :meth:`~repro.core.runtime.DetectorRuntime.advance`).
 
-With the array-native kernels enabled (the default, see
-:mod:`repro.core.kernels`), eligible members skip the lockstep lanes
-entirely and run on the trace's shared dense element remap instead —
-the cached ``dense_codes()`` pass and one materialized code list are
-the bank-level shared work, replacing the shared decode/chunking.
-Observed or custom-component members still use the legacy lanes, and
-results stay bit-identical either way.
+Every member is an independent :class:`~repro.core.runtime.DetectorRuntime`,
+so results (states, phases, similarity statistics, observability
+events) are bit-identical to running each configuration alone — pinned
+by the equivalence tests and by the sweep cache byte-equality test.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ import numpy as np
 
 from repro.core.config import DetectorConfig
 from repro.core.decision import DetectionResult, build_engine
+from repro.core.kernels import run_bank_batched
 from repro.core.runtime import SEGMENT_ELEMENTS
 from repro.profiles.trace import BranchTrace
 
@@ -91,65 +92,45 @@ class DetectorBank:
     def run(
         self,
         trace: BranchTrace,
-        kernels: Optional[bool] = None,
-        batched: Optional[bool] = None,
+        kernels: bool = True,
         tracer=None,
         trace_parent=None,
         metrics=None,
     ) -> List[DetectionResult]:
         """Run every member over ``trace``; results in member order.
 
-        Members eligible for the array-native kernels (see
-        :mod:`repro.core.kernels`) run on the shared per-trace dense
-        remap — the cached ``trace.dense_codes()`` pass plus one
-        materialized code list shared by every dense member, the same
-        way the legacy lanes share the trace decode.  Vectorized members
-        additionally run through the **batched advancer**
-        (:func:`repro.core.kernels.run_bank_batched`): one
+        Members on the ``"vectorized"`` route (see
+        :func:`repro.core.kernels.kernel_path`) run through the batched
+        advancer (:func:`repro.core.kernels.run_bank_batched`): one
         :class:`~repro.core.kernels.SharedTraceKernels` cache funnels
         every lane, so lanes sharing a window signature share the full
-        similarity-series computation instead of recomputing it per
-        lane.  Observed or custom-component members keep the legacy
-        lockstep lanes.  ``kernels=None`` consults the ``REPRO_KERNELS``
-        environment variable; ``kernels=False`` forces the lanes for all
-        members.  ``batched=None`` consults ``REPRO_BANK_BATCHED``
-        (default on); ``batched=False`` runs vectorized members through
-        independent per-lane calls instead — output is identical either
-        way (the sharing is a pure cache).
+        similarity-series computation.  All other members advance on
+        the fused loop in lockstep lanes over one shared decode.
+        ``kernels=False`` sends every member to the lanes.
 
         Telemetry (both optional, zero-cost when ``None``):
 
         - ``tracer``/``trace_parent`` — a duck-typed span tracer (see
           :mod:`repro.obs.trace`); the run becomes a ``bank.run`` span
           under ``trace_parent`` with one ``bank.kernel`` child per
-          kernel path actually taken (``batched`` / ``vectorized`` /
-          ``dense`` / ``lanes``).
+          route actually taken (``path="vectorized"`` / ``"lanes"``,
+          with its ``members`` count).
         - ``metrics`` — a registry whose ``bank.advance_seconds``
-          histogram receives one observation per kernel member run and
-          per legacy lane segment.
+          histogram receives one observation per vectorized member and
+          per lane segment.
         """
-        from repro.core import kernels as kernel_mod
-
-        data = trace.array
-        total = int(data.size)
-        runtimes = self.runtimes
+        total = int(trace.array.size)
         with _maybe_span(
             tracer,
             "bank.run",
             trace_parent,
             trace=trace.name,
-            members=len(runtimes),
+            members=len(self.runtimes),
             elements=total,
         ) as bank_span:
-            return self._run(
-                trace, kernels, batched, total, tracer, bank_span, metrics,
-                kernel_mod,
-            )
+            return self._run(trace, kernels, total, tracer, bank_span, metrics)
 
-    def _run(
-        self, trace, kernels, batched, total, tracer, bank_span, metrics,
-        kernel_mod,
-    ):
+    def _run(self, trace, kernels, total, tracer, bank_span, metrics):
         data = trace.array
         runtimes = self.runtimes
         histogram = (
@@ -169,60 +150,27 @@ class DetectorBank:
                     }
                 )
 
-        if batched is None:
-            batched = kernel_mod.bank_batching_enabled()
         states_by_member: List[Optional[np.ndarray]] = [None] * len(runtimes)
         vector_members: List[int] = []
-        dense_members: List[int] = []
         legacy_members: List[int] = []
         for index, runtime in enumerate(runtimes):
-            path = kernel_mod.kernel_path(runtime, kernels)
-            if path == "vectorized":
+            if runtime.kernel_path(kernels) == "vectorized":
                 vector_members.append(index)
-            elif path == "dense":
-                dense_members.append(index)
             else:
                 legacy_members.append(index)
 
         if vector_members:
-            path_label = "batched" if batched else "vectorized"
             with _maybe_span(
                 tracer, "bank.kernel", bank_span,
-                path=path_label, members=len(vector_members),
+                path="vectorized", members=len(vector_members),
             ):
-                if batched:
-                    member_states = kernel_mod.run_bank_batched(
-                        [runtimes[index] for index in vector_members],
-                        trace,
-                        histogram=histogram,
-                    )
-                    for index, states in zip(vector_members, member_states):
-                        states_by_member[index] = states
-                else:
-                    for index in vector_members:
-                        started = (
-                            time.perf_counter() if histogram is not None else 0.0
-                        )
-                        states_by_member[index] = kernel_mod.run_vectorized(
-                            runtimes[index], trace
-                        )
-                        if histogram is not None:
-                            histogram.observe(time.perf_counter() - started)
-        if dense_members:
-            with _maybe_span(
-                tracer, "bank.kernel", bank_span,
-                path="dense", members=len(dense_members),
-            ):
-                # One materialization, cached on the trace and shared across
-                # every bank batch (not just this one).
-                codes, n_codes = trace.dense_code_list()
-                for index in dense_members:
-                    started = time.perf_counter() if histogram is not None else 0.0
-                    states_by_member[index] = kernel_mod.run_dense(
-                        runtimes[index], trace, codes, n_codes
-                    )
-                    if histogram is not None:
-                        histogram.observe(time.perf_counter() - started)
+                member_states = run_bank_batched(
+                    [runtimes[index] for index in vector_members],
+                    trace,
+                    histogram=histogram,
+                )
+                for index, states in zip(vector_members, member_states):
+                    states_by_member[index] = states
 
         if legacy_members:
             with _maybe_span(

@@ -291,14 +291,14 @@ class DecisionEngine:
         return False
 
     def kernel_path(self, kernels: Optional[bool] = None) -> str:
-        """Which whole-trace kernel path drives this engine.
+        """Which whole-trace route drives this engine.
 
-        ``"vectorized"``, ``"dense"``, or ``"legacy"`` — the single
-        dispatch rule (:func:`repro.core.kernels.kernel_path`) shared by
-        the runtime's solo :meth:`run` and the bank's member partition,
-        so the two fronts can never disagree on routing.  Non-window
-        families (``fused_capable()`` is False) always report
-        ``"legacy"``; ``kernels=None`` consults ``REPRO_KERNELS``.
+        ``"vectorized"`` or ``"legacy"`` — the single dispatch rule
+        (:func:`repro.core.kernels.kernel_path`) shared by the runtime's
+        solo :meth:`run` and the bank's member partition, so the two
+        fronts can never disagree on routing.  Non-window families
+        (``fused_capable()`` is False) always report ``"legacy"``;
+        ``kernels=False`` forces ``"legacy"``.
         """
         from repro.core import kernels as kernel_mod
 
@@ -405,7 +405,7 @@ class DecisionEngine:
         trace: BranchTrace,
         record_similarity: bool = False,
         fused: Optional[bool] = None,
-        kernels: Optional[bool] = None,
+        kernels: bool = True,
     ) -> DetectionResult:
         """Run this engine over a whole trace from its current state.
 

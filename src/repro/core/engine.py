@@ -13,8 +13,6 @@ chunks the trace once.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.config import DetectorConfig
 from repro.core.decision import DetectionResult, build_engine
 from repro.profiles.trace import BranchTrace
@@ -26,7 +24,7 @@ def run_detector(
     trace: BranchTrace,
     config: DetectorConfig,
     observer=None,
-    kernels: Optional[bool] = None,
+    kernels: bool = True,
 ) -> DetectionResult:
     """Run ``config`` over ``trace`` with the optimized runtime path.
 
@@ -40,14 +38,12 @@ def run_detector(
     default ``None`` keeps the hot loop free of event construction —
     the only added cost is one ``is not None`` test per step.
 
-    ``kernels`` controls the array-native kernels of
-    :mod:`repro.core.kernels` (``None`` consults ``REPRO_KERNELS``;
-    they apply only to unobserved windowed runs and produce
-    bit-identical results; other families ignore the flag).  Windowed
+    ``kernels=False`` forces the fused loop.  By default windowed
     Threshold-analyzer configs — Constant *and* Adaptive trailing,
     unweighted *and* weighted, any geometry — take the vectorized
-    whole-trace path; Average-analyzer configs take the incremental
-    dense path (see ``docs/performance.md`` for the eligibility
-    matrix).
+    whole-trace path when unobserved, and everything else (the Average
+    analyzer, observed runs) takes the fused loop, with bit-identical
+    results either way; other families ignore the flag (see
+    ``docs/performance.md`` for the eligibility matrix).
     """
     return build_engine(config, observer=observer).run(trace, kernels=kernels)

@@ -1,35 +1,31 @@
-"""Array-native detector kernels.
+"""Array-native detector kernels: the vectorized whole-trace path.
 
 The sweep machinery runs >10,000 detector instantiations over
 million-element traces, and the per-element Python bookkeeping in
 :meth:`~repro.core.runtime.DetectorRuntime._advance_fused` — dict
 lookups keyed by packed int64 profile elements, deque rotation — is the
-dominant cost of every sweep.  This module applies the standard move of
-scalable online change-point systems (NEWMA, FOCuS): constant-size
-numeric state over *densely remapped* element IDs, so the hot loop
-indexes flat count buffers instead of hashing, plus a fully vectorized
-whole-trace fast path for the configurations whose window state never
-depends on analyzer decisions mid-stream.
+dominant cost of every sweep.  This module replaces that loop, for the
+configurations whose decision sequence can be replayed from precomputed
+similarity series, with sliding-window array operations over *densely
+remapped* element IDs.
 
-Three cooperating pieces:
+Whole-trace detection has exactly two routes (:func:`kernel_path`):
+
+- ``"vectorized"`` — fresh, unobserved, standard-component runtimes
+  with the Threshold analyzer run through :func:`run_bank_batched`
+  (a solo :meth:`~repro.core.runtime.DetectorRuntime.run` is a bank of
+  one);
+- ``"legacy"`` — everything else (the Average analyzer, observed or
+  restored runtimes, custom components, ``kernels=False``) runs on the
+  fused loop: the lockstep lanes of a
+  :class:`~repro.core.bank.DetectorBank`, or
+  :meth:`~repro.core.runtime.DetectorRuntime._run_fused` for a solo run.
 
 **Dense remapping** — :meth:`BranchTrace.dense_codes` maps the trace's
 packed int64 elements to contiguous small ints (``codes``) once per
 trace via one cached ``np.unique`` pass.  Every lane of a
 :class:`~repro.core.bank.DetectorBank` pass shares the same remap, the
-same way the bank already shares the trace decode.
-
-**Flat count buffers** — :class:`DenseAdvancer` re-implements the fused
-loop's CW/TW bookkeeping on preallocated per-code count lists plus
-scalar intersection/weight accumulators.  Because elements flow
-stream → CW → TW → discard, both windows are always *contiguous slices
-of the trace*; the advancer therefore keeps no window deques at all —
-just two lengths and the shared codes list — and evicts by position
-arithmetic.  In the steady state (both windows at capacity) it walks
-three parallel slices (incoming, CW→TW, TW→discard) in lockstep with
-zero per-element index math.  All similarity aggregates are maintained
-with the exact integer updates of the reference path, so every
-similarity value is bit-identical.
+same way the bank's lockstep lanes share the trace decode.
 
 **Vectorized whole-trace fast path** — :func:`run_vectorized` computes
 similarity series with sliding-window array operations and derives
@@ -56,8 +52,7 @@ geometry.  The key observations:
   vectorizes for *any* geometry via blockwise occurrence matrices
   (one ``np.add.at`` scatter per block of steps, cell-budgeted).  The
   Fixed-Interval geometry (skip = CW = TW) keeps a leaner whole-block
-  path, optionally compiled with numba (:mod:`repro.core._weighted_numba`,
-  opt-in via ``REPRO_NUMBA=1``, soft-falls back to NumPy).
+  path.
 - The Adaptive TW *does* have analyzer→window feedback (the entry
   resize pins the TW to the anchor; in-phase the TW grows), but the
   feedback is episode-local: between phases the windows follow Constant
@@ -74,8 +69,7 @@ series per window *signature* ``(weighted, cw, tw, skip)``, so a
 :class:`~repro.core.bank.DetectorBank` whose members differ only by
 threshold or anchor/resize policy computes each series once.
 :func:`run_bank_batched` drives every vectorized member through one
-shared cache (:func:`bank_batching_enabled` / ``REPRO_BANK_BATCHED=0``
-to disable).
+shared cache.
 
 The detector's decision sequence is then replayed over the precomputed
 series in *episodes*: scan for the next phase entry/exit with array
@@ -83,23 +77,22 @@ searches, and on each exit restart the filled-mask origin at the flush
 point.  Phases, anchor-corrected starts, per-phase mean similarity and
 the final runtime state (windows, analyzer statistics) are
 reconstructed so that checkpoints taken after a vectorized run are
-bit-identical to the incremental paths' — the config-matrix equivalence
-suite in ``tests/core/test_kernels.py`` and the fuzz suite in
-``tests/properties/test_kernel_properties.py`` pin states, phases,
-similarity series, event streams and checkpoints against the reference
-path, and the ``kernel-equivalence`` CI job byte-compares sweep caches
-produced with kernels on vs. off.
+bit-identical to the incremental paths' — the config-matrix suite in
+``tests/core/test_kernels.py`` and the fuzz suite in
+``tests/properties/test_kernel_properties.py`` pin states, phases and
+checkpoints against the reference :meth:`step` loop, and the
+``kernel-equivalence`` CI job byte-compares sweep caches produced with
+kernels on vs. off.
 
-Kernels are on by default wherever they apply (see the eligibility
-predicates); set ``REPRO_KERNELS=0`` or pass ``kernels=False`` through
-:func:`~repro.core.engine.run_detector` / the sweep stack to force the
-legacy paths.  See ``docs/performance.md`` for eligibility rules and
-measured speedups.
+Kernels are on by default wherever they apply; pass ``kernels=False``
+through :func:`~repro.core.engine.run_detector` / the sweep stack
+(``repro sweep --no-kernels``) to force the fused loop everywhere.  See
+``docs/performance.md`` for the eligibility matrix and measured
+speedups.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from typing import List, Optional, Tuple
 
@@ -107,38 +100,36 @@ import numpy as np
 
 from repro.core.analyzers import ThresholdAnalyzer
 from repro.core.config import AnchorPolicy, ResizePolicy, TrailingPolicy
-from repro.core.models import UnweightedSetModel, WeightedSetModel
+from repro.core.models import WeightedSetModel
 from repro.core.state import PhaseState
 
 __all__ = [
-    "kernels_enabled",
-    "bank_batching_enabled",
     "kernel_path",
-    "dense_eligible",
     "vectorized_eligible",
-    "DenseAdvancer",
-    "run_dense",
     "run_vectorized",
     "SharedTraceKernels",
     "run_bank_batched",
 ]
 
 
-def kernels_enabled() -> bool:
-    """True unless the ``REPRO_KERNELS`` environment variable disables
-    kernels (``0``/``false``/``off``/``no``)."""
-    return os.environ.get("REPRO_KERNELS", "").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
+def vectorized_eligible(runtime) -> bool:
+    """True when :func:`run_vectorized` may run ``runtime`` over a trace.
 
-
-def _fresh(runtime) -> bool:
-    """True when ``runtime`` has consumed nothing (kernel paths assume
+    Requires the exact standard components (same rule as
+    :meth:`~repro.core.runtime.DetectorRuntime.fused_capable`) with the
+    Threshold analyzer, no observer (the vectorized walks emit no
+    events; observed runs take the fused loop, which emits the
+    canonical event stream), and a fresh runtime (the walks assume
     stream position == trace position, which only holds from a cold
-    start; restored runtimes take the legacy fused path)."""
+    start).  Within that, every configuration qualifies: Constant *and*
+    Adaptive trailing windows, unweighted *and* weighted models, any
+    window geometry.  The Average analyzer — whose decision bar tracks
+    in-phase statistics step by step — stays on the fused loop.
+    """
+    if not runtime.fused_capable() or runtime.observer is not None:
+        return False
+    if type(runtime.analyzer) is not ThresholdAnalyzer:
+        return False
     model = runtime.model
     return (
         model.consumed == 0
@@ -150,672 +141,20 @@ def _fresh(runtime) -> bool:
     )
 
 
-def dense_eligible(runtime) -> bool:
-    """True when :class:`DenseAdvancer` may drive ``runtime`` over a trace.
-
-    Requires the exact standard components (same rule as
-    :meth:`~repro.core.runtime.DetectorRuntime.fused_capable`), no
-    observer (observed runs take the legacy fused path, which emits the
-    canonical event stream), and a fresh runtime.
-    """
-    return runtime.fused_capable() and runtime.observer is None and _fresh(runtime)
-
-
-def vectorized_eligible(runtime) -> bool:
-    """True when :func:`run_vectorized` may run ``runtime`` over a trace.
-
-    The vectorized path covers every standard-component configuration
-    with the Threshold analyzer: Constant *and* Adaptive trailing
-    windows, unweighted *and* weighted models, any window geometry.
-    The Constant TW has no analyzer→window feedback at all; the
-    Adaptive TW's only feedback (the entry resize, the in-phase growth)
-    is replayed per phase episode with segment-local array work.  Only
-    the Average analyzer — whose decision bar tracks in-phase
-    statistics step by step — keeps the incremental dense path.
-    """
-    if not dense_eligible(runtime):
-        return False
-    return type(runtime.analyzer) is ThresholdAnalyzer
-
-
-def bank_batching_enabled() -> bool:
-    """True unless ``REPRO_BANK_BATCHED`` disables the batched bank
-    advancer (``0``/``false``/``off``/``no``)."""
-    return os.environ.get("REPRO_BANK_BATCHED", "").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
 def kernel_path(engine, kernels: Optional[bool] = None) -> str:
-    """Which kernel path drives ``engine`` over a whole trace.
+    """Which route drives ``engine`` over a whole trace.
 
-    Returns ``"vectorized"``, ``"dense"``, or ``"legacy"`` — the single
-    dispatch rule shared by :meth:`DetectorRuntime._run_kernel
-    <repro.core.runtime.DetectorRuntime>` and the bank's member
-    partition.  ``kernels=None`` consults ``REPRO_KERNELS``; non-window
-    engines (``fused_capable()`` is False) always report ``"legacy"``.
+    Returns ``"vectorized"`` (:func:`run_bank_batched`) or ``"legacy"``
+    (the fused loop: bank lanes, or ``_run_fused`` for a solo run) —
+    the single dispatch rule shared by
+    :meth:`DetectorRuntime.run <repro.core.runtime.DetectorRuntime.run>`
+    and the bank's member partition.  ``kernels=False`` forces
+    ``"legacy"``; ``None`` and ``True`` both mean the default (kernels
+    on).  Non-window engines always report ``"legacy"``.
     """
-    if kernels is None:
-        kernels = kernels_enabled()
-    if not kernels:
-        return "legacy"
-    if vectorized_eligible(engine):
+    if kernels is not False and vectorized_eligible(engine):
         return "vectorized"
-    if dense_eligible(engine):
-        return "dense"
     return "legacy"
-
-
-# ---------------------------------------------------------------------------
-# Flat count buffers: the dense incremental advancer
-# ---------------------------------------------------------------------------
-
-
-class DenseAdvancer:
-    """The fused loop on flat count buffers over dense element codes.
-
-    One advancer drives one :class:`~repro.core.runtime.DetectorRuntime`
-    over one trace.  It mirrors ``_advance_fused`` decision for decision
-    — same integer aggregates, same float operations in the same order —
-    but replaces the per-element dict/deque bookkeeping with:
-
-    - ``cw_count``/``tw_count``: per-code occurrence counts in plain
-      Python lists (flat buffers indexed by dense code — no hashing);
-    - implicit windows: both windows are contiguous trace slices, so
-      only their lengths are tracked and evictions read the shared
-      codes list by position;
-    - a steady-state inner loop that walks the incoming / CW→TW /
-      TW→discard slices in lockstep (zero index arithmetic per element).
-
-    Model/analyzer/tracker objects are untouched during the pass; call
-    :meth:`finalize` once at the end to sync every piece of state back
-    so checkpoints and path interleavings behave exactly as with the
-    legacy loop.  Rare events (phase entry anchoring and resizing, the
-    phase-exit window flush) are computed inline on the flat state with
-    the same semantics as :class:`~repro.core.windows.WindowPair`.
-    """
-
-    def __init__(self, runtime, codes: List[int], n_codes: int, data) -> None:
-        if not dense_eligible(runtime):
-            raise ValueError("runtime is not eligible for the dense kernel")
-        self.runtime = runtime
-        self.codes = codes
-        self.n_codes = n_codes
-        self.data = data  # the raw int64 trace array (for state sync-back)
-        config = runtime.config
-        self.skip = config.skip_factor
-        self.cw_cap = config.cw_size
-        self.tw_cap = config.effective_tw_size
-        self.adaptive = config.trailing is TrailingPolicy.ADAPTIVE
-        self.anchor_policy = config.anchor
-        self.resize_policy = config.resize
-        self.weighted = type(runtime.model) is WeightedSetModel
-        analyzer = runtime.analyzer
-        self.threshold_analyzer = type(analyzer) is ThresholdAnalyzer
-        self.threshold = analyzer.threshold if self.threshold_analyzer else 0.0
-        self.delta = 0.0 if self.threshold_analyzer else analyzer.delta
-        self.enter_threshold = (
-            0.0 if self.threshold_analyzer else analyzer.enter_threshold
-        )
-        # Flat per-code buffers (the whole point).
-        self.cw_count = [0] * n_codes
-        self.tw_count = [0] * n_codes
-        self._seen = bytearray(n_codes)  # scratch for dedup scans
-        # Sparse set of the CW's distinct codes (weighted model only):
-        # compact list + per-code position, so the scaled-numerator
-        # recompute iterates O(distinct) codes like the legacy dict —
-        # not the whole O(cw_len) window slice.  Maintained by the
-        # general loop; steady groups invalidate it (they keep the
-        # numerator incrementally and never read it).
-        self.cw_set: List[int] = []
-        self.cw_set_pos = [0] * n_codes if self.weighted else []
-        self.cw_set_valid = True
-        # Scalar state, mirroring the legacy loop's locals.
-        self.consumed = 0
-        self.cw_len = 0
-        self.tw_len = 0
-        self.filled = False
-        self.growing = False
-        self.in_phase = False
-        self.distinct_cw = 0
-        self.shared = 0
-        self.s_num = 0
-        self.s_dirty = True
-        self.stat_total = 0.0
-        self.stat_count = 0
-        self.stat_min = 1.0
-        self.stat_max = 0.0
-        self._finalized = False
-
-    # -- rare events ----------------------------------------------------------
-
-    def _anchor_and_resize(self) -> int:
-        """Inline ``WindowPair.anchor_and_resize`` on the flat state."""
-        codes = self.codes
-        cw_count = self.cw_count
-        tw_count = self.tw_count
-        tw_len = self.tw_len
-        tw_start = self.consumed - self.cw_len - tw_len
-        if self.anchor_policy is AnchorPolicy.RN:
-            anchor = 0
-            for index in range(tw_len):
-                if cw_count[codes[tw_start + index]] == 0:
-                    anchor = index + 1
-        else:  # LNN
-            anchor = tw_len
-            for index in range(tw_len):
-                if cw_count[codes[tw_start + index]] > 0:
-                    anchor = index
-                    break
-        anchor_abs = tw_start + anchor
-        if not self.adaptive:
-            return anchor_abs
-        # Drop TW[:anchor] ...
-        for index in range(anchor):
-            tw_count[codes[tw_start + index]] -= 1
-        self.tw_len = tw_len - anchor
-        if self.resize_policy is ResizePolicy.SLIDE:
-            # ... then refill the TW from the CW's left (windows stay
-            # contiguous: the TW's right edge chases the CW's left edge).
-            moved = max(0, min(anchor, self.cw_len - 1))
-            cw_start = self.consumed - self.cw_len
-            for index in range(moved):
-                code = codes[cw_start + index]
-                cw_count[code] -= 1
-                tw_count[code] += 1
-            self.cw_len -= moved
-            self.tw_len += moved
-        self.growing = True
-        return anchor_abs
-
-    def _recount_cw(self) -> None:
-        """Recompute distinct/shared from the CW slice (after resizes)."""
-        codes = self.codes
-        cw_count = self.cw_count
-        tw_count = self.tw_count
-        seen = self._seen
-        distinct = 0
-        shared = 0
-        start = self.consumed - self.cw_len
-        for pos in range(start, self.consumed):
-            code = codes[pos]
-            if not seen[code]:
-                seen[code] = 1
-                distinct += 1
-                if tw_count[code] > 0:
-                    shared += 1
-        for pos in range(start, self.consumed):
-            seen[codes[pos]] = 0
-        self.distinct_cw = distinct
-        self.shared = shared
-
-    def _rebuild_cw_set(self) -> None:
-        """Rebuild the sparse distinct-CW-code set from the CW slice."""
-        codes = self.codes
-        seen = self._seen
-        cw_set = self.cw_set
-        del cw_set[:]
-        append = cw_set.append
-        cw_set_pos = self.cw_set_pos
-        start = self.consumed - self.cw_len
-        for pos in range(start, self.consumed):
-            code = codes[pos]
-            if not seen[code]:
-                seen[code] = 1
-                cw_set_pos[code] = len(cw_set)
-                append(code)
-        for code in cw_set:
-            seen[code] = 0
-        self.cw_set_valid = True
-
-    def _clear_and_seed(self, group_len: int) -> None:
-        """Inline ``clear_and_seed``: flush both windows, reseed the CW
-        with the last ``min(group_len, cw_cap)`` stream elements."""
-        codes = self.codes
-        span = self.cw_len + self.tw_len
-        if span * 2 < self.n_codes:
-            # Only window members have nonzero counts; clear selectively.
-            cw_count = self.cw_count
-            tw_count = self.tw_count
-            for pos in range(self.consumed - span, self.consumed):
-                code = codes[pos]
-                cw_count[code] = 0
-                tw_count[code] = 0
-        else:
-            self.cw_count = [0] * self.n_codes
-            self.tw_count = [0] * self.n_codes
-        cw_count = self.cw_count
-        seed_len = min(group_len, self.cw_cap)
-        self.cw_len = seed_len
-        self.tw_len = 0
-        distinct = 0
-        if self.weighted:
-            cw_set = self.cw_set
-            del cw_set[:]
-            cw_set_pos = self.cw_set_pos
-            for pos in range(self.consumed - seed_len, self.consumed):
-                code = codes[pos]
-                count = cw_count[code] + 1
-                cw_count[code] = count
-                if count == 1:
-                    distinct += 1
-                    cw_set_pos[code] = len(cw_set)
-                    cw_set.append(code)
-            self.cw_set_valid = True
-        else:
-            for pos in range(self.consumed - seed_len, self.consumed):
-                code = codes[pos]
-                count = cw_count[code] + 1
-                cw_count[code] = count
-                if count == 1:
-                    distinct += 1
-        self.distinct_cw = distinct
-        self.shared = 0
-        self.s_num = 0
-        self.s_dirty = True
-        self.filled = False
-        self.growing = False
-        self.stat_total = 0.0
-        self.stat_count = 0
-        self.stat_min = 1.0
-        self.stat_max = 0.0
-
-    # -- the hot loop ---------------------------------------------------------
-
-    def advance(self, start: int, stop: int, states: bytearray) -> None:
-        """Advance over ``codes[start:stop]`` in ``skipFactor`` groups.
-
-        ``states`` must hold zero bytes for every element in the range;
-        in-phase groups are marked with ``\\x01`` (positions are trace
-        positions — dense runs always start from a fresh runtime).
-        Mirrors ``DetectorRuntime._advance_fused`` decision for decision.
-        """
-        codes = self.codes
-        skip = self.skip
-        cw_cap = self.cw_cap
-        tw_cap = self.tw_cap
-        weighted = self.weighted
-        threshold_analyzer = self.threshold_analyzer
-        threshold = self.threshold
-        delta = self.delta
-        enter_threshold = self.enter_threshold
-        tracker = self.runtime.tracker
-
-        cw_count = self.cw_count
-        tw_count = self.tw_count
-        consumed = self.consumed
-        cw_len = self.cw_len
-        tw_len = self.tw_len
-        filled = self.filled
-        growing = self.growing
-        in_phase = self.in_phase
-        distinct_cw = self.distinct_cw
-        shared = self.shared
-        s_num = self.s_num
-        s_dirty = self.s_dirty
-        cw_set = self.cw_set
-        cw_set_pos = self.cw_set_pos
-        cw_set_valid = self.cw_set_valid
-        stat_total = self.stat_total
-        stat_count = self.stat_count
-        stat_min = self.stat_min
-        stat_max = self.stat_max
-
-        group_start = start
-        while group_start < stop:
-            group_end = min(group_start + skip, stop)
-            group_len = group_end - group_start
-
-            # The incremental weighted numerator is exact only while both
-            # windows sit at their steady-state lengths for the whole group.
-            steady = (
-                filled and not growing and cw_len == cw_cap and tw_len == tw_cap
-            )
-            steady_w = weighted and not s_dirty and steady
-            if weighted and not steady_w:
-                s_dirty = True
-            if weighted and steady:
-                # Steady loops don't maintain the sparse distinct set
-                # (the numerator is incremental there); mark it stale.
-                cw_set_valid = False
-
-            # ---- push the group through the windows ----------------------
-            if steady_w:
-                # Steady state, weighted: three parallel slices (incoming,
-                # CW->TW eviction, TW discard) walked in lockstep, with the
-                # exact scaled-numerator updates of the reference loop.
-                for code, old, dead in zip(
-                    codes[group_start:group_end],
-                    codes[group_start - cw_cap : group_end - cw_cap],
-                    codes[group_start - cw_cap - tw_cap : group_end - cw_cap - tw_cap],
-                ):
-                    # CW add
-                    count = cw_count[code] + 1
-                    cw_count[code] = count
-                    if count == 1:
-                        distinct_cw += 1
-                        if tw_count[code] > 0:
-                            shared += 1
-                    tw_c = tw_count[code]
-                    if tw_c:
-                        s_num += min(count * tw_cap, tw_c * cw_cap) - min(
-                            (count - 1) * tw_cap, tw_c * cw_cap
-                        )
-                    # CW evict -> TW add
-                    old_count = cw_count[old] - 1
-                    cw_count[old] = old_count
-                    if old_count == 0:
-                        distinct_cw -= 1
-                        if tw_count[old] > 0:
-                            shared -= 1
-                    old_tw = tw_count[old]
-                    if old_tw:
-                        s_num += min(old_count * tw_cap, old_tw * cw_cap) - min(
-                            (old_count + 1) * tw_cap, old_tw * cw_cap
-                        )
-                    tw_count[old] = old_tw + 1
-                    if old_tw == 0 and old_count:
-                        shared += 1
-                    if old_count:
-                        s_num += min(old_count * tw_cap, (old_tw + 1) * cw_cap) - min(
-                            old_count * tw_cap, old_tw * cw_cap
-                        )
-                    # TW discard
-                    dead_count = tw_count[dead] - 1
-                    tw_count[dead] = dead_count
-                    if dead_count == 0 and cw_count[dead] > 0:
-                        shared -= 1
-                    dead_cw = cw_count[dead]
-                    if dead_cw:
-                        s_num += min(dead_cw * tw_cap, dead_count * cw_cap) - min(
-                            dead_cw * tw_cap, (dead_count + 1) * cw_cap
-                        )
-                consumed = group_end
-            elif steady:
-                # Steady state, unweighted aggregates only.
-                for code, old, dead in zip(
-                    codes[group_start:group_end],
-                    codes[group_start - cw_cap : group_end - cw_cap],
-                    codes[group_start - cw_cap - tw_cap : group_end - cw_cap - tw_cap],
-                ):
-                    count = cw_count[code] + 1
-                    cw_count[code] = count
-                    if count == 1:
-                        distinct_cw += 1
-                        if tw_count[code] > 0:
-                            shared += 1
-                    old_count = cw_count[old] - 1
-                    cw_count[old] = old_count
-                    if old_count == 0:
-                        distinct_cw -= 1
-                        if tw_count[old] > 0:
-                            shared -= 1
-                    old_tw = tw_count[old]
-                    tw_count[old] = old_tw + 1
-                    if old_tw == 0 and old_count:
-                        shared += 1
-                    dead_count = tw_count[dead] - 1
-                    tw_count[dead] = dead_count
-                    if dead_count == 0 and cw_count[dead] > 0:
-                        shared -= 1
-                consumed = group_end
-            elif weighted:
-                # Fill / post-anchor refill / Adaptive growth, weighted:
-                # the general per-element loop with explicit length
-                # tracking, also maintaining the sparse distinct set the
-                # scaled-numerator recompute iterates.
-                if not cw_set_valid:
-                    self.consumed = consumed
-                    self.cw_len = cw_len
-                    self._rebuild_cw_set()
-                    cw_set_valid = True
-                for pos in range(group_start, group_end):
-                    code = codes[pos]
-                    consumed += 1
-                    count = cw_count[code] + 1
-                    cw_count[code] = count
-                    cw_len += 1
-                    if count == 1:
-                        distinct_cw += 1
-                        if tw_count[code] > 0:
-                            shared += 1
-                        cw_set_pos[code] = len(cw_set)
-                        cw_set.append(code)
-                    if cw_len > cw_cap:
-                        old = codes[consumed - cw_len]
-                        old_count = cw_count[old] - 1
-                        cw_count[old] = old_count
-                        cw_len -= 1
-                        if old_count == 0:
-                            distinct_cw -= 1
-                            if tw_count[old] > 0:
-                                shared -= 1
-                            last = cw_set.pop()
-                            if last != old:
-                                slot = cw_set_pos[old]
-                                cw_set[slot] = last
-                                cw_set_pos[last] = slot
-                        old_tw = tw_count[old]
-                        tw_count[old] = old_tw + 1
-                        tw_len += 1
-                        if old_tw == 0 and old_count:
-                            shared += 1
-                        if not growing and tw_len > tw_cap:
-                            dead = codes[consumed - cw_len - tw_len]
-                            dead_count = tw_count[dead] - 1
-                            tw_count[dead] = dead_count
-                            tw_len -= 1
-                            if dead_count == 0 and cw_count[dead] > 0:
-                                shared -= 1
-                if not filled and tw_len >= tw_cap and cw_len >= cw_cap:
-                    filled = True
-            else:
-                # Fill / post-anchor refill / Adaptive growth: the general
-                # per-element loop with explicit length tracking.
-                for pos in range(group_start, group_end):
-                    code = codes[pos]
-                    consumed += 1
-                    count = cw_count[code] + 1
-                    cw_count[code] = count
-                    cw_len += 1
-                    if count == 1:
-                        distinct_cw += 1
-                        if tw_count[code] > 0:
-                            shared += 1
-                    if cw_len > cw_cap:
-                        old = codes[consumed - cw_len]
-                        old_count = cw_count[old] - 1
-                        cw_count[old] = old_count
-                        cw_len -= 1
-                        if old_count == 0:
-                            distinct_cw -= 1
-                            if tw_count[old] > 0:
-                                shared -= 1
-                        old_tw = tw_count[old]
-                        tw_count[old] = old_tw + 1
-                        tw_len += 1
-                        if old_tw == 0 and old_count:
-                            shared += 1
-                        if not growing and tw_len > tw_cap:
-                            dead = codes[consumed - cw_len - tw_len]
-                            dead_count = tw_count[dead] - 1
-                            tw_count[dead] = dead_count
-                            tw_len -= 1
-                            if dead_count == 0 and cw_count[dead] > 0:
-                                shared -= 1
-                if not filled and tw_len >= tw_cap and cw_len >= cw_cap:
-                    filled = True
-
-            # ---- similarity + analyzer -----------------------------------
-            if not filled:
-                new_in_phase = False
-                similarity = 0.0
-            else:
-                if weighted:
-                    if s_dirty:
-                        if not cw_set_valid:
-                            self.consumed = consumed
-                            self.cw_len = cw_len
-                            self._rebuild_cw_set()
-                            cw_set_valid = True
-                        s_num = 0
-                        for code in cw_set:
-                            tw_c = tw_count[code]
-                            if tw_c:
-                                s_num += min(cw_count[code] * tw_len, tw_c * cw_len)
-                        if cw_len == cw_cap and tw_len == tw_cap:
-                            s_dirty = False
-                    similarity = (
-                        s_num / (cw_len * tw_len) if cw_len and tw_len else 0.0
-                    )
-                else:
-                    similarity = shared / distinct_cw if distinct_cw else 0.0
-                if threshold_analyzer:
-                    new_in_phase = similarity >= threshold
-                elif in_phase and stat_count:
-                    new_in_phase = similarity >= (stat_total / stat_count) - delta
-                else:
-                    new_in_phase = similarity >= enter_threshold
-
-            # ---- state transitions (Figure 3) ----------------------------
-            if not in_phase and new_in_phase:
-                self.consumed = consumed
-                self.cw_len = cw_len
-                self.tw_len = tw_len
-                self.growing = growing
-                anchor_abs = self._anchor_and_resize()
-                cw_len = self.cw_len
-                tw_len = self.tw_len
-                growing = self.growing
-                self._recount_cw()
-                distinct_cw = self.distinct_cw
-                shared = self.shared
-                s_dirty = True
-                if weighted:
-                    # The Adaptive resize may have moved CW elements out.
-                    cw_set_valid = False
-                stat_count = 1
-                stat_total = similarity
-                stat_min = similarity if similarity < 1.0 else 1.0
-                stat_max = similarity if similarity > 0.0 else 0.0
-                tracker.enter(consumed, consumed - group_len, anchor_abs)
-            elif in_phase and not new_in_phase:
-                phase_mean = stat_total / stat_count if stat_count else 0.0
-                tracker.exit(consumed, consumed - group_len, phase_mean)
-                self.consumed = consumed
-                self.cw_len = cw_len
-                self.tw_len = tw_len
-                self._clear_and_seed(group_len)
-                cw_count = self.cw_count
-                tw_count = self.tw_count
-                cw_len = self.cw_len
-                tw_len = self.tw_len
-                cw_set_valid = self.cw_set_valid
-                filled = False
-                growing = False
-                distinct_cw = self.distinct_cw
-                shared = self.shared
-                s_num = 0
-                s_dirty = True
-                stat_total = 0.0
-                stat_count = 0
-                stat_min = 1.0
-                stat_max = 0.0
-            elif in_phase:
-                stat_total += similarity
-                stat_count += 1
-                if similarity < stat_min:
-                    stat_min = similarity
-                if similarity > stat_max:
-                    stat_max = similarity
-
-            if new_in_phase:
-                states[group_start:group_end] = b"\x01" * group_len
-
-            in_phase = new_in_phase
-            group_start = group_end
-
-        # ---- sync the scalars back ---------------------------------------
-        self.consumed = consumed
-        self.cw_len = cw_len
-        self.tw_len = tw_len
-        self.filled = filled
-        self.growing = growing
-        self.in_phase = in_phase
-        self.distinct_cw = distinct_cw
-        self.shared = shared
-        self.s_num = s_num
-        self.s_dirty = s_dirty
-        self.cw_set_valid = cw_set_valid
-        self.stat_total = stat_total
-        self.stat_count = stat_count
-        self.stat_min = stat_min
-        self.stat_max = stat_max
-
-    # -- state sync-back ------------------------------------------------------
-
-    def finalize(self) -> None:
-        """Rebuild the runtime's model/analyzer state from the flat state.
-
-        After this, a checkpoint of the runtime is bit-identical to one
-        taken after the legacy paths consumed the same stream, and the
-        legacy paths can continue from it.  Call exactly once, after the
-        last :meth:`advance`.
-        """
-        if self._finalized:
-            raise RuntimeError("DenseAdvancer.finalize() called twice")
-        self._finalized = True
-        runtime = self.runtime
-        model = runtime.model
-        consumed = self.consumed
-        cw_start = consumed - self.cw_len
-        tw_start = cw_start - self.tw_len
-        # Replay through the add hooks (TW first, like restore) so the
-        # model's own incremental aggregates are rebuilt exactly.
-        for element in self.data[tw_start:cw_start].tolist():
-            model._tw_add(element)
-        for element in self.data[cw_start:consumed].tolist():
-            model._cw_add(element)
-        model.consumed = consumed
-        model.filled = self.filled
-        model.growing = self.growing
-        stats = runtime.analyzer.stats
-        stats.total = self.stat_total
-        stats.count = self.stat_count
-        stats.minimum = self.stat_min
-        stats.maximum = self.stat_max
-        runtime.state = PhaseState.PHASE if self.in_phase else PhaseState.TRANSITION
-
-
-def run_dense(
-    runtime,
-    trace,
-    codes: Optional[List[int]] = None,
-    n_codes: Optional[int] = None,
-) -> np.ndarray:
-    """Run ``runtime`` over ``trace`` with the dense advancer.
-
-    Returns the bool state array; phases land in ``runtime.tracker`` and
-    the runtime's model/analyzer state is left exactly as the legacy
-    paths would leave it (the caller still runs ``runtime.finish``).
-
-    ``codes``/``n_codes`` let a :class:`~repro.core.bank.DetectorBank`
-    pass share one materialized dense-code list across all of its
-    members; by default they come from ``trace.dense_codes()``.
-    """
-    data = trace.array
-    total = int(data.size)
-    if codes is None or n_codes is None:
-        codes, n_codes = trace.dense_code_list()
-    advancer = DenseAdvancer(runtime, codes, n_codes, data)
-    buffer = bytearray(total)
-    advancer.advance(0, total, buffer)
-    advancer.finalize()
-    return np.frombuffer(bytes(buffer), dtype=np.uint8).astype(bool)
-
 
 # ---------------------------------------------------------------------------
 # The vectorized whole-trace fast path
@@ -963,7 +302,7 @@ def _occurrence_matrix(
 
 
 def _weighted_constant_snums(
-    codes: np.ndarray, n_codes: int, cwc: int, twc: int, ends: np.ndarray
+    codes: np.ndarray, cwc: int, twc: int, ends: np.ndarray
 ) -> np.ndarray:
     """Weighted similarity numerators at Constant-TW filled steps.
 
@@ -971,21 +310,10 @@ def _weighted_constant_snums(
     ``c >= cwc + twc``) the numerator is ``sum_e min(cw_e*twc,
     tw_e*cwc)`` over the step's CW/TW slices — a pure *integer* sum, so
     any evaluation order reproduces the fused loop's value exactly.
-    Default path: per-block occurrence matrices and one ``np.minimum``
-    reduction over the block's sparse code set.  With ``REPRO_NUMBA``
-    set and numba importable, one compiled incremental sweep replaces
-    the blocks (soft-failing back to NumPy otherwise — see
-    :mod:`repro.core._weighted_numba`).
+    Computed with per-block occurrence matrices and one ``np.minimum``
+    reduction over the block's sparse code set.
     """
-    from repro.core._weighted_numba import load_kernel
-
     out = np.empty(ends.size, dtype=np.int64)
-    if ends.size == 0:
-        return out
-    compiled = load_kernel()
-    if compiled is not None:
-        compiled(codes, n_codes, cwc, twc, ends, out)
-        return out
     n = int(ends.size)
     b0 = 0
     while b0 < n:
@@ -1009,7 +337,6 @@ def _weighted_constant_snums(
 
 def _weighted_general_sims(
     codes: np.ndarray,
-    n_codes: int,
     cwc: int,
     twc: int,
     step_ends: np.ndarray,
@@ -1026,7 +353,7 @@ def _weighted_general_sims(
         return sims
     valid = step_ends >= cwc + twc
     ends = step_ends[valid]
-    snums = _weighted_constant_snums(codes, n_codes, cwc, twc, ends)
+    snums = _weighted_constant_snums(codes, cwc, twc, ends)
     # one exact int64/int division, bit-identical to the fused loop's
     sims[valid] = snums / (cwc * twc)
     return sims
@@ -1095,9 +422,7 @@ class SharedTraceKernels:
                 if skip == cwc and twc == cwc:
                     sims = _fixed_interval_sims(codes, n_codes, cwc, ends, self.total)
                 else:
-                    sims = _weighted_general_sims(
-                        codes, n_codes, cwc, twc, ends, self.total
-                    )
+                    sims = _weighted_general_sims(codes, cwc, twc, ends, self.total)
                 counts = None
             else:
                 counts = (

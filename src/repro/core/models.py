@@ -11,10 +11,11 @@ Two models are provided, both built on :class:`~repro.core.windows.WindowPair`:
   relative weights.
 
 These classes are the semantic reference for the model policy.  The
-array-native kernels of :mod:`repro.core.kernels` mirror the same
-bookkeeping on flat count buffers over dense codes (bit-identical,
-pinned by the kernel equivalence suites); any change to similarity
-semantics here must be reflected there.
+fused loop of :mod:`repro.core.runtime` inlines the same bookkeeping
+and the vectorized kernels of :mod:`repro.core.kernels` recompute it
+with array operations over dense codes (both bit-identical, pinned by
+the kernel equivalence suites); any change to similarity semantics here
+must be reflected there.
 """
 
 from __future__ import annotations

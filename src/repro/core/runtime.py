@@ -38,11 +38,11 @@ share the runtime's state:
   group), which lets the bank's lockstep lanes skip per-element group
   lists entirely.
 
-Whole-trace runs additionally route through the array-native kernels of
-:mod:`repro.core.kernels` when the configuration qualifies — dense
-element codes over flat count buffers, or a fully vectorized pass for
-non-adaptive windows — producing bit-identical results (same states,
-phases, similarity values, and checkpoints) at a fraction of the cost.
+Whole-trace runs of fresh, unobserved Threshold-analyzer runtimes
+additionally route through the vectorized kernels of
+:mod:`repro.core.kernels` (as a bank of one), producing bit-identical
+results (same states, phases, similarity values, and checkpoints) at a
+fraction of the cost; everything else runs on the fused loop.
 
 The runtime's state is serializable: :meth:`DetectorRuntime.checkpoint`
 returns a JSON-safe dict (the versioned **v1** windowed schema, see
@@ -78,6 +78,7 @@ from repro.core.decision import (
     StepOutcome,
     validate_checkpoint,
 )
+from repro.core.kernels import run_bank_batched
 from repro.core.models import (
     SimilarityModel,
     UnweightedSetModel,
@@ -801,7 +802,7 @@ class DetectorRuntime(DecisionEngine):
         trace: BranchTrace,
         record_similarity: bool = False,
         fused: Optional[bool] = None,
-        kernels: Optional[bool] = None,
+        kernels: bool = True,
     ) -> DetectionResult:
         """Run this runtime over a whole trace from its current state.
 
@@ -812,14 +813,13 @@ class DetectorRuntime(DecisionEngine):
         collects the per-step similarity values the decisions used
         (reference path only).
 
-        When the fused path is selected, the array-native kernels of
-        :mod:`repro.core.kernels` take over whenever this runtime and
-        the configuration qualify (fresh runtime, standard components,
-        no observer; see ``docs/performance.md``), producing
-        bit-identical results faster.  ``kernels=False`` — or the
-        ``REPRO_KERNELS=0`` environment variable — forces the legacy
-        fused loop; ``kernels=None`` (the default) consults the
-        environment.
+        On the optimized path, a runtime that :meth:`kernel_path` routes
+        to ``"vectorized"`` (fresh, standard components, Threshold
+        analyzer, no observer; see ``docs/performance.md``) runs through
+        :func:`~repro.core.kernels.run_bank_batched` as a bank of one;
+        every other runtime — including observed ones, whose events the
+        fused loop emits — runs on the fused loop.  ``kernels=False``
+        forces the fused loop.
         """
         data = trace.array
         total = int(data.size)
@@ -840,8 +840,9 @@ class DetectorRuntime(DecisionEngine):
             states, similarities = self._run_reference(data, total, skip, record_similarity)
         else:
             similarities = None
-            states = self._run_kernel(trace, kernels)
-            if states is None:
+            if self.kernel_path(kernels) == "vectorized":
+                states = run_bank_batched([self], trace)[0]
+            else:
                 states = self._run_fused(data, total, skip)
         # For a fresh runtime consumed == total; a restored runtime closes
         # its final phase at the absolute stream position instead.
@@ -875,28 +876,6 @@ class DetectorRuntime(DecisionEngine):
             if similarities is not None and outcome.similarity is not None:
                 similarities[start : start + group_len] = outcome.similarity
         return states, similarities
-
-    def _run_kernel(
-        self, trace: BranchTrace, kernels: Optional[bool]
-    ) -> Optional[np.ndarray]:
-        """Run via :mod:`repro.core.kernels` if enabled and eligible.
-
-        Returns the state array, or ``None`` when the kernels are
-        disabled or this runtime does not qualify (non-standard
-        components, an attached observer, or a restored/partially
-        consumed runtime) — the caller then falls back to
-        :meth:`_run_fused`.
-        """
-        # Imported lazily: kernels.py imports this module for
-        # DetectedPhase, so a top-level import would be circular.
-        from repro.core import kernels as kernel_mod
-
-        path = kernel_mod.kernel_path(self, kernels)
-        if path == "vectorized":
-            return kernel_mod.run_vectorized(self, trace)
-        if path == "dense":
-            return kernel_mod.run_dense(self, trace)
-        return None
 
     def _run_fused(self, data, total: int, skip: int) -> np.ndarray:
         buffer = bytearray(total)

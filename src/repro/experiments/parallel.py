@@ -9,9 +9,10 @@ preserving the serial sweep's observable behavior exactly:
 * **Workers load traces from the on-disk cache, not the pipe.**  The
   parent materializes every trace before the pool starts (a cache
   miss runs the workload once); workers then call
-  ``load_traces``/:meth:`BaselineSet.for_benchmark` themselves, so the
-  only things pickled across the pipe are small ``ConfigSpec`` values
-  outbound and flat record rows inbound.
+  ``load_traces`` themselves, mapping each cached trace and its
+  dense-code sidecar read-only so all workers share one physical copy
+  through the OS page cache; the only things pickled across the pipe
+  are small ``ConfigSpec`` values outbound and accounting inbound.
 * **Per-worker memoization.**  Each worker process keeps one
   ``(branch trace, BaselineSet)`` pair per benchmark it has seen, so the
   expensive oracle solve is paid at most ``jobs`` times per benchmark,
@@ -21,20 +22,17 @@ preserving the serial sweep's observable behavior exactly:
   :class:`~repro.core.bank.DetectorBank` pass over the trace (see
   :func:`repro.experiments.runner.evaluate_bank`), decoding and
   chunking the trace once per batch instead of once per grid point.
-* **Two delivery modes.**  The default (:meth:`ParallelSweepExecutor.
-  run_store`) is barrier-free: workers write each completed chunk as an
-  atomic content-addressed file in the chunk store
-  (:mod:`repro.experiments.store`) the moment it finishes — record rows
-  never cross the pipe, completion order does not matter, and a
-  deterministic compaction step folds the chunks into the JSONL cache
-  in plan order afterwards (byte-identical to a serial run).  Chunks
-  already in the store are *reused* (that is the resume path: an
-  interrupted run costs only its missing chunk set), and chunks leased
-  by another executor sharing the results directory are skipped and
-  awaited.  The legacy mode (:meth:`ParallelSweepExecutor.run`) keeps
-  the ordered-delivery barrier: results are re-ordered on receipt and
-  appended by the parent in submission order — the ``store=False``
-  escape hatch and the bench baseline.
+* **Barrier-free delivery through the chunk store.**
+  :meth:`ParallelSweepExecutor.run_store` has workers write each
+  completed chunk as an atomic content-addressed file in the chunk
+  store (:mod:`repro.experiments.store`) the moment it finishes —
+  record rows never cross the pipe, completion order does not matter,
+  and a deterministic compaction step folds the chunks into the JSONL
+  cache in plan order afterwards (byte-identical to a serial run).
+  Chunks already in the store are *reused* (that is the resume path:
+  an interrupted run costs only its missing chunk set), and chunks
+  leased by another executor sharing the results directory are
+  skipped and awaited.
 * **Progress/ETA.**  With ``progress=True`` a per-benchmark line
   (configs evaluated, wall time, configs/s) plus a running ETA for the
   whole sweep is logged at INFO on the ``repro.sweep`` logger (the CLI
@@ -45,7 +43,7 @@ preserving the serial sweep's observable behavior exactly:
 * **Per-worker accounting.**  Every chunk result carries its worker's
   pid, wall time and record count, plus a cumulative snapshot of the
   worker's process-local metrics registry (trace reads, cache hits).
-  After :meth:`ParallelSweepExecutor.run` the aggregation is available
+  After :meth:`ParallelSweepExecutor.run_store` the aggregation is available
   as :attr:`worker_stats`/:attr:`worker_metrics` — the sum of
   per-worker record counts equals the records delivered, which is the
   invariant the run manifest records and ``repro obs summary`` checks.
@@ -67,11 +65,12 @@ import logging
 import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config_space import ConfigSpec, SuiteProfile
-from repro.experiments.runner import BaselineSet, SweepRecord, evaluate_bank
+from repro.experiments.runner import BaselineSet, evaluate_bank
 from repro.obs.metrics import GLOBAL_METRICS
 from repro.obs.profiling import ChunkProfiler
 
@@ -121,20 +120,14 @@ def _init_worker(
     cache_dir: Optional[str],
     mpl_nominals: Tuple[int, ...],
     profiling: bool = False,
-    bank: bool = True,
-    kernels: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    mmap: Optional[bool] = None,
+    kernels: bool = True,
 ) -> None:
     _WORKER_STATE["profile"] = profile
     _WORKER_STATE["cache_dir"] = cache_dir
     _WORKER_STATE["mpl_nominals"] = mpl_nominals
     _WORKER_STATE["benchmarks"] = {}
     _WORKER_STATE["profiling"] = profiling
-    _WORKER_STATE["bank"] = bank
     _WORKER_STATE["kernels"] = kernels
-    _WORKER_STATE["batched"] = batched
-    _WORKER_STATE["mmap"] = mmap
     # A forked worker inherits the parent's accumulated counts; reset so
     # the snapshots shipped back are purely this worker's own activity.
     GLOBAL_METRICS.reset()
@@ -147,15 +140,10 @@ def _benchmark_context(benchmark: str):
         from repro.workloads.suite import load_traces
 
         profile: SuiteProfile = _WORKER_STATE["profile"]  # type: ignore[assignment]
-        cache_dir = _WORKER_STATE["cache_dir"]
-        # mmap (default on) maps the cached trace and its dense-code
-        # sidecar read-only, so all workers share one physical copy of
-        # each through the OS page cache instead of a heap copy apiece.
         branch_trace, call_loop = load_traces(
             benchmark,
             scale=profile.workload_scale,
-            cache_dir=cache_dir,
-            mmap=_WORKER_STATE.get("mmap"),  # type: ignore[arg-type]
+            cache_dir=_WORKER_STATE["cache_dir"],  # type: ignore[arg-type]
         )
         baselines = BaselineSet(
             call_loop,
@@ -165,55 +153,6 @@ def _benchmark_context(benchmark: str):
         )
         contexts[benchmark] = (branch_trace, baselines)
     return contexts[benchmark]
-
-
-def _evaluate_chunk(benchmark: str, specs: Sequence[ConfigSpec]) -> Dict:
-    """Evaluate one work item; return rows plus this worker's accounting.
-
-    The result is ``{"rows": [...], "stats": {...}}`` where ``stats``
-    carries the worker pid, this chunk's wall time / config / record
-    counts, the optional :class:`ChunkProfiler` memory peak, and a
-    cumulative snapshot of the worker's process-local metrics registry
-    (the parent keeps the latest snapshot per pid and merges them).
-    """
-    branch_trace, baselines = _benchmark_context(benchmark)
-    profile: SuiteProfile = _WORKER_STATE["profile"]  # type: ignore[assignment]
-    bank = bool(_WORKER_STATE.get("bank", True))
-    kernels = _WORKER_STATE.get("kernels")  # Optional[bool]; None = env default
-    batched = _WORKER_STATE.get("batched")  # Optional[bool]; None = env default
-    profiler = (
-        ChunkProfiler(f"{benchmark}[{len(specs)} specs]")
-        if _WORKER_STATE.get("profiling")
-        else None
-    )
-    started = time.perf_counter()
-    if profiler is not None:
-        with profiler:
-            records = evaluate_bank(
-                branch_trace, baselines, specs, profile, bank=bank,
-                kernels=kernels, batched=batched,
-            )
-    else:
-        records = evaluate_bank(
-            branch_trace, baselines, specs, profile, bank=bank,
-            kernels=kernels, batched=batched,
-        )
-    rows: List[Dict] = [record.to_row() for record in records]
-    wall = time.perf_counter() - started
-    # Per-chunk wall time lands in the worker's process-local histogram;
-    # the cumulative snapshot below ships it home, where the parent's
-    # latest-per-pid merge folds it into the manifest (histograms merge
-    # associatively, so worker order does not matter).
-    GLOBAL_METRICS.histogram("sweep.job_seconds").observe(wall)
-    stats: Dict = {
-        "pid": os.getpid(),
-        "wall_seconds": wall,
-        "configs": len(specs),
-        "records": len(rows),
-        "peak_bytes": profiler.profile.peak_bytes if profiler is not None else None,
-        "metrics": GLOBAL_METRICS.snapshot(),
-    }
-    return {"rows": rows, "stats": stats}
 
 
 def _evaluate_store_chunk(
@@ -226,36 +165,29 @@ def _evaluate_store_chunk(
 ) -> Dict:
     """Evaluate one work item and persist it as a chunk file, in-worker.
 
-    The barrier-free counterpart of :func:`_evaluate_chunk`: the worker
-    serializes its own records to canonical cache lines and writes the
-    content-addressed chunk atomically, so nothing but small accounting
-    crosses the pipe and the parent never re-orders anything.  Returns
-    ``{"key": ..., "stats": ...}`` with the same stats shape as the
-    legacy path.
+    The worker serializes its own records to canonical cache lines and
+    writes the content-addressed chunk atomically, so nothing but small
+    accounting crosses the pipe and the parent never re-orders
+    anything.  Returns ``{"key": ..., "stats": ...}`` where ``stats``
+    carries the worker pid, this chunk's wall time / config / record
+    counts, the optional :class:`ChunkProfiler` memory peak, and a
+    cumulative snapshot of the worker's process-local metrics registry
+    (the parent keeps the latest snapshot per pid and merges them).
     """
     from repro.experiments.store import ChunkStore, cache_line
 
     branch_trace, baselines = _benchmark_context(benchmark)
     profile: SuiteProfile = _WORKER_STATE["profile"]  # type: ignore[assignment]
-    bank = bool(_WORKER_STATE.get("bank", True))
-    kernels = _WORKER_STATE.get("kernels")
-    batched = _WORKER_STATE.get("batched")
+    kernels = bool(_WORKER_STATE["kernels"])
     profiler = (
         ChunkProfiler(f"{benchmark}[{len(specs)} specs]")
         if _WORKER_STATE.get("profiling")
         else None
     )
     started = time.perf_counter()
-    if profiler is not None:
-        with profiler:
-            records = evaluate_bank(
-                branch_trace, baselines, specs, profile, bank=bank,
-                kernels=kernels, batched=batched,
-            )
-    else:
+    with profiler if profiler is not None else nullcontext():
         records = evaluate_bank(
-            branch_trace, baselines, specs, profile, bank=bank,
-            kernels=kernels, batched=batched,
+            branch_trace, baselines, specs, profile, kernels=kernels
         )
     lines = [cache_line(record, fingerprint) for record in records]
     store = ChunkStore(cache_dir, profile_name)
@@ -265,6 +197,10 @@ def _evaluate_store_chunk(
         worker={"pid": os.getpid()},
     )
     wall = time.perf_counter() - started
+    # Per-chunk wall time lands in the worker's process-local histograms;
+    # the cumulative snapshot below ships it home, where the parent's
+    # latest-per-pid merge folds it into the manifest (histograms merge
+    # associatively, so worker order does not matter).
     GLOBAL_METRICS.histogram("sweep.job_seconds").observe(wall)
     GLOBAL_METRICS.histogram("sweep.chunk_seconds").observe(wall)
     GLOBAL_METRICS.counter("sweep.chunk_rows_written").inc(len(lines))
@@ -280,15 +216,6 @@ def _evaluate_store_chunk(
 
 
 # -- parent side --------------------------------------------------------------
-
-
-@dataclass
-class _Chunk:
-    """One submitted work item and its place in the deterministic order."""
-
-    index: int
-    benchmark: str
-    specs: List[ConfigSpec]
 
 
 @dataclass
@@ -352,7 +279,7 @@ class _Progress:
 
 
 class ParallelSweepExecutor:
-    """Fan sweep work items over a process pool, delivering in order.
+    """Fan sweep work items over a process pool through the chunk store.
 
     Args:
         profile: the suite profile workers evaluate under.
@@ -369,7 +296,7 @@ class ParallelSweepExecutor:
         profiling: wrap each chunk in a :class:`ChunkProfiler`
             (wall time + tracemalloc peak); see :attr:`chunk_profiles`.
 
-    After :meth:`run` returns, :attr:`worker_stats` holds one
+    After :meth:`run_store` returns, :attr:`worker_stats` holds one
     accounting entry per worker process, :attr:`worker_metrics` the
     latest cumulative metrics snapshot per worker, and
     :attr:`chunk_profiles` any chunk profiles collected.
@@ -383,10 +310,7 @@ class ParallelSweepExecutor:
         jobs: Optional[int] = None,
         chunk_size: Optional[int] = None,
         profiling: bool = False,
-        bank: bool = True,
-        kernels: Optional[bool] = None,
-        batched: Optional[bool] = None,
-        mmap: Optional[bool] = None,
+        kernels: bool = True,
     ) -> None:
         self.profile = profile
         self.cache_dir = cache_dir
@@ -394,10 +318,7 @@ class ParallelSweepExecutor:
         self.jobs = resolve_jobs(jobs)
         self.chunk_size = chunk_size
         self.profiling = profiling
-        self.bank = bank
         self.kernels = kernels
-        self.batched = batched
-        self.mmap = mmap
         self.worker_stats: List[Dict] = []
         self.worker_metrics: Dict[int, Dict] = {}
         self.chunk_profiles: List[Dict] = []
@@ -419,94 +340,6 @@ class ParallelSweepExecutor:
                 -(-len(specs) // (self.jobs * TARGET_CHUNKS_PER_WORKER)),
             )
         return [list(specs[i : i + size]) for i in range(0, len(specs), size)]
-
-    def run(
-        self,
-        work: Sequence[Tuple[str, Sequence[ConfigSpec]]],
-        on_chunk: Callable[[str, List[SweepRecord], bool], None],
-        progress: bool = False,
-        benchmark_weights: Optional[Dict[str, float]] = None,
-    ) -> int:
-        """Evaluate every (benchmark, missing-spec) batch in ``work``.
-
-        ``on_chunk(benchmark, records, benchmark_finished)`` is invoked
-        strictly in submission order — benchmark-major, spec-order —
-        regardless of worker completion order, so the caller can append
-        records to the JSONL cache as they arrive and still end up with
-        a byte-identical file to a serial run.  Returns the number of
-        grid points evaluated.
-
-        ``benchmark_weights`` (trace length per benchmark) steers the
-        progress ETA; see :class:`_Progress`.
-        """
-        chunks: List[_Chunk] = []
-        for benchmark, specs in work:
-            for piece in self._chunk_specs(list(specs)):
-                chunks.append(_Chunk(len(chunks), benchmark, piece))
-        self.worker_stats = []
-        self.worker_metrics = {}
-        self.chunk_profiles = []
-        if not chunks:
-            return 0
-        weights = benchmark_weights or {}
-        total_configs = sum(len(c.specs) for c in chunks)
-        total_weight = sum(
-            len(c.specs) * weights.get(c.benchmark, 1.0) for c in chunks
-        ) if weights else 0.0
-        tracker = _Progress(total_configs, total_weight)
-        last_chunk_of_benchmark = {c.benchmark: c.index for c in chunks}
-        per_worker: Dict[int, Dict] = {}
-
-        with ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_init_worker,
-            initargs=(
-                self.profile,
-                str(self.cache_dir) if self.cache_dir is not None else None,
-                self.mpl_nominals,
-                self.profiling,
-                self.bank,
-                self.kernels,
-                self.batched,
-                self.mmap,
-            ),
-        ) as pool:
-            futures = {
-                pool.submit(_evaluate_chunk, chunk.benchmark, chunk.specs): chunk
-                for chunk in chunks
-            }
-            buffered: Dict[int, Dict] = {}
-            next_index = 0
-            pending = set(futures)
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in finished:
-                    buffered[futures[future].index] = future.result()
-                while next_index in buffered:
-                    chunk = chunks[next_index]
-                    result = buffered.pop(next_index)
-                    rows = result["rows"]
-                    stats = result["stats"]
-                    self._account(per_worker, chunk, stats)
-                    records = [SweepRecord.from_row(row) for row in rows]
-                    benchmark_finished = (
-                        last_chunk_of_benchmark[chunk.benchmark] == chunk.index
-                    )
-                    on_chunk(chunk.benchmark, records, benchmark_finished)
-                    if progress:
-                        tracker.note(
-                            self.profile.name,
-                            chunk.benchmark,
-                            len(chunk.specs),
-                            benchmark_finished,
-                            weight=(
-                                len(chunk.specs) * weights.get(chunk.benchmark, 1.0)
-                                if weights else None
-                            ),
-                        )
-                    next_index += 1
-        self.worker_stats = [per_worker[pid] for pid in sorted(per_worker)]
-        return total_configs
 
     def run_store(
         self,
@@ -598,10 +431,7 @@ class ParallelSweepExecutor:
                     str(self.cache_dir) if self.cache_dir is not None else None,
                     self.mpl_nominals,
                     self.profiling,
-                    self.bank,
                     self.kernels,
-                    self.batched,
-                    self.mmap,
                 ),
             ) as pool:
                 futures = {
@@ -627,12 +457,7 @@ class ParallelSweepExecutor:
                             result = future.result()
                             store.release(chunk.key)
                             stats = result["stats"]
-                            self._account(
-                                per_worker,
-                                _Chunk(chunk.index, chunk.benchmark,
-                                       list(chunk.specs)),
-                                stats,
-                            )
+                            self._account(per_worker, chunk, stats)
                             stats_out["evaluated"] += 1
                             stats_out["evaluated_configs"] += stats["configs"]
                             stats_out["evaluated_records"] += stats["records"]
@@ -685,11 +510,7 @@ class ParallelSweepExecutor:
                     result = self._redo_chunk(chunk, store)
                     store.release(chunk.key)
                     stats = result["stats"]
-                    self._account(
-                        per_worker,
-                        _Chunk(chunk.index, chunk.benchmark, list(chunk.specs)),
-                        stats,
-                    )
+                    self._account(per_worker, chunk, stats)
                     stats_out["evaluated"] += 1
                     stats_out["evaluated_configs"] += stats["configs"]
                     stats_out["evaluated_records"] += stats["records"]
@@ -715,10 +536,7 @@ class ParallelSweepExecutor:
                 str(self.cache_dir) if self.cache_dir is not None else None,
                 self.mpl_nominals,
                 self.profiling,
-                self.bank,
                 self.kernels,
-                self.batched,
-                self.mmap,
             ),
         ) as pool:
             return pool.submit(
@@ -731,7 +549,7 @@ class ParallelSweepExecutor:
                 self.profile.name,
             ).result()
 
-    def _account(self, per_worker: Dict[int, Dict], chunk: _Chunk, stats: Dict) -> None:
+    def _account(self, per_worker: Dict[int, Dict], chunk, stats: Dict) -> None:
         """Fold one chunk's worker stats into the per-pid aggregation."""
         pid = stats["pid"]
         entry = per_worker.get(pid)

@@ -257,9 +257,14 @@ def evaluate_spec(
     baselines: BaselineSet,
     spec: ConfigSpec,
     profile: SuiteProfile,
-    kernels: Optional[bool] = None,
+    kernels: bool = True,
 ) -> List[SweepRecord]:
-    """Run one grid point over one trace; score it at every MPL."""
+    """Run one grid point over one trace; score it at every MPL.
+
+    The per-spec reference for :func:`evaluate_bank`: a solo
+    :func:`~repro.core.engine.run_detector` call scored lane by lane
+    with :func:`~repro.scoring.metric.score_states`.
+    """
     config = spec.to_config(profile)
     result = run_detector(trace, config, kernels=kernels)
     return _score_result(result, baselines, spec)
@@ -270,63 +275,41 @@ def evaluate_bank(
     baselines: BaselineSet,
     specs: Sequence[ConfigSpec],
     profile: SuiteProfile,
-    bank: bool = True,
     bank_size: int = DEFAULT_BANK_SIZE,
-    kernels: Optional[bool] = None,
-    batched: Optional[bool] = None,
-    batch: bool = True,
+    kernels: bool = True,
     tracer=None,
     trace_parent=None,
     metrics=None,
 ) -> List[SweepRecord]:
     """Run many grid points over one trace; score each at every MPL.
 
-    With ``bank=True`` (the default) the specs are evaluated in
-    single-pass :class:`~repro.core.bank.DetectorBank` batches of
-    ``bank_size``, so the trace is decoded and chunked once per batch
-    instead of once per grid point.  ``bank=False`` falls back to one
-    :func:`~repro.core.engine.run_detector` call per spec — same
-    results in the same order (the bank-equivalence CI job pins this).
+    The specs are evaluated in single-pass
+    :class:`~repro.core.bank.DetectorBank` batches of ``bank_size``, so
+    the trace is decoded and chunked once per batch instead of once per
+    grid point, and each batch is scored in one
+    :func:`~repro.scoring.score_states_batch` pass.  Records are
+    bit-identical to per-spec :func:`evaluate_spec` calls in spec order
+    (the tests pin this, which covers batch-vs-scalar scoring too).
 
-    ``kernels`` selects the array-native detector kernels for eligible
-    configurations (see :mod:`repro.core.kernels`); ``None`` consults
-    the ``REPRO_KERNELS`` environment variable.  ``batched`` selects the
-    bank's batched advancer for vectorized members (``None`` consults
-    ``REPRO_BANK_BATCHED``).  Records are byte-identical either way (the
-    kernel-equivalence CI job pins this).
-
-    ``batch`` selects the vectorized batch scorer
-    (:func:`~repro.scoring.score_states_batch`) for each bank batch;
-    ``batch=False`` scores lane by lane via :func:`score_states`.
-    Records are bit-identical either way — ``bank=False`` always scores
-    lane by lane, so the bank-equivalence job pins batch-vs-scalar
-    scoring too.
+    ``kernels=False`` runs every member on the fused loop instead of
+    the vectorized route (see :mod:`repro.core.kernels`); records are
+    byte-identical either way (the kernel-equivalence CI job pins this).
 
     ``tracer``/``trace_parent``/``metrics`` ride through to
     :meth:`DetectorBank.run` untouched (``bank.run`` / ``bank.kernel``
     spans and the ``bank.advance_seconds`` histogram); all three default
     to ``None`` and cost nothing when off.
     """
-    if not bank:
-        records: List[SweepRecord] = []
-        for spec in specs:
-            records.extend(evaluate_spec(trace, baselines, spec, profile, kernels))
-        return records
-    records = []
+    records: List[SweepRecord] = []
     specs = list(specs)
     for start in range(0, len(specs), bank_size):
         batch_specs = specs[start : start + bank_size]
         results = DetectorBank([spec.to_config(profile) for spec in batch_specs]).run(
             trace,
             kernels=kernels,
-            batched=batched,
             tracer=tracer,
             trace_parent=trace_parent,
             metrics=metrics,
         )
-        if batch:
-            records.extend(_score_results(results, baselines, batch_specs))
-        else:
-            for spec, result in zip(batch_specs, results):
-                records.extend(_score_result(result, baselines, spec))
+        records.extend(_score_results(results, baselines, batch_specs))
     return records

@@ -13,9 +13,9 @@ rename; a torn or truncated file reads as *missing*).  Because the key
 is content-addressed and detector evaluation is deterministic, writes
 are idempotent: two executors racing on the same chunk produce the same
 body bytes, so the last rename wins harmlessly.  Workers write their
-own chunk files, which is what lets the executor drop the
-ordered-delivery barrier — record rows never cross the pipe and nothing
-downstream depends on completion order.
+own chunk files, so there is no ordered-delivery barrier — record rows
+never cross the pipe and nothing downstream depends on completion
+order.
 
 **Leases.**  Executors sharing a results directory (including separate
 machines on a shared filesystem) divide work through lease files:

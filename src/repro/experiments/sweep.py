@@ -6,15 +6,16 @@ completed records are appended to a JSONL cache keyed by (benchmark
 fingerprint, grid point, MPL set); re-running a sweep with a warm cache
 only aggregates.  Grid points are evaluated in single-pass
 :class:`~repro.core.bank.DetectorBank` batches per trace (each trace is
-decoded and chunked once per batch, not once per grid point); pass
-``bank=False`` to fall back to one detector pass per grid point —
-identical records either way (see ``docs/sweep.md``).
+decoded and chunked once per batch, not once per grid point; see
+``docs/sweep.md``).
 
 Evaluation runs serially in-process by default (``jobs=1``) or fans out
 over a process pool (``jobs>1`` or ``jobs=None`` with ``REPRO_JOBS``
-set) via :mod:`repro.experiments.parallel`.  Both modes append cache
-rows in the same deterministic order, so the cache file is
-byte-identical either way; see ``docs/sweep.md`` for the lifecycle and
+set) through the content-addressed chunk store of
+:mod:`repro.experiments.store` (see :mod:`repro.experiments.parallel`).
+Both modes leave the cache rows in the same deterministic order, so the
+cache file is byte-identical either way, and both mirror it into the
+SQLite result database; see ``docs/sweep.md`` for the lifecycle and
 ``docs/formats.md`` for the cache schema.
 
 Every :meth:`Sweep.ensure` that touches the on-disk cache also writes a
@@ -97,11 +98,7 @@ class Sweep:
         benchmarks: Optional[Sequence[str]] = None,
         mpl_nominals: Sequence[int] = MPL_NOMINALS_EXTENDED,
         jobs: int = 1,
-        bank: bool = True,
-        kernels: Optional[bool] = None,
-        batched: Optional[bool] = None,
-        mmap: Optional[bool] = None,
-        store: bool = True,
+        kernels: bool = True,
         tracer=None,
     ) -> None:
         self.profile = profile
@@ -109,28 +106,10 @@ class Sweep:
         self.benchmarks = list(benchmarks) if benchmarks is not None else workload_names()
         self.mpl_nominals = list(mpl_nominals)
         self.jobs = jobs
-        #: Persist results through the content-addressed chunk store and
-        #: mirror the cache into the SQLite result database (see
-        #: :mod:`repro.experiments.store`).  False restores the legacy
-        #: ordered-delivery parallel path and skips SQLite entirely —
-        #: the store-equivalence escape hatch (identical cache bytes).
-        self.store = store
-        #: Evaluate grid points in single-pass DetectorBank batches per
-        #: trace (False: one run_detector pass per grid point — slower,
-        #: identical records; kept as the bank-equivalence escape hatch).
-        self.bank = bank
-        #: Array-native kernel selection for eligible configurations
-        #: (None: the REPRO_KERNELS env default; False: the
-        #: kernel-equivalence escape hatch — identical records).
+        #: Vectorized kernels for eligible configurations (False: the
+        #: fused loop everywhere — the kernel-equivalence escape hatch,
+        #: identical records).
         self.kernels = kernels
-        #: Batched bank advancer for vectorized members (None: on unless
-        #: REPRO_BANK_BATCHED=0; False: independent per-lane vectorized
-        #: calls — identical records; the batch-equivalence escape hatch).
-        self.batched = batched
-        #: Map cached traces and dense-code sidecars read-only instead of
-        #: heap-copying them (None: on unless REPRO_MMAP=0; False: the
-        #: mmap-equivalence escape hatch — identical records).
-        self.mmap = mmap
         #: Optional span tracer, passed down the serial evaluation path.
         self.tracer = tracer
         #: Per-sweep metrics registry; snapshotted into the run manifest.
@@ -138,8 +117,7 @@ class Sweep:
         with self.metrics.time("sweep.load_suite_seconds"):
             self._traces = load_suite(scale=profile.workload_scale,
                                       cache_dir=self.cache_dir,
-                                      names=self.benchmarks,
-                                      mmap=self.mmap)
+                                      names=self.benchmarks)
         self._baselines: Dict[str, BaselineSet] = {}
         self._records: Dict[_CacheKey, SweepRecord] = {}
         self._fingerprints: Dict[str, str] = {}
@@ -211,7 +189,7 @@ class Sweep:
 
     @property
     def db_path(self) -> Path:
-        """The SQLite result database next to the cache (store mode)."""
+        """The SQLite result database next to the cache."""
         return self.cache_dir / f"sweep-{self.profile.name}.sqlite"
 
     def result_db(self):
@@ -282,8 +260,7 @@ class Sweep:
             ) as job_span:
                 fresh: List[SweepRecord] = evaluate_bank(
                     branch_trace, baselines, missing, self.profile,
-                    bank=self.bank, kernels=self.kernels,
-                    batched=self.batched,
+                    kernels=self.kernels,
                     tracer=self.tracer, trace_parent=job_span,
                     metrics=self.metrics,
                 )
@@ -301,55 +278,6 @@ class Sweep:
                     self.profile.name, benchmark, len(missing), elapsed,
                 )
         return evaluated
-
-    def _evaluate_parallel(
-        self,
-        work: Sequence[Tuple[str, List[ConfigSpec]]],
-        jobs: int,
-        progress: bool,
-        profiling: bool = False,
-    ) -> Tuple[int, List[Dict], Dict[int, Dict], List[Dict]]:
-        """Fan ``work`` out; returns (evaluated, worker stats, metrics, profiles).
-
-        The legacy ordered-delivery path: workers ship record rows back
-        over the pipe and the parent appends them in submission order.
-        Kept as the ``store=False`` escape hatch and the bench baseline;
-        the default parallel path is :meth:`_evaluate_store`.
-        """
-        from repro.experiments.parallel import ParallelSweepExecutor, resolve_jobs
-
-        jobs = resolve_jobs(jobs)
-        if jobs <= 1:
-            return self._evaluate_serial(work, progress), [], {}, []
-        executor = ParallelSweepExecutor(
-            self.profile, self.cache_dir, self.mpl_nominals, jobs=jobs,
-            profiling=profiling, bank=self.bank, kernels=self.kernels,
-            batched=self.batched, mmap=self.mmap,
-        )
-        evaluated = 0
-
-        def on_chunk(
-            benchmark: str, records: List[SweepRecord], benchmark_finished: bool
-        ) -> None:
-            nonlocal evaluated
-            for record in records:
-                self._records[self._record_key(record)] = record
-            self._append_cache(records)
-            evaluated += len(records)
-            if benchmark_finished:
-                self.metrics.counter("sweep.benchmarks_finished").inc()
-
-        executor.run(
-            work, on_chunk, progress=progress,
-            benchmark_weights=self._benchmark_weights(),
-        )
-        self.metrics.counter("sweep.records_evaluated").inc(evaluated)
-        return (
-            evaluated,
-            executor.worker_stats,
-            executor.worker_metrics,
-            executor.chunk_profiles,
-        )
 
     def _evaluate_store(
         self,
@@ -377,8 +305,7 @@ class Sweep:
             return self._evaluate_serial(work, progress), [], {}, []
         executor = ParallelSweepExecutor(
             self.profile, self.cache_dir, self.mpl_nominals, jobs=jobs,
-            profiling=profiling, bank=self.bank, kernels=self.kernels,
-            batched=self.batched, mmap=self.mmap,
+            profiling=profiling, kernels=self.kernels,
         )
         store = ChunkStore(self.cache_dir, self.profile.name)
         fingerprints = {benchmark: self._fingerprint(benchmark) for benchmark, _ in work}
@@ -457,22 +384,15 @@ class Sweep:
                         work, progress, trace_parent=sweep_span
                     )
                 else:
-                    evaluate = (
-                        self._evaluate_store if self.store
-                        else self._evaluate_parallel
-                    )
                     evaluated, workers, worker_metrics, chunk_profiles = (
-                        evaluate(work, jobs, progress, profiling)
+                        self._evaluate_store(work, jobs, progress, profiling)
                     )
-        if self.store:
-            # Keep the SQLite mirror current no matter which path ran
-            # (incremental: a warm-cache call parses nothing).
-            with self.metrics.time("store.db_sync_seconds"):
-                self.result_db().sync_from_cache(
-                    self._cache_path, self.profile.name
-                )
+        # Keep the SQLite mirror current no matter which path ran
+        # (incremental: a warm-cache call parses nothing).
+        with self.metrics.time("store.db_sync_seconds"):
+            self.result_db().sync_from_cache(self._cache_path, self.profile.name)
         elapsed = time.perf_counter() - started
-        if self.store and evaluated:
+        if evaluated:
             self.result_db().record_run(
                 profile=self.profile.name,
                 grid_fingerprint=grid_fingerprint(specs, self.mpl_nominals),

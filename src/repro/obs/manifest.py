@@ -80,9 +80,9 @@ def build_manifest(
 ) -> Dict[str, object]:
     """Assemble one run's manifest dict (see module docstring).
 
-    ``chunks`` is the chunk-store accounting of a store-mode run
+    ``chunks`` is the chunk-store accounting of a parallel run
     (planned/reused/evaluated/external counts plus fold counters);
-    omitted for legacy ordered-delivery runs.
+    omitted for serial runs.
     """
     manifest: Dict[str, object] = {
         "version": MANIFEST_VERSION,

@@ -49,17 +49,6 @@ class TraceFormatError(ValueError):
     """Raised when an on-disk trace file is malformed."""
 
 
-def mmap_enabled() -> bool:
-    """True unless the ``REPRO_MMAP`` environment variable disables
-    memory-mapped trace reads (``0``/``false``/``off``/``no``)."""
-    return os.environ.get("REPRO_MMAP", "").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
 def write_trace_text(trace: BranchTrace, path: PathLike) -> None:
     """Write ``trace`` to ``path`` in the one-element-per-line text format."""
     path = Path(path)

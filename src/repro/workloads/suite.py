@@ -15,7 +15,6 @@ from repro.obs.metrics import GLOBAL_METRICS
 from repro.profiles.callloop import CallLoopTrace
 from repro.profiles.io import (
     ensure_codes_sidecar,
-    mmap_enabled,
     read_trace_binary,
     write_trace_binary,
 )
@@ -68,7 +67,6 @@ def load_traces(
     name: str,
     scale: float = 1.0,
     cache_dir: Optional[Path] = None,
-    mmap: Optional[bool] = None,
 ) -> Tuple[BranchTrace, CallLoopTrace]:
     """Get (branch trace, call-loop trace) for a workload, using the cache.
 
@@ -78,25 +76,22 @@ def load_traces(
     the sidecar is adopted (regenerated transparently when missing or
     stale), so callers never pay the per-process ``np.unique`` pass.
 
-    With ``mmap`` (default: on unless ``REPRO_MMAP=0``), the branch
-    trace and sidecar are returned as read-only ``np.memmap`` views over
-    the cache files — concurrent sweep workers then share one physical
-    copy of each trace through the OS page cache instead of N heap
-    copies.
+    A cached branch trace and its sidecar are returned as read-only
+    ``np.memmap`` views over the cache files — concurrent sweep workers
+    then share one physical copy of each trace through the OS page cache
+    instead of N heap copies.
     """
     wl = workload(name)
     cache_dir = DEFAULT_CACHE_DIR if cache_dir is None else Path(cache_dir)
-    if mmap is None:
-        mmap = mmap_enabled()
     fingerprint = wl.fingerprint(scale)
     branch_path = cache_dir / f"{name}-{fingerprint}.btrace"
     callloop_path = cache_dir / f"{name}-{fingerprint}.cloop"
     if branch_path.exists() and callloop_path.exists():
         try:
-            branch_trace = read_trace_binary(branch_path, mmap=mmap)
+            branch_trace = read_trace_binary(branch_path, mmap=True)
             call_loop = CallLoopTrace.load(callloop_path)
             GLOBAL_METRICS.counter("io.trace_cache_hits").inc()
-            ensure_codes_sidecar(branch_trace, branch_path, mmap=mmap)
+            ensure_codes_sidecar(branch_trace, branch_path, mmap=True)
             return branch_trace, call_loop
         except ValueError:
             # A corrupt cache entry (TraceFormatError or a torn .cloop) is
@@ -116,11 +111,10 @@ def load_suite(
     scale: float = 1.0,
     cache_dir: Optional[Path] = None,
     names: Optional[List[str]] = None,
-    mmap: Optional[bool] = None,
 ) -> Dict[str, Tuple[BranchTrace, CallLoopTrace]]:
     """Load (running if needed) every workload's traces."""
     selected = names if names is not None else workload_names()
     return {
-        name: load_traces(name, scale=scale, cache_dir=cache_dir, mmap=mmap)
+        name: load_traces(name, scale=scale, cache_dir=cache_dir)
         for name in selected
     }

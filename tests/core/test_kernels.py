@@ -1,6 +1,7 @@
-"""Array-native kernel tests: bit-identical to the fused loop, and the
-selection machinery (eligibility predicates, env/flag plumbing, bank
-partitioning) routes every configuration to a correct path."""
+"""Array-native kernel tests: every whole-trace route is bit-identical to
+the reference ``step()`` loop, and the selection machinery (eligibility
+predicate, the ``kernels`` flag, bank partitioning) routes every
+configuration to a correct path."""
 
 import json
 
@@ -17,15 +18,10 @@ from repro.core import (
 )
 from repro.core.bank import DetectorBank
 from repro.core.engine import run_detector
-from repro.core.kernels import (
-    dense_eligible,
-    kernels_enabled,
-    run_dense,
-    run_vectorized,
-    vectorized_eligible,
-)
+from repro.core.kernels import run_vectorized, vectorized_eligible
 from repro.core.runtime import DetectorRuntime
 from repro.obs.bus import MemorySink
+from repro.obs.trace import Tracer
 from repro.profiles.synthetic import SyntheticTraceBuilder
 from repro.profiles.trace import BranchTrace
 
@@ -72,12 +68,17 @@ def matrix_configs():
 
 
 def run_both(trace, config):
-    """(kernel result + checkpoint, legacy result + checkpoint)."""
+    """(default-route result + checkpoint, reference result + checkpoint).
+
+    The default route is the vectorized kernel for Threshold configs and
+    the fused loop for Average configs; the oracle is the reference
+    ``step()`` loop (``fused=False``) for both.
+    """
     kernel_rt = DetectorRuntime(config)
-    kernel = kernel_rt.run(trace, kernels=True)
-    legacy_rt = DetectorRuntime(config)
-    legacy = legacy_rt.run(trace, kernels=False)
-    return kernel, kernel_rt.checkpoint(), legacy, legacy_rt.checkpoint()
+    kernel = kernel_rt.run(trace)
+    reference_rt = DetectorRuntime(config)
+    reference = reference_rt.run(trace, fused=False)
+    return kernel, kernel_rt.checkpoint(), reference, reference_rt.checkpoint()
 
 
 class TestEquivalence:
@@ -136,21 +137,20 @@ class TestEligibility:
     def test_vectorized_covers_threshold_constant(self):
         runtime = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
         assert vectorized_eligible(runtime)
-        assert dense_eligible(runtime)
+        assert runtime.kernel_path() == "vectorized"
 
-    def test_average_analyzer_falls_back_to_dense(self):
+    def test_average_analyzer_runs_on_lanes(self):
         runtime = DetectorRuntime(
             DetectorConfig(cw_size=20, skip_factor=5, analyzer=AnalyzerKind.AVERAGE)
         )
         assert not vectorized_eligible(runtime)
-        assert dense_eligible(runtime)
+        assert runtime.kernel_path() == "legacy"
 
     def test_adaptive_trailing_is_vectorized(self):
         runtime = DetectorRuntime(
             DetectorConfig(cw_size=20, skip_factor=5, trailing=TrailingPolicy.ADAPTIVE)
         )
         assert vectorized_eligible(runtime)
-        assert dense_eligible(runtime)
 
     def test_weighted_vectorized_for_any_geometry(self):
         fixed = DetectorRuntime(
@@ -161,21 +161,20 @@ class TestEligibility:
             DetectorConfig(cw_size=30, skip_factor=7, model=ModelKind.WEIGHTED)
         )
         assert vectorized_eligible(offset)
-        assert dense_eligible(offset)
 
     def test_observed_runtime_ineligible(self):
         runtime = DetectorRuntime(
             DetectorConfig(cw_size=20, skip_factor=5), observer=MemorySink()
         )
         assert not vectorized_eligible(runtime)
-        assert not dense_eligible(runtime)
+        assert runtime.kernel_path() == "legacy"
 
     def test_consumed_runtime_ineligible(self, trace):
         runtime = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
         states = bytearray(10)
         runtime.advance([trace.array[:10].tolist()], states, 0)
         assert not vectorized_eligible(runtime)
-        assert not dense_eligible(runtime)
+        assert runtime.kernel_path() == "legacy"
 
     def test_kernel_entry_points_reject_ineligible(self, trace):
         runtime = DetectorRuntime(
@@ -186,32 +185,24 @@ class TestEligibility:
         consumed = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
         consumed.advance([trace.array[:5].tolist()], bytearray(5), 0)
         with pytest.raises(ValueError):
-            run_dense(consumed, trace)
+            run_vectorized(consumed, trace)
+
+    def test_kernels_flag_forces_legacy(self):
+        runtime = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
+        assert runtime.kernel_path(kernels=True) == "vectorized"
+        assert runtime.kernel_path(kernels=False) == "legacy"
 
 
 class TestSelection:
-    def test_env_variable_disables_kernels(self, monkeypatch):
-        for value in ("0", "false", "off", "no", " OFF "):
-            monkeypatch.setenv("REPRO_KERNELS", value)
-            assert not kernels_enabled()
-        for value in ("", "1", "on", "yes"):
-            monkeypatch.setenv("REPRO_KERNELS", value)
-            assert kernels_enabled()
-        monkeypatch.delenv("REPRO_KERNELS")
-        assert kernels_enabled()
-
-    def test_engine_flag_and_env_agree(self, trace, monkeypatch):
+    def test_engine_flag_on_and_off_agree(self, trace):
         config = DetectorConfig(cw_size=50, skip_factor=10, threshold=0.5)
         enabled = run_detector(trace, config, kernels=True)
         disabled = run_detector(trace, config, kernels=False)
-        monkeypatch.setenv("REPRO_KERNELS", "0")
-        env_disabled = run_detector(trace, config)
         assert np.array_equal(enabled.states, disabled.states)
-        assert np.array_equal(enabled.states, env_disabled.states)
         assert enabled.detected_phases == disabled.detected_phases
 
     def test_observed_run_matches_kernel_run(self, trace):
-        """An observer forces the legacy path; output must not change."""
+        """An observer forces the fused loop; output must not change."""
         config = DetectorConfig(cw_size=50, skip_factor=10, threshold=0.5)
         observed = run_detector(trace, config, observer=MemorySink())
         kernel = run_detector(trace, config, kernels=True)
@@ -243,14 +234,14 @@ class TestBank:
         kernel_bank = DetectorBank(configs).run(trace, kernels=True)
         legacy_bank = DetectorBank(configs).run(trace, kernels=False)
         for config, ours, theirs in zip(configs, kernel_bank, legacy_bank):
-            solo = run_detector(trace, config, kernels=False)
+            solo = DetectorRuntime(config).run(trace, fused=False)
             assert np.array_equal(ours.states, theirs.states)
             assert np.array_equal(ours.states, solo.states)
             assert ours.detected_phases == theirs.detected_phases
             assert ours.detected_phases == solo.detected_phases
 
     def test_observed_bank_matches_kernel_bank(self, trace):
-        """Observers force every bank member onto the legacy lanes."""
+        """Observers force every bank member onto the lockstep lanes."""
         configs = self.grid()[:4]
         sink = MemorySink()
         observed = DetectorBank(configs, observers=[sink] * len(configs)).run(trace)
@@ -258,3 +249,29 @@ class TestBank:
         for ours, theirs in zip(observed, kernel):
             assert np.array_equal(ours.states, theirs.states)
             assert ours.detected_phases == theirs.detected_phases
+
+    def test_mixed_bank_sends_average_members_to_lanes(self, trace):
+        """Average members run on the lockstep lanes, Threshold members
+        on the batched vectorized route — by ``kernel_path()`` and by
+        the ``bank.kernel`` spans' member counts — and every member
+        still matches its reference ``step()`` run."""
+        configs = self.grid()
+        average = [c.analyzer is AnalyzerKind.AVERAGE for c in configs]
+        bank = DetectorBank(configs)
+        paths = [runtime.kernel_path() for runtime in bank.runtimes]
+        assert paths == ["legacy" if avg else "vectorized" for avg in average]
+        tracer = Tracer()
+        results = bank.run(trace, tracer=tracer)
+        kernel_spans = {
+            span.attrs["path"]: span.attrs["members"]
+            for span in tracer.spans
+            if span.name == "bank.kernel"
+        }
+        assert kernel_spans == {
+            "lanes": sum(average),
+            "vectorized": len(configs) - sum(average),
+        }
+        for config, result in zip(configs, results):
+            reference = DetectorRuntime(config).run(trace, fused=False)
+            assert np.array_equal(result.states, reference.states)
+            assert result.detected_phases == reference.detected_phases

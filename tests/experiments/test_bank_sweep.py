@@ -1,12 +1,19 @@
-"""Bank-vs-serial sweep equivalence: same records, byte-identical cache."""
+"""Bank-vs-per-spec sweep equivalence: same records, byte-identical cache.
+
+The reference for every comparison is one solo ``evaluate_spec`` call
+per grid point (a ``run_detector`` pass scored lane by lane with
+``score_states``), so these tests pin both the bank's routing and the
+batch scorer against the simplest evaluation.
+"""
 
 import json
 
 from repro.core.config import AnalyzerKind, ModelKind
 from repro.experiments.config_space import ConfigSpec, SuiteProfile
-from repro.experiments.runner import BaselineSet, evaluate_bank
+from repro.experiments.runner import BaselineSet, evaluate_bank, evaluate_spec
+from repro.experiments.store import cache_line
 from repro.experiments.sweep import Sweep
-from repro.workloads.suite import load_traces
+from repro.workloads.suite import load_traces, workload
 
 TINY = SuiteProfile(
     name="tinybank",
@@ -28,36 +35,52 @@ BENCHMARKS = ["db", "jlex"]
 CACHE_NAME = "sweep-tinybank.jsonl"
 
 
-def _run_sweep(cache_dir, jobs, bank):
+def _run_sweep(cache_dir, jobs, kernels=True):
     sweep = Sweep(
         TINY,
         cache_dir=cache_dir,
         benchmarks=BENCHMARKS,
         mpl_nominals=MPLS,
-        bank=bank,
+        kernels=kernels,
     )
     records = sweep.ensure(SPECS, jobs=jobs)
     return records, (cache_dir / CACHE_NAME).read_bytes()
 
 
+def _per_spec_sweep(cache_dir):
+    """Records and cache bytes of one ``evaluate_spec`` call per grid
+    point, in the serial sweep's benchmark-major, spec-order layout."""
+    records, lines = [], []
+    for benchmark in BENCHMARKS:
+        trace, _ = load_traces(benchmark, scale=TINY.workload_scale, cache_dir=cache_dir)
+        baselines = BaselineSet.for_benchmark(benchmark, TINY, MPLS, cache_dir=cache_dir)
+        fingerprint = workload(benchmark).fingerprint(TINY.workload_scale)
+        for spec in SPECS:
+            for record in evaluate_spec(trace, baselines, spec, TINY):
+                records.append(record)
+                lines.append(cache_line(record, fingerprint))
+    return records, "".join(lines).encode("utf-8")
+
+
 class TestBankSerialEquivalence:
     def test_cache_bytes_identical_serial_jobs(self, tmp_path):
-        bank_records, bank_cache = _run_sweep(tmp_path / "bank", jobs=1, bank=True)
-        solo_records, solo_cache = _run_sweep(tmp_path / "solo", jobs=1, bank=False)
+        bank_records, bank_cache = _run_sweep(tmp_path / "bank", jobs=1)
+        solo_records, solo_cache = _per_spec_sweep(tmp_path / "solo")
         assert bank_records == solo_records
         assert bank_cache == solo_cache
 
     def test_cache_bytes_identical_parallel_jobs(self, tmp_path):
-        bank_records, bank_cache = _run_sweep(tmp_path / "bank", jobs=2, bank=True)
-        solo_records, solo_cache = _run_sweep(tmp_path / "solo", jobs=2, bank=False)
+        bank_records, bank_cache = _run_sweep(tmp_path / "bank", jobs=2)
+        solo_records, solo_cache = _per_spec_sweep(tmp_path / "solo")
         assert bank_records == solo_records
         assert bank_cache == solo_cache
 
     def test_manifests_identical_modulo_timing(self, tmp_path):
-        _run_sweep(tmp_path / "bank", jobs=2, bank=True)
-        _run_sweep(tmp_path / "solo", jobs=2, bank=False)
+        """Kernels on and off do the same work accounting."""
+        _run_sweep(tmp_path / "kernels", jobs=2)
+        _run_sweep(tmp_path / "fused", jobs=2, kernels=False)
         manifests = []
-        for mode in ("bank", "solo"):
+        for mode in ("kernels", "fused"):
             path = tmp_path / mode / "sweep-tinybank.manifest.json"
             data = json.loads(path.read_text())
             # Strip run-dependent timing/identity, keep the work accounting
@@ -79,19 +102,22 @@ class TestEvaluateBank:
         )
         return trace, baselines
 
+    def _per_spec(self, trace, baselines):
+        return [
+            record
+            for spec in SPECS
+            for record in evaluate_spec(trace, baselines, spec, TINY)
+        ]
+
     def test_banked_records_equal_serial_records(self, tmp_path):
         trace, baselines = self._fixtures(tmp_path)
-        banked = evaluate_bank(trace, baselines, SPECS, TINY, bank=True)
-        serial = evaluate_bank(trace, baselines, SPECS, TINY, bank=False)
-        assert banked == serial
+        banked = evaluate_bank(trace, baselines, SPECS, TINY)
+        assert banked == self._per_spec(trace, baselines)
         assert len(banked) == len(SPECS) * len(MPLS)
 
     def test_batching_respects_bank_size(self, tmp_path):
         """bank_size smaller than the spec list still covers every spec
         in order (multiple bank batches)."""
         trace, baselines = self._fixtures(tmp_path)
-        batched = evaluate_bank(
-            trace, baselines, SPECS, TINY, bank=True, bank_size=2
-        )
-        serial = evaluate_bank(trace, baselines, SPECS, TINY, bank=False)
-        assert batched == serial
+        batched = evaluate_bank(trace, baselines, SPECS, TINY, bank_size=2)
+        assert batched == self._per_spec(trace, baselines)

@@ -1,4 +1,4 @@
-"""Parallel sweep executor tests: equivalence, ordering, jobs resolution."""
+"""Parallel sweep executor tests: equivalence, accounting, jobs resolution."""
 
 import json
 
@@ -13,7 +13,9 @@ from repro.experiments.parallel import (
     _Progress,
     resolve_jobs,
 )
+from repro.experiments.store import ChunkStore
 from repro.experiments.sweep import Sweep
+from repro.workloads.suite import workload
 
 TINY = SuiteProfile(
     name="tiny",
@@ -172,53 +174,38 @@ class TestProgressEta:
         assert tracker.eta_seconds(now=1.0) == 0.0
 
 
+def _run_store(executor, cache_dir, work, progress=False):
+    """Drive ``executor.run_store`` over ``work`` with a fresh chunk store."""
+    store = ChunkStore(cache_dir, TINY.name)
+    fingerprints = {
+        name: workload(name).fingerprint(TINY.workload_scale) for name, _ in work
+    }
+    stats = executor.run_store(work, store, fingerprints, progress=progress)
+    return store, stats
+
+
 class TestExecutorOrdering:
-    def test_chunks_delivered_in_submission_order(self, tmp_path):
-        # Warm the trace cache so workers hit disk, then drive the
-        # executor directly with single-spec chunks.
-        sweep = Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
-        executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2, chunk_size=1)
-        seen = []
-
-        def on_chunk(benchmark, records, benchmark_finished):
-            seen.append((benchmark, [r.cw_nominal for r in records], benchmark_finished))
-
-        work = [(name, SPECS) for name in BENCHMARKS]
-        total = executor.run(work, on_chunk, progress=False)
-        assert total == len(SPECS) * len(BENCHMARKS)
-        benchmarks_seen = [benchmark for benchmark, _, _ in seen]
-        assert benchmarks_seen == sorted(
-            benchmarks_seen, key=BENCHMARKS.index
-        )
-        finished_flags = [done for _, _, done in seen]
-        assert finished_flags.count(True) == len(BENCHMARKS)
-        # The last chunk of each benchmark carries the finished flag.
-        assert finished_flags[len(SPECS) - 1] and finished_flags[-1]
-
     def test_empty_work_is_noop(self, tmp_path):
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2)
-        calls = []
-        assert executor.run([], calls.append, progress=True) == 0
-        assert calls == []
+        store, stats = _run_store(executor, tmp_path, [], progress=True)
+        assert stats["planned"] == stats["evaluated"] == 0
+        assert executor.planned == []
+        assert store.keys() == set()
         assert executor.worker_stats == []
         assert executor.worker_metrics == {}
 
 
 class TestWorkerAccounting:
     def test_worker_records_sum_to_delivered_records(self, tmp_path):
-        sweep = Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS,
-                      mpl_nominals=MPLS)
+        Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2,
                                          chunk_size=1)
-        delivered = []
-
-        def on_chunk(benchmark, records, benchmark_finished):
-            delivered.extend(records)
-
         work = [(name, SPECS) for name in BENCHMARKS]
-        executor.run(work, on_chunk, progress=False)
+        store, stats = _run_store(executor, tmp_path, work)
+        delivered = sum(len(store.read(chunk.key)[1]) for chunk in executor.planned)
+        assert delivered == stats["evaluated_records"]
         assert executor.worker_stats, "expected at least one worker entry"
-        assert sum(w["records"] for w in executor.worker_stats) == len(delivered)
+        assert sum(w["records"] for w in executor.worker_stats) == delivered
         assert sum(w["configs"] for w in executor.worker_stats) == (
             len(SPECS) * len(BENCHMARKS)
         )
@@ -233,8 +220,7 @@ class TestWorkerAccounting:
     def test_worker_metrics_count_trace_cache_hits(self, tmp_path):
         Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2)
-        executor.run([(name, SPECS) for name in BENCHMARKS],
-                     lambda *args: None, progress=False)
+        _run_store(executor, tmp_path, [(name, SPECS) for name in BENCHMARKS])
         merged_hits = sum(
             snapshot.get("counters", {}).get("io.trace_cache_hits", 0)
             for snapshot in executor.worker_metrics.values()
@@ -246,8 +232,7 @@ class TestWorkerAccounting:
         Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2,
                                          chunk_size=2, profiling=True)
-        executor.run([(name, SPECS) for name in BENCHMARKS],
-                     lambda *args: None, progress=False)
+        _run_store(executor, tmp_path, [(name, SPECS) for name in BENCHMARKS])
         assert executor.chunk_profiles, "profiling mode must collect profiles"
         for profile in executor.chunk_profiles:
             assert profile["wall_seconds"] >= 0.0
@@ -256,5 +241,5 @@ class TestWorkerAccounting:
     def test_no_profiles_without_profiling(self, tmp_path):
         Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2)
-        executor.run([(BENCHMARKS[0], SPECS)], lambda *args: None, progress=False)
+        _run_store(executor, tmp_path, [(BENCHMARKS[0], SPECS)])
         assert executor.chunk_profiles == []

@@ -497,7 +497,7 @@ class TestEndToEndStore:
     def _serial_bytes(self, tmp_path):
         serial_dir = tmp_path / "serial"
         sweep = Sweep(TINY, cache_dir=serial_dir, benchmarks=BENCHMARKS,
-                      mpl_nominals=MPLS, store=False)
+                      mpl_nominals=MPLS)
         records = sweep.ensure(SWEEP_SPECS, jobs=1, manifest=False)
         return records, (serial_dir / CACHE_NAME).read_bytes()
 
@@ -505,7 +505,7 @@ class TestEndToEndStore:
         serial_records, ref = self._serial_bytes(tmp_path)
         store_dir = tmp_path / "store"
         sweep = Sweep(TINY, cache_dir=store_dir, benchmarks=BENCHMARKS,
-                      mpl_nominals=MPLS, store=True)
+                      mpl_nominals=MPLS)
         records = sweep.ensure(SWEEP_SPECS, jobs=2, manifest=False)
         assert (store_dir / CACHE_NAME).read_bytes() == ref
         assert records == serial_records
@@ -520,7 +520,7 @@ class TestEndToEndStore:
         kill_dir = tmp_path / "kill"
         work = [(name, SWEEP_SPECS) for name in BENCHMARKS]
         sweep = Sweep(TINY, cache_dir=kill_dir, benchmarks=BENCHMARKS,
-                      mpl_nominals=MPLS, store=True)
+                      mpl_nominals=MPLS)
         fingerprints = {name: sweep._fingerprint(name) for name in BENCHMARKS}
 
         class Abort(Exception):
@@ -558,7 +558,7 @@ class TestEndToEndStore:
         def run(tag):
             try:
                 sweep = Sweep(TINY, cache_dir=shared, benchmarks=BENCHMARKS,
-                              mpl_nominals=MPLS, store=True)
+                              mpl_nominals=MPLS)
                 sweep.ensure(SWEEP_SPECS, jobs=2, manifest=False)
                 results[tag] = dict(sweep._last_chunk_stats)
             except Exception as exc:  # noqa: BLE001 - re-raised via assert
@@ -583,7 +583,7 @@ class TestEndToEndStore:
 
         store_dir = tmp_path / "store"
         sweep = Sweep(TINY, cache_dir=store_dir, benchmarks=BENCHMARKS,
-                      mpl_nominals=MPLS, store=True)
+                      mpl_nominals=MPLS)
         records = sweep.ensure(SWEEP_SPECS, jobs=2, manifest=False)
         direct = render_from_records(records, BENCHMARKS, TINY)
         with ResultDB(sweep.db_path) as db:

@@ -1,8 +1,8 @@
 """Zero-copy evaluation pipeline equivalence at the sweep level.
 
 The acceptance bar for the mmap/sidecar/batched-scoring stack: sweep
-records and the JSONL cache bytes must be identical with the pipeline
-on (the default) and fully off.
+records and the JSONL cache bytes over memory-mapped traces must be
+identical to a per-spec evaluation over heap copies of the same traces.
 """
 
 import numpy as np
@@ -11,9 +11,12 @@ import pytest
 from repro.core.config import AnalyzerKind, ModelKind
 from repro.experiments import runner as runner_mod
 from repro.experiments.config_space import ConfigSpec, SuiteProfile
-from repro.experiments.runner import BaselineSet, evaluate_bank
+from repro.experiments.runner import BaselineSet, evaluate_bank, evaluate_spec
+from repro.experiments.store import cache_line
 from repro.experiments.sweep import Sweep
+from repro.profiles.trace import BranchTrace
 from repro.workloads import load_traces
+from repro.workloads.suite import workload
 
 TINY = SuiteProfile(
     name="tiny",
@@ -35,34 +38,53 @@ BENCHMARKS = ["db", "jlex"]
 CACHE_NAME = "sweep-tiny.jsonl"
 
 
-def _run_sweep(cache_dir, mmap, jobs=1):
+def _run_sweep(cache_dir, jobs=1):
     sweep = Sweep(
-        TINY, cache_dir=cache_dir, benchmarks=BENCHMARKS,
-        mpl_nominals=MPLS, mmap=mmap,
+        TINY, cache_dir=cache_dir, benchmarks=BENCHMARKS, mpl_nominals=MPLS,
     )
     records = sweep.ensure(SPECS, jobs=jobs)
     return records, (cache_dir / CACHE_NAME).read_bytes()
 
 
+def _heap_sweep(cache_dir):
+    """Records and cache bytes of a serial per-spec evaluation over heap
+    copies of the cached traces (no memmap, no cached dense remap)."""
+    records, lines = [], []
+    for benchmark in BENCHMARKS:
+        mapped, _ = load_traces(
+            benchmark, scale=TINY.workload_scale, cache_dir=cache_dir
+        )
+        heap = BranchTrace(np.array(mapped.array), name=mapped.name)
+        baselines = BaselineSet.for_benchmark(
+            benchmark, TINY, MPLS, cache_dir=cache_dir
+        )
+        fingerprint = workload(benchmark).fingerprint(TINY.workload_scale)
+        for spec in SPECS:
+            for record in evaluate_spec(heap, baselines, spec, TINY):
+                records.append(record)
+                lines.append(cache_line(record, fingerprint))
+    return records, "".join(lines).encode("utf-8")
+
+
 class TestMmapSweepEquivalence:
     def test_mmap_on_off_byte_identical(self, tmp_path):
-        on_records, on_cache = _run_sweep(tmp_path / "on", mmap=True)
-        off_records, off_cache = _run_sweep(tmp_path / "off", mmap=False)
+        on_records, on_cache = _run_sweep(tmp_path / "on")
+        off_records, off_cache = _heap_sweep(tmp_path / "off")
         assert on_records == off_records
         assert on_cache == off_cache
 
     def test_parallel_mmap_matches_serial_heap(self, tmp_path):
-        serial_records, serial_cache = _run_sweep(tmp_path / "s", mmap=False, jobs=1)
-        parallel_records, parallel_cache = _run_sweep(tmp_path / "p", mmap=True, jobs=2)
+        serial_records, serial_cache = _heap_sweep(tmp_path / "s")
+        parallel_records, parallel_cache = _run_sweep(tmp_path / "p", jobs=2)
         assert parallel_records == serial_records
         assert parallel_cache == serial_cache
 
     def test_suite_traces_mmap_backed(self, tmp_path):
         # Warm the cache, then reload: the sweep's traces must be
         # memmap views, not heap copies.
-        _run_sweep(tmp_path, mmap=True)
+        _run_sweep(tmp_path)
         sweep = Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS,
-                      mpl_nominals=MPLS, mmap=True)
+                      mpl_nominals=MPLS)
         for branch_trace, _ in sweep.traces.values():
             array = branch_trace.array
             assert isinstance(array, np.memmap) or isinstance(array.base, np.memmap)
@@ -72,8 +94,12 @@ class TestMmapSweepEquivalence:
             "db", scale=TINY.workload_scale, cache_dir=tmp_path
         )
         baselines = BaselineSet(call_loop, TINY, MPLS, name="db")
-        batched = evaluate_bank(branch, baselines, SPECS, TINY, batch=True)
-        scalar = evaluate_bank(branch, baselines, SPECS, TINY, batch=False)
+        batched = evaluate_bank(branch, baselines, SPECS, TINY)
+        scalar = [
+            record
+            for spec in SPECS
+            for record in evaluate_spec(branch, baselines, spec, TINY)
+        ]
         assert batched == scalar
 
 
@@ -82,17 +108,17 @@ class TestCacheCompat:
         # A pre-sidecar (v1) trace cache has .btrace/.cloop but no
         # .bcodes: the sweep must regenerate sidecars transparently and
         # produce byte-identical sweep JSONL.
-        _, reference_cache = _run_sweep(tmp_path, mmap=True)
+        _, reference_cache = _run_sweep(tmp_path)
         for sidecar in tmp_path.glob("*.bcodes"):
             sidecar.unlink()
         (tmp_path / CACHE_NAME).unlink()
         (tmp_path / "sweep-tiny.manifest.json").unlink()
-        _, regenerated_cache = _run_sweep(tmp_path, mmap=True)
+        _, regenerated_cache = _run_sweep(tmp_path)
         assert regenerated_cache == reference_cache
         assert sorted(tmp_path.glob("*.bcodes")), "sidecars must be rebuilt"
 
     def test_stale_sidecar_never_poisons_records(self, tmp_path):
-        _, reference_cache = _run_sweep(tmp_path, mmap=True)
+        _, reference_cache = _run_sweep(tmp_path)
         # Swap the two benchmarks' sidecars: both are now stale (hash
         # mismatch) and must be rebuilt, not adopted.
         sidecars = sorted(tmp_path.glob("*.bcodes"))
@@ -101,7 +127,7 @@ class TestCacheCompat:
         sidecars[0].write_bytes(b_bytes)
         sidecars[1].write_bytes(a_bytes)
         (tmp_path / CACHE_NAME).unlink()
-        _, regenerated_cache = _run_sweep(tmp_path, mmap=True)
+        _, regenerated_cache = _run_sweep(tmp_path)
         assert regenerated_cache == reference_cache
 
 

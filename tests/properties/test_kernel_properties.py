@@ -1,13 +1,13 @@
-"""Property-based equivalence: array-native kernels vs the fused loop.
+"""Property-based equivalence: the default whole-trace route vs the oracle.
 
-The fused loop is itself pinned to the reference ``PhaseDetector`` by
-``test_engine_properties``; these properties close the chain by pinning
-the kernels (dense advancer and the vectorized fast paths — constant,
-adaptive, and weighted walks, solo and through the batched bank
-advancer) to the fused loop across the full configuration space —
-states, phases, checkpoints, and checkpoint-restore-then-continue
-interleavings, including checkpoints taken mid-episode (inside an open
-phase, Adaptive TW still growing).
+Every configuration's default route — the vectorized walks (constant,
+adaptive and weighted) for Threshold configs, the fused loop for
+Average configs — is pinned to the reference ``step()`` loop
+(``fused=False``) across the full configuration space: states, phases,
+checkpoints, and checkpoint-restore-then-continue interleavings,
+including checkpoints taken mid-episode (inside an open phase, Adaptive
+TW still growing).  The batched bank advancer and the lockstep lanes
+are pinned to per-lane fused runs.
 """
 
 import json
@@ -47,10 +47,11 @@ configs = st.builds(
 
 
 def run_both(trace, config):
+    """(default-route result, its runtime, reference result, its runtime)."""
     kernel_rt = DetectorRuntime(config)
-    kernel = kernel_rt.run(trace, kernels=True)
+    kernel = kernel_rt.run(trace)
     legacy_rt = DetectorRuntime(config)
-    legacy = legacy_rt.run(trace, kernels=False)
+    legacy = legacy_rt.run(trace, fused=False)
     return kernel, kernel_rt, legacy, legacy_rt
 
 
@@ -151,13 +152,14 @@ def test_restore_and_continue_mid_episode(body, lead, tail_repeats, extra, confi
 )
 def test_batched_bank_matches_sequential_legacy(trace, bank_configs):
     """The batched bank advancer (shared per-signature series) is a pure
-    cache: states, phases, and checkpoints of every lane are identical
-    to per-lane legacy runs — for any mix of constant/adaptive,
-    unweighted/weighted, threshold/average lanes and any geometry
-    overlap between lanes (shared signatures exercise the cache)."""
+    cache and the lockstep lanes share only the decode: states, phases,
+    and checkpoints of every member are identical to per-lane fused runs
+    — for any mix of constant/adaptive, unweighted/weighted,
+    threshold/average lanes and any geometry overlap between lanes
+    (shared signatures exercise the cache)."""
     branch_trace = BranchTrace(trace)
     bank = DetectorBank(bank_configs)
-    batched = bank.run(branch_trace, kernels=True, batched=True)
+    batched = bank.run(branch_trace)
     solo_runtimes = [DetectorRuntime(config) for config in bank_configs]
     for runtime, bank_runtime, result in zip(
         solo_runtimes, bank.runtimes, batched

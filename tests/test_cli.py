@@ -305,15 +305,6 @@ class TestResults:
         assert db_path.exists()
         assert "results db:" in capsys.readouterr().out
 
-    def test_no_store_skips_database(self, capsys, tmp_path, monkeypatch):
-        TestSweep()._tiny_profile(monkeypatch)
-        capsys.readouterr()
-        assert main(["sweep", "--profile", "tinycli", "--jobs", "2",
-                     "--no-store", "--benchmarks", "db",
-                     "--cache-dir", str(tmp_path), "--quiet"]) == 0
-        assert "results db:" not in capsys.readouterr().out
-        assert not (tmp_path / "sweep-tinycli.sqlite").exists()
-
     def test_query_best_scores(self, capsys, tmp_path, monkeypatch):
         self._warm_store_sweep(tmp_path, monkeypatch)
         capsys.readouterr()
