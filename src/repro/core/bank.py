@@ -8,22 +8,24 @@ identical for every member with the same skip factor.  The bank
 amortizes it, and splits its members between the two whole-trace
 routes of :func:`repro.core.kernels.kernel_path`:
 
-- **vectorized** members (fresh, unobserved, standard-component,
-  Threshold analyzer) run through
-  :func:`~repro.core.kernels.run_bank_batched`, which shares the
-  trace's dense remap and every per-signature similarity series;
+- **vectorized** members (fresh and unobserved: windowed runtimes with
+  standard components and the Threshold analyzer, and NEWMA engines)
+  run through :func:`~repro.core.kernels.run_bank_batched`, which
+  shares the trace's dense remap and every per-signature similarity or
+  NEWMA distance series;
 - every other member (the Average analyzer, observed or custom
-  members, or all of them with ``kernels=False``) runs on the
-  **lockstep lanes**: the trace is decoded exactly once, members are
-  grouped into lanes by skip factor, and each lane's group chunking is
-  built once per segment and shared by all of its members, advanced on
-  the fused loop (custom components take the reference ``step()``
-  path through the same :meth:`~repro.core.runtime.DetectorRuntime.advance`).
+  members, the other families, or all of them with ``kernels=False``)
+  runs on the **lockstep lanes**: the trace is decoded exactly once,
+  members are grouped into lanes by skip factor, and each lane's group
+  chunking is built once per segment and shared by all of its members,
+  advanced on the fused loop (custom components and non-window
+  families take their ``step()`` loop through the same ``advance``).
 
-Every member is an independent :class:`~repro.core.runtime.DetectorRuntime`,
-so results (states, phases, similarity statistics, observability
-events) are bit-identical to running each configuration alone — pinned
-by the equivalence tests and by the sweep cache byte-equality test.
+Every member is an independent engine (built by
+:func:`~repro.core.decision.build_engine`), so results (states, phases,
+similarity statistics, observability events) are bit-identical to
+running each configuration alone — pinned by the equivalence tests and
+by the sweep cache byte-equality test.
 """
 
 from __future__ import annotations
@@ -103,9 +105,9 @@ class DetectorBank:
         :func:`repro.core.kernels.kernel_path`) run through the batched
         advancer (:func:`repro.core.kernels.run_bank_batched`): one
         :class:`~repro.core.kernels.SharedTraceKernels` cache funnels
-        every lane, so lanes sharing a window signature share the full
-        similarity-series computation.  All other members advance on
-        the fused loop in lockstep lanes over one shared decode.
+        every lane, so lanes sharing a window (or NEWMA) signature share
+        the full series computation.  All other members advance in
+        lockstep lanes over one shared decode.
         ``kernels=False`` sends every member to the lanes.
 
         Telemetry (both optional, zero-cost when ``None``):

@@ -43,6 +43,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.core import kernels as kernels_mod
 from repro.core.config import DetectorConfig
 from repro.core.state import PhaseState
 from repro.profiles.trace import BranchTrace
@@ -294,15 +295,13 @@ class DecisionEngine:
         """Which whole-trace route drives this engine.
 
         ``"vectorized"`` or ``"legacy"`` — the single dispatch rule
-        (:func:`repro.core.kernels.kernel_path`) shared by the runtime's
-        solo :meth:`run` and the bank's member partition, so the two
-        fronts can never disagree on routing.  Non-window families
-        (``fused_capable()`` is False) always report ``"legacy"``;
-        ``kernels=False`` forces ``"legacy"``.
+        (:func:`repro.core.kernels.kernel_path`) shared by every
+        engine's solo :meth:`run` and the bank's member partition, so
+        the two fronts can never disagree on routing.  Of the
+        non-window families only a fresh, unobserved NEWMA engine
+        reports ``"vectorized"``; ``kernels=False`` forces ``"legacy"``.
         """
-        from repro.core import kernels as kernel_mod
-
-        return kernel_mod.kernel_path(self, kernels)
+        return kernels_mod.kernel_path(self, kernels)
 
     # -- the per-step contract -------------------------------------------------
 
@@ -409,10 +408,13 @@ class DecisionEngine:
     ) -> DetectionResult:
         """Run this engine over a whole trace from its current state.
 
-        The generic driver loops :meth:`step`; ``fused``/``kernels``
-        exist for signature compatibility with the windowed runtime's
-        optimized paths and are ignored here.  ``record_similarity``
-        collects the per-step decision statistic.
+        An engine that :meth:`kernel_path` routes to ``"vectorized"``
+        (a fresh, unobserved NEWMA engine; see ``docs/performance.md``)
+        runs through :func:`~repro.core.kernels.run_bank_batched` as a
+        bank of one.  Every other engine loops :meth:`step`, as do
+        ``record_similarity=True`` (which collects the per-step
+        decision statistic), ``fused=False`` (the reference loop, as on
+        the windowed runtime) and ``kernels=False``.
         """
         data = trace.array
         total = int(data.size)
@@ -428,17 +430,24 @@ class DecisionEngine:
                     "config": self.config.describe(),
                 }
             )
-        states = np.zeros(total, dtype=bool)
         similarities = np.full(total, np.nan) if record_similarity else None
-        elements = data.tolist()
-        for start in range(0, total, skip):
-            group = elements[start : start + skip]
-            decision = self.step(group)
-            group_len = len(group)
-            if decision.state.is_phase():
-                states[start : start + group_len] = True
-            if similarities is not None and decision.similarity is not None:
-                similarities[start : start + group_len] = decision.similarity
+        if (
+            not record_similarity
+            and fused is not False
+            and self.kernel_path(kernels) == "vectorized"
+        ):
+            states = kernels_mod.run_bank_batched([self], trace)[0]
+        else:
+            states = np.zeros(total, dtype=bool)
+            elements = data.tolist()
+            for start in range(0, total, skip):
+                group = elements[start : start + skip]
+                decision = self.step(group)
+                group_len = len(group)
+                if decision.state.is_phase():
+                    states[start : start + group_len] = True
+                if similarities is not None and decision.similarity is not None:
+                    similarities[start : start + group_len] = decision.similarity
         phases = self.finish(self.consumed)
         if observer is not None:
             observer.emit(

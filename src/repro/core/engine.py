@@ -38,12 +38,13 @@ def run_detector(
     default ``None`` keeps the hot loop free of event construction —
     the only added cost is one ``is not None`` test per step.
 
-    ``kernels=False`` forces the fused loop.  By default windowed
-    Threshold-analyzer configs — Constant *and* Adaptive trailing,
-    unweighted *and* weighted, any geometry — take the vectorized
-    whole-trace path when unobserved, and everything else (the Average
-    analyzer, observed runs) takes the fused loop, with bit-identical
-    results either way; other families ignore the flag (see
-    ``docs/performance.md`` for the eligibility matrix).
+    ``kernels=False`` forces the fused loop (the ``step()`` loop for
+    non-window families).  By default windowed Threshold-analyzer
+    configs — Constant *and* Adaptive trailing, unweighted *and*
+    weighted, any geometry — and NEWMA configs take the vectorized
+    whole-trace path when unobserved, as a bank of one; everything else
+    (the Average analyzer, observed runs, the other families) takes the
+    fused or ``step()`` loop, with bit-identical results either way
+    (see ``docs/performance.md`` for the eligibility matrix).
     """
     return build_engine(config, observer=observer).run(trace, kernels=kernels)

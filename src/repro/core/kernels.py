@@ -12,14 +12,15 @@ remapped* element IDs.
 Whole-trace detection has exactly two routes (:func:`kernel_path`):
 
 - ``"vectorized"`` — fresh, unobserved, standard-component runtimes
-  with the Threshold analyzer run through :func:`run_bank_batched`
-  (a solo :meth:`~repro.core.runtime.DetectorRuntime.run` is a bank of
+  with the Threshold analyzer, and fresh, unobserved NEWMA engines,
+  run through :func:`run_bank_batched` (a solo ``run`` is a bank of
   one);
 - ``"legacy"`` — everything else (the Average analyzer, observed or
-  restored runtimes, custom components, ``kernels=False``) runs on the
-  fused loop: the lockstep lanes of a
+  restored engines, custom components, the other families,
+  ``kernels=False``) runs on the fused loop — the lockstep lanes of a
   :class:`~repro.core.bank.DetectorBank`, or
-  :meth:`~repro.core.runtime.DetectorRuntime._run_fused` for a solo run.
+  :meth:`~repro.core.runtime.DetectorRuntime._run_fused` for a solo
+  run — or, for non-window families, on the ``step()`` loop.
 
 **Dense remapping** — :meth:`BranchTrace.dense_codes` maps the trace's
 packed int64 elements to contiguous small ints (``codes``) once per
@@ -78,17 +79,26 @@ point.  Phases, anchor-corrected starts, per-phase mean similarity and
 the final runtime state (windows, analyzer statistics) are
 reconstructed so that checkpoints taken after a vectorized run are
 bit-identical to the incremental paths' — the config-matrix suite in
-``tests/core/test_kernels.py`` and the fuzz suite in
-``tests/properties/test_kernel_properties.py`` pin states, phases and
+``tests/core/test_kernels.py`` and the fuzz suites in
+``tests/properties/test_kernel_properties.py`` and
+``tests/properties/test_newma_properties.py`` pin states, phases and
 checkpoints against the reference :meth:`step` loop, and the
-``kernel-equivalence`` CI job byte-compares sweep caches produced with
-kernels on vs. off.
+``kernel-equivalence`` and ``family-equivalence`` CI jobs byte-compare
+sweep caches produced with kernels on vs. off.
+
+**NEWMA** — the fast and slow EWMAs and their distance depend only on
+the trace and ``(sketch_dim, newma_fast, newma_slow, skip)``, not on
+the bar (``stat_threshold``) or the warm-up (``cw_size``).
+:meth:`SharedTraceKernels.newma_series` computes that distance series
+once per signature with exactly the float operations of
+:meth:`NewmaEngine.step <repro.comparators.newma.NewmaEngine.step>`,
+and :func:`_walk_newma` replays each lane's scalar bar walk over it.
 
 Kernels are on by default wherever they apply; pass ``kernels=False``
 through :func:`~repro.core.engine.run_detector` / the sweep stack
-(``repro sweep --no-kernels``) to force the fused loop everywhere.  See
-``docs/performance.md`` for the eligibility matrix and measured
-speedups.
+(``repro sweep --no-kernels``) to force the fused and ``step()``
+loops everywhere.  See ``docs/performance.md`` for the eligibility
+matrix and measured speedups.
 """
 
 from __future__ import annotations
@@ -112,32 +122,58 @@ __all__ = [
 ]
 
 
-def vectorized_eligible(runtime) -> bool:
-    """True when :func:`run_vectorized` may run ``runtime`` over a trace.
+def vectorized_eligible(engine) -> bool:
+    """True when :func:`run_vectorized` may run ``engine`` over a trace.
 
-    Requires the exact standard components (same rule as
-    :meth:`~repro.core.runtime.DetectorRuntime.fused_capable`) with the
-    Threshold analyzer, no observer (the vectorized walks emit no
-    events; observed runs take the fused loop, which emits the
-    canonical event stream), and a fresh runtime (the walks assume
-    stream position == trace position, which only holds from a cold
-    start).  Within that, every configuration qualifies: Constant *and*
-    Adaptive trailing windows, unweighted *and* weighted models, any
-    window geometry.  The Average analyzer — whose decision bar tracks
-    in-phase statistics step by step — stays on the fused loop.
+    Two kinds of engine qualify, both only when unobserved (the
+    vectorized walks emit no events; observed runs take the fused or
+    ``step()`` loop, which emits the canonical event stream) and fresh
+    (the walks assume stream position == trace position, which only
+    holds from a cold start):
+
+    - a windowed runtime with the exact standard components (same rule
+      as :meth:`~repro.core.runtime.DetectorRuntime.fused_capable`) and
+      the Threshold analyzer.  Within that, every configuration
+      qualifies: Constant *and* Adaptive trailing windows, unweighted
+      *and* weighted models, any window geometry.  The Average analyzer
+      — whose decision bar tracks in-phase statistics step by step —
+      stays on the fused loop;
+    - a :class:`~repro.comparators.newma.NewmaEngine`: its distance
+      series depends only on the trace and the sketch/EWMA signature
+      (:meth:`SharedTraceKernels.newma_series`).
+
+    Every other family stays on its ``step()`` loop.
     """
-    if not runtime.fused_capable() or runtime.observer is not None:
+    if engine.observer is not None:
         return False
-    if type(runtime.analyzer) is not ThresholdAnalyzer:
+    if not engine.fused_capable():
+        return _newma_fresh(engine)
+    if type(engine.analyzer) is not ThresholdAnalyzer:
         return False
-    model = runtime.model
+    model = engine.model
     return (
         model.consumed == 0
         and not model._cw
         and not model._tw
-        and runtime.state is PhaseState.TRANSITION
-        and not runtime.tracker.open
-        and not runtime.tracker.phases
+        and engine.state is PhaseState.TRANSITION
+        and not engine.tracker.open
+        and not engine.tracker.phases
+    )
+
+
+def _newma_fresh(engine) -> bool:
+    """True for a NEWMA engine that has consumed nothing."""
+    from repro.comparators.newma import NewmaEngine
+
+    return (
+        type(engine) is NewmaEngine
+        and engine.consumed == 0
+        and not engine._stat_seen
+        and not engine._fast.any()
+        and not engine._slow.any()
+        and engine.state is PhaseState.TRANSITION
+        and not engine.tracker.open
+        and not engine.tracker.phases
     )
 
 
@@ -145,12 +181,12 @@ def kernel_path(engine, kernels: Optional[bool] = None) -> str:
     """Which route drives ``engine`` over a whole trace.
 
     Returns ``"vectorized"`` (:func:`run_bank_batched`) or ``"legacy"``
-    (the fused loop: bank lanes, or ``_run_fused`` for a solo run) —
-    the single dispatch rule shared by
-    :meth:`DetectorRuntime.run <repro.core.runtime.DetectorRuntime.run>`
-    and the bank's member partition.  ``kernels=False`` forces
+    (the fused loop for windowed runtimes — bank lanes, or
+    ``_run_fused`` for a solo run — and the ``step()`` loop for other
+    families) — the single dispatch rule shared by every engine's solo
+    ``run`` and the bank's member partition.  ``kernels=False`` forces
     ``"legacy"``; ``None`` and ``True`` both mean the default (kernels
-    on).  Non-window engines always report ``"legacy"``.
+    on).  See :func:`vectorized_eligible` for which engines qualify.
     """
     if kernels is not False and vectorized_eligible(engine):
         return "vectorized"
@@ -359,16 +395,74 @@ def _weighted_general_sims(
     return sims
 
 
+#: Elements per block of the NEWMA series pass: bounds the per-block
+#: gathered sketch rows (block x 2 x sketch_dim float64 cells).
+_NEWMA_BLOCK_ELEMENTS = 4096
+
+
+def _newma_distances(
+    codes: np.ndarray,
+    table: np.ndarray,
+    fast_factor: float,
+    slow_factor: float,
+    skip: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(distances, fast, slow)``: NEWMA's per-step distance series.
+
+    Replays :meth:`NewmaEngine.step <repro.comparators.newma.NewmaEngine.step>`'s
+    float operations exactly, once per step: the group feature is the
+    ±1 sketch sum (exact small integers, in any order) divided by the
+    group length; the fast and slow EWMAs (one 2-row array) take the
+    same elementwise ``ewma * (1 - factor) + feature * factor`` update;
+    the distance is ``sqrt(dot(diff, diff))`` on the same contiguous
+    difference vector.  Features are gathered from the per-element
+    sketch ``table`` one block of steps at a time, never as a whole
+    ``(steps, dim)`` matrix.  ``fast``/``slow`` are the final EWMAs.
+    """
+    total = int(codes.size)
+    dim = int(table.shape[1])
+    n_steps = (total + skip - 1) // skip
+    decay = np.array([[1.0 - fast_factor], [1.0 - slow_factor]])
+    weights = np.array([[fast_factor], [slow_factor]])
+    ewma = np.zeros((2, dim), dtype=np.float64)
+    diff = np.empty(dim, dtype=np.float64)
+    dots = np.empty(n_steps, dtype=np.float64)
+    block = skip * max(1, _NEWMA_BLOCK_ELEMENTS // skip)
+    multiply, add, subtract, dot = np.multiply, np.add, np.subtract, np.dot
+    for base in range(0, total, block):
+        rows = table[codes[base : base + block]]
+        if skip > 1:
+            full = rows.shape[0] // skip
+            features = rows[: full * skip].reshape(full, skip, dim).sum(axis=1)
+            features /= skip
+            if rows.shape[0] > full * skip:  # the trace's ragged last group
+                tail = rows[full * skip :]
+                features = np.vstack(
+                    [features, tail.sum(axis=0) / tail.shape[0]]
+                )
+            rows = features
+        increments = rows[:, None, :] * weights
+        out = dots[base // skip : base // skip + rows.shape[0]]
+        for index, increment in enumerate(increments):
+            multiply(ewma, decay, out=ewma)
+            add(ewma, increment, out=ewma)
+            subtract(ewma[0], ewma[1], out=diff)
+            out[index] = dot(diff, diff)
+    return np.sqrt(dots), ewma[0].copy(), ewma[1].copy()
+
+
 class SharedTraceKernels:
     """Per-trace cache of the arrays the vectorized walks consume.
 
     One instance per ``(trace, bank pass)``: dense codes, previous-
     occurrence links, per-skip step boundaries and — keyed by
     ``(weighted, cw, tw, skip)`` — the full constant-geometry similarity
-    series plus its per-window-start count arrays.  The batched bank
-    advancer (:func:`run_bank_batched`) funnels every lane through one
-    instance, so lanes that share a window signature share the expensive
-    series computation and differ only in their cheap episode walks.
+    series plus its per-window-start count arrays; for NEWMA lanes,
+    keyed by ``(sketch_dim, fast, slow, skip)``, the distance series
+    (:meth:`newma_series`).  The batched bank advancer
+    (:func:`run_bank_batched`) funnels every lane through one instance,
+    so lanes that share a signature share the expensive series
+    computation and differ only in their cheap episode or bar walks.
     """
 
     def __init__(self, trace) -> None:
@@ -378,6 +472,7 @@ class SharedTraceKernels:
         self._codes: Optional[Tuple[np.ndarray, int]] = None
         self._step_ends: dict = {}
         self._series: dict = {}
+        self._newma: dict = {}
 
     def codes(self) -> Tuple[np.ndarray, int]:
         """``(codes, n_codes)`` from the trace's cached dense remap."""
@@ -437,16 +532,47 @@ class SharedTraceKernels:
             self._series[key] = cached
         return cached
 
+    def newma_series(
+        self, dim: int, fast_factor: float, slow_factor: float, skip: int
+    ) -> Tuple[List[float], np.ndarray, np.ndarray]:
+        """``(distances, fast, slow)`` for a NEWMA signature.
+
+        ``distances`` holds every step's fast/slow EWMA distance
+        (warm-up steps included, so lanes with any warm-up length share
+        it) as Python floats for the per-lane bar walks; ``fast`` and
+        ``slow`` are the EWMAs after the last step.  The statistic bar
+        and the warm-up length (``stat_threshold``, ``cw_size``) do not
+        enter the series, so every lane with the same signature reuses
+        it.  Cached.
+        """
+        key = (dim, fast_factor, slow_factor, skip)
+        cached = self._newma.get(key)
+        if cached is None:
+            from repro.comparators.newma import element_sketch
+
+            codes, values = self.trace.dense_codes()
+            table = np.array(
+                [element_sketch(value, dim) for value in values.tolist()],
+                dtype=np.float64,
+            ).reshape(-1, dim)
+            distances, fast, slow = _newma_distances(
+                codes, table, fast_factor, slow_factor, skip
+            )
+            cached = (distances.tolist(), fast, slow)
+            self._newma[key] = cached
+        return cached
+
 
 def run_vectorized(
     runtime, trace, shared: Optional[SharedTraceKernels] = None
 ) -> np.ndarray:
     """Run ``runtime`` over ``trace`` with the vectorized fast path.
 
-    Computes similarity series up front, then replays the detector's
-    decision sequence in episodes: find the next phase entry among
-    filled steps, find its exit, restart the filled-mask origin at the
-    flush point.  Constant-TW configs walk one precomputed series
+    A NEWMA engine walks its signature's shared distance series
+    (:func:`_walk_newma`).  A windowed runtime computes similarity
+    series up front, then replays the detector's decision sequence in
+    episodes: find the next phase entry among filled steps, find its
+    exit, restart the filled-mask origin at the flush point.  Constant-TW configs walk one precomputed series
     (:func:`_walk_constant`); Adaptive-TW configs additionally scan each
     phase's resized-window regime blockwise (:func:`_walk_adaptive`).
     Phases (with anchor-corrected starts and exact mean similarities)
@@ -461,6 +587,8 @@ def run_vectorized(
         raise ValueError("runtime is not eligible for the vectorized kernel")
     if shared is None:
         shared = SharedTraceKernels(trace)
+    if not runtime.fused_capable():
+        return _walk_newma(runtime, shared)
     if runtime.config.trailing is TrailingPolicy.ADAPTIVE:
         return _walk_adaptive(runtime, shared)
     return _walk_constant(runtime, shared)
@@ -719,6 +847,90 @@ def _walk_adaptive(runtime, shared: SharedTraceKernels) -> np.ndarray:
     return states
 
 
+def _walk_newma(engine, shared: SharedTraceKernels) -> np.ndarray:
+    """Bar walk for one NEWMA lane over its signature's distance series.
+
+    Replays :meth:`NewmaEngine.step
+    <repro.comparators.newma.NewmaEngine.step>` after the warm-up with
+    the same scalar float operations: the EWMA moments of the distance,
+    the adaptive ``mean + stat_threshold * std`` bar (judged before the
+    current distance is folded in), enter/exit through ``tracker``, and
+    the sequential in-phase distance sums behind each phase's mean.
+    The engine is left in the exact state the ``step()`` loop leaves it
+    in (EWMAs, moments, warm-up counter, consumed count, state and open
+    phase statistics), so checkpoints match bit for bit; the caller
+    still runs ``engine.finish``.  Returns the bool state array.
+    """
+    config = engine.config
+    skip = config.skip_factor
+    total = shared.total
+    states = np.zeros(total, dtype=bool)
+    n_steps = (total + skip - 1) // skip
+    warmup = engine._warmup_left
+    engine._consumed = total
+    if n_steps == 0:
+        return states
+    distances, fast, slow = shared.newma_series(
+        config.sketch_dim, config.newma_fast, config.newma_slow, skip
+    )
+    engine._fast = fast.copy()
+    engine._slow = slow.copy()
+    if n_steps <= warmup:
+        engine._warmup_left = warmup - n_steps
+        return states
+    engine._warmup_left = 0
+
+    threshold = engine.stat_threshold
+    alpha = config.newma_slow
+    keep = 1.0 - alpha
+    tracker = engine.tracker
+    # The first measurable distance seeds the moments and passes its
+    # own bar, so every lane enters a phase at its first post-warm-up
+    # step.
+    mean = distances[warmup]
+    var = 0.0
+    start = warmup * skip
+    tracker.enter(min(start + skip, total), start, start)
+    phase_total = mean
+    phase_count = 1
+    in_phase = True
+    for step in range(warmup + 1, n_steps):
+        distance = distances[step]
+        bar = mean + threshold * (var ** 0.5)
+        delta = distance - mean
+        mean += alpha * delta
+        var = keep * (var + alpha * delta * delta)
+        if distance <= bar:
+            if in_phase:
+                phase_total += distance
+                phase_count += 1
+            else:
+                start = step * skip
+                tracker.enter(min(start + skip, total), start, start)
+                phase_total = distance
+                phase_count = 1
+                in_phase = True
+        elif in_phase:
+            end = step * skip
+            tracker.exit(min(end + skip, total), end, phase_total / phase_count)
+            states[start:end] = True
+            in_phase = False
+
+    engine._stat_mean = mean
+    engine._stat_var = var
+    engine._stat_seen = True
+    if in_phase:
+        states[start:total] = True
+        engine._phase_total = phase_total
+        engine._phase_count = phase_count
+        engine.state = PhaseState.PHASE
+    else:
+        engine._phase_total = 0.0
+        engine._phase_count = 0
+        engine.state = PhaseState.TRANSITION
+    return states
+
+
 def _scan_phase_unweighted(
     codes: np.ndarray,
     prev: np.ndarray,
@@ -884,9 +1096,10 @@ def run_bank_batched(
 
     One :class:`SharedTraceKernels` instance funnels every lane's series
     computation: the dense-code decode, previous-occurrence links, step
-    boundaries and each distinct ``(weighted, cw, tw, skip)`` similarity
-    series are computed once and shared, so N lanes cost one series pass
-    per window signature plus N cheap episode walks — instead of N full
+    boundaries, each distinct ``(weighted, cw, tw, skip)`` similarity
+    series and each distinct NEWMA ``(sketch_dim, fast, slow, skip)``
+    distance series are computed once and shared, so N lanes cost one
+    series pass per signature plus N cheap walks — instead of N full
     passes.  Lane order, per-lane results and checkpoints are exactly
     those of per-lane :func:`run_vectorized` calls (the sharing is a
     pure cache).  ``histogram`` optionally receives one per-lane

@@ -1,7 +1,7 @@
 """Array-native kernel tests: every whole-trace route is bit-identical to
 the reference ``step()`` loop, and the selection machinery (eligibility
 predicate, the ``kernels`` flag, bank partitioning) routes every
-configuration to a correct path."""
+configuration — windowed or NEWMA — to a correct path."""
 
 import json
 
@@ -16,7 +16,9 @@ from repro.core import (
     ResizePolicy,
     TrailingPolicy,
 )
+from repro.core import kernels as kernels_mod
 from repro.core.bank import DetectorBank
+from repro.core.decision import build_engine, restore_engine
 from repro.core.engine import run_detector
 from repro.core.kernels import run_vectorized, vectorized_eligible
 from repro.core.runtime import DetectorRuntime
@@ -275,3 +277,91 @@ class TestBank:
             reference = DetectorRuntime(config).run(trace, fused=False)
             assert np.array_equal(result.states, reference.states)
             assert result.detected_phases == reference.detected_phases
+
+
+def newma(cw_size=40, **overrides):
+    return DetectorConfig(family="newma", cw_size=cw_size, **overrides)
+
+
+def phase_key(phases):
+    return [
+        (p.detected_start, p.corrected_start, p.end, float.hex(p.mean_similarity))
+        for p in phases
+    ]
+
+
+class TestNewmaRoute:
+    def test_fresh_newma_is_vectorized(self):
+        engine = build_engine(newma())
+        assert vectorized_eligible(engine)
+        assert engine.kernel_path() == "vectorized"
+
+    def test_observed_restored_consumed_and_flagged_newma_are_legacy(self, trace):
+        observed = build_engine(newma(), observer=MemorySink())
+        consumed = build_engine(newma())
+        consumed.advance_flat(trace.array[:100].tolist(), bytearray(100), 0)
+        restored = restore_engine(consumed.checkpoint())
+        for engine in (observed, consumed, restored):
+            assert not vectorized_eligible(engine)
+            assert engine.kernel_path() == "legacy"
+            with pytest.raises(ValueError):
+                run_vectorized(engine, trace)
+        assert build_engine(newma()).kernel_path(kernels=False) == "legacy"
+
+    def test_other_families_stay_legacy(self):
+        for family in ("focus", "das_pearson", "lu_dynamo"):
+            engine = build_engine(DetectorConfig(family=family, cw_size=40))
+            assert engine.kernel_path() == "legacy"
+
+    def test_mixed_bank_matches_solo_step_loops(self, trace, monkeypatch):
+        """Windowed Threshold and Average members, NEWMA at two CWs x
+        two bars, FOCuS and an observed NEWMA in one bank: each member
+        equals its solo ``kernels=False`` run (states, phase float bits,
+        checkpoint, events), and the four fresh NEWMA members share one
+        distance series."""
+        configs = [
+            DetectorConfig(cw_size=40, skip_factor=8, threshold=0.5),
+            DetectorConfig(
+                cw_size=40, skip_factor=8, analyzer=AnalyzerKind.AVERAGE, delta=0.07
+            ),
+            *[
+                newma(cw_size=cw, stat_threshold=bar)
+                for cw in (30, 120)
+                for bar in (3.0, 5.0)
+            ],
+            DetectorConfig(family="focus", cw_size=60),
+            newma(cw_size=30, stat_threshold=4.0),
+        ]
+        sink = MemorySink()
+        observers = [None] * (len(configs) - 1) + [sink]
+        bank = DetectorBank(configs, observers=observers)
+        assert [engine.kernel_path() for engine in bank.runtimes] == [
+            "vectorized", "legacy", *["vectorized"] * 4, "legacy", "legacy",
+        ]
+        series_calls = []
+        compute = kernels_mod._newma_distances
+
+        def counting(*args, **kwargs):
+            series_calls.append(args[1:])
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(kernels_mod, "_newma_distances", counting)
+        results = bank.run(trace)
+        assert len(series_calls) == 1
+
+        for config, observer, engine, result in zip(
+            configs, observers, bank.runtimes, results
+        ):
+            solo_sink = MemorySink() if observer is not None else None
+            solo = build_engine(config, observer=solo_sink)
+            reference = solo.run(trace, kernels=False)
+            label = config.describe()
+            assert np.array_equal(result.states, reference.states), label
+            assert phase_key(result.detected_phases) == phase_key(
+                reference.detected_phases
+            ), label
+            assert json.dumps(engine.checkpoint(), sort_keys=True) == json.dumps(
+                solo.checkpoint(), sort_keys=True
+            ), label
+            if observer is not None:
+                assert observer.events == solo_sink.events

@@ -9,7 +9,7 @@ batch scorer against the simplest evaluation.
 import json
 
 from repro.core.config import AnalyzerKind, ModelKind
-from repro.experiments.config_space import ConfigSpec, SuiteProfile
+from repro.experiments.config_space import QUICK, ConfigSpec, SuiteProfile, family_grid
 from repro.experiments.runner import BaselineSet, evaluate_bank, evaluate_spec
 from repro.experiments.store import cache_line
 from repro.experiments.sweep import Sweep
@@ -90,6 +90,30 @@ class TestBankSerialEquivalence:
                 data.pop(key, None)
             manifests.append(data)
         assert manifests[0] == manifests[1]
+
+
+class TestFamilySweep:
+    def test_newma_focus_cache_identical_kernels_on_and_off(self, tmp_path):
+        """NEWMA members ride the vectorized route and FOCuS the step
+        loop; with ``kernels=False`` both step.  The record caches of
+        all four runs (kernels on/off x ``jobs`` 1/2) are byte-identical."""
+        specs = family_grid(QUICK, ("newma", "focus"))
+        caches = set()
+        for jobs in (1, 2):
+            for kernels in (True, False):
+                cache_dir = tmp_path / f"jobs{jobs}-kernels{kernels}"
+                Sweep(
+                    QUICK,
+                    cache_dir=cache_dir,
+                    benchmarks=BENCHMARKS,
+                    mpl_nominals=MPLS,
+                    kernels=kernels,
+                ).ensure(specs, jobs=jobs)
+                caches.add((cache_dir / "sweep-quick.jsonl").read_bytes())
+        assert len(caches) == 1
+        assert len(next(iter(caches)).splitlines()) == (
+            len(specs) * len(BENCHMARKS) * len(MPLS)
+        )
 
 
 class TestEvaluateBank:
