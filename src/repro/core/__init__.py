@@ -40,7 +40,7 @@ from repro.core.detector import (
     detect,
 )
 from repro.core.engine import run_detector
-from repro.core.kernels import run_vectorized, vectorized_eligible
+from repro.core.kernels import vectorized_eligible
 from repro.core.runtime import (
     CheckpointError,
     DetectorRuntime,
@@ -105,7 +105,6 @@ __all__ = [
     "run_detector",
     "DetectorRuntime",
     "DetectorBank",
-    "run_vectorized",
     "vectorized_eligible",
     "PhaseTracker",
     "StepOutcome",

@@ -17,9 +17,12 @@ routes of :func:`repro.core.kernels.kernel_path`:
   members, the other families, or all of them with ``kernels=False``)
   runs on the **lockstep lanes**: the trace is decoded exactly once,
   members are grouped into lanes by skip factor, and each lane's group
-  chunking is built once per segment and shared by all of its members,
-  advanced on the fused loop (custom components and non-window
-  families take their ``step()`` loop through the same ``advance``).
+  chunking is built once per :data:`~repro.core.decision.SEGMENT_ELEMENTS`
+  segment and shared by all of its members, advanced on the fused loop
+  (custom components and non-window families take their ``step()``
+  loop through the same ``advance``).  A solo
+  :meth:`~repro.core.decision.DecisionEngine.run` is the one-member
+  case of the same two routes.
 
 Every member is an independent engine (built by
 :func:`~repro.core.decision.build_engine`), so results (states, phases,
@@ -37,9 +40,8 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import DetectorConfig
-from repro.core.decision import DetectionResult, build_engine
+from repro.core.decision import SEGMENT_ELEMENTS, DetectionResult, build_engine
 from repro.core.kernels import run_bank_batched
-from repro.core.runtime import SEGMENT_ELEMENTS
 from repro.profiles.trace import BranchTrace
 
 __all__ = ["DetectorBank"]

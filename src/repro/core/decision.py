@@ -13,9 +13,10 @@ This module owns that reduction:
 - :class:`DecisionEngine` — the abstract engine every detector family
   implements: ``step()`` consumes one ``skipFactor`` group and returns
   a decision; the base class supplies the chunked ``advance()`` driver,
-  whole-trace ``run()``, phase statistics, and the versioned family
-  checkpoint schema (v2), so a new family only writes its statistic
-  update and its serializable state.
+  the one whole-trace ``run()`` driver (reference loop, vectorized
+  kernels, or segments through ``_advance_groups``), phase statistics,
+  and the versioned family checkpoint schema (v2), so a new family only
+  writes its statistic update and its serializable state.
 - :class:`PhaseTracker` — the single home of phase bookkeeping.  It
   consumes the engines' decisions (open on enter, close on exit) and
   emits the ``phase_enter``/``phase_exit`` observability events; no
@@ -58,6 +59,11 @@ CHECKPOINT_VERSION_FAMILY = 2
 
 #: The windowed grid's family name (the :class:`DetectorConfig` default).
 WINDOWED_FAMILY = "windowed"
+
+#: Elements per segment of the incremental whole-trace routes (solo
+#: :meth:`DecisionEngine.run` and the bank's lockstep lanes) — bounds the
+#: transient group-list memory without measurable sync overhead.
+SEGMENT_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -234,16 +240,15 @@ class DecisionEngine:
     - :meth:`advance` / :meth:`advance_flat` — the chunked drivers the
       bank and streaming fronts use, with the per-chunk
       ``runtime.advance_seconds`` metrics histogram;
-    - :meth:`run` — the whole-trace driver with ``run_begin`` /
+    - :meth:`run` — the one whole-trace driver, with ``run_begin`` /
       ``run_end`` observability events;
     - :meth:`checkpoint` / :meth:`restore` — the versioned family
       schema (v2); a family only implements :meth:`_engine_state` and
       :meth:`_restore_engine_state` for its own serializable state.
 
     The windowed :class:`~repro.core.runtime.DetectorRuntime` overrides
-    most of these with its optimized fused/kernel paths and its v1
-    checkpoint schema — both bit-identical to their pre-refactor
-    behavior.
+    the ``_advance_groups`` / ``_advance_elements`` hooks with its fused
+    loop and keeps its v1 checkpoint schema; it inherits :meth:`run`.
     """
 
     #: Registry name of this engine's family (see :mod:`repro.comparators`).
@@ -408,13 +413,16 @@ class DecisionEngine:
     ) -> DetectionResult:
         """Run this engine over a whole trace from its current state.
 
-        An engine that :meth:`kernel_path` routes to ``"vectorized"``
-        (a fresh, unobserved NEWMA engine; see ``docs/performance.md``)
-        runs through :func:`~repro.core.kernels.run_bank_batched` as a
-        bank of one.  Every other engine loops :meth:`step`, as do
-        ``record_similarity=True`` (which collects the per-step
-        decision statistic), ``fused=False`` (the reference loop, as on
-        the windowed runtime) and ``kernels=False``.
+        - ``record_similarity=True`` (collects the per-step decision
+          statistic) or ``fused=False`` runs the reference :meth:`step`
+          loop, the oracle every fast path is tested against;
+        - an engine :meth:`kernel_path` routes to ``"vectorized"`` runs
+          through :func:`~repro.core.kernels.run_bank_batched` as a
+          bank of one (see ``docs/performance.md``);
+        - everything else (and ``kernels=False``) feeds
+          :data:`SEGMENT_ELEMENTS` segments of ``skipFactor`` groups to
+          :meth:`_advance_groups`: the fused loop when
+          :meth:`fused_capable` holds, :meth:`step` otherwise.
         """
         data = trace.array
         total = int(data.size)
@@ -431,13 +439,7 @@ class DecisionEngine:
                 }
             )
         similarities = np.full(total, np.nan) if record_similarity else None
-        if (
-            not record_similarity
-            and fused is not False
-            and self.kernel_path(kernels) == "vectorized"
-        ):
-            states = kernels_mod.run_bank_batched([self], trace)[0]
-        else:
+        if record_similarity or fused is False:
             states = np.zeros(total, dtype=bool)
             elements = data.tolist()
             for start in range(0, total, skip):
@@ -448,6 +450,21 @@ class DecisionEngine:
                     states[start : start + group_len] = True
                 if similarities is not None and decision.similarity is not None:
                     similarities[start : start + group_len] = decision.similarity
+        elif self.kernel_path(kernels) == "vectorized":
+            states = kernels_mod.run_bank_batched([self], trace)[0]
+        else:
+            buffer = bytearray(total)
+            elements = data.tolist()
+            segment = skip * max(1, SEGMENT_ELEMENTS // skip)
+            for base in range(0, total, segment):
+                groups = [
+                    elements[start : start + skip]
+                    for start in range(base, min(base + segment, total), skip)
+                ]
+                self._advance_groups(groups, buffer, base)
+            states = np.frombuffer(bytes(buffer), dtype=np.uint8).astype(bool)
+        # For a fresh engine consumed == total; a restored one closes its
+        # final phase at the absolute stream position instead.
         phases = self.finish(self.consumed)
         if observer is not None:
             observer.emit(

@@ -1,9 +1,10 @@
 """Optimized detector entry point.
 
-:func:`run_detector` runs one configuration over a whole trace on the
-unified :class:`~repro.core.runtime.DetectorRuntime`, letting it use the
-optimized fused path (the inlined window/count loop described in
-:mod:`repro.core.runtime`).  Output is identical to the reference
+:func:`run_detector` builds the engine for one configuration and runs
+it over a whole trace with
+:meth:`~repro.core.decision.DecisionEngine.run`, letting it take the
+vectorized kernels or the optimized fused path (the inlined
+window/count loop described in :mod:`repro.core.runtime`).  Output is identical to the reference
 :class:`~repro.core.detector.PhaseDetector` — verified by the
 equivalence tests in ``tests/core/`` — at several times the speed; this
 is what the experiment sweeps call.  For many configurations over one

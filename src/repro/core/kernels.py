@@ -17,10 +17,11 @@ Whole-trace detection has exactly two routes (:func:`kernel_path`):
   one);
 - ``"legacy"`` — everything else (the Average analyzer, observed or
   restored engines, custom components, the other families,
-  ``kernels=False``) runs on the fused loop — the lockstep lanes of a
-  :class:`~repro.core.bank.DetectorBank`, or
-  :meth:`~repro.core.runtime.DetectorRuntime._run_fused` for a solo
-  run — or, for non-window families, on the ``step()`` loop.
+  ``kernels=False``) advances incrementally through ``_advance_groups``
+  — the lockstep lanes of a :class:`~repro.core.bank.DetectorBank`, or
+  segments of a solo :meth:`~repro.core.decision.DecisionEngine.run` —
+  which is the fused loop for standard-component windowed runtimes and
+  the ``step()`` loop for everything else.
 
 **Dense remapping** — :meth:`BranchTrace.dense_codes` maps the trace's
 packed int64 elements to contiguous small ints (``codes``) once per
@@ -28,7 +29,7 @@ trace via one cached ``np.unique`` pass.  Every lane of a
 :class:`~repro.core.bank.DetectorBank` pass shares the same remap, the
 same way the bank's lockstep lanes share the trace decode.
 
-**Vectorized whole-trace fast path** — :func:`run_vectorized` computes
+**Vectorized whole-trace fast path** — :func:`run_bank_batched` computes
 similarity series with sliding-window array operations and derives
 states and phases in one pass.  It covers every standard-component
 configuration with the Threshold analyzer: Constant *and* Adaptive
@@ -59,10 +60,12 @@ geometry.  The key observations:
   feedback is episode-local: between phases the windows follow Constant
   geometry from the last flush origin, and within a phase the pinned
   TW boundary and refill/slide regimes are pure functions of the entry
-  step.  :func:`run_vectorized` therefore walks phase *episodes* —
-  constant-series scans to find each entry, then a segment-local
-  vectorized in-phase scan (``_scan_phase_unweighted`` /
-  ``_scan_phase_weighted``) to find the exit.
+  step.  One episode walk (:func:`_walk_windowed`) therefore serves
+  both trailing policies: a constant-series scan finds each entry and
+  the anchor; the exit is the next below-threshold step of the same
+  series for a Constant TW, and a segment-local vectorized in-phase
+  scan (``_scan_phase_unweighted`` / ``_scan_phase_weighted``) for an
+  Adaptive one.
 
 **Batched bank advancement** — :class:`SharedTraceKernels` caches
 prev-occurrence links, skip-group boundaries, and whole similarity
@@ -72,13 +75,10 @@ threshold or anchor/resize policy computes each series once.
 :func:`run_bank_batched` drives every vectorized member through one
 shared cache.
 
-The detector's decision sequence is then replayed over the precomputed
-series in *episodes*: scan for the next phase entry/exit with array
-searches, and on each exit restart the filled-mask origin at the flush
-point.  Phases, anchor-corrected starts, per-phase mean similarity and
-the final runtime state (windows, analyzer statistics) are
-reconstructed so that checkpoints taken after a vectorized run are
-bit-identical to the incremental paths' — the config-matrix suite in
+The walks reconstruct phases, anchor-corrected starts, per-phase mean
+similarity and the final runtime state (windows, analyzer statistics),
+so checkpoints taken after a vectorized run are bit-identical to the
+incremental paths' — the config-matrix suite in
 ``tests/core/test_kernels.py`` and the fuzz suites in
 ``tests/properties/test_kernel_properties.py`` and
 ``tests/properties/test_newma_properties.py`` pin states, phases and
@@ -116,14 +116,13 @@ from repro.core.state import PhaseState
 __all__ = [
     "kernel_path",
     "vectorized_eligible",
-    "run_vectorized",
     "SharedTraceKernels",
     "run_bank_batched",
 ]
 
 
 def vectorized_eligible(engine) -> bool:
-    """True when :func:`run_vectorized` may run ``engine`` over a trace.
+    """True when :func:`run_bank_batched` may run ``engine`` over a trace.
 
     Two kinds of engine qualify, both only when unobserved (the
     vectorized walks emit no events; observed runs take the fused or
@@ -181,9 +180,9 @@ def kernel_path(engine, kernels: Optional[bool] = None) -> str:
     """Which route drives ``engine`` over a whole trace.
 
     Returns ``"vectorized"`` (:func:`run_bank_batched`) or ``"legacy"``
-    (the fused loop for windowed runtimes — bank lanes, or
-    ``_run_fused`` for a solo run — and the ``step()`` loop for other
-    families) — the single dispatch rule shared by every engine's solo
+    (``_advance_groups`` over bank lanes or solo-run segments: the fused
+    loop for standard-component windowed runtimes, the ``step()`` loop
+    for the rest) — the single dispatch rule shared by every engine's solo
     ``run`` and the bank's member partition.  ``kernels=False`` forces
     ``"legacy"``; ``None`` and ``True`` both mean the default (kernels
     on).  See :func:`vectorized_eligible` for which engines qualify.
@@ -241,29 +240,23 @@ def _unweighted_window_counts(
 
 
 def _unweighted_sims(
-    codes: np.ndarray,
     cwc: int,
     twc: int,
     step_ends: np.ndarray,
     total: int,
-    prev: Optional[np.ndarray] = None,
-    counts: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    counts: Optional[Tuple[np.ndarray, np.ndarray]],
 ) -> np.ndarray:
     """Per-step unweighted similarity values via interval stabbing.
 
     Entries for geometrically unfilled steps are left at 0.0 (callers
     never consult them — the episode walk gates on the filled mask).
-    ``prev``/``counts`` let callers share the previous-occurrence links
-    and the per-window-start count arrays across uses.
+    ``counts`` is :func:`_unweighted_window_counts`'s per-window-start
+    pair; it is only read when the trace can fill both windows.
     """
     n_steps = step_ends.size
     sims = np.zeros(n_steps, dtype=np.float64)
     if total < cwc + twc:
         return sims
-    if counts is None:
-        if prev is None:
-            prev = _prev_occurrence(codes)
-        counts = _unweighted_window_counts(prev, cwc, twc, total)
     distinct, shared = counts
     starts = step_ends - cwc
     valid = starts >= twc
@@ -525,9 +518,7 @@ class SharedTraceKernels:
                     if self.total >= cwc + twc
                     else None
                 )
-                sims = _unweighted_sims(
-                    codes, cwc, twc, ends, self.total, counts=counts
-                )
+                sims = _unweighted_sims(cwc, twc, ends, self.total, counts)
             cached = (sims, counts)
             self._series[key] = cached
         return cached
@@ -563,163 +554,28 @@ class SharedTraceKernels:
         return cached
 
 
-def run_vectorized(
-    runtime, trace, shared: Optional[SharedTraceKernels] = None
-) -> np.ndarray:
-    """Run ``runtime`` over ``trace`` with the vectorized fast path.
+def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
+    """Episode walk for a windowed Threshold runtime (either TW policy).
 
-    A NEWMA engine walks its signature's shared distance series
-    (:func:`_walk_newma`).  A windowed runtime computes similarity
-    series up front, then replays the detector's decision sequence in
-    episodes: find the next phase entry among filled steps, find its
-    exit, restart the filled-mask origin at the flush point.  Constant-TW configs walk one precomputed series
-    (:func:`_walk_constant`); Adaptive-TW configs additionally scan each
-    phase's resized-window regime blockwise (:func:`_walk_adaptive`).
-    Phases (with anchor-corrected starts and exact mean similarities)
-    land in ``runtime.tracker`` and the final model/analyzer state is
-    reconstructed bit-identically; the caller still runs
+    Every episode starts the same way: the entry is the first
+    above-threshold step of the cached constant series at or after the
+    first filled step since the last flush, and the anchor (RN or LNN)
+    is computed over that step's pre-resize windows, as the reference
+    path does.  The trailing policy picks the exit search:
+
+    - *Constant*: entries do not move the windows, so the exit is the
+      next below-threshold step of the same series;
+    - *Adaptive*: the entry resize pins the TW's left edge at
+      ``A = anchor_abs`` and starts the CW's at ``L = c_entry - cwc +
+      moved`` (``moved = min(anchor, cwc-1)`` for SLIDE, 0 for MOVE),
+      so at a later step end ``c`` CW = ``[max(L, c - cwc), c)`` and
+      TW = ``[A, max(L, c - cwc))``; :func:`_scan_phase_unweighted` /
+      :func:`_scan_phase_weighted` scan those similarities blockwise.
+
+    Phases land in ``runtime.tracker`` and the final model/analyzer
+    state is rebuilt bit-identically (an Adaptive phase open at the
+    trace end keeps its pinned, growing windows); the caller still runs
     ``runtime.finish``.  Returns the bool state array.
-
-    ``shared`` optionally supplies a :class:`SharedTraceKernels` cache
-    so bank lanes reuse per-trace/per-signature arrays.
-    """
-    if not vectorized_eligible(runtime):
-        raise ValueError("runtime is not eligible for the vectorized kernel")
-    if shared is None:
-        shared = SharedTraceKernels(trace)
-    if not runtime.fused_capable():
-        return _walk_newma(runtime, shared)
-    if runtime.config.trailing is TrailingPolicy.ADAPTIVE:
-        return _walk_adaptive(runtime, shared)
-    return _walk_constant(runtime, shared)
-
-
-def _walk_constant(runtime, shared: SharedTraceKernels) -> np.ndarray:
-    """Episode walk for Constant-TW configs (all geometries/models)."""
-    from repro.core.runtime import DetectedPhase
-
-    config = runtime.config
-    skip = config.skip_factor
-    cwc = config.cw_size
-    twc = config.effective_tw_size
-    fill_span = cwc + twc
-    threshold = runtime.analyzer.threshold
-    data = shared.data
-    total = shared.total
-    states = np.zeros(total, dtype=bool)
-    if total == 0:
-        return states
-    codes, _ = shared.codes()
-    step_ends = shared.step_ends(skip)
-    sims, _ = shared.series(
-        type(runtime.model) is WeightedSetModel, cwc, twc, skip
-    )
-    decisions = sims >= threshold
-    phase_steps = np.flatnonzero(decisions)
-    gap_steps = np.flatnonzero(~decisions)
-
-    tracker = runtime.tracker
-    rn_anchor = config.anchor is AnchorPolicy.RN
-    origin = 0
-    cursor = 0
-    open_entry = -1
-    while True:
-        first_filled = int(np.searchsorted(step_ends, origin + fill_span))
-        if first_filled < cursor:
-            first_filled = cursor
-        hit = int(np.searchsorted(phase_steps, first_filled))
-        if hit >= phase_steps.size:
-            break
-        entry = int(phase_steps[hit])
-        c_entry = int(step_ends[entry])
-        entry_len = c_entry - (int(step_ends[entry - 1]) if entry else 0)
-        detected_start = c_entry - entry_len
-        # Anchor over the entry step's windows (Constant trailing: the
-        # windows themselves are untouched).
-        cw_slice = codes[c_entry - cwc : c_entry]
-        tw_slice = codes[c_entry - fill_span : c_entry - cwc]
-        in_cw = np.isin(tw_slice, cw_slice)
-        if rn_anchor:
-            noisy = np.flatnonzero(~in_cw)
-            anchor = int(noisy[-1]) + 1 if noisy.size else 0
-        else:
-            hits = np.flatnonzero(in_cw)
-            anchor = int(hits[0]) if hits.size else twc
-        anchor_abs = (c_entry - fill_span) + anchor
-        corrected = anchor_abs if anchor_abs < detected_start else detected_start
-        drop = int(np.searchsorted(gap_steps, entry + 1))
-        if drop >= gap_steps.size:
-            open_entry = entry
-            tracker.open_detected = detected_start
-            tracker.open_corrected = corrected
-            states[detected_start:total] = True
-            break
-        exit_step = int(gap_steps[drop])
-        c_exit = int(step_ends[exit_step])
-        exit_len = c_exit - int(step_ends[exit_step - 1])
-        end = c_exit - exit_len
-        phase_sims = sims[entry:exit_step]
-        # cumsum is a sequential left-to-right accumulation — the same
-        # addition order as the incremental paths' running total.
-        phase_total = float(np.cumsum(phase_sims)[-1])
-        mean = phase_total / int(phase_sims.size)
-        tracker.phases.append(DetectedPhase(detected_start, corrected, end, mean))
-        states[detected_start:end] = True
-        origin = c_exit - min(exit_len, cwc)
-        cursor = exit_step + 1
-
-    # ---- reconstruct the final incremental state -------------------------
-    model = runtime.model
-    since_origin = total - origin
-    cw_len = since_origin if since_origin < cwc else cwc
-    tw_len = since_origin - cwc
-    if tw_len < 0:
-        tw_len = 0
-    elif tw_len > twc:
-        tw_len = twc
-    cw_start = total - cw_len
-    tw_start = cw_start - tw_len
-    for element in data[tw_start:cw_start].tolist():
-        model._tw_add(element)
-    for element in data[cw_start:total].tolist():
-        model._cw_add(element)
-    model.consumed = total
-    model.filled = since_origin >= fill_span
-    model.growing = False
-    if open_entry >= 0:
-        phase_sims = sims[open_entry:]
-        stats = runtime.analyzer.stats
-        stats.count = int(phase_sims.size)
-        stats.total = float(np.cumsum(phase_sims)[-1])
-        low = float(np.min(phase_sims))
-        high = float(np.max(phase_sims))
-        stats.minimum = low if low < 1.0 else 1.0
-        stats.maximum = high if high > 0.0 else 0.0
-        runtime.state = PhaseState.PHASE
-    else:
-        runtime.state = PhaseState.TRANSITION
-    return states
-
-
-def _walk_adaptive(runtime, shared: SharedTraceKernels) -> np.ndarray:
-    """Episode walk for Adaptive-TW configs.
-
-    Outside phases the Adaptive detector is indistinguishable from the
-    Constant one (the TW only grows while in phase), so transition
-    regimes reuse the cached constant-geometry series for entry search
-    and entry similarity.  Each phase entry then fixes the episode's
-    resized-window geometry exactly: with anchor offset ``anchor``
-    (computed over the pre-resize windows, as the reference path does),
-    the TW's left edge pins at ``A = anchor_abs`` for the whole phase
-    and the CW's left edge starts at ``L = c_entry - cwc + moved``
-    (``moved = min(anchor, cwc-1)`` for SLIDE, 0 for MOVE).  At any
-    later step end ``c`` the windows are pure slice functions of
-    ``(A, L, c)``: ``cw_start = max(L, c - cwc)``, CW =
-    ``[cw_start, c)``, TW = ``[A, cw_start)``.  The per-episode scans
-    (:func:`_scan_phase_unweighted` / :func:`_scan_phase_weighted`)
-    vectorize those similarities blockwise with early exit at the first
-    below-threshold step, after which the flush restores constant
-    geometry and the next episode begins.
     """
     from repro.core.runtime import DetectedPhase
 
@@ -739,17 +595,22 @@ def _walk_adaptive(runtime, shared: SharedTraceKernels) -> np.ndarray:
     n_steps = int(step_ends.size)
     weighted = type(runtime.model) is WeightedSetModel
     sims, counts = shared.series(weighted, cwc, twc, skip)
-    phase_steps = np.flatnonzero(sims >= threshold)
-    prev = None if weighted else shared.prev()
-    distinct_all = counts[0] if counts is not None else None
-    base_counts = np.zeros(n_codes, dtype=np.int64) if weighted else None
+    decisions = sims >= threshold
+    phase_steps = np.flatnonzero(decisions)
+    adaptive = config.trailing is TrailingPolicy.ADAPTIVE
+    if adaptive:
+        slide = config.resize is ResizePolicy.SLIDE
+        prev = None if weighted else shared.prev()
+        distinct_all = counts[0] if counts is not None else None
+        base_counts = np.zeros(n_codes, dtype=np.int64) if weighted else None
+    else:
+        gap_steps = np.flatnonzero(~decisions)
 
     tracker = runtime.tracker
     rn_anchor = config.anchor is AnchorPolicy.RN
-    slide = config.resize is ResizePolicy.SLIDE
     origin = 0
     cursor = 0
-    open_phase = None
+    phase_open = False
     while True:
         first_filled = int(np.searchsorted(step_ends, origin + fill_span))
         if first_filled < cursor:
@@ -761,8 +622,6 @@ def _walk_adaptive(runtime, shared: SharedTraceKernels) -> np.ndarray:
         c_entry = int(step_ends[entry])
         entry_len = c_entry - (int(step_ends[entry - 1]) if entry else 0)
         detected_start = c_entry - entry_len
-        # Anchor over the entry step's pre-resize windows (the reference
-        # path anchors before anchor_and_resize mutates them).
         cw_slice = codes[c_entry - cwc : c_entry]
         tw_slice = codes[c_entry - fill_span : c_entry - cwc]
         in_cw = np.isin(tw_slice, cw_slice)
@@ -774,22 +633,26 @@ def _walk_adaptive(runtime, shared: SharedTraceKernels) -> np.ndarray:
             anchor = int(hits[0]) if hits.size else twc
         anchor_abs = (c_entry - fill_span) + anchor
         corrected = anchor_abs if anchor_abs < detected_start else detected_start
-        moved = min(anchor, cwc - 1) if slide else 0
-        tw_left = anchor_abs
-        cw_left = c_entry - cwc + moved
-        entry_sim = float(sims[entry])
-        if weighted:
-            exit_step, episode_sims = _scan_phase_weighted(
-                codes, n_codes, base_counts, step_ends, entry, entry_sim,
-                tw_left, cw_left, cwc, threshold, n_steps,
-            )
+        if adaptive:
+            tw_left = anchor_abs
+            cw_left = c_entry - cwc + (min(anchor, cwc - 1) if slide else 0)
+            if weighted:
+                exit_step, episode_sims = _scan_phase_weighted(
+                    codes, n_codes, base_counts, step_ends, entry,
+                    float(sims[entry]), tw_left, cw_left, cwc, threshold,
+                    n_steps,
+                )
+            else:
+                exit_step, episode_sims = _scan_phase_unweighted(
+                    prev, distinct_all, step_ends, entry, float(sims[entry]),
+                    tw_left, cw_left, cwc, threshold, total, n_steps,
+                )
         else:
-            exit_step, episode_sims = _scan_phase_unweighted(
-                codes, prev, distinct_all, step_ends, entry, entry_sim,
-                tw_left, cw_left, cwc, threshold, total, n_steps,
-            )
+            drop = int(np.searchsorted(gap_steps, entry + 1))
+            exit_step = int(gap_steps[drop]) if drop < gap_steps.size else -1
+            episode_sims = sims[entry:exit_step] if exit_step >= 0 else sims[entry:]
         if exit_step < 0:
-            open_phase = (tw_left, cw_left, episode_sims)
+            phase_open = True
             tracker.open_detected = detected_start
             tracker.open_corrected = corrected
             states[detected_start:total] = True
@@ -808,16 +671,25 @@ def _walk_adaptive(runtime, shared: SharedTraceKernels) -> np.ndarray:
 
     # ---- reconstruct the final incremental state -------------------------
     model = runtime.model
-    if open_phase is not None:
-        tw_left, cw_left, episode_sims = open_phase
+    if phase_open and adaptive:
+        tw_start = tw_left
         cw_start = max(cw_left, total - cwc)
-        for element in data[tw_left:cw_start].tolist():
-            model._tw_add(element)
-        for element in data[cw_start:total].tolist():
-            model._cw_add(element)
-        model.consumed = total
         model.filled = True
         model.growing = True
+    else:
+        since_origin = total - origin
+        cw_len = since_origin if since_origin < cwc else cwc
+        tw_len = min(max(since_origin - cwc, 0), twc)
+        cw_start = total - cw_len
+        tw_start = cw_start - tw_len
+        model.filled = since_origin >= fill_span
+        model.growing = False
+    for element in data[tw_start:cw_start].tolist():
+        model._tw_add(element)
+    for element in data[cw_start:total].tolist():
+        model._cw_add(element)
+    model.consumed = total
+    if phase_open:
         stats = runtime.analyzer.stats
         stats.count = int(episode_sims.size)
         stats.total = float(np.cumsum(episode_sims)[-1])
@@ -827,22 +699,6 @@ def _walk_adaptive(runtime, shared: SharedTraceKernels) -> np.ndarray:
         stats.maximum = high if high > 0.0 else 0.0
         runtime.state = PhaseState.PHASE
     else:
-        since_origin = total - origin
-        cw_len = since_origin if since_origin < cwc else cwc
-        tw_len = since_origin - cwc
-        if tw_len < 0:
-            tw_len = 0
-        elif tw_len > twc:
-            tw_len = twc
-        cw_start = total - cw_len
-        tw_start = cw_start - tw_len
-        for element in data[tw_start:cw_start].tolist():
-            model._tw_add(element)
-        for element in data[cw_start:total].tolist():
-            model._cw_add(element)
-        model.consumed = total
-        model.filled = since_origin >= fill_span
-        model.growing = False
         runtime.state = PhaseState.TRANSITION
     return states
 
@@ -932,7 +788,6 @@ def _walk_newma(engine, shared: SharedTraceKernels) -> np.ndarray:
 
 
 def _scan_phase_unweighted(
-    codes: np.ndarray,
     prev: np.ndarray,
     distinct_all: np.ndarray,
     step_ends: np.ndarray,
@@ -1101,15 +956,25 @@ def run_bank_batched(
     distance series are computed once and shared, so N lanes cost one
     series pass per signature plus N cheap walks — instead of N full
     passes.  Lane order, per-lane results and checkpoints are exactly
-    those of per-lane :func:`run_vectorized` calls (the sharing is a
-    pure cache).  ``histogram`` optionally receives one per-lane
-    duration observation, matching the bank's per-member timing.
+    those of one-lane calls (the sharing is a pure cache).
+    ``histogram`` optionally receives one per-lane duration observation,
+    matching the bank's per-member timing.
+
+    Each windowed lane walks its episodes with :func:`_walk_windowed`,
+    each NEWMA lane its bar with :func:`_walk_newma`; both leave the
+    engine in the exact state its incremental loop would, and the
+    caller still runs each engine's ``finish``.  Returns one bool state
+    array per lane.  Raises :class:`ValueError`, before touching any
+    lane, when one is not :func:`vectorized_eligible`.
     """
+    if not all(vectorized_eligible(runtime) for runtime in runtimes):
+        raise ValueError("runtime is not eligible for the vectorized kernel")
     shared = SharedTraceKernels(trace)
     states: List[np.ndarray] = []
     for runtime in runtimes:
         started = time.perf_counter() if histogram is not None else 0.0
-        result = run_vectorized(runtime, trace, shared=shared)
+        walk = _walk_windowed if runtime.fused_capable() else _walk_newma
+        result = walk(runtime, shared)
         if histogram is not None:
             histogram.observe(time.perf_counter() - started)
         states.append(result)

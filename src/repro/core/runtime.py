@@ -38,11 +38,14 @@ share the runtime's state:
   group), which lets the bank's lockstep lanes skip per-element group
   lists entirely.
 
-Whole-trace runs of fresh, unobserved Threshold-analyzer runtimes
-additionally route through the vectorized kernels of
-:mod:`repro.core.kernels` (as a bank of one), producing bit-identical
-results (same states, phases, similarity values, and checkpoints) at a
-fraction of the cost; everything else runs on the fused loop.
+The runtime has no whole-trace driver of its own: it inherits
+:meth:`~repro.core.decision.DecisionEngine.run`, which loops
+:meth:`DetectorRuntime.step` for ``fused=False`` and
+``record_similarity=True``, sends fresh, unobserved Threshold-analyzer
+runtimes through the vectorized kernels of :mod:`repro.core.kernels`
+(as a bank of one — bit-identical states, phases and checkpoints at a
+fraction of the cost), and feeds everything else to the fused loop
+through the same ``_advance_groups`` hook :meth:`advance` uses.
 
 The runtime's state is serializable: :meth:`DetectorRuntime.checkpoint`
 returns a JSON-safe dict (the versioned **v1** windowed schema, see
@@ -53,9 +56,7 @@ stream as an uninterrupted run.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import Dict, Optional, Sequence
 
 from repro.core.analyzers import (
     Analyzer,
@@ -78,7 +79,6 @@ from repro.core.decision import (
     StepOutcome,
     validate_checkpoint,
 )
-from repro.core.kernels import run_bank_batched
 from repro.core.models import (
     SimilarityModel,
     UnweightedSetModel,
@@ -86,13 +86,11 @@ from repro.core.models import (
     build_model,
 )
 from repro.core.state import PhaseState
-from repro.profiles.trace import BranchTrace
 
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
     "CHECKPOINT_VERSION_FAMILY",
-    "SEGMENT_ELEMENTS",
     "CheckpointError",
     "DecisionEngine",
     "DetectedPhase",
@@ -103,10 +101,6 @@ __all__ = [
     "StepOutcome",
     "validate_checkpoint",
 ]
-
-#: Elements per fused :meth:`DetectorRuntime.run` segment — bounds the
-#: transient group-list memory without measurable sync overhead.
-SEGMENT_ELEMENTS = 1 << 16
 
 
 class DetectorRuntime(DecisionEngine):
@@ -794,100 +788,6 @@ class DetectorRuntime(DecisionEngine):
         stats.minimum = stat_min
         stats.maximum = stat_max
         self.state = PhaseState.PHASE if in_phase else PhaseState.TRANSITION
-
-    # -- whole-trace driving ---------------------------------------------------
-
-    def run(
-        self,
-        trace: BranchTrace,
-        record_similarity: bool = False,
-        fused: Optional[bool] = None,
-        kernels: bool = True,
-    ) -> DetectionResult:
-        """Run this runtime over a whole trace from its current state.
-
-        ``fused=None`` picks the optimized path whenever the components
-        allow it; ``fused=False`` forces the reference :meth:`step` loop
-        (what :class:`~repro.core.detector.PhaseDetector` uses, keeping
-        the two paths independently testable).  ``record_similarity``
-        collects the per-step similarity values the decisions used
-        (reference path only).
-
-        On the optimized path, a runtime that :meth:`kernel_path` routes
-        to ``"vectorized"`` (fresh, standard components, Threshold
-        analyzer, no observer; see ``docs/performance.md``) runs through
-        :func:`~repro.core.kernels.run_bank_batched` as a bank of one;
-        every other runtime — including observed ones, whose events the
-        fused loop emits — runs on the fused loop.  ``kernels=False``
-        forces the fused loop.
-        """
-        data = trace.array
-        total = int(data.size)
-        skip = self.config.skip_factor
-        observer = self._observer
-        if observer is not None:
-            observer.emit(
-                {
-                    "ev": "run_begin",
-                    "step": 0,
-                    "trace": trace.name,
-                    "elements": total,
-                    "config": self.config.describe(),
-                }
-            )
-        use_fused = self.fused_capable() if fused is None else fused
-        if record_similarity or not use_fused:
-            states, similarities = self._run_reference(data, total, skip, record_similarity)
-        else:
-            similarities = None
-            if self.kernel_path(kernels) == "vectorized":
-                states = run_bank_batched([self], trace)[0]
-            else:
-                states = self._run_fused(data, total, skip)
-        # For a fresh runtime consumed == total; a restored runtime closes
-        # its final phase at the absolute stream position instead.
-        phases = self.finish(self.model.consumed)
-        if observer is not None:
-            observer.emit(
-                {
-                    "ev": "run_end",
-                    "step": total,
-                    "phases": len(phases),
-                    "elements": total,
-                }
-            )
-        return DetectionResult(
-            states=states,
-            detected_phases=phases,
-            config=self.config,
-            similarity_values=similarities,
-        )
-
-    def _run_reference(self, data, total: int, skip: int, record_similarity: bool):
-        states = np.zeros(total, dtype=bool)
-        similarities = np.full(total, np.nan) if record_similarity else None
-        elements = data.tolist()
-        for start in range(0, total, skip):
-            group = elements[start : start + skip]
-            outcome = self.step(group)
-            group_len = len(group)
-            if outcome.state.is_phase():
-                states[start : start + group_len] = True
-            if similarities is not None and outcome.similarity is not None:
-                similarities[start : start + group_len] = outcome.similarity
-        return states, similarities
-
-    def _run_fused(self, data, total: int, skip: int) -> np.ndarray:
-        buffer = bytearray(total)
-        elements = data.tolist()
-        segment = skip * max(1, SEGMENT_ELEMENTS // skip)
-        base = 0
-        while base < total:
-            stop = min(base + segment, total)
-            groups = [elements[start : start + skip] for start in range(base, stop, skip)]
-            self._advance_fused(groups, buffer, base)
-            base = stop
-        return np.frombuffer(bytes(buffer), dtype=np.uint8).astype(bool)
 
     # -- checkpointing ---------------------------------------------------------
 

@@ -19,11 +19,12 @@ order.
 
 **Leases.**  Executors sharing a results directory (including separate
 machines on a shared filesystem) divide work through lease files:
-``claim`` creates ``<key>.lease`` with ``O_CREAT | O_EXCL`` — exactly
-one creator wins — and a claim older than its TTL can be stolen, so a
-dead executor never strands a chunk.  A stolen lease can transiently
-give two executors the same chunk; that is safe (idempotent writes),
-only mildly wasteful, and documented in ``docs/formats.md``.
+``claim`` hard-links a complete private temp file onto ``<key>.lease``
+— exactly one linker wins — and a claim older than its TTL can be
+stolen, so a dead executor never strands a chunk.  A stolen lease can
+transiently give two executors the same chunk; that is safe
+(idempotent writes), only mildly wasteful, and documented in
+``docs/formats.md``.
 
 **Compaction + SQLite.**  :func:`compact_chunks` folds completed chunks
 into the existing append-only JSONL record cache *in plan order*
@@ -45,6 +46,7 @@ import json
 import os
 import socket
 import sqlite3
+import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -209,13 +211,20 @@ def _owner_id() -> str:
     return f"{socket.gethostname()}:{os.getpid()}"
 
 
+def _private_path(lease: Path, purpose: str) -> Path:
+    """A temp file name beside ``lease`` no other process or thread uses."""
+    return lease.with_name(
+        f".{lease.name}.{os.getpid()}.{threading.get_ident()}.{purpose}"
+    )
+
+
 class ChunkStore:
     """Atomic, content-addressed chunk files plus lease files.
 
     Lives at ``<cache_dir>/sweep-<profile>.chunks/``; one ``<key>.chunk``
     per completed work item, one ``<key>.lease`` per claimed one, and
     ``_<name>.lease`` for named locks (compaction).  All mutation is
-    tmp-file + ``os.replace`` or ``O_CREAT | O_EXCL``, so the store is
+    tmp-file + ``os.replace`` or tmp-file + ``os.link``, so the store is
     safe for concurrent executors on a shared filesystem.
     """
 
@@ -328,25 +337,27 @@ class ChunkStore:
     def claim(self, key: str, ttl: float = DEFAULT_LEASE_TTL) -> bool:
         """Try to claim ``key``; True if this executor now holds it.
 
-        Exactly one concurrent caller wins the ``O_EXCL`` create.  An
-        existing lease past its TTL is stolen with an atomic replace;
-        two simultaneous stealers can both believe they won, which is
-        accepted — chunk writes are idempotent, so the worst case is
-        one chunk evaluated twice, never corrupted or lost.
+        Exactly one concurrent caller wins the ``os.link`` of its private
+        temp file onto ``<key>.lease``, which is complete from the
+        moment it exists.  An existing lease past its TTL is stolen with
+        an atomic replace; two simultaneous stealers can both believe
+        they won, which is accepted — chunk writes are idempotent, so
+        the worst case is one chunk evaluated twice, never corrupted or
+        lost.
         """
         self.root.mkdir(parents=True, exist_ok=True)
         lease = self.lease_path(key)
         payload = json.dumps(
             {"owner": self.owner, "acquired": time.time(), "ttl": ttl}
         )
+        tmp = _private_path(lease, "claim")
+        tmp.write_text(payload, encoding="utf-8")
         try:
-            fd = os.open(lease, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            os.link(tmp, lease)
         except FileExistsError:
             return self._steal(lease, payload)
-        try:
-            os.write(fd, payload.encode("utf-8"))
         finally:
-            os.close(fd)
+            os.unlink(tmp)
         return True
 
     def _steal(self, lease: Path, payload: str) -> bool:
@@ -359,7 +370,7 @@ class ChunkStore:
             expires = 0.0
         if time.time() < expires:
             return False
-        tmp = lease.with_name(lease.name + f".{os.getpid()}.steal")
+        tmp = _private_path(lease, "steal")
         try:
             tmp.write_text(payload, encoding="utf-8")
             os.replace(tmp, lease)

@@ -111,12 +111,29 @@ def test_decision_protocol_conformance(name):
         assert 0 <= phase.corrected_start <= phase.detected_start < phase.end
 
 
-@pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_run_result_shape_and_events(name):
+@pytest.mark.parametrize(
+    "name,ragged",
+    [pytest.param(name, False, id=name) for name in ALL_FAMILIES]
+    + [pytest.param(name, True, id=f"{name}-ragged") for name in ALL_FAMILIES],
+)
+def test_run_result_shape_and_events(name, ragged):
     trace = phased_trace()
+    config = family_config(name)
+    if ragged:
+        # A skip that leaves the trace a short last group (dhodapkar_smith
+        # keeps its skip = cw, which leaves one too).
+        config = replace(config, skip_factor=7)
+        trace = BranchTrace(trace.array[:-2], name="ragged")
     sink = MemorySink()
-    engine = build_engine(family_config(name), observer=sink)
+    engine = build_engine(config, observer=sink)
+    assert bool(len(trace) % engine.config.skip_factor) == ragged
     result = engine.run(trace)
+    # The default route (and the observed one) equals the reference loop.
+    default = build_engine(config).run(trace)
+    reference = build_engine(config).run(trace, fused=False)
+    for ours in (default, result):
+        assert np.array_equal(ours.states, reference.states)
+        assert ours.detected_phases == reference.detected_phases
     assert result.states.dtype == bool
     assert result.states.size == len(trace)
     for event in sink.events:

@@ -20,7 +20,7 @@ from repro.core import kernels as kernels_mod
 from repro.core.bank import DetectorBank
 from repro.core.decision import build_engine, restore_engine
 from repro.core.engine import run_detector
-from repro.core.kernels import run_vectorized, vectorized_eligible
+from repro.core.kernels import run_bank_batched, vectorized_eligible
 from repro.core.runtime import DetectorRuntime
 from repro.obs.bus import MemorySink
 from repro.obs.trace import Tracer
@@ -183,11 +183,16 @@ class TestEligibility:
             DetectorConfig(cw_size=20, skip_factor=5, analyzer=AnalyzerKind.AVERAGE)
         )
         with pytest.raises(ValueError):
-            run_vectorized(runtime, trace)
+            run_bank_batched([runtime], trace)
         consumed = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
         consumed.advance([trace.array[:5].tolist()], bytearray(5), 0)
         with pytest.raises(ValueError):
-            run_vectorized(consumed, trace)
+            run_bank_batched([consumed], trace)
+        # A mixed batch is rejected before any lane runs.
+        fresh = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
+        with pytest.raises(ValueError):
+            run_bank_batched([fresh, runtime], trace)
+        assert vectorized_eligible(fresh)
 
     def test_kernels_flag_forces_legacy(self):
         runtime = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
@@ -305,7 +310,7 @@ class TestNewmaRoute:
             assert not vectorized_eligible(engine)
             assert engine.kernel_path() == "legacy"
             with pytest.raises(ValueError):
-                run_vectorized(engine, trace)
+                run_bank_batched([engine], trace)
         assert build_engine(newma()).kernel_path(kernels=False) == "legacy"
 
     def test_other_families_stay_legacy(self):

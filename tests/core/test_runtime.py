@@ -20,6 +20,11 @@ from repro.core import (
     ResizePolicy,
     TrailingPolicy,
 )
+from repro.core.extensions import (
+    AsymmetricWeightedModel,
+    HysteresisAnalyzer,
+    JaccardSetModel,
+)
 from repro.core.models import UnweightedSetModel
 from repro.core.runtime import (
     CHECKPOINT_FORMAT,
@@ -185,6 +190,27 @@ class TestPathInterleaving:
         assert np.array_equal(
             custom.run(trace).states, standard.run(trace).states
         )
+
+    @pytest.mark.parametrize(
+        "components",
+        [
+            lambda: {"model": JaccardSetModel(50, 50)},
+            lambda: {"model": AsymmetricWeightedModel(50, 50)},
+            lambda: {"analyzer": HysteresisAnalyzer()},
+        ],
+        ids=["jaccard", "asymmetric", "hysteresis"],
+    )
+    def test_fused_run_with_custom_components_matches_reference(
+        self, trace, components
+    ):
+        """``run(fused=True)`` cannot force the inline loop onto custom
+        components: it must equal the reference ``step()`` loop."""
+        config = combo_config(ModelKind.UNWEIGHTED, AnalyzerKind.THRESHOLD)
+        reference = DetectorRuntime(config, **components()).run(trace, fused=False)
+        fused = DetectorRuntime(config, **components()).run(trace, fused=True)
+        assert reference.detected_phases
+        assert np.array_equal(fused.states, reference.states)
+        assert fused.detected_phases == reference.detected_phases
 
 
 def checkpoint_matrix_config(model, analyzer, resize):

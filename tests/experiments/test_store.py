@@ -7,12 +7,14 @@ end-to-end class at the bottom drives real (tiny) sweeps.
 """
 
 import json
+import os
 import threading
 
 import pytest
 
 from repro.core.config import AnalyzerKind, ModelKind
 from repro.experiments import aggregate
+from repro.experiments import store as store_mod
 from repro.experiments.config_space import ConfigSpec, SuiteProfile
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.runner import SweepRecord
@@ -248,6 +250,47 @@ class TestLeases:
         for t in threads:
             t.join()
         assert len(wins) == 1
+
+    def test_rival_claim_at_lease_creation_loses(self, tmp_path, monkeypatch):
+        # A rival executor (another thread) claims at the exact moment
+        # the winner's lease first appears on disk; it must see a
+        # complete, unexpired lease.
+        winner = ChunkStore(tmp_path, PROFILE)
+        rival = ChunkStore(tmp_path, PROFILE)
+        rival.owner = "rival"
+        lease = winner.lease_path("k1")
+        armed = [True]
+        rival_results = []
+
+        class RivalAtCreate:
+            def __getattr__(self, name):
+                real = getattr(os, name)
+                if not callable(real):
+                    return real
+
+                def call(*args, **kwargs):
+                    result = real(*args, **kwargs)
+                    if armed[0] and lease.exists():
+                        armed[0] = False
+                        contender = threading.Thread(
+                            target=lambda: rival_results.append(
+                                rival.claim("k1", ttl=60.0)
+                            )
+                        )
+                        contender.start()
+                        contender.join(timeout=10.0)
+                        assert not contender.is_alive()
+                    return result
+
+                return call
+
+        monkeypatch.setattr(store_mod, "os", RivalAtCreate())
+        assert winner.claim("k1", ttl=60.0)
+        assert rival_results == [False]
+        monkeypatch.undo()
+        held = json.loads(lease.read_text(encoding="utf-8"))
+        assert held["owner"] == winner.owner
+        assert sorted(p.name for p in winner.root.iterdir()) == ["k1.lease"]
 
     def test_lock_is_mutually_exclusive(self, tmp_path):
         store = ChunkStore(tmp_path, PROFILE)
