@@ -32,10 +32,11 @@ pre-change parameters re-estimated after every detection; see
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DetectorConfig
-from repro.core.decision import DecisionEngine, PhaseDecision
+from repro.core.decision import CheckpointError, DecisionEngine, PhaseDecision
 from repro.core.state import PhaseState
 
 __all__ = ["FocusEngine", "FOCUS_STAT_THRESHOLD", "hash_sign"]
@@ -257,16 +258,99 @@ class FocusEngine(DecisionEngine):
         }
 
     def _restore_engine_state(self, payload: Dict[str, object]) -> None:
-        self._warmup_left = int(payload["warmup_left"])
+        """Restore, rejecting any state ``step()`` could never reach.
+
+        Every invariant checked here holds after each step, so a
+        malformed checkpoint fails now with :class:`CheckpointError`
+        instead of mid-stream with an untyped error.
+        """
+        warmup_left = _int(payload["warmup_left"], "warmup_left")
+        if not 0 <= warmup_left <= self._warmup_steps:
+            raise CheckpointError(
+                f"focus checkpoint warmup_left={warmup_left} outside "
+                f"[0, {self._warmup_steps}]"
+            )
         baseline: Dict[str, object] = payload["baseline"]  # type: ignore[assignment]
-        self._base_n = int(baseline["n"])
-        self._base_mean = float(baseline["mean"])
-        self._base_m2 = float(baseline["m2"])
+        base_n = _int(baseline["n"], "baseline.n")
+        if base_n != self._warmup_steps - warmup_left:
+            raise CheckpointError(
+                f"focus checkpoint baseline.n={base_n} does not match "
+                f"{self._warmup_steps - warmup_left} warm-up steps taken"
+            )
+        base_mean = _float(baseline["mean"], "baseline.mean")
+        base_m2 = _float(baseline["m2"], "baseline.m2")
+        if base_n == 0 and (base_mean != 0.0 or base_m2 != 0.0):
+            raise CheckpointError(
+                "focus checkpoint has baseline moments before any observation"
+            )
         mu = payload["mu"]
         sigma = payload["sigma"]
-        self._mu = None if mu is None else float(mu)
-        self._sigma = None if sigma is None else float(sigma)
-        self._t = int(payload["t"])
-        self._cum = float(payload["cum"])
-        self._pos = [(int(t), float(cum)) for t, cum in payload["pos"]]
-        self._neg = [(int(t), float(cum)) for t, cum in payload["neg"]]
+        t = _int(payload["t"], "t")
+        cum = _float(payload["cum"], "cum")
+        if warmup_left:
+            if mu is not None or sigma is not None:
+                raise CheckpointError(
+                    "focus checkpoint has mu/sigma while still warming up"
+                )
+            if t != 0 or cum != 0.0:
+                raise CheckpointError(
+                    f"focus checkpoint has t={t}, cum={cum} while warming up"
+                )
+        else:
+            mu = _float(mu, "mu")
+            sigma = _float(sigma, "sigma")
+            if not sigma > 0.0:
+                raise CheckpointError(f"focus checkpoint sigma={sigma} is not > 0")
+        self._warmup_left = warmup_left
+        self._base_n = base_n
+        self._base_mean = base_mean
+        self._base_m2 = base_m2
+        self._mu = mu
+        self._sigma = sigma
+        self._t = t
+        self._cum = cum
+        self._pos = _hull(payload["pos"], "pos", t, cum)
+        self._neg = _hull(payload["neg"], "neg", t, cum)
+
+
+def _int(value: object, name: str) -> int:
+    if type(value) is not int:
+        raise CheckpointError(f"focus checkpoint {name}={value!r} is not an int")
+    return value
+
+
+def _float(value: object, name: str) -> float:
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise CheckpointError(
+            f"focus checkpoint {name}={value!r} is not a finite number"
+        )
+    return float(value)
+
+
+def _hull(
+    vertices: object, name: str, t: int, cum: float
+) -> List[Tuple[int, float]]:
+    """A candidate hull: ``[t_i, cum_i]`` pairs from ``[0, 0.0]`` to
+    ``[t, cum]`` with ``t_i`` strictly increasing."""
+    if not isinstance(vertices, list) or not vertices:
+        raise CheckpointError(
+            f"focus checkpoint {name} hull is not a non-empty list"
+        )
+    hull: List[Tuple[int, float]] = []
+    for vertex in vertices:
+        if not isinstance(vertex, list) or len(vertex) != 2:
+            raise CheckpointError(
+                f"focus checkpoint {name} vertex {vertex!r} is not a [t, cum] pair"
+            )
+        t_i = _int(vertex[0], f"{name} vertex t")
+        cum_i = _float(vertex[1], f"{name} vertex cum")
+        if hull and t_i <= hull[-1][0]:
+            raise CheckpointError(
+                f"focus checkpoint {name} hull times are not strictly increasing"
+            )
+        hull.append((t_i, cum_i))
+    if hull[0] != (0, 0.0) or hull[-1] != (t, cum):
+        raise CheckpointError(
+            f"focus checkpoint {name} hull must run from [0, 0.0] to [{t}, {cum}]"
+        )
+    return hull

@@ -9,12 +9,14 @@ amortizes it, and splits its members between the two whole-trace
 routes of :func:`repro.core.kernels.kernel_path`:
 
 - **vectorized** members (fresh and unobserved: windowed runtimes with
-  standard components and the Threshold analyzer, and NEWMA engines)
-  run through :func:`~repro.core.kernels.run_bank_batched`, which
-  shares the trace's dense remap and every per-signature similarity or
-  NEWMA distance series;
+  standard components and the Threshold analyzer, NEWMA engines and
+  FOCuS engines) run through
+  :func:`~repro.core.kernels.run_bank_batched`, which shares the
+  trace's dense remap, every per-signature similarity or NEWMA
+  distance series, and the FOCuS sign table and per-skip group values;
 - every other member (the Average analyzer, observed or custom
-  members, the other families, or all of them with ``kernels=False``)
+  members, Das Pearson and Lu DYNAMO, or all of them with
+  ``kernels=False``)
   runs on the **lockstep lanes**: the trace is decoded exactly once,
   members are grouped into lanes by skip factor, and each lane's group
   chunking is built once per :data:`~repro.core.decision.SEGMENT_ELEMENTS`
@@ -107,8 +109,8 @@ class DetectorBank:
         :func:`repro.core.kernels.kernel_path`) run through the batched
         advancer (:func:`repro.core.kernels.run_bank_batched`): one
         :class:`~repro.core.kernels.SharedTraceKernels` cache funnels
-        every lane, so lanes sharing a window (or NEWMA) signature share
-        the full series computation.  All other members advance in
+        every lane, so lanes sharing a window or NEWMA signature (or a
+        FOCuS skip) share the full series computation.  All other members advance in
         lockstep lanes over one shared decode.
         ``kernels=False`` sends every member to the lanes.
 

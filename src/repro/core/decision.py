@@ -303,8 +303,9 @@ class DecisionEngine:
         (:func:`repro.core.kernels.kernel_path`) shared by every
         engine's solo :meth:`run` and the bank's member partition, so
         the two fronts can never disagree on routing.  Of the
-        non-window families only a fresh, unobserved NEWMA engine
-        reports ``"vectorized"``; ``kernels=False`` forces ``"legacy"``.
+        non-window families only fresh, unobserved NEWMA and FOCuS
+        engines report ``"vectorized"``; ``kernels=False`` forces
+        ``"legacy"``.
         """
         return kernels_mod.kernel_path(self, kernels)
 

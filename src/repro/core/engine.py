@@ -42,9 +42,10 @@ def run_detector(
     ``kernels=False`` forces the fused loop (the ``step()`` loop for
     non-window families).  By default windowed Threshold-analyzer
     configs — Constant *and* Adaptive trailing, unweighted *and*
-    weighted, any geometry — and NEWMA configs take the vectorized
-    whole-trace path when unobserved, as a bank of one; everything else
-    (the Average analyzer, observed runs, the other families) takes the
+    weighted, any geometry — and NEWMA and FOCuS configs take the
+    vectorized whole-trace path when unobserved, as a bank of one;
+    everything else (the Average analyzer, observed runs, Das Pearson
+    and Lu DYNAMO) takes the
     fused or ``step()`` loop, with bit-identical results either way
     (see ``docs/performance.md`` for the eligibility matrix).
     """

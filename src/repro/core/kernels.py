@@ -12,11 +12,11 @@ remapped* element IDs.
 Whole-trace detection has exactly two routes (:func:`kernel_path`):
 
 - ``"vectorized"`` — fresh, unobserved, standard-component runtimes
-  with the Threshold analyzer, and fresh, unobserved NEWMA engines,
-  run through :func:`run_bank_batched` (a solo ``run`` is a bank of
-  one);
+  with the Threshold analyzer, and fresh, unobserved NEWMA and FOCuS
+  engines, run through :func:`run_bank_batched` (a solo ``run`` is a
+  bank of one);
 - ``"legacy"`` — everything else (the Average analyzer, observed or
-  restored engines, custom components, the other families,
+  restored engines, custom components, Das Pearson and Lu DYNAMO,
   ``kernels=False``) advances incrementally through ``_advance_groups``
   — the lockstep lanes of a :class:`~repro.core.bank.DetectorBank`, or
   segments of a solo :meth:`~repro.core.decision.DecisionEngine.run` —
@@ -80,8 +80,9 @@ similarity and the final runtime state (windows, analyzer statistics),
 so checkpoints taken after a vectorized run are bit-identical to the
 incremental paths' — the config-matrix suite in
 ``tests/core/test_kernels.py`` and the fuzz suites in
-``tests/properties/test_kernel_properties.py`` and
-``tests/properties/test_newma_properties.py`` pin states, phases and
+``tests/properties/test_kernel_properties.py``,
+``tests/properties/test_newma_properties.py`` and
+``tests/properties/test_focus_properties.py`` pin states, phases and
 checkpoints against the reference :meth:`step` loop, and the
 ``kernel-equivalence`` and ``family-equivalence`` CI jobs byte-compare
 sweep caches produced with kernels on vs. off.
@@ -93,6 +94,18 @@ the bar (``stat_threshold``) or the warm-up (``cw_size``).
 once per signature with exactly the float operations of
 :meth:`NewmaEngine.step <repro.comparators.newma.NewmaEngine.step>`,
 and :func:`_walk_newma` replays each lane's scalar bar walk over it.
+
+**FOCuS** — the per-step group values (mean ±1 hash of each
+``skip_factor`` group) depend only on the trace and the skip, not on
+the warm-up (``cw_size``) or the bar (``stat_threshold``).
+:meth:`SharedTraceKernels.focus_values` builds them once per skip from
+one per-distinct-element sign table, and :func:`_walk_focus` replays
+each lane's scalar FOCuS0 recursion over them: the Welford warm-up,
+the statistic over the two pruned candidate hulls (the same amortized
+pruning as :meth:`FocusEngine.step
+<repro.comparators.focus.FocusEngine.step>`, not a scan of every
+candidate — collinear cusum points make that differ by an ulp), and
+the reset on each changepoint.
 
 Kernels are on by default wherever they apply; pass ``kernels=False``
 through :func:`~repro.core.engine.run_detector` / the sweep stack
@@ -124,7 +137,7 @@ __all__ = [
 def vectorized_eligible(engine) -> bool:
     """True when :func:`run_bank_batched` may run ``engine`` over a trace.
 
-    Two kinds of engine qualify, both only when unobserved (the
+    Three kinds of engine qualify, all only when unobserved (the
     vectorized walks emit no events; observed runs take the fused or
     ``step()`` loop, which emits the canonical event stream) and fresh
     (the walks assume stream position == trace position, which only
@@ -139,14 +152,17 @@ def vectorized_eligible(engine) -> bool:
       stays on the fused loop;
     - a :class:`~repro.comparators.newma.NewmaEngine`: its distance
       series depends only on the trace and the sketch/EWMA signature
-      (:meth:`SharedTraceKernels.newma_series`).
+      (:meth:`SharedTraceKernels.newma_series`);
+    - a :class:`~repro.comparators.focus.FocusEngine`: its group values
+      depend only on the trace and the skip
+      (:meth:`SharedTraceKernels.focus_values`).
 
-    Every other family stays on its ``step()`` loop.
+    Das Pearson and Lu DYNAMO stay on their ``step()`` loops.
     """
     if engine.observer is not None:
         return False
     if not engine.fused_capable():
-        return _newma_fresh(engine)
+        return _newma_fresh(engine) or _focus_fresh(engine)
     if type(engine.analyzer) is not ThresholdAnalyzer:
         return False
     model = engine.model
@@ -170,6 +186,21 @@ def _newma_fresh(engine) -> bool:
         and not engine._stat_seen
         and not engine._fast.any()
         and not engine._slow.any()
+        and engine.state is PhaseState.TRANSITION
+        and not engine.tracker.open
+        and not engine.tracker.phases
+    )
+
+
+def _focus_fresh(engine) -> bool:
+    """True for a FOCuS engine that has consumed nothing."""
+    from repro.comparators.focus import FocusEngine
+
+    return (
+        type(engine) is FocusEngine
+        and engine.consumed == 0
+        and engine._warmup_left == engine._warmup_steps
+        and engine._base_n == 0
         and engine.state is PhaseState.TRANSITION
         and not engine.tracker.open
         and not engine.tracker.phases
@@ -444,6 +475,17 @@ def _newma_distances(
     return np.sqrt(dots), ewma[0].copy(), ewma[1].copy()
 
 
+def _focus_signs(codes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Per-element FOCuS ±1 hash signs: one ``hash_sign`` per distinct
+    element, gathered through the dense ``codes``."""
+    from repro.comparators.focus import hash_sign
+
+    table = np.array(
+        [hash_sign(value) for value in values.tolist()], dtype=np.float64
+    )
+    return table[codes]
+
+
 class SharedTraceKernels:
     """Per-trace cache of the arrays the vectorized walks consume.
 
@@ -452,7 +494,9 @@ class SharedTraceKernels:
     ``(weighted, cw, tw, skip)`` — the full constant-geometry similarity
     series plus its per-window-start count arrays; for NEWMA lanes,
     keyed by ``(sketch_dim, fast, slow, skip)``, the distance series
-    (:meth:`newma_series`).  The batched bank advancer
+    (:meth:`newma_series`); for FOCuS lanes, keyed by skip, the group
+    values over one shared sign table (:meth:`focus_values`).  The
+    batched bank advancer
     (:func:`run_bank_batched`) funnels every lane through one instance,
     so lanes that share a signature share the expensive series
     computation and differ only in their cheap episode or bar walks.
@@ -466,6 +510,8 @@ class SharedTraceKernels:
         self._step_ends: dict = {}
         self._series: dict = {}
         self._newma: dict = {}
+        self._signs: Optional[np.ndarray] = None
+        self._focus: dict = {}
 
     def codes(self) -> Tuple[np.ndarray, int]:
         """``(codes, n_codes)`` from the trace's cached dense remap."""
@@ -551,6 +597,30 @@ class SharedTraceKernels:
             )
             cached = (distances.tolist(), fast, slow)
             self._newma[key] = cached
+        return cached
+
+    def focus_values(self, skip: int) -> List[float]:
+        """FOCuS's per-step group values for ``skip``, as Python floats.
+
+        Each value is the group's ±1 sign sum divided by its length —
+        exact small integers, so ``np.add.reduceat`` reproduces
+        :meth:`FocusEngine.step <repro.comparators.focus.FocusEngine.step>`'s
+        ``total / group_len`` bit for bit, ragged last group included.
+        The sign table is built once per bank pass and shared by every
+        skip; neither the warm-up nor the bar enters the values, so
+        every lane with the same skip reuses them.  Cached.
+        """
+        cached = self._focus.get(skip)
+        if cached is None:
+            if self._signs is None:
+                self._signs = _focus_signs(*self.trace.dense_codes())
+            signs = self._signs
+            if skip > 1 and self.total:
+                starts = np.arange(0, self.total, skip, dtype=np.int64)
+                lengths = self.step_ends(skip) - starts
+                signs = np.add.reduceat(signs, starts) / lengths
+            cached = signs.tolist()
+            self._focus[skip] = cached
         return cached
 
 
@@ -787,6 +857,139 @@ def _walk_newma(engine, shared: SharedTraceKernels) -> np.ndarray:
     return states
 
 
+def _walk_focus(engine, shared: SharedTraceKernels) -> np.ndarray:
+    """FOCuS0 walk for one FOCuS lane over its skip's group values.
+
+    Replays :meth:`FocusEngine.step
+    <repro.comparators.focus.FocusEngine.step>` with the same scalar
+    float operations in one local-variable loop: the Welford warm-up
+    (sigma falls back to 1.0 on a constant warm-up), the standardized
+    ``z`` and cusum, the max over the ``pos``/``neg`` candidate hulls,
+    the cross-multiplied hull pushes, and on a changepoint the phase
+    exit, the reset, and the value's observation as the new warm-up's
+    first.  In-phase statistics are summed sequentially behind each
+    phase's mean.  The engine is left in the exact state the ``step()``
+    loop leaves it in (warm-up counter, baseline, mu/sigma, t, cusum,
+    both hulls, consumed count, state and open phase statistics), so
+    checkpoints match bit for bit; the caller still runs
+    ``engine.finish``.  Returns the bool state array.
+    """
+    skip = engine.config.skip_factor
+    total = shared.total
+    states = np.zeros(total, dtype=bool)
+    engine._consumed = total
+    values = shared.focus_values(skip)
+    warmup_steps = engine._warmup_steps
+    threshold = engine.stat_threshold
+    tracker = engine.tracker
+
+    warm_left = warmup_steps
+    n = 0
+    mean = 0.0
+    m2 = 0.0
+    mu = sigma = 1.0  # set when the first warm-up ends
+    t = 0
+    cum = 0.0
+    pos = [(0, 0.0)]
+    neg = [(0, 0.0)]
+    in_phase = False
+    phase_total = 0.0
+    phase_count = 0
+    start = 0
+    for step, value in enumerate(values):
+        if not warm_left:
+            t_new = t + 1
+            cum_new = cum + (value - mu) / sigma
+            best = 0.0
+            for t_i, cum_i in pos:  # upward mean shifts
+                gain = cum_new - cum_i
+                if gain > 0.0:
+                    stat = gain * gain / (2.0 * (t_new - t_i))
+                    if stat > best:
+                        best = stat
+            for t_i, cum_i in neg:  # downward mean shifts
+                gain = cum_new - cum_i
+                if gain < 0.0:
+                    stat = gain * gain / (2.0 * (t_new - t_i))
+                    if stat > best:
+                        best = stat
+            if best < threshold:
+                t = t_new
+                cum = cum_new
+                while len(pos) >= 2:  # lower hull
+                    t1, c1 = pos[-2]
+                    t2, c2 = pos[-1]
+                    if (c2 - c1) * (t_new - t2) >= (cum_new - c2) * (t2 - t1):
+                        pos.pop()
+                    else:
+                        break
+                pos.append((t_new, cum_new))
+                while len(neg) >= 2:  # upper hull
+                    t1, c1 = neg[-2]
+                    t2, c2 = neg[-1]
+                    if (c2 - c1) * (t_new - t2) <= (cum_new - c2) * (t2 - t1):
+                        neg.pop()
+                    else:
+                        break
+                neg.append((t_new, cum_new))
+                if in_phase:
+                    phase_total += best
+                    phase_count += 1
+                else:
+                    start = step * skip
+                    tracker.enter(min(start + skip, total), start, start)
+                    phase_total = best
+                    phase_count = 1
+                    in_phase = True
+                continue
+            # Changepoint: close the open phase at the step boundary and
+            # restart the warm-up with this value as its first.
+            if in_phase:
+                end = step * skip
+                tracker.exit(min(end + skip, total), end, phase_total / phase_count)
+                states[start:end] = True
+                in_phase = False
+            warm_left = warmup_steps
+            n = 0
+            mean = 0.0
+            m2 = 0.0
+            t = 0
+            cum = 0.0
+            pos = [(0, 0.0)]
+            neg = [(0, 0.0)]
+        n += 1
+        delta = value - mean
+        mean += delta / n
+        m2 += delta * (value - mean)
+        warm_left -= 1
+        if not warm_left:
+            mu = mean
+            sigma = (m2 / (n - 1)) ** 0.5
+            if not sigma > 0.0:
+                sigma = 1.0
+
+    engine._warmup_left = warm_left
+    engine._base_n = n
+    engine._base_mean = mean
+    engine._base_m2 = m2
+    engine._mu = None if warm_left else mu
+    engine._sigma = None if warm_left else sigma
+    engine._t = t
+    engine._cum = cum
+    engine._pos = pos
+    engine._neg = neg
+    if in_phase:
+        states[start:total] = True
+        engine._phase_total = phase_total
+        engine._phase_count = phase_count
+        engine.state = PhaseState.PHASE
+    else:
+        engine._phase_total = 0.0
+        engine._phase_count = 0
+        engine.state = PhaseState.TRANSITION
+    return states
+
+
 def _scan_phase_unweighted(
     prev: np.ndarray,
     distinct_all: np.ndarray,
@@ -944,6 +1147,10 @@ def _scan_phase_weighted(
     return exit_step, np.concatenate(parts)
 
 
+#: The walk :func:`run_bank_batched` runs per engine ``family``.
+_WALKS = {"windowed": _walk_windowed, "newma": _walk_newma, "focus": _walk_focus}
+
+
 def run_bank_batched(
     runtimes, trace, histogram=None
 ) -> List[np.ndarray]:
@@ -952,17 +1159,20 @@ def run_bank_batched(
     One :class:`SharedTraceKernels` instance funnels every lane's series
     computation: the dense-code decode, previous-occurrence links, step
     boundaries, each distinct ``(weighted, cw, tw, skip)`` similarity
-    series and each distinct NEWMA ``(sketch_dim, fast, slow, skip)``
-    distance series are computed once and shared, so N lanes cost one
-    series pass per signature plus N cheap walks — instead of N full
-    passes.  Lane order, per-lane results and checkpoints are exactly
-    those of one-lane calls (the sharing is a pure cache).
+    series, each distinct NEWMA ``(sketch_dim, fast, slow, skip)``
+    distance series and the FOCuS sign table and per-skip group values
+    are computed once and shared, so N lanes cost one series pass per
+    signature plus N cheap walks — instead of N full passes.  Lane
+    order, per-lane results and checkpoints are exactly those of
+    one-lane calls (the sharing is a pure cache).
     ``histogram`` optionally receives one per-lane duration observation,
     matching the bank's per-member timing.
 
     Each windowed lane walks its episodes with :func:`_walk_windowed`,
-    each NEWMA lane its bar with :func:`_walk_newma`; both leave the
-    engine in the exact state its incremental loop would, and the
+    each NEWMA lane its bar with :func:`_walk_newma`, each FOCuS lane
+    its recursion with :func:`_walk_focus` (picked by the engine's
+    ``family``); all leave the engine in the exact state its
+    incremental loop would, and the
     caller still runs each engine's ``finish``.  Returns one bool state
     array per lane.  Raises :class:`ValueError`, before touching any
     lane, when one is not :func:`vectorized_eligible`.
@@ -973,8 +1183,7 @@ def run_bank_batched(
     states: List[np.ndarray] = []
     for runtime in runtimes:
         started = time.perf_counter() if histogram is not None else 0.0
-        walk = _walk_windowed if runtime.fused_capable() else _walk_newma
-        result = walk(runtime, shared)
+        result = _WALKS[runtime.family](runtime, shared)
         if histogram is not None:
             histogram.observe(time.perf_counter() - started)
         states.append(result)

@@ -1,7 +1,7 @@
 """Array-native kernel tests: every whole-trace route is bit-identical to
 the reference ``step()`` loop, and the selection machinery (eligibility
 predicate, the ``kernels`` flag, bank partitioning) routes every
-configuration — windowed or NEWMA — to a correct path."""
+configuration — windowed, NEWMA or FOCuS — to a correct path."""
 
 import json
 
@@ -314,7 +314,7 @@ class TestNewmaRoute:
         assert build_engine(newma()).kernel_path(kernels=False) == "legacy"
 
     def test_other_families_stay_legacy(self):
-        for family in ("focus", "das_pearson", "lu_dynamo"):
+        for family in ("das_pearson", "lu_dynamo"):
             engine = build_engine(DetectorConfig(family=family, cw_size=40))
             assert engine.kernel_path() == "legacy"
 
@@ -323,7 +323,7 @@ class TestNewmaRoute:
         two bars, FOCuS and an observed NEWMA in one bank: each member
         equals its solo ``kernels=False`` run (states, phase float bits,
         checkpoint, events), and the four fresh NEWMA members share one
-        distance series."""
+        distance series; the fresh FOCuS member is vectorized too."""
         configs = [
             DetectorConfig(cw_size=40, skip_factor=8, threshold=0.5),
             DetectorConfig(
@@ -341,7 +341,7 @@ class TestNewmaRoute:
         observers = [None] * (len(configs) - 1) + [sink]
         bank = DetectorBank(configs, observers=observers)
         assert [engine.kernel_path() for engine in bank.runtimes] == [
-            "vectorized", "legacy", *["vectorized"] * 4, "legacy", "legacy",
+            "vectorized", "legacy", *["vectorized"] * 4, "vectorized", "legacy",
         ]
         series_calls = []
         compute = kernels_mod._newma_distances
@@ -370,3 +370,57 @@ class TestNewmaRoute:
             ), label
             if observer is not None:
                 assert observer.events == solo_sink.events
+
+
+def focus(cw_size=40, **overrides):
+    return DetectorConfig(family="focus", cw_size=cw_size, **overrides)
+
+
+class TestFocusRoute:
+    def test_fresh_focus_is_vectorized(self):
+        engine = build_engine(focus())
+        assert vectorized_eligible(engine)
+        assert engine.kernel_path() == "vectorized"
+
+    def test_observed_restored_consumed_and_flagged_focus_are_legacy(self, trace):
+        observed = build_engine(focus(), observer=MemorySink())
+        consumed = build_engine(focus())
+        consumed.advance_flat(trace.array[:100].tolist(), bytearray(100), 0)
+        restored = restore_engine(consumed.checkpoint())
+        for engine in (observed, consumed, restored):
+            assert not vectorized_eligible(engine)
+            assert engine.kernel_path() == "legacy"
+            with pytest.raises(ValueError):
+                run_bank_batched([engine], trace)
+        assert build_engine(focus()).kernel_path(kernels=False) == "legacy"
+
+    def test_bank_shares_one_sign_table(self, trace, monkeypatch):
+        """FOCuS lanes at three CWs x three bars with one skip build the
+        sign table once, and each lane equals its solo step loop."""
+        configs = [
+            focus(cw_size=cw, stat_threshold=bar)
+            for cw in (20, 60, 300)
+            for bar in (8.0, 16.0, 32.0)
+        ]
+        bank = DetectorBank(configs)
+        assert {engine.kernel_path() for engine in bank.runtimes} == {"vectorized"}
+        sign_calls = []
+        compute = kernels_mod._focus_signs
+
+        def counting(*args, **kwargs):
+            sign_calls.append(len(args[0]))
+            return compute(*args, **kwargs)
+
+        monkeypatch.setattr(kernels_mod, "_focus_signs", counting)
+        results = bank.run(trace)
+        assert sign_calls == [trace.array.size]
+        for config, engine, result in zip(configs, bank.runtimes, results):
+            solo = build_engine(config)
+            reference = solo.run(trace, kernels=False)
+            assert np.array_equal(result.states, reference.states)
+            assert phase_key(result.detected_phases) == phase_key(
+                reference.detected_phases
+            )
+            assert json.dumps(engine.checkpoint(), sort_keys=True) == json.dumps(
+                solo.checkpoint(), sort_keys=True
+            )

@@ -4,17 +4,21 @@ Mirrors the PR 6 serve-layer guarantees for the new families: an engine
 parked (``checkpoint()`` → JSON → ``restore``) at *every* chunk
 boundary must produce exactly the states, phases, and final checkpoint
 bytes of an engine that ran uninterrupted — for any trace and any
-chunking, not just the hand-picked ones in the unit tests.
+chunking, not just the hand-picked ones in the unit tests.  The other
+side of the contract: a FOCuS checkpoint holding a state ``step()``
+could never reach is rejected at restore time with ``CheckpointError``.
 """
 
 import json
 from dataclasses import replace
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.comparators import engine_family
-from repro.core.decision import build_engine, restore_engine
+from repro.core.config import DetectorConfig
+from repro.core.decision import CheckpointError, build_engine, restore_engine
 
 elements = st.integers(min_value=0, max_value=12)
 
@@ -84,3 +88,75 @@ def test_checkpoint_is_a_fixed_point(trace, config, cut):
     restored.advance_flat(tail, states_b, 0)
     assert bytes(states_a) == bytes(states_b)
     assert engine.finish(len(trace)) == restored.finish(len(trace))
+
+
+# -- malformed FOCuS checkpoints fail at restore time -------------------------
+
+FOCUS_STREAM = [0, 1, 2, 3] * 20 + [5, 9, 5, 9] * 15
+
+
+def focus_checkpoint(length):
+    """A real FOCuS checkpoint after ``length`` elements (warm-up 8)."""
+    engine = build_engine(DetectorConfig(family="focus", cw_size=8))
+    engine.advance_flat(FOCUS_STREAM[:length], bytearray(length), 0)
+    return json.loads(json.dumps(engine.checkpoint()))
+
+
+def test_real_focus_checkpoints_restore():
+    for length in (0, 3, 8, 40, len(FOCUS_STREAM)):
+        data = focus_checkpoint(length)
+        assert restore_engine(data).checkpoint() == data
+
+
+def _late_hull_vertex(engine):
+    engine["pos"].append([engine["t"] + 1, engine["cum"]])
+
+
+@pytest.mark.parametrize(
+    "length, edit, match",
+    [
+        # each of these used to fail only mid-stream, with an untyped error
+        pytest.param(40, _late_hull_vertex, "pos hull", id="hull-past-t"),
+        pytest.param(40, lambda e: e.update(sigma=0.0), "sigma", id="zero-sigma"),
+        pytest.param(40, lambda e: e.update(mu=None), "mu", id="no-mu"),
+        pytest.param(40, lambda e: e.update(neg=5), "neg hull", id="scalar-hull"),
+        pytest.param(
+            40, lambda e: e.update(warmup_left=-3), "warmup_left", id="negative-warmup"
+        ),
+        pytest.param(40, lambda e: e.update(pos=[]), "pos hull", id="empty-hull"),
+        # and the rest of the invariants
+        pytest.param(
+            3, lambda e: e.update(warmup_left=9), "warmup_left", id="long-warmup"
+        ),
+        pytest.param(
+            3, lambda e: e["baseline"].update(n=2), "baseline.n", id="baseline-count"
+        ),
+        pytest.param(
+            3, lambda e: e.update(mu=0.0, sigma=1.0), "warming up", id="early-mu"
+        ),
+        pytest.param(3, lambda e: e.update(t=2), "warming up", id="early-t"),
+        pytest.param(
+            0, lambda e: e["baseline"].update(mean=0.5), "moments", id="early-mean"
+        ),
+        pytest.param(
+            40, lambda e: e.update(sigma=float("inf")), "sigma", id="infinite-sigma"
+        ),
+        pytest.param(40, lambda e: e.update(mu="0.5"), "mu", id="string-mu"),
+        pytest.param(40, lambda e: e.update(t=-1), "pos hull", id="negative-t"),
+        pytest.param(
+            40, lambda e: e["neg"].insert(0, [0, 1.0]), "neg hull", id="bad-origin"
+        ),
+        pytest.param(
+            40, lambda e: e["neg"].insert(1, [0, 0.0]), "increasing", id="repeated-t"
+        ),
+        pytest.param(40, lambda e: e["pos"].insert(0, [0]), "pair", id="short-vertex"),
+        pytest.param(
+            40, lambda e: e["pos"][-1].__setitem__(0, 0.5), "int", id="float-time"
+        ),
+    ],
+)
+def test_malformed_focus_checkpoint_is_rejected(length, edit, match):
+    data = focus_checkpoint(length)
+    edit(data["engine"])
+    with pytest.raises(CheckpointError, match=match):
+        restore_engine(data)
