@@ -18,7 +18,14 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.core.decision import DecisionEngine, PhaseDecision
+from repro.core.decision import (
+    CheckpointError,
+    DecisionEngine,
+    PhaseDecision,
+    checkpoint_bool,
+    checkpoint_int,
+    checkpoint_window_buffer,
+)
 from repro.core.state import PhaseState
 from repro.profiles.trace import BranchTrace
 
@@ -267,9 +274,65 @@ class DasPearsonEngine(DecisionEngine):
         }
 
     def _restore_engine_state(self, payload: Dict[str, object]) -> None:
-        self._buffer = [int(element) for element in payload["buffer"]]
-        self._in_phase = bool(payload["in_phase"])
-        target = payload["target"]
-        self._detector._target = (
-            None if target is None else {int(k): int(v) for k, v in target}
+        """Restore, rejecting any state ``step()`` could never reach."""
+        buffer = checkpoint_window_buffer(self, payload["buffer"])
+        in_phase = checkpoint_bool(
+            payload["in_phase"], "das_pearson checkpoint in_phase"
         )
+        if in_phase != self.state.is_phase():
+            raise CheckpointError(
+                f"das_pearson checkpoint in_phase={in_phase} contradicts "
+                f"state {self.state.value!r}"
+            )
+        target = payload["target"]
+        windows = self.consumed // self._window
+        if target is None:
+            if windows:
+                raise CheckpointError(
+                    f"das_pearson checkpoint has no target after {windows} windows"
+                )
+            restored_target = None
+        else:
+            if not windows:
+                raise CheckpointError(
+                    "das_pearson checkpoint has a target before its first window"
+                )
+            restored_target = _target_counts(target, self._window)
+        self._buffer = buffer
+        self._in_phase = in_phase
+        self._detector._target = restored_target
+
+
+def _target_counts(pairs: object, window: int) -> Dict[int, int]:
+    """A target: distinct ``[element, count]`` pairs, every count
+    positive, the counts summing to one full window."""
+    if not isinstance(pairs, list):
+        raise CheckpointError(
+            f"das_pearson checkpoint target={pairs!r:.80} is not a list"
+        )
+    target: Dict[int, int] = {}
+    for pair in pairs:
+        if not isinstance(pair, list) or len(pair) != 2:
+            raise CheckpointError(
+                f"das_pearson checkpoint target entry {pair!r} is not an "
+                "[element, count] pair"
+            )
+        element = checkpoint_int(pair[0], "das_pearson checkpoint target element")
+        count = checkpoint_int(pair[1], "das_pearson checkpoint target count")
+        if count < 1:
+            raise CheckpointError(
+                f"das_pearson checkpoint target count {count} for element "
+                f"{element} is not positive"
+            )
+        if element in target:
+            raise CheckpointError(
+                f"das_pearson checkpoint target repeats element {element}"
+            )
+        target[element] = count
+    total = sum(target.values())
+    if total != window:
+        raise CheckpointError(
+            f"das_pearson checkpoint target counts sum to {total}, "
+            f"not one {window}-element window"
+        )
+    return target

@@ -32,11 +32,16 @@ pre-change parameters re-estimated after every detection; see
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import DetectorConfig
-from repro.core.decision import CheckpointError, DecisionEngine, PhaseDecision
+from repro.core.decision import (
+    CheckpointError,
+    DecisionEngine,
+    PhaseDecision,
+    checkpoint_float,
+    checkpoint_int,
+)
 from repro.core.state import PhaseState
 
 __all__ = ["FocusEngine", "FOCUS_STAT_THRESHOLD", "hash_sign"]
@@ -264,29 +269,33 @@ class FocusEngine(DecisionEngine):
         malformed checkpoint fails now with :class:`CheckpointError`
         instead of mid-stream with an untyped error.
         """
-        warmup_left = _int(payload["warmup_left"], "warmup_left")
+        warmup_left = checkpoint_int(
+            payload["warmup_left"], "focus checkpoint warmup_left"
+        )
         if not 0 <= warmup_left <= self._warmup_steps:
             raise CheckpointError(
                 f"focus checkpoint warmup_left={warmup_left} outside "
                 f"[0, {self._warmup_steps}]"
             )
         baseline: Dict[str, object] = payload["baseline"]  # type: ignore[assignment]
-        base_n = _int(baseline["n"], "baseline.n")
+        base_n = checkpoint_int(baseline["n"], "focus checkpoint baseline.n")
         if base_n != self._warmup_steps - warmup_left:
             raise CheckpointError(
                 f"focus checkpoint baseline.n={base_n} does not match "
                 f"{self._warmup_steps - warmup_left} warm-up steps taken"
             )
-        base_mean = _float(baseline["mean"], "baseline.mean")
-        base_m2 = _float(baseline["m2"], "baseline.m2")
+        base_mean = checkpoint_float(
+            baseline["mean"], "focus checkpoint baseline.mean"
+        )
+        base_m2 = checkpoint_float(baseline["m2"], "focus checkpoint baseline.m2")
         if base_n == 0 and (base_mean != 0.0 or base_m2 != 0.0):
             raise CheckpointError(
                 "focus checkpoint has baseline moments before any observation"
             )
         mu = payload["mu"]
         sigma = payload["sigma"]
-        t = _int(payload["t"], "t")
-        cum = _float(payload["cum"], "cum")
+        t = checkpoint_int(payload["t"], "focus checkpoint t")
+        cum = checkpoint_float(payload["cum"], "focus checkpoint cum")
         if warmup_left:
             if mu is not None or sigma is not None:
                 raise CheckpointError(
@@ -297,8 +306,8 @@ class FocusEngine(DecisionEngine):
                     f"focus checkpoint has t={t}, cum={cum} while warming up"
                 )
         else:
-            mu = _float(mu, "mu")
-            sigma = _float(sigma, "sigma")
+            mu = checkpoint_float(mu, "focus checkpoint mu")
+            sigma = checkpoint_float(sigma, "focus checkpoint sigma")
             if not sigma > 0.0:
                 raise CheckpointError(f"focus checkpoint sigma={sigma} is not > 0")
         self._warmup_left = warmup_left
@@ -311,20 +320,6 @@ class FocusEngine(DecisionEngine):
         self._cum = cum
         self._pos = _hull(payload["pos"], "pos", t, cum)
         self._neg = _hull(payload["neg"], "neg", t, cum)
-
-
-def _int(value: object, name: str) -> int:
-    if type(value) is not int:
-        raise CheckpointError(f"focus checkpoint {name}={value!r} is not an int")
-    return value
-
-
-def _float(value: object, name: str) -> float:
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise CheckpointError(
-            f"focus checkpoint {name}={value!r} is not a finite number"
-        )
-    return float(value)
 
 
 def _hull(
@@ -342,8 +337,10 @@ def _hull(
             raise CheckpointError(
                 f"focus checkpoint {name} vertex {vertex!r} is not a [t, cum] pair"
             )
-        t_i = _int(vertex[0], f"{name} vertex t")
-        cum_i = _float(vertex[1], f"{name} vertex cum")
+        t_i = checkpoint_int(vertex[0], f"focus checkpoint {name} vertex t")
+        cum_i = checkpoint_float(
+            vertex[1], f"focus checkpoint {name} vertex cum"
+        )
         if hull and t_i <= hull[-1][0]:
             raise CheckpointError(
                 f"focus checkpoint {name} hull times are not strictly increasing"

@@ -23,7 +23,15 @@ from typing import Deque, Dict, List, Optional
 
 import numpy as np
 
-from repro.core.decision import DecisionEngine, PhaseDecision
+from repro.core.decision import (
+    CheckpointError,
+    DecisionEngine,
+    PhaseDecision,
+    checkpoint_bool,
+    checkpoint_float,
+    checkpoint_int,
+    checkpoint_window_buffer,
+)
 from repro.core.state import PhaseState
 from repro.profiles.trace import BranchTrace
 
@@ -232,9 +240,50 @@ class LuDynamoEngine(DecisionEngine):
         }
 
     def _restore_engine_state(self, payload: Dict[str, object]) -> None:
-        self._buffer = [int(element) for element in payload["buffer"]]
-        self._averages = deque(
-            (float(a) for a in payload["averages"]), maxlen=LU_HISTORY
+        """Restore, rejecting any state ``step()`` could never reach."""
+        buffer = checkpoint_window_buffer(self, payload["buffer"])
+        in_phase = checkpoint_bool(
+            payload["in_phase"], "lu_dynamo checkpoint in_phase"
         )
-        self._outside_streak = int(payload["streak"])
-        self._in_phase = bool(payload["in_phase"])
+        if in_phase != self.state.is_phase():
+            raise CheckpointError(
+                f"lu_dynamo checkpoint in_phase={in_phase} contradicts "
+                f"state {self.state.value!r}"
+            )
+        averages = payload["averages"]
+        if not isinstance(averages, list):
+            raise CheckpointError(
+                f"lu_dynamo checkpoint averages={averages!r:.80} is not a list"
+            )
+        # Every full window appends one average; a phase exit restarts
+        # the history from one, and the deque keeps the last LU_HISTORY.
+        windows = self.consumed // self._window
+        if len(averages) > min(windows, LU_HISTORY) or (windows and not averages):
+            raise CheckpointError(
+                f"lu_dynamo checkpoint holds {len(averages)} averages after "
+                f"{windows} windows (history {LU_HISTORY})"
+            )
+        averages = [
+            checkpoint_float(average, "lu_dynamo checkpoint average")
+            for average in averages
+        ]
+        streak = checkpoint_int(payload["streak"], "lu_dynamo checkpoint streak")
+        if not 0 <= streak < LU_CONSECUTIVE:
+            raise CheckpointError(
+                f"lu_dynamo checkpoint streak={streak} outside [0, {LU_CONSECUTIVE})"
+            )
+        # Only a full history is tested, and only a test that keeps the
+        # phase open leaves an outside streak running.
+        if streak and not in_phase:
+            raise CheckpointError(
+                f"lu_dynamo checkpoint has streak={streak} outside a phase"
+            )
+        if in_phase and len(averages) < LU_HISTORY:
+            raise CheckpointError(
+                f"lu_dynamo checkpoint is in phase with only "
+                f"{len(averages)} of {LU_HISTORY} averages"
+            )
+        self._buffer = buffer
+        self._averages = deque(averages, maxlen=LU_HISTORY)
+        self._outside_streak = streak
+        self._in_phase = in_phase

@@ -1,48 +1,37 @@
 """DetectorBank: many detector configurations, one trace pass.
 
 A sweep evaluates a grid of configurations over the same benchmark
-trace.  Running :func:`~repro.core.engine.run_detector` per grid point
-re-decodes the trace (ndarray → list) and re-slices it into
-``skipFactor`` groups once per configuration, even though that work is
-identical for every member with the same skip factor.  The bank
-amortizes it, and splits its members between the two whole-trace
-routes of :func:`repro.core.kernels.kernel_path`:
+trace.  The bank splits its members between the two whole-trace routes
+of :func:`repro.core.kernels.kernel_path`:
 
 - **vectorized** members (fresh and unobserved: windowed runtimes with
   standard components and the Threshold analyzer, NEWMA engines and
-  FOCuS engines) run through
+  FOCuS engines) run together through
   :func:`~repro.core.kernels.run_bank_batched`, which shares the
   trace's dense remap, every per-signature similarity or NEWMA
   distance series, and the FOCuS sign table and per-skip group values;
 - every other member (the Average analyzer, observed or custom
   members, Das Pearson and Lu DYNAMO, or all of them with
-  ``kernels=False``)
-  runs on the **lockstep lanes**: the trace is decoded exactly once,
-  members are grouped into lanes by skip factor, and each lane's group
-  chunking is built once per :data:`~repro.core.decision.SEGMENT_ELEMENTS`
-  segment and shared by all of its members, advanced on the fused loop
-  (custom components and non-window families take their ``step()``
-  loop through the same ``advance``).  A solo
-  :meth:`~repro.core.decision.DecisionEngine.run` is the one-member
-  case of the same two routes.
+  ``kernels=False``) runs alone through
+  :meth:`~repro.core.decision.DecisionEngine.run`, which emits its own
+  ``run_begin``/``run_end`` events.
 
-Every member is an independent engine (built by
-:func:`~repro.core.decision.build_engine`), so results (states, phases,
-similarity statistics, observability events) are bit-identical to
-running each configuration alone — pinned by the equivalence tests and
-by the sweep cache byte-equality test.
+A solo :meth:`~repro.core.decision.DecisionEngine.run` is the
+one-member case of the same two routes.  Every member is an
+independent engine (built by :func:`~repro.core.decision.build_engine`),
+so results (states, phases, similarity statistics, observability
+events) are bit-identical to running each configuration alone — pinned
+by the equivalence tests and by the sweep cache byte-equality test.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Dict, List, Optional, Sequence
-
-import numpy as np
+from typing import List, Optional, Sequence
 
 from repro.core.config import DetectorConfig
-from repro.core.decision import SEGMENT_ELEMENTS, DetectionResult, build_engine
+from repro.core.decision import DetectionResult, build_engine
 from repro.core.kernels import run_bank_batched
 from repro.profiles.trace import BranchTrace
 
@@ -62,7 +51,7 @@ def _maybe_span(tracer, name, parent, **attrs):
 
 
 class DetectorBank:
-    """N detector configurations advanced in lockstep over one trace.
+    """N detector configurations run over one trace.
 
     ``observers`` optionally gives one observability sink per member
     (positionally matched to ``configs``); each member's event stream is
@@ -110,20 +99,19 @@ class DetectorBank:
         advancer (:func:`repro.core.kernels.run_bank_batched`): one
         :class:`~repro.core.kernels.SharedTraceKernels` cache funnels
         every lane, so lanes sharing a window or NEWMA signature (or a
-        FOCuS skip) share the full series computation.  All other members advance in
-        lockstep lanes over one shared decode.
-        ``kernels=False`` sends every member to the lanes.
+        FOCuS skip) share the full series computation.  Every other
+        member runs its own :meth:`~repro.core.decision.DecisionEngine.run`.
+        ``kernels=False`` sends every member down that second route.
 
         Telemetry (both optional, zero-cost when ``None``):
 
         - ``tracer``/``trace_parent`` — a duck-typed span tracer (see
           :mod:`repro.obs.trace`); the run becomes a ``bank.run`` span
           under ``trace_parent`` with one ``bank.kernel`` child per
-          route actually taken (``path="vectorized"`` / ``"lanes"``,
+          route actually taken (``path="vectorized"`` / ``"legacy"``,
           with its ``members`` count).
         - ``metrics`` — a registry whose ``bank.advance_seconds``
-          histogram receives one observation per vectorized member and
-          per lane segment.
+          histogram receives one observation per member.
         """
         total = int(trace.array.size)
         with _maybe_span(
@@ -134,29 +122,14 @@ class DetectorBank:
             members=len(self.runtimes),
             elements=total,
         ) as bank_span:
-            return self._run(trace, kernels, total, tracer, bank_span, metrics)
+            return self._run(trace, kernels, tracer, bank_span, metrics)
 
-    def _run(self, trace, kernels, total, tracer, bank_span, metrics):
-        data = trace.array
+    def _run(self, trace, kernels, tracer, bank_span, metrics):
         runtimes = self.runtimes
         histogram = (
             metrics.histogram("bank.advance_seconds") if metrics is not None else None
         )
-
-        for runtime in runtimes:
-            observer = runtime.observer
-            if observer is not None:
-                observer.emit(
-                    {
-                        "ev": "run_begin",
-                        "step": 0,
-                        "trace": trace.name,
-                        "elements": total,
-                        "config": runtime.config.describe(),
-                    }
-                )
-
-        states_by_member: List[Optional[np.ndarray]] = [None] * len(runtimes)
+        results: List[Optional[DetectionResult]] = [None] * len(runtimes)
         vector_members: List[int] = []
         legacy_members: List[int] = []
         for index, runtime in enumerate(runtimes):
@@ -175,73 +148,23 @@ class DetectorBank:
                     trace,
                     histogram=histogram,
                 )
-                for index, states in zip(vector_members, member_states):
-                    states_by_member[index] = states
+            total = int(trace.array.size)
+            for index, states in zip(vector_members, member_states):
+                runtime = runtimes[index]
+                results[index] = DetectionResult(
+                    states=states,
+                    detected_phases=runtime.finish(total),
+                    config=runtime.config,
+                )
 
         if legacy_members:
             with _maybe_span(
                 tracer, "bank.kernel", bank_span,
-                path="lanes", members=len(legacy_members),
+                path="legacy", members=len(legacy_members),
             ):
-                elements = data.tolist()  # the one decode the lanes share
-                buffers = {index: bytearray(total) for index in legacy_members}
-                lanes: Dict[int, List[int]] = {}
                 for index in legacy_members:
-                    lanes.setdefault(
-                        runtimes[index].config.skip_factor, []
-                    ).append(index)
-                for skip, members in lanes.items():
-                    segment = skip * max(1, SEGMENT_ELEMENTS // skip)
-                    base = 0
-                    while base < total:
-                        stop = min(base + segment, total)
-                        if skip == 1:
-                            # Skip-1 lanes share the flat element slice
-                            # directly — no per-element group lists.
-                            chunk = elements[base:stop]
-                            started = (
-                                time.perf_counter() if histogram is not None else 0.0
-                            )
-                            for index in members:
-                                runtimes[index].advance_flat(
-                                    chunk, buffers[index], base
-                                )
-                        else:
-                            groups = [
-                                elements[start : start + skip]
-                                for start in range(base, stop, skip)
-                            ]
-                            started = (
-                                time.perf_counter() if histogram is not None else 0.0
-                            )
-                            for index in members:
-                                runtimes[index].advance(groups, buffers[index], base)
-                        if histogram is not None:
-                            histogram.observe(time.perf_counter() - started)
-                        base = stop
-                for index in legacy_members:
-                    states_by_member[index] = np.frombuffer(
-                        bytes(buffers[index]), dtype=np.uint8
-                    ).astype(bool)
-
-        results: List[DetectionResult] = []
-        for index, runtime in enumerate(runtimes):
-            phases = runtime.finish(total)
-            observer = runtime.observer
-            if observer is not None:
-                observer.emit(
-                    {
-                        "ev": "run_end",
-                        "step": total,
-                        "phases": len(phases),
-                        "elements": total,
-                    }
-                )
-            results.append(
-                DetectionResult(
-                    states=states_by_member[index],
-                    detected_phases=phases,
-                    config=runtime.config,
-                )
-            )
+                    started = time.perf_counter() if histogram is not None else 0.0
+                    results[index] = runtimes[index].run(trace, kernels=kernels)
+                    if histogram is not None:
+                        histogram.observe(time.perf_counter() - started)
         return results

@@ -14,7 +14,7 @@ This module owns that reduction:
   implements: ``step()`` consumes one ``skipFactor`` group and returns
   a decision; the base class supplies the chunked ``advance()`` driver,
   the one whole-trace ``run()`` driver (reference loop, vectorized
-  kernels, or segments through ``_advance_groups``), phase statistics,
+  kernels, or one ``_advance_elements`` pass), phase statistics,
   and the versioned family checkpoint schema (v2), so a new family only
   writes its statistic update and its serializable state.
 - :class:`PhaseTracker` — the single home of phase bookkeeping.  It
@@ -38,6 +38,7 @@ Checkpoint schema versions (see ``docs/formats.md``):
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Optional, Sequence
@@ -59,11 +60,6 @@ CHECKPOINT_VERSION_FAMILY = 2
 
 #: The windowed grid's family name (the :class:`DetectorConfig` default).
 WINDOWED_FAMILY = "windowed"
-
-#: Elements per segment of the incremental whole-trace routes (solo
-#: :meth:`DecisionEngine.run` and the bank's lockstep lanes) — bounds the
-#: transient group-list memory without measurable sync overhead.
-SEGMENT_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -237,9 +233,9 @@ class DecisionEngine:
     - phase statistics — :meth:`_phase_stats_reset` on enter and
       :meth:`_phase_stats_update` per in-phase step feed the closed
       phase's ``mean_similarity``;
-    - :meth:`advance` / :meth:`advance_flat` — the chunked drivers the
-      bank and streaming fronts use, with the per-chunk
-      ``runtime.advance_seconds`` metrics histogram;
+    - :meth:`advance` — the one chunked driver (a flat element list,
+      grouped by ``skipFactor``) the streaming front uses, with the
+      per-chunk ``runtime.advance_seconds`` metrics histogram;
     - :meth:`run` — the one whole-trace driver, with ``run_begin`` /
       ``run_end`` observability events;
     - :meth:`checkpoint` / :meth:`restore` — the versioned family
@@ -247,8 +243,8 @@ class DecisionEngine:
       :meth:`_restore_engine_state` for its own serializable state.
 
     The windowed :class:`~repro.core.runtime.DetectorRuntime` overrides
-    the ``_advance_groups`` / ``_advance_elements`` hooks with its fused
-    loop and keeps its v1 checkpoint schema; it inherits :meth:`run`.
+    the ``_advance_elements`` hook with its fused loop and keeps its v1
+    checkpoint schema; it inherits :meth:`run`.
     """
 
     #: Registry name of this engine's family (see :mod:`repro.comparators`).
@@ -342,48 +338,25 @@ class DecisionEngine:
             self.state = PhaseState.TRANSITION
         return list(self.tracker.phases)
 
-    # -- chunked driving (the bank / streaming entry points) -------------------
+    # -- chunked driving (the streaming entry point) ---------------------------
 
     def advance(
-        self, groups: Sequence[Sequence[int]], states: bytearray, base: int
+        self, elements: Sequence[int], states: bytearray, base: int
     ) -> None:
-        """Advance over pre-chunked ``skipFactor`` groups.
+        """Advance over a flat chunk of profile elements.
 
-        ``states`` must already hold zero bytes for every element in
-        ``groups`` starting at offset ``base``; in-phase groups are
-        marked with ``\\x01``.
+        The chunk is cut into ``skipFactor`` groups from its first
+        element, one :meth:`step` (or fused-loop iteration) each.  A
+        chunk must therefore start on a group boundary, and only the
+        stream's last chunk may end on a partial group; then the result
+        does not depend on where the stream is cut.
+
+        ``states`` must already hold zero bytes for every element from
+        offset ``base``; in-phase groups are marked with ``\\x01``.
 
         When a ``metrics`` registry is attached the chunk's wall time
         lands in the ``runtime.advance_seconds`` histogram — one
         observation per chunk, nothing per element.
-        """
-        metrics = self.metrics
-        started = time.perf_counter() if metrics is not None else 0.0
-        self._advance_groups(groups, states, base)
-        if metrics is not None:
-            metrics.histogram("runtime.advance_seconds").observe(
-                time.perf_counter() - started
-            )
-
-    def _advance_groups(
-        self, groups: Sequence[Sequence[int]], states: bytearray, base: int
-    ) -> None:
-        offset = base
-        for group in groups:
-            decision = self.step(group)
-            group_len = len(group)
-            if decision.state.is_phase():
-                states[offset : offset + group_len] = b"\x01" * group_len
-            offset += group_len
-
-    def advance_flat(
-        self, elements: Sequence[int], states: bytearray, base: int
-    ) -> None:
-        """Advance over single-element groups (``skipFactor == 1``).
-
-        Semantically identical to :meth:`advance` with every element
-        wrapped in its own group, but takes the flat element list the
-        bank's skip-1 lanes share — no per-element group lists.
         """
         metrics = self.metrics
         started = time.perf_counter() if metrics is not None else 0.0
@@ -396,12 +369,22 @@ class DecisionEngine:
     def _advance_elements(
         self, elements: Sequence[int], states: bytearray, base: int
     ) -> None:
-        offset = base
-        for element in elements:
-            decision = self.step((element,))
-            if decision.state.is_phase():
-                states[offset] = 1
-            offset += 1
+        step = self.step
+        skip = self.config.skip_factor
+        if skip == 1:
+            # One-element tuples: slicing every group costs 15-20% here.
+            offset = base
+            for element in elements:
+                if step((element,)).state.is_phase():
+                    states[offset] = 1
+                offset += 1
+            return
+        for start in range(0, len(elements), skip):
+            group = elements[start : start + skip]
+            if step(group).state.is_phase():
+                group_len = len(group)
+                offset = base + start
+                states[offset : offset + group_len] = b"\x01" * group_len
 
     # -- whole-trace driving ---------------------------------------------------
 
@@ -420,10 +403,10 @@ class DecisionEngine:
         - an engine :meth:`kernel_path` routes to ``"vectorized"`` runs
           through :func:`~repro.core.kernels.run_bank_batched` as a
           bank of one (see ``docs/performance.md``);
-        - everything else (and ``kernels=False``) feeds
-          :data:`SEGMENT_ELEMENTS` segments of ``skipFactor`` groups to
-          :meth:`_advance_groups`: the fused loop when
-          :meth:`fused_capable` holds, :meth:`step` otherwise.
+        - everything else (and ``kernels=False``) hands the whole
+          decoded trace to one :meth:`_advance_elements` call: the
+          windowed runtime's fused loop at skip 1 with standard
+          components, :meth:`step` otherwise.
         """
         data = trace.array
         total = int(data.size)
@@ -455,14 +438,7 @@ class DecisionEngine:
             states = kernels_mod.run_bank_batched([self], trace)[0]
         else:
             buffer = bytearray(total)
-            elements = data.tolist()
-            segment = skip * max(1, SEGMENT_ELEMENTS // skip)
-            for base in range(0, total, segment):
-                groups = [
-                    elements[start : start + skip]
-                    for start in range(base, min(base + segment, total), skip)
-                ]
-                self._advance_groups(groups, buffer, base)
+            self._advance_elements(data.tolist(), buffer, 0)
             states = np.frombuffer(bytes(buffer), dtype=np.uint8).astype(bool)
         # For a fresh engine consumed == total; a restored one closes its
         # final phase at the absolute stream position instead.
@@ -548,9 +524,11 @@ class DecisionEngine:
             )
         config = DetectorConfig.from_dict(data["config"])  # type: ignore[arg-type]
         engine = cls(config, observer=observer, metrics=metrics)
-        engine._restore_engine_state(data["engine"])  # type: ignore[arg-type]
+        # Position and state first: a family's validation may check its
+        # own state against them.
         engine._consumed = int(data["consumed"])  # type: ignore[arg-type]
         engine.state = PhaseState(data["state"])
+        engine._restore_engine_state(data["engine"])  # type: ignore[arg-type]
         stats: Dict[str, object] = data["stats"]  # type: ignore[assignment]
         engine._phase_count = int(stats["count"])  # type: ignore[arg-type]
         engine._phase_total = float(stats["total"])  # type: ignore[arg-type]
@@ -564,6 +542,41 @@ class DecisionEngine:
             for p in data["phases"]  # type: ignore[union-attr]
         ]
         return engine
+
+
+def checkpoint_int(value: object, what: str) -> int:
+    """``value`` if it is an int (not a bool); else :class:`CheckpointError`."""
+    if type(value) is not int:
+        raise CheckpointError(f"{what}={value!r} is not an int")
+    return value
+
+
+def checkpoint_float(value: object, what: str) -> float:
+    """``value`` as a float if it is a finite number; else :class:`CheckpointError`."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise CheckpointError(f"{what}={value!r} is not a finite number")
+    return float(value)
+
+
+def checkpoint_bool(value: object, what: str) -> bool:
+    """``value`` if it is a bool; else :class:`CheckpointError`."""
+    if type(value) is not bool:
+        raise CheckpointError(f"{what}={value!r} is not a bool")
+    return value
+
+
+def checkpoint_window_buffer(engine: "DecisionEngine", value: object) -> List[int]:
+    """The pending elements of an engine that decides once per
+    ``cw_size``-element window: exactly ``consumed % cw_size`` ints."""
+    window = engine.config.cw_size
+    expected = engine.consumed % window
+    if not isinstance(value, list) or len(value) != expected:
+        raise CheckpointError(
+            f"{engine.family} checkpoint buffer must hold {expected} elements "
+            f"(consumed {engine.consumed} % cw_size {window}), got {value!r:.80}"
+        )
+    return [checkpoint_int(element, f"{engine.family} checkpoint buffer element")
+            for element in value]
 
 
 def validate_checkpoint(data: Dict[str, object]) -> None:

@@ -17,17 +17,17 @@ Whole-trace detection has exactly two routes (:func:`kernel_path`):
   bank of one);
 - ``"legacy"`` — everything else (the Average analyzer, observed or
   restored engines, custom components, Das Pearson and Lu DYNAMO,
-  ``kernels=False``) advances incrementally through ``_advance_groups``
-  — the lockstep lanes of a :class:`~repro.core.bank.DetectorBank`, or
-  segments of a solo :meth:`~repro.core.decision.DecisionEngine.run` —
-  which is the fused loop for standard-component windowed runtimes and
-  the ``step()`` loop for everything else.
+  ``kernels=False``) runs its own
+  :meth:`~repro.core.decision.DecisionEngine.run` (also as a
+  :class:`~repro.core.bank.DetectorBank` member), one
+  ``_advance_elements`` pass over the decoded trace: the fused loop
+  for standard-component windowed runtimes at skip 1, the ``step()``
+  loop for everything else.
 
 **Dense remapping** — :meth:`BranchTrace.dense_codes` maps the trace's
 packed int64 elements to contiguous small ints (``codes``) once per
 trace via one cached ``np.unique`` pass.  Every lane of a
-:class:`~repro.core.bank.DetectorBank` pass shares the same remap, the
-same way the bank's lockstep lanes share the trace decode.
+:class:`~repro.core.bank.DetectorBank` pass shares the same remap.
 
 **Vectorized whole-trace fast path** — :func:`run_bank_batched` computes
 similarity series with sliding-window array operations and derives
@@ -211,8 +211,8 @@ def kernel_path(engine, kernels: Optional[bool] = None) -> str:
     """Which route drives ``engine`` over a whole trace.
 
     Returns ``"vectorized"`` (:func:`run_bank_batched`) or ``"legacy"``
-    (``_advance_groups`` over bank lanes or solo-run segments: the fused
-    loop for standard-component windowed runtimes, the ``step()`` loop
+    (one ``_advance_elements`` pass per engine: the fused loop for
+    standard-component windowed runtimes at skip 1, the ``step()`` loop
     for the rest) — the single dispatch rule shared by every engine's solo
     ``run`` and the bank's member partition.  ``kernels=False`` forces
     ``"legacy"``; ``None`` and ``True`` both mean the default (kernels

@@ -25,18 +25,18 @@ share the runtime's state:
   custom components (extensions, metered models) go through, and it
   returns a :class:`StepOutcome` carrying the similarity value the
   decision actually used.
-- :meth:`DetectorRuntime.advance` — the optimized path: the former
-  engine loop, inlining the per-element window/count bookkeeping with
-  everything hot in local variables.  It operates directly on the
-  standard model's deques and count dicts and syncs all scalar state
-  back on exit, so the two paths interleave freely and a checkpoint
-  taken after either is identical.  Rare events (phase entry anchoring,
-  window flushes) are delegated to the same
-  :class:`~repro.core.windows.WindowPair` methods the reference path
-  uses.  :meth:`DetectorRuntime.advance_flat` is the same loop
-  specialized for ``skipFactor == 1`` lanes (each element its own
-  group), which lets the bank's lockstep lanes skip per-element group
-  lists entirely.
+- :meth:`DetectorRuntime.advance` — the optimized path for
+  ``skipFactor == 1``: the former engine loop, inlining the
+  per-element window/count bookkeeping with everything hot in local
+  variables.  It operates directly on the standard model's deques and
+  count dicts and syncs all scalar state back on exit, so the two paths
+  interleave freely and a checkpoint taken after either is identical.
+  Rare events (phase entry anchoring, window flushes) are delegated to
+  the same :class:`~repro.core.windows.WindowPair` methods the
+  reference path uses.  At ``skipFactor > 1`` (and with custom
+  components) :meth:`~repro.core.decision.DecisionEngine.advance` loops
+  :meth:`DetectorRuntime.step` instead (see ``docs/performance.md``
+  for what that costs).
 
 The runtime has no whole-trace driver of its own: it inherits
 :meth:`~repro.core.decision.DecisionEngine.run`, which loops
@@ -44,8 +44,8 @@ The runtime has no whole-trace driver of its own: it inherits
 ``record_similarity=True``, sends fresh, unobserved Threshold-analyzer
 runtimes through the vectorized kernels of :mod:`repro.core.kernels`
 (as a bank of one — bit-identical states, phases and checkpoints at a
-fraction of the cost), and feeds everything else to the fused loop
-through the same ``_advance_groups`` hook :meth:`advance` uses.
+fraction of the cost), and hands everything else to the same
+``_advance_elements`` hook :meth:`advance` uses, in one call.
 
 The runtime's state is serializable: :meth:`DetectorRuntime.checkpoint`
 returns a JSON-safe dict (the versioned **v1** windowed schema, see
@@ -161,12 +161,13 @@ class DetectorRuntime(DecisionEngine):
         return self.model.consumed
 
     def fused_capable(self) -> bool:
-        """True when :meth:`advance` may use the optimized inline path.
+        """True when the runtime has the exact standard components.
 
-        Requires the exact standard component classes: subclasses and
-        wrappers (metered models, extension analyzers) carry their own
-        state the inline loop cannot maintain, so they take the
-        reference path.
+        The optimized inline loop (at ``skipFactor == 1``),
+        checkpointing and the vectorized kernels all require them:
+        subclasses and wrappers (metered models, extension analyzers)
+        carry their own state none of those can maintain, so they take
+        the reference path.
         """
         return type(self.model) in (UnweightedSetModel, WeightedSetModel) and type(
             self.analyzer
@@ -248,30 +249,23 @@ class DetectorRuntime(DecisionEngine):
 
     # -- the optimized path ----------------------------------------------------
 
-    def _advance_groups(
-        self, groups: Sequence[Sequence[int]], states: bytearray, base: int
-    ) -> None:
-        """With the standard components this runs the optimized inline
-        loop; otherwise it loops :meth:`step`."""
-        if self.fused_capable():
-            self._advance_fused(groups, states, base)
-        else:
-            super()._advance_groups(groups, states, base)
-
     def _advance_elements(
         self, elements: Sequence[int], states: bytearray, base: int
     ) -> None:
-        if self.fused_capable():
-            self._advance_fused_single(elements, states, base)
+        """With the standard components at skip 1 this runs the
+        optimized inline loop; otherwise it loops :meth:`step`."""
+        if self.config.skip_factor == 1 and self.fused_capable():
+            self._advance_fused(elements, states, base)
         else:
             super()._advance_elements(elements, states, base)
 
     def _advance_fused(
-        self, groups: Sequence[Sequence[int]], states: bytearray, base: int
+        self, elements: Sequence[int], states: bytearray, base: int
     ) -> None:
-        """The optimized loop (the former engine, see module docstring).
+        """The optimized skip-1 loop (see module docstring).
 
-        Key techniques:
+        Bit-identical to looping :meth:`step` over one-element groups
+        (the chunk-invariance tests pin this).  Key techniques:
 
         - similarity aggregates are maintained incrementally: the
           unweighted model's distinct/shared counters always; the
@@ -285,270 +279,6 @@ class DetectorRuntime(DecisionEngine):
         - everything hot is a local variable, synced back to the model
           and analyzer objects on exit (and around the rare transition
           calls into :class:`~repro.core.windows.WindowPair`).
-        """
-        config = self.config
-        model = self.model
-        analyzer = self.analyzer
-        tracker = self.tracker
-        observer = self._observer
-        emit = observer.emit if observer is not None else None
-
-        cw_cap = model.cw_capacity
-        tw_cap = model.tw_capacity
-        adaptive = self._adaptive
-        weighted = type(model) is WeightedSetModel
-        threshold_analyzer = type(analyzer) is ThresholdAnalyzer
-        threshold = analyzer.threshold if threshold_analyzer else 0.0
-        delta = 0.0 if threshold_analyzer else analyzer.delta
-        enter_threshold = 0.0 if threshold_analyzer else analyzer.enter_threshold
-        anchor_policy = config.anchor
-        resize_policy = config.resize
-
-        cw = model._cw
-        tw = model._tw
-        cw_counts = model.cw_counts
-        tw_counts = model.tw_counts
-        consumed = model.consumed
-        filled = model.filled
-        growing = model.growing
-        in_phase = self.state is PhaseState.PHASE
-
-        stats = analyzer.stats
-        stat_total = stats.total
-        stat_count = stats.count
-        stat_min = stats.minimum
-        stat_max = stats.maximum
-
-        # Unweighted aggregates (always maintained; they are cheap).
-        distinct_cw = len(cw_counts)
-        shared = 0
-        for element in cw_counts:
-            if element in tw_counts:
-                shared += 1
-        # Weighted aggregate; valid only when s_dirty is False.
-        s_num = 0
-        s_dirty = True
-
-        cw_append = cw.append
-        cw_popleft = cw.popleft
-        tw_append = tw.append
-        tw_popleft = tw.popleft
-        cw_counts_get = cw_counts.get
-        tw_counts_get = tw_counts.get
-
-        offset = base
-        for group in groups:
-            group_len = len(group)
-
-            # The incremental weighted numerator is exact only while both
-            # windows sit at their steady-state lengths for the whole group.
-            steady_w = (
-                weighted
-                and not s_dirty
-                and filled
-                and not growing
-                and len(cw) == cw_cap
-                and len(tw) == tw_cap
-            )
-            if weighted and not steady_w:
-                s_dirty = True
-
-            # ---- push the group through the windows --------------------------
-            for element in group:
-                consumed += 1
-                # CW add
-                cw_append(element)
-                count = cw_counts_get(element, 0) + 1
-                cw_counts[element] = count
-                if count == 1:
-                    distinct_cw += 1
-                    if element in tw_counts:
-                        shared += 1
-                if steady_w:
-                    tw_count = tw_counts_get(element, 0)
-                    if tw_count:
-                        s_num += min(count * tw_cap, tw_count * cw_cap) - min(
-                            (count - 1) * tw_cap, tw_count * cw_cap
-                        )
-                if len(cw) > cw_cap:
-                    # CW evict -> TW add
-                    old = cw_popleft()
-                    old_count = cw_counts[old] - 1
-                    if old_count:
-                        cw_counts[old] = old_count
-                    else:
-                        del cw_counts[old]
-                        distinct_cw -= 1
-                        if old in tw_counts:
-                            shared -= 1
-                    old_tw = tw_counts_get(old, 0)
-                    if steady_w and old_tw:
-                        s_num += min(old_count * tw_cap, old_tw * cw_cap) - min(
-                            (old_count + 1) * tw_cap, old_tw * cw_cap
-                        )
-                    tw_append(old)
-                    tw_counts[old] = old_tw + 1
-                    if old_tw == 0 and old_count:
-                        shared += 1
-                    if steady_w and old_count:
-                        s_num += min(old_count * tw_cap, (old_tw + 1) * cw_cap) - min(
-                            old_count * tw_cap, old_tw * cw_cap
-                        )
-                    if not growing and len(tw) > tw_cap:
-                        dead = tw_popleft()
-                        dead_count = tw_counts[dead] - 1
-                        if dead_count:
-                            tw_counts[dead] = dead_count
-                        else:
-                            del tw_counts[dead]
-                            if dead in cw_counts:
-                                shared -= 1
-                        if steady_w:
-                            dead_cw = cw_counts_get(dead, 0)
-                            if dead_cw:
-                                s_num += min(
-                                    dead_cw * tw_cap, dead_count * cw_cap
-                                ) - min(dead_cw * tw_cap, (dead_count + 1) * cw_cap)
-
-            if not filled and len(tw) >= tw_cap and len(cw) >= cw_cap:
-                filled = True
-
-            # ---- similarity + analyzer ---------------------------------------
-            if not filled:
-                new_in_phase = False
-                similarity = 0.0
-            else:
-                if weighted:
-                    cw_len = len(cw)
-                    tw_len = len(tw)
-                    if s_dirty:
-                        s_num = 0
-                        for element, count in cw_counts.items():
-                            tw_count = tw_counts_get(element)
-                            if tw_count is not None:
-                                s_num += min(count * tw_len, tw_count * cw_len)
-                        if cw_len == cw_cap and tw_len == tw_cap:
-                            s_dirty = False
-                    similarity = s_num / (cw_len * tw_len) if cw_len and tw_len else 0.0
-                else:
-                    similarity = shared / distinct_cw if distinct_cw else 0.0
-                if threshold_analyzer:
-                    new_in_phase = similarity >= threshold
-                elif in_phase and stat_count:
-                    new_in_phase = similarity >= (stat_total / stat_count) - delta
-                else:
-                    new_in_phase = similarity >= enter_threshold
-                if emit is not None:
-                    emit(
-                        {
-                            "ev": "similarity",
-                            "step": consumed,
-                            "value": similarity,
-                            "cw": len(cw),
-                            "tw": len(tw),
-                        }
-                    )
-                    if threshold_analyzer:
-                        bar = threshold
-                    elif in_phase and stat_count:
-                        bar = (stat_total / stat_count) - delta
-                    else:
-                        bar = enter_threshold
-                    emit(
-                        {
-                            "ev": "decision",
-                            "step": consumed,
-                            "state": "P" if new_in_phase else "T",
-                            "value": similarity,
-                            "bar": bar,
-                        }
-                    )
-
-            # ---- state transitions (Figure 3) --------------------------------
-            if not in_phase and new_in_phase:
-                # Start phase: sync the model and delegate anchoring (and
-                # the Adaptive resize + tw_resize event) to the windows.
-                model.consumed = consumed
-                model.filled = filled
-                model.growing = growing
-                if not weighted:
-                    model._distinct_cw = distinct_cw
-                    model._shared = shared
-                anchor_abs = model.anchor_and_resize(
-                    anchor_policy, resize_policy, adaptive
-                )
-                growing = model.growing
-                distinct_cw = len(cw_counts)
-                shared = 0
-                for element in cw_counts:
-                    if element in tw_counts:
-                        shared += 1
-                s_dirty = True
-                analyzer.reset_stats(similarity)
-                stat_total = stats.total
-                stat_count = stats.count
-                stat_min = stats.minimum
-                stat_max = stats.maximum
-                tracker.enter(consumed, consumed - group_len, anchor_abs)
-            elif in_phase and not new_in_phase:
-                # End phase: record it, then flush windows and reseed the CW.
-                phase_mean = stat_total / stat_count if stat_count else 0.0
-                tracker.exit(consumed, consumed - group_len, phase_mean)
-                model.consumed = consumed
-                if not weighted:
-                    model._distinct_cw = distinct_cw
-                    model._shared = shared
-                model.clear_and_seed(list(group))
-                analyzer.clear()
-                filled = False
-                growing = False
-                distinct_cw = len(cw_counts)
-                shared = 0
-                s_num = 0
-                s_dirty = True
-                stat_total = stats.total
-                stat_count = stats.count
-                stat_min = stats.minimum
-                stat_max = stats.maximum
-            elif in_phase:
-                stat_total += similarity
-                stat_count += 1
-                if similarity < stat_min:
-                    stat_min = similarity
-                if similarity > stat_max:
-                    stat_max = similarity
-
-            if new_in_phase:
-                states[offset : offset + group_len] = b"\x01" * group_len
-
-            in_phase = new_in_phase
-            offset += group_len
-
-        # ---- sync everything back so the paths interleave freely -------------
-        model.consumed = consumed
-        model.filled = filled
-        model.growing = growing
-        if not weighted:
-            model._distinct_cw = distinct_cw
-            model._shared = shared
-        stats.total = stat_total
-        stats.count = stat_count
-        stats.minimum = stat_min
-        stats.maximum = stat_max
-        self.state = PhaseState.PHASE if in_phase else PhaseState.TRANSITION
-
-    def _advance_fused_single(
-        self, elements: Sequence[int], states: bytearray, base: int
-    ) -> None:
-        """:meth:`_advance_fused` specialized for ``skipFactor == 1``.
-
-        Bit-identical to the group loop with every element wrapped in
-        its own singleton group (the single-element equivalence test
-        pins this), but iterates the flat element list the bank's
-        skip-1 lanes share — no group lists, no inner loop, and
-        single-byte state stores.  Same arithmetic in the same order,
-        so states, similarity floats, events, and checkpoints are
-        unchanged.
         """
         config = self.config
         model = self.model
@@ -600,6 +330,8 @@ class DetectorRuntime(DecisionEngine):
 
         offset = base
         for element in elements:
+            # The incremental weighted numerator is exact only while both
+            # windows sit at their steady-state lengths.
             steady_w = (
                 weighted
                 and not s_dirty

@@ -95,17 +95,19 @@ class StreamingDetector:
         if isinstance(chunk, np.ndarray):
             chunk = chunk.tolist()
         self._buffer.extend(chunk)
-        skip = self.config.skip_factor
+        # The engine's skip: a family builder may normalize the config's.
+        skip = self.runtime.config.skip_factor
         whole = (len(self._buffer) // skip) * skip
         if whole:
-            groups = [self._buffer[start : start + skip] for start in range(0, whole, skip)]
+            head = self._buffer[:whole]
             del self._buffer[:whole]
-            self._advance(groups, whole)
+            self._advance(head)
 
-    def _advance(self, groups: List[List[int]], length: int) -> None:
+    def _advance(self, elements: List[int]) -> None:
         base = self._position
+        length = len(elements)
         self._states.extend(bytes(length))
-        self.runtime.advance(groups, self._states, base)
+        self.runtime.advance(elements, self._states, base)
         self._position += length
         if self._on_boundary is not None:
             # Every element of a group shares its step's state, so the
@@ -113,7 +115,7 @@ class StreamingDetector:
             # the boundary positions (position *before* the group).
             states = self._states
             in_phase = self._in_phase
-            for start in range(base, self._position, len(groups[0])):
+            for start in range(base, self._position, self.runtime.config.skip_factor):
                 group_in_phase = states[start] != 0
                 if group_in_phase and not in_phase:
                     self._on_boundary("start", start)
@@ -127,9 +129,9 @@ class StreamingDetector:
     def finish(self) -> DetectionResult:
         """Flush any partial step and return the full result."""
         if self._buffer:
-            tail = list(self._buffer)
-            self._buffer.clear()
-            self._advance([tail], len(tail))
+            tail = self._buffer
+            self._buffer = []
+            self._advance(tail)
         phases: List[DetectedPhase] = self.runtime.finish(self._position)
         if self._in_phase and self._on_boundary is not None:
             self._on_boundary("end", self._position)

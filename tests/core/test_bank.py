@@ -1,4 +1,4 @@
-"""DetectorBank tests: lockstep members == solo runs, events and all."""
+"""DetectorBank tests: bank members == solo runs, events and all."""
 
 import numpy as np
 import pytest
@@ -29,7 +29,7 @@ def trace():
 
 
 def grid_configs():
-    """A mixed grid: models x analyzers x trailing, across 3 skip lanes."""
+    """A mixed grid: models x analyzers x trailing, across 3 skip factors."""
     configs = []
     skips = (1, 5, 12)
     index = 0

@@ -12,8 +12,10 @@ schema; cross-version handling is pinned here too.
 import json
 from dataclasses import replace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from repro.comparators import engine_family, family_names
 from repro.core.config import DetectorConfig
@@ -147,22 +149,54 @@ def test_run_result_shape_and_events(name, ragged):
     assert "similarity" in kinds and "decision" in kinds
 
 
-@pytest.mark.parametrize("name", ALL_FAMILIES)
-def test_advance_flat_matches_groups(name):
-    """The bank's flat skip-1 lane is bit-identical to grouped advance."""
-    elements = phased_trace().array.tolist()
-    config = replace(family_config(name), skip_factor=1)
-    if name == "dhodapkar_smith":
-        # Its builder forces skip = cw; the flat lane never applies.
-        pytest.skip("dhodapkar_smith normalizes to skip = cw")
-    grouped = build_engine(config)
-    flat = build_engine(config)
-    states_grouped = bytearray(len(elements))
-    states_flat = bytearray(len(elements))
-    grouped.advance([[element] for element in elements], states_grouped, 0)
-    flat.advance_flat(elements, states_flat, 0)
-    assert bytes(states_grouped) == bytes(states_flat)
-    assert grouped.finish(len(elements)) == flat.finish(len(elements))
+CHUNK_INVARIANCE_CASES = [
+    pytest.param(name, skip, id=f"{name}-{'skip1' if skip == 1 else 'ragged'}")
+    for name in ALL_FAMILIES
+    for skip in (1, 3)
+    # dhodapkar_smith's builder forces skip = cw, so it has no skip-1 case.
+    if not (name == "dhodapkar_smith" and skip == 1)
+]
+
+
+@pytest.mark.parametrize("name,skip", CHUNK_INVARIANCE_CASES)
+@settings(max_examples=30, deadline=None)
+@given(
+    blocks=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(1, 40), st.integers(0, 3)),
+        min_size=1,
+        max_size=12,
+    ),
+    cw=st.integers(min_value=2, max_value=20),
+    cuts=st.lists(st.integers(min_value=0, max_value=200), max_size=6),
+)
+def test_advance_is_chunk_invariant(name, skip, blocks, cw, cuts):
+    """``advance`` over any group-aligned cuts of a stream (only the
+    last chunk may end on a partial group) equals one reference
+    ``run(fused=False)``: states, phases, and the final checkpoint."""
+    elements = []
+    for body, repeats, base in blocks:
+        elements += [base * 7 + i for i in range(body)] * repeats
+    config = replace(
+        engine_family(name).default_config(), cw_size=cw, skip_factor=skip
+    )
+    reference = build_engine(config)
+    skip = reference.config.skip_factor
+    if skip > 1 and len(elements) % skip == 0:
+        elements.append(99)  # the ragged last group
+    expected = reference.run(BranchTrace(elements), fused=False)
+
+    chunked = build_engine(config)
+    states = bytearray(len(elements))
+    bounds = sorted({min(cut * skip, len(elements)) for cut in cuts})
+    start = 0
+    for stop in bounds + [len(elements)]:
+        chunked.advance(elements[start:stop], states, start)
+        start = stop
+    phases = chunked.finish(len(elements))
+
+    assert np.array_equal(np.frombuffer(bytes(states), dtype=bool), expected.states)
+    assert phases == expected.detected_phases
+    assert json.dumps(chunked.checkpoint()) == json.dumps(reference.checkpoint())
 
 
 @pytest.mark.parametrize("name", V2_FAMILIES)
@@ -171,7 +205,7 @@ def test_family_checkpoint_roundtrip_bit_identical(name):
     config = family_config(name)
     straight = build_engine(config)
     states_a = bytearray(len(elements))
-    straight.advance_flat(elements, states_a, 0)
+    straight.advance(elements, states_a, 0)
     phases_a = straight.finish(len(elements))
 
     parked = build_engine(config)
@@ -179,7 +213,7 @@ def test_family_checkpoint_roundtrip_bit_identical(name):
     base = 0
     while base < len(elements):
         stop = min(base + 500, len(elements))
-        parked.advance_flat(elements[base:stop], states_b, base)
+        parked.advance(elements[base:stop], states_b, base)
         blob = json.dumps(parked.checkpoint(), separators=(",", ":"))
         data = json.loads(blob)
         assert data["version"] == CHECKPOINT_VERSION_FAMILY
@@ -203,7 +237,7 @@ def test_family_event_stream_unbroken_by_park(name):
     config = family_config(name)
     sink_a = MemorySink()
     straight = build_engine(config, observer=sink_a)
-    straight.advance_flat(elements, bytearray(len(elements)), 0)
+    straight.advance(elements, bytearray(len(elements)), 0)
     straight.finish(len(elements))
 
     sink_b = MemorySink()
@@ -212,7 +246,7 @@ def test_family_event_stream_unbroken_by_park(name):
     base = 0
     while base < len(elements):
         stop = min(base + 777, len(elements))
-        parked.advance_flat(elements[base:stop], states, base)
+        parked.advance(elements[base:stop], states, base)
         parked = restore_engine(
             json.loads(json.dumps(parked.checkpoint())), observer=sink_b
         )
@@ -224,7 +258,7 @@ def test_family_event_stream_unbroken_by_park(name):
 def test_restore_rejects_wrong_family():
     config = family_config("focus")
     engine = build_engine(config)
-    engine.advance_flat([1, 2, 3, 4], bytearray(4), 0)
+    engine.advance([1, 2, 3, 4], bytearray(4), 0)
     data = engine.checkpoint()
     with pytest.raises(CheckpointError, match="family"):
         engine_family("newma").restore(data)
@@ -232,7 +266,7 @@ def test_restore_rejects_wrong_family():
 
 def test_windowed_runtime_rejects_family_checkpoints():
     engine = build_engine(family_config("newma"))
-    engine.advance_flat([1, 2, 3, 4], bytearray(4), 0)
+    engine.advance([1, 2, 3, 4], bytearray(4), 0)
     data = engine.checkpoint()
     with pytest.raises(CheckpointError, match="windowed checkpoints"):
         DetectorRuntime.restore(data)
@@ -240,13 +274,13 @@ def test_windowed_runtime_rejects_family_checkpoints():
 
 def test_restore_engine_handles_both_versions():
     windowed = build_engine(DetectorConfig(cw_size=8))
-    windowed.advance_flat(list(range(40)), bytearray(40), 0)
+    windowed.advance(list(range(40)), bytearray(40), 0)
     v1 = windowed.checkpoint()
     assert v1["version"] == CHECKPOINT_VERSION
     assert isinstance(restore_engine(v1), DetectorRuntime)
 
     focus = build_engine(family_config("focus"))
-    focus.advance_flat(list(range(40)), bytearray(40), 0)
+    focus.advance(list(range(40)), bytearray(40), 0)
     v2 = focus.checkpoint()
     restored = restore_engine(v2)
     assert restored.family == "focus"

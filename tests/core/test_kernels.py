@@ -124,11 +124,10 @@ class TestEquivalence:
         restored_kernel = DetectorRuntime.restore(kernel_cp)
         restored_legacy = DetectorRuntime.restore(legacy_cp)
         extra = (trace.array[:400] % 9).tolist()
-        groups = [extra[i : i + 8] for i in range(0, len(extra), 8)]
         kernel_states = bytearray(len(extra))
         legacy_states = bytearray(len(extra))
-        restored_kernel.advance(groups, kernel_states, 0)
-        restored_legacy.advance(groups, legacy_states, 0)
+        restored_kernel.advance(extra, kernel_states, 0)
+        restored_legacy.advance(extra, legacy_states, 0)
         assert bytes(kernel_states) == bytes(legacy_states)
         assert json.dumps(restored_kernel.checkpoint(), sort_keys=True) == (
             json.dumps(restored_legacy.checkpoint(), sort_keys=True)
@@ -174,7 +173,7 @@ class TestEligibility:
     def test_consumed_runtime_ineligible(self, trace):
         runtime = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
         states = bytearray(10)
-        runtime.advance([trace.array[:10].tolist()], states, 0)
+        runtime.advance(trace.array[:10].tolist(), states, 0)
         assert not vectorized_eligible(runtime)
         assert runtime.kernel_path() == "legacy"
 
@@ -185,7 +184,7 @@ class TestEligibility:
         with pytest.raises(ValueError):
             run_bank_batched([runtime], trace)
         consumed = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
-        consumed.advance([trace.array[:5].tolist()], bytearray(5), 0)
+        consumed.advance(trace.array[:5].tolist(), bytearray(5), 0)
         with pytest.raises(ValueError):
             run_bank_batched([consumed], trace)
         # A mixed batch is rejected before any lane runs.
@@ -248,7 +247,7 @@ class TestBank:
             assert ours.detected_phases == solo.detected_phases
 
     def test_observed_bank_matches_kernel_bank(self, trace):
-        """Observers force every bank member onto the lockstep lanes."""
+        """Observers force every bank member onto the legacy route."""
         configs = self.grid()[:4]
         sink = MemorySink()
         observed = DetectorBank(configs, observers=[sink] * len(configs)).run(trace)
@@ -258,10 +257,10 @@ class TestBank:
             assert ours.detected_phases == theirs.detected_phases
 
     def test_mixed_bank_sends_average_members_to_lanes(self, trace):
-        """Average members run on the lockstep lanes, Threshold members
-        on the batched vectorized route — by ``kernel_path()`` and by
-        the ``bank.kernel`` spans' member counts — and every member
-        still matches its reference ``step()`` run."""
+        """Average members run solo on the legacy route, Threshold
+        members on the batched vectorized route — by ``kernel_path()``
+        and by the ``bank.kernel`` spans' member counts — and every
+        member still matches its reference ``step()`` run."""
         configs = self.grid()
         average = [c.analyzer is AnalyzerKind.AVERAGE for c in configs]
         bank = DetectorBank(configs)
@@ -275,7 +274,7 @@ class TestBank:
             if span.name == "bank.kernel"
         }
         assert kernel_spans == {
-            "lanes": sum(average),
+            "legacy": sum(average),
             "vectorized": len(configs) - sum(average),
         }
         for config, result in zip(configs, results):
@@ -304,7 +303,7 @@ class TestNewmaRoute:
     def test_observed_restored_consumed_and_flagged_newma_are_legacy(self, trace):
         observed = build_engine(newma(), observer=MemorySink())
         consumed = build_engine(newma())
-        consumed.advance_flat(trace.array[:100].tolist(), bytearray(100), 0)
+        consumed.advance(trace.array[:100].tolist(), bytearray(100), 0)
         restored = restore_engine(consumed.checkpoint())
         for engine in (observed, consumed, restored):
             assert not vectorized_eligible(engine)
@@ -385,7 +384,7 @@ class TestFocusRoute:
     def test_observed_restored_consumed_and_flagged_focus_are_legacy(self, trace):
         observed = build_engine(focus(), observer=MemorySink())
         consumed = build_engine(focus())
-        consumed.advance_flat(trace.array[:100].tolist(), bytearray(100), 0)
+        consumed.advance(trace.array[:100].tolist(), bytearray(100), 0)
         restored = restore_engine(consumed.checkpoint())
         for engine in (observed, consumed, restored):
             assert not vectorized_eligible(engine)

@@ -166,10 +166,8 @@ class TestPathInterleaving:
 
         mixed = DetectorRuntime(config)
         head_states = drive_steps(mixed, trace, 0, cut)
-        elements = trace.array.tolist()
         tail = bytearray(total - cut)
-        groups = [elements[s : s + skip] for s in range(cut, total, skip)]
-        mixed.advance(groups, tail, 0)
+        mixed.advance(trace.array[cut:].tolist(), tail, 0)
         phases = mixed.finish(total)
 
         states = np.array(head_states + [b != 0 for b in tail], dtype=bool)
@@ -277,10 +275,8 @@ class TestCheckpointRestore:
         head = DetectorRuntime(config)
         drive_steps(head, trace, 0, cut)
         resumed = DetectorRuntime.restore(head.checkpoint())
-        elements = trace.array.tolist()
         tail = bytearray(total - cut)
-        groups = [elements[s : s + skip] for s in range(cut, total, skip)]
-        resumed.advance(groups, tail, 0)
+        resumed.advance(trace.array[cut:].tolist(), tail, 0)
         phases = resumed.finish(total)
         assert phases == full.detected_phases
         assert np.array_equal(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig, TrailingPolicy
+from repro.core.decision import build_engine
 from repro.core.detector import PhaseDetector
 from repro.core.stream import StreamingDetector, detect_stream
 from repro.profiles.io import write_trace_binary
@@ -49,6 +50,20 @@ class TestStreamingDetector:
         one_shot = PhaseDetector(cfg).run(trace)
         streaming = StreamingDetector(cfg)
         streaming.feed(trace.array)
+        result = streaming.finish()
+        assert np.array_equal(result.states, one_shot.states)
+        assert result.detected_phases == one_shot.detected_phases
+
+    def test_groups_by_the_engines_skip(self, trace):
+        """dhodapkar_smith's builder turns skip 1 into skip = cw; the
+        stream must cut its feed on the engine's groups, not the
+        config's."""
+        cfg = DetectorConfig(family="dhodapkar_smith", cw_size=50)
+        one_shot = build_engine(cfg).run(trace)
+        streaming = StreamingDetector(cfg)
+        data = trace.array
+        for start in range(0, len(trace), 37):
+            streaming.feed(data[start : start + 37])
         result = streaming.finish()
         assert np.array_equal(result.states, one_shot.states)
         assert result.detected_phases == one_shot.detected_phases

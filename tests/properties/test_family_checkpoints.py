@@ -6,7 +6,8 @@ boundary must produce exactly the states, phases, and final checkpoint
 bytes of an engine that ran uninterrupted — for any trace and any
 chunking, not just the hand-picked ones in the unit tests.  The other
 side of the contract: a FOCuS checkpoint holding a state ``step()``
-could never reach is rejected at restore time with ``CheckpointError``.
+could never reach is rejected at restore time with ``CheckpointError``,
+and so are Das Pearson and Lu DYNAMO checkpoints.
 """
 
 import json
@@ -50,7 +51,7 @@ def roundtrip(engine):
 def test_park_at_every_chunk_boundary_is_bit_identical(trace, config, chunk):
     straight = build_engine(config)
     states_a = bytearray(len(trace))
-    straight.advance_flat(trace, states_a, 0)
+    straight.advance(trace, states_a, 0)
     phases_a = straight.finish(len(trace))
 
     parked = build_engine(config)
@@ -58,7 +59,7 @@ def test_park_at_every_chunk_boundary_is_bit_identical(trace, config, chunk):
     base = 0
     while base < len(trace):
         stop = min(base + chunk, len(trace))
-        parked.advance_flat(trace[base:stop], states_b, base)
+        parked.advance(trace[base:stop], states_b, base)
         parked, _ = roundtrip(parked)
         base = stop
     phases_b = parked.finish(len(trace))
@@ -77,15 +78,15 @@ def test_checkpoint_is_a_fixed_point(trace, config, cut):
     """restore(checkpoint(e)).checkpoint() == checkpoint(e), bytewise."""
     engine = build_engine(config)
     stop = round(cut * len(trace))
-    engine.advance_flat(trace[:stop], bytearray(stop), 0)
+    engine.advance(trace[:stop], bytearray(stop), 0)
     restored, blob = roundtrip(engine)
     assert json.dumps(restored.checkpoint(), separators=(",", ":")) == blob
     # And the parked engine's future equals the original's.
     tail = trace[stop:]
     states_a = bytearray(len(tail))
     states_b = bytearray(len(tail))
-    engine.advance_flat(tail, states_a, 0)
-    restored.advance_flat(tail, states_b, 0)
+    engine.advance(tail, states_a, 0)
+    restored.advance(tail, states_b, 0)
     assert bytes(states_a) == bytes(states_b)
     assert engine.finish(len(trace)) == restored.finish(len(trace))
 
@@ -98,7 +99,7 @@ FOCUS_STREAM = [0, 1, 2, 3] * 20 + [5, 9, 5, 9] * 15
 def focus_checkpoint(length):
     """A real FOCuS checkpoint after ``length`` elements (warm-up 8)."""
     engine = build_engine(DetectorConfig(family="focus", cw_size=8))
-    engine.advance_flat(FOCUS_STREAM[:length], bytearray(length), 0)
+    engine.advance(FOCUS_STREAM[:length], bytearray(length), 0)
     return json.loads(json.dumps(engine.checkpoint()))
 
 
@@ -157,6 +158,118 @@ def _late_hull_vertex(engine):
 )
 def test_malformed_focus_checkpoint_is_rejected(length, edit, match):
     data = focus_checkpoint(length)
+    edit(data["engine"])
+    with pytest.raises(CheckpointError, match=match):
+        restore_engine(data)
+
+
+# -- malformed Das Pearson / Lu DYNAMO checkpoints fail at restore time --------
+
+#: One repeated body: Das Pearson (cw 8) and Lu DYNAMO (cw 4) are both
+#: in phase well before the end, with a partial window pending.
+WINDOW_STREAM = [0, 1, 2, 3] * 10 + [0, 1, 2]
+WINDOW_CONFIGS = {
+    "das_pearson": DetectorConfig(family="das_pearson", cw_size=8),
+    "lu_dynamo": DetectorConfig(family="lu_dynamo", cw_size=4),
+}
+
+
+def window_checkpoint(family, length=len(WINDOW_STREAM)):
+    engine = build_engine(WINDOW_CONFIGS[family])
+    engine.advance(WINDOW_STREAM[:length], bytearray(length), 0)
+    return json.loads(json.dumps(engine.checkpoint()))
+
+
+@pytest.mark.parametrize("family", sorted(WINDOW_CONFIGS))
+def test_real_window_checkpoints_restore(family):
+    for length in range(len(WINDOW_STREAM) + 1):
+        data = window_checkpoint(family, length)
+        assert restore_engine(data).checkpoint() == data
+    assert data["state"] == "P"
+
+
+def _repeat_first_target_entry(engine):
+    engine["target"].append(list(engine["target"][0]))
+
+
+@pytest.mark.parametrize(
+    "family, edit, match",
+    [
+        # each of these used to be accepted
+        pytest.param(
+            "das_pearson", lambda e: e["buffer"].extend([0] * 8), "buffer",
+            id="das-long-buffer",
+        ),
+        pytest.param(
+            "das_pearson", lambda e: e["target"][0].__setitem__(1, 0), "positive",
+            id="das-zero-count",
+        ),
+        pytest.param(
+            "das_pearson", lambda e: e["target"][0].__setitem__(1, -2), "positive",
+            id="das-negative-count",
+        ),
+        pytest.param(
+            "das_pearson", _repeat_first_target_entry, "repeats",
+            id="das-duplicate-count",
+        ),
+        pytest.param(
+            "das_pearson", lambda e: e.update(in_phase="no"), "in_phase",
+            id="das-string-in-phase",
+        ),
+        # this one used to raise a bare TypeError
+        pytest.param(
+            "das_pearson", lambda e: e.update(buffer=5), "buffer", id="das-scalar-buffer"
+        ),
+        # and the rest of the invariants
+        pytest.param(
+            "das_pearson", lambda e: e["target"][0].__setitem__(1, 3), "sum",
+            id="das-target-sum",
+        ),
+        pytest.param(
+            "das_pearson", lambda e: e.update(target=None), "no target",
+            id="das-lost-target",
+        ),
+        pytest.param(
+            "das_pearson", lambda e: e.update(in_phase=False), "contradicts",
+            id="das-flag-vs-state",
+        ),
+        pytest.param(
+            "lu_dynamo", lambda e: e["buffer"].extend([0] * 4), "buffer",
+            id="lu-long-buffer",
+        ),
+        pytest.param(
+            "lu_dynamo", lambda e: e.update(in_phase="no"), "in_phase",
+            id="lu-string-in-phase",
+        ),
+        pytest.param(
+            "lu_dynamo", lambda e: e["averages"].__setitem__(0, float("nan")),
+            "finite", id="lu-nan-average",
+        ),
+        pytest.param(
+            "lu_dynamo", lambda e: e["averages"].__setitem__(0, float("inf")),
+            "finite", id="lu-infinite-average",
+        ),
+        pytest.param(
+            "lu_dynamo", lambda e: e["averages"].append(1.0), "averages",
+            id="lu-long-history",
+        ),
+        pytest.param(
+            "lu_dynamo", lambda e: e.update(streak=-1), "streak", id="lu-negative-streak"
+        ),
+        pytest.param(
+            "lu_dynamo", lambda e: e.update(buffer=5), "buffer", id="lu-scalar-buffer"
+        ),
+        pytest.param(
+            "lu_dynamo", lambda e: e.update(streak=2), "streak", id="lu-spent-streak"
+        ),
+        pytest.param(
+            "lu_dynamo", lambda e: e.update(averages=e["averages"][:3]), "only 3",
+            id="lu-short-history",
+        ),
+    ],
+)
+def test_malformed_window_checkpoint_is_rejected(family, edit, match):
+    data = window_checkpoint(family)
     edit(data["engine"])
     with pytest.raises(CheckpointError, match=match):
         restore_engine(data)

@@ -6,8 +6,8 @@ Average configs — is pinned to the reference ``step()`` loop
 (``fused=False``) across the full configuration space: states, phases,
 checkpoints, and checkpoint-restore-then-continue interleavings,
 including checkpoints taken mid-episode (inside an open phase, Adaptive
-TW still growing).  The batched bank advancer and the lockstep lanes
-are pinned to per-lane fused runs.
+TW still growing).  The batched bank advancer and the bank's solo
+legacy members are pinned to per-lane fused runs.
 """
 
 import json
@@ -97,12 +97,10 @@ def test_kernel_checkpoints_restore_and_continue(trace, extra, config):
     kernel, kernel_rt, legacy, legacy_rt = run_both(BranchTrace(trace), config)
     restored_kernel = DetectorRuntime.restore(kernel_rt.checkpoint())
     restored_legacy = DetectorRuntime.restore(legacy_rt.checkpoint())
-    skip = config.skip_factor
-    groups = [extra[i : i + skip] for i in range(0, len(extra), skip)]
     kernel_states = bytearray(len(extra))
     legacy_states = bytearray(len(extra))
-    restored_kernel.advance(groups, kernel_states, 0)
-    restored_legacy.advance(groups, legacy_states, 0)
+    restored_kernel.advance(extra, kernel_states, 0)
+    restored_legacy.advance(extra, legacy_states, 0)
     assert bytes(kernel_states) == bytes(legacy_states)
     assert json.dumps(restored_kernel.checkpoint(), sort_keys=True) == (
         json.dumps(restored_legacy.checkpoint(), sort_keys=True)
@@ -133,12 +131,10 @@ def test_restore_and_continue_mid_episode(body, lead, tail_repeats, extra, confi
     assert_identical(kernel, kernel_rt, legacy, legacy_rt)
     restored_kernel = DetectorRuntime.restore(kernel_rt.checkpoint())
     restored_legacy = DetectorRuntime.restore(legacy_rt.checkpoint())
-    skip = config.skip_factor
-    groups = [extra[i : i + skip] for i in range(0, len(extra), skip)]
     kernel_states = bytearray(len(extra))
     legacy_states = bytearray(len(extra))
-    restored_kernel.advance(groups, kernel_states, 0)
-    restored_legacy.advance(groups, legacy_states, 0)
+    restored_kernel.advance(extra, kernel_states, 0)
+    restored_legacy.advance(extra, legacy_states, 0)
     assert bytes(kernel_states) == bytes(legacy_states)
     assert json.dumps(restored_kernel.checkpoint(), sort_keys=True) == (
         json.dumps(restored_legacy.checkpoint(), sort_keys=True)
@@ -152,7 +148,7 @@ def test_restore_and_continue_mid_episode(body, lead, tail_repeats, extra, confi
 )
 def test_batched_bank_matches_sequential_legacy(trace, bank_configs):
     """The batched bank advancer (shared per-signature series) is a pure
-    cache and the lockstep lanes share only the decode: states, phases,
+    cache and the legacy members run solo: states, phases,
     and checkpoints of every member are identical to per-lane fused runs
     — for any mix of constant/adaptive, unweighted/weighted,
     threshold/average lanes and any geometry overlap between lanes

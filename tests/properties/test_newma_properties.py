@@ -109,24 +109,17 @@ def test_checkpoint_after_route_restores_and_continues(trace, extra, config):
     """Park the engine right after the route (no ``finish``), restore
     it, and keep streaming: states and the final checkpoint equal an
     engine that stepped through the same groups uninterrupted."""
-    skip = config.skip_factor
     routed = build_engine(config)
     states = run_bank_batched([routed], BranchTrace(trace))[0]
     restored = restore_engine(json.loads(checkpoint_bytes(routed)))
     tail = bytearray(len(extra))
-    restored.advance(
-        [extra[i : i + skip] for i in range(0, len(extra), skip)], tail, 0
-    )
+    restored.advance(extra, tail, 0)
 
     uninterrupted = build_engine(config)
     head = bytearray(len(trace))
-    uninterrupted.advance(
-        [trace[i : i + skip] for i in range(0, len(trace), skip)], head, 0
-    )
+    uninterrupted.advance(trace, head, 0)
     assert np.array_equal(states, np.frombuffer(bytes(head), dtype=bool))
     rest = bytearray(len(extra))
-    uninterrupted.advance(
-        [extra[i : i + skip] for i in range(0, len(extra), skip)], rest, 0
-    )
+    uninterrupted.advance(extra, rest, 0)
     assert bytes(tail) == bytes(rest)
     assert checkpoint_bytes(restored) == checkpoint_bytes(uninterrupted)
