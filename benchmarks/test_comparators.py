@@ -3,13 +3,16 @@
 Scores the three extant detectors against the framework's best
 skip-1 instantiations on every benchmark at one mid-range MPL,
 reproducing the paper's qualitative related-work claims as a table.
+Lu et al. and Das et al. are scored on their retroactive per-window
+colouring (``PerWindowEngine.window_states``).
 """
 
 from conftest import publish
 
 from repro.baseline.oracle import solve_baseline
-from repro.comparators import run_das_pearson, run_dhodapkar_smith, run_lu_dynamo
+from repro.comparators import run_dhodapkar_smith
 from repro.core.config import DetectorConfig, TrailingPolicy
+from repro.core.decision import build_engine
 from repro.core.engine import run_detector
 from repro.experiments.aggregate import mean
 from repro.experiments.report import nominal_label, render_table
@@ -31,14 +34,16 @@ def test_related_work_comparison(benchmark, sweep, profile, results_dir):
         def scored(states):
             return score_states(states, oracle_states).score
 
+        def window_states(family):
+            config = DetectorConfig(cw_size=window, family=family)
+            return build_engine(config).window_states(branch_trace)[0]
+
         scores = {
             "Dhodapkar-Smith": scored(
                 run_dhodapkar_smith(branch_trace, window_size=window).states
             ),
-            "Lu et al.": scored(run_lu_dynamo(branch_trace, window_size=window).states),
-            "Das et al.": scored(
-                run_das_pearson(branch_trace, window_size=window).states
-            ),
+            "Lu et al.": scored(window_states("lu_dynamo")),
+            "Das et al.": scored(window_states("das_pearson")),
             "Constant TW": scored(
                 run_detector(
                     branch_trace, DetectorConfig(cw_size=cw, threshold=0.6)

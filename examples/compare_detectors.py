@@ -21,7 +21,8 @@ import sys
 
 from repro import DetectorConfig, TrailingPolicy, run_detector
 from repro.baseline import solve_baseline
-from repro.comparators import run_das_pearson, run_dhodapkar_smith, run_lu_dynamo
+from repro.comparators import run_dhodapkar_smith
+from repro.core.decision import build_engine
 from repro.experiments.report import render_table
 from repro.scoring import score_states
 from repro.workloads import load_suite
@@ -40,6 +41,11 @@ def main() -> None:
         def score_of(states):
             return round(score_states(states, oracle_states).score, 3)
 
+        def window_states(family):
+            # Each window coloured by its own verdict (no one-window lag).
+            config = DetectorConfig(cw_size=window, family=family)
+            return build_engine(config).window_states(branch_trace)[0]
+
         constant = run_detector(
             branch_trace, DetectorConfig(cw_size=cw, threshold=0.6)
         )
@@ -53,8 +59,8 @@ def main() -> None:
                 score_of(run_dhodapkar_smith(branch_trace, window_size=window).states),
                 score_of(constant.states),
                 score_of(adaptive.states),
-                score_of(run_lu_dynamo(branch_trace, window_size=window).states),
-                score_of(run_das_pearson(branch_trace, window_size=window).states),
+                score_of(window_states("lu_dynamo")),
+                score_of(window_states("das_pearson")),
             )
         )
 

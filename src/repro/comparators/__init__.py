@@ -17,6 +17,11 @@ for comparison against the framework's instantiations:
 - :mod:`repro.comparators.newma` — NEWMA, the dual-forgetting-factor
   EWMA distance over hashed feature sketches.
 
+Lu et al. and Das et al. decide once per window: their engines share
+:class:`~repro.core.decision.PerWindowEngine`, whose ``window_states``
+gives the retroactive per-window colouring the related-work table
+scores.
+
 The **family registry** is the one code path from a family name (the
 ``family`` field of :class:`~repro.core.config.DetectorConfig` and of
 version-2 checkpoints) to a live :class:`~repro.core.decision.DecisionEngine`:
@@ -48,18 +53,12 @@ from repro.comparators.dhodapkar_smith import (
 from repro.comparators.lu_dynamo import (
     LU_SIGMA,
     LU_WINDOW,
-    LuDynamoDetector,
     LuDynamoEngine,
-    run_lu_dynamo,
 )
 from repro.comparators.das_pearson import (
     DAS_THRESHOLD,
     DAS_WINDOW,
-    DasLocalDetector,
-    DasPearsonDetector,
     DasPearsonEngine,
-    run_das_local,
-    run_das_pearson,
 )
 from repro.comparators.focus import FOCUS_STAT_THRESHOLD, FocusEngine
 from repro.comparators.newma import NEWMA_STAT_THRESHOLD, NewmaEngine
@@ -68,14 +67,8 @@ __all__ = [
     "DHODAPKAR_SMITH_WINDOW",
     "dhodapkar_smith_config",
     "run_dhodapkar_smith",
-    "LuDynamoDetector",
     "LuDynamoEngine",
-    "run_lu_dynamo",
-    "DasLocalDetector",
-    "DasPearsonDetector",
     "DasPearsonEngine",
-    "run_das_local",
-    "run_das_pearson",
     "FocusEngine",
     "FOCUS_STAT_THRESHOLD",
     "NewmaEngine",
@@ -203,7 +196,7 @@ _register(
     FamilySpec(
         name="das_pearson",
         summary="Das et al. (CGO 2006) Pearson correlation against the "
-        "phase's target window (online projection).",
+        "phase's target window, judged once per window.",
         statistic="Pearson r; HIGH = stable, "
         f"bar defaults to {DAS_THRESHOLD}",
         build=lambda config, observer=None, metrics=None: DasPearsonEngine(
@@ -218,8 +211,8 @@ _register(
 _register(
     FamilySpec(
         name="lu_dynamo",
-        summary="Lu et al. (JILP 2004) average-site interval test "
-        "(online projection).",
+        summary="Lu et al. (JILP 2004) average-site interval test, "
+        "judged once per window.",
         statistic="deviation in stddev units; low = stable, "
         f"bar defaults to {LU_SIGMA}",
         build=lambda config, observer=None, metrics=None: LuDynamoEngine(

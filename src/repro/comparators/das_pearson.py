@@ -6,28 +6,16 @@ correlation, against a fixed threshold.  We implement the global
 variant: the target is the element-frequency vector of the window that
 started the current phase; each subsequent window's frequency vector is
 correlated against it.  A window with correlation below the threshold
-ends the phase (and the next window becomes a new target candidate).
+ends the phase and becomes the new target.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.core.decision import (
-    CheckpointError,
-    DecisionEngine,
-    PhaseDecision,
-    checkpoint_bool,
-    checkpoint_int,
-    checkpoint_window_buffer,
-)
-from repro.core.state import PhaseState
-from repro.profiles.trace import BranchTrace
+from repro.core.decision import CheckpointError, PerWindowEngine, checkpoint_int
 
 #: Default sample-window size and similarity threshold.
 DAS_WINDOW = 4_096
@@ -63,135 +51,15 @@ def pearson_correlation(left: Dict[int, int], right: Dict[int, int]) -> float:
     return cov / math.sqrt(var_l * var_r)
 
 
-@dataclass
-class DasPearsonResult:
-    """Per-element states plus per-window correlations (for inspection)."""
+class DasPearsonEngine(PerWindowEngine):
+    """The global Das et al. detector as a :class:`PerWindowEngine`.
 
-    states: np.ndarray
-    correlations: List[float]
-
-
-class DasPearsonDetector:
-    """Streaming implementation of the Das et al. detector."""
-
-    def __init__(
-        self, window_size: int = DAS_WINDOW, threshold: float = DAS_THRESHOLD
-    ) -> None:
-        if window_size <= 0:
-            raise ValueError("window_size must be positive")
-        if not -1.0 <= threshold <= 1.0:
-            raise ValueError("threshold must be in [-1, 1]")
-        self.window_size = window_size
-        self.threshold = threshold
-        self._target: Optional[Dict[int, int]] = None
-
-    def process_window(self, counts: Dict[int, int]) -> float:
-        """Feed one window's frequency vector; returns its correlation.
-
-        The first window after a phase break becomes the new target and
-        scores 0 (transition).
-        """
-        if self._target is None:
-            self._target = dict(counts)
-            return 0.0
-        correlation = pearson_correlation(counts, self._target)
-        if correlation < self.threshold:
-            self._target = dict(counts)
-        return correlation
-
-    def run(self, trace: BranchTrace) -> DasPearsonResult:
-        """Run over a whole trace; one state per element."""
-        data = trace.array
-        total = int(data.size)
-        states = np.zeros(total, dtype=bool)
-        correlations: List[float] = []
-        for start in range(0, total, self.window_size):
-            window = data[start : start + self.window_size]
-            counts = Counter(window.tolist())
-            correlation = self.process_window(counts)
-            correlations.append(correlation)
-            if correlation >= self.threshold:
-                states[start : start + window.size] = True
-        return DasPearsonResult(states=states, correlations=correlations)
-
-
-def run_das_pearson(
-    trace: BranchTrace,
-    window_size: int = DAS_WINDOW,
-    threshold: float = DAS_THRESHOLD,
-) -> DasPearsonResult:
-    """Convenience one-shot run of the Das et al. detector."""
-    return DasPearsonDetector(window_size, threshold).run(trace)
-
-
-class DasLocalDetector:
-    """The *local* variant Das et al. actually advocate: one detector
-    per program region.
-
-    Their CGO 2006 paper argues for monitoring events per region rather
-    than globally, so a phase change confined to one region is not
-    drowned out by stable behavior elsewhere.  We take a region to be a
-    method (the natural unit our profile elements encode): the trace is
-    demultiplexed by method id, each region runs its own
-    :class:`DasPearsonDetector` (with the window scaled down by the
-    region count so the total state is comparable), and an element is
-    in phase when its *own region's* detector says so.
-    """
-
-    def __init__(
-        self,
-        window_size: int = DAS_WINDOW,
-        threshold: float = DAS_THRESHOLD,
-        min_region_elements: int = 64,
-    ) -> None:
-        self.window_size = window_size
-        self.threshold = threshold
-        self.min_region_elements = min_region_elements
-
-    def run(self, trace: BranchTrace) -> DasPearsonResult:
-        """Run per-region detection; one state per merged element."""
-        from repro.profiles.element import METHOD_SHIFT
-
-        data = trace.array
-        total = int(data.size)
-        states = np.zeros(total, dtype=bool)
-        correlations: List[float] = []
-        if total == 0:
-            return DasPearsonResult(states=states, correlations=correlations)
-        regions = data >> np.int64(METHOD_SHIFT)
-        unique_regions = np.unique(regions)
-        window = max(16, self.window_size // max(1, len(unique_regions)))
-        for region in unique_regions.tolist():
-            positions = np.flatnonzero(regions == region)
-            if positions.size < self.min_region_elements:
-                continue  # too little data to monitor; stays transition
-            sub_trace = BranchTrace(data[positions], name=f"{trace.name}#m{region}")
-            result = DasPearsonDetector(window, self.threshold).run(sub_trace)
-            states[positions] = result.states
-            correlations.extend(result.correlations)
-        return DasPearsonResult(states=states, correlations=correlations)
-
-
-def run_das_local(
-    trace: BranchTrace,
-    window_size: int = DAS_WINDOW,
-    threshold: float = DAS_THRESHOLD,
-) -> DasPearsonResult:
-    """Convenience one-shot run of the Das et al. local-region variant."""
-    return DasLocalDetector(window_size, threshold).run(trace)
-
-
-class DasPearsonEngine(DecisionEngine):
-    """The global Das et al. detector as a :class:`DecisionEngine`.
-
-    An *online projection* of :class:`DasPearsonDetector`:
-    ``config.cw_size`` is the sample window, elements buffer until a
-    window fills, and each full window's Pearson correlation against
-    the phase target updates the in-phase flag.  Because the decision
-    protocol colors elements going forward, the per-element states lag
-    the batch formulation (:func:`run_das_pearson`, which colors each
-    window retroactively) by one window — the batch functions remain
-    the faithful reference implementation.
+    ``config.cw_size`` is the sample window.  The first window after a
+    phase break becomes the target and scores 0; every later window's
+    Pearson correlation against the target decides the in-phase flag,
+    and a window below the bar (clamped to 1) becomes the new target.
+    :meth:`~repro.core.decision.PerWindowEngine.window_states` colours
+    each window by its own verdict, the related-work table's view.
 
     Statistic semantics are the correlation's: **high** means stable
     (phase at ``statistic >= bar``), the reverse of the changepoint
@@ -204,66 +72,24 @@ class DasPearsonEngine(DecisionEngine):
         super().__init__(config, observer=observer, metrics=metrics)
         bar = config.stat_threshold
         self.stat_threshold = DAS_THRESHOLD if bar is None else bar
-        self._window = config.cw_size
-        self._detector = DasPearsonDetector(self._window, min(1.0, self.stat_threshold))
-        self._buffer: List[int] = []
-        self._in_phase = False
+        # A correlation never exceeds 1, so a higher bar still keeps a
+        # perfectly correlated window's target.
+        self._reset_bar = min(1.0, self.stat_threshold)
+        self._target: Optional[Dict[int, int]] = None
 
-    def step(self, elements) -> "PhaseDecision":
-        group_len = len(elements)
-        self._consumed += group_len
-        self._buffer.extend(elements)
-        statistic: Optional[float] = None
-        window = self._window
-        while len(self._buffer) >= window:
-            chunk = self._buffer[:window]
-            del self._buffer[:window]
-            correlation = self._detector.process_window(Counter(chunk))
-            statistic = correlation
-            self._in_phase = correlation >= self.stat_threshold
-            observer = self._observer
-            if observer is not None:
-                step = self._consumed
-                observer.emit(
-                    {
-                        "ev": "similarity",
-                        "step": step,
-                        "value": correlation,
-                        "cw": 0,
-                        "tw": 0,
-                    }
-                )
-                observer.emit(
-                    {
-                        "ev": "decision",
-                        "step": step,
-                        "state": "P" if self._in_phase else "T",
-                        "value": correlation,
-                        "bar": self.stat_threshold,
-                    }
-                )
-        entered = False
-        closed = None
-        if self._in_phase:
-            if not self.state.is_phase():
-                start = self._consumed - group_len
-                self.tracker.enter(self._consumed, start, start)
-                # The flag only flips at a window boundary, so a fresh
-                # correlation is always in hand on enter.
-                self._phase_stats_reset(statistic if statistic is not None else 0.0)
-                entered = True
-            elif statistic is not None:
-                self._phase_stats_update(statistic)
-            self.state = PhaseState.PHASE
+    def _judge(self, window: List[int]) -> Tuple[float, bool]:
+        counts = Counter(window)
+        if self._target is None:
+            self._target = dict(counts)
+            correlation = 0.0
         else:
-            if self.state.is_phase():
-                closed = self._close(self._consumed - group_len)
-                self._phase_stats_clear()
-            self.state = PhaseState.TRANSITION
-        return PhaseDecision(self.state, statistic, entered, closed)
+            correlation = pearson_correlation(counts, self._target)
+            if correlation < self._reset_bar:
+                self._target = dict(counts)
+        return correlation, correlation >= self.stat_threshold
 
     def _engine_state(self) -> Dict[str, object]:
-        target = self._detector._target
+        target = self._target
         return {
             "buffer": list(self._buffer),
             "in_phase": self._in_phase,
@@ -273,17 +99,7 @@ class DasPearsonEngine(DecisionEngine):
             "target": None if target is None else [[k, v] for k, v in target.items()],
         }
 
-    def _restore_engine_state(self, payload: Dict[str, object]) -> None:
-        """Restore, rejecting any state ``step()`` could never reach."""
-        buffer = checkpoint_window_buffer(self, payload["buffer"])
-        in_phase = checkpoint_bool(
-            payload["in_phase"], "das_pearson checkpoint in_phase"
-        )
-        if in_phase != self.state.is_phase():
-            raise CheckpointError(
-                f"das_pearson checkpoint in_phase={in_phase} contradicts "
-                f"state {self.state.value!r}"
-            )
+    def _restore_window_state(self, payload: Dict[str, object]) -> None:
         target = payload["target"]
         windows = self.consumed // self._window
         if target is None:
@@ -291,16 +107,13 @@ class DasPearsonEngine(DecisionEngine):
                 raise CheckpointError(
                     f"das_pearson checkpoint has no target after {windows} windows"
                 )
-            restored_target = None
+            self._target = None
         else:
             if not windows:
                 raise CheckpointError(
                     "das_pearson checkpoint has a target before its first window"
                 )
-            restored_target = _target_counts(target, self._window)
-        self._buffer = buffer
-        self._in_phase = in_phase
-        self._detector._target = restored_target
+            self._target = _target_counts(target, self._window)
 
 
 def _target_counts(pairs: object, window: int) -> Dict[int, int]:

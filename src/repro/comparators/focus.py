@@ -42,7 +42,6 @@ from repro.core.decision import (
     checkpoint_float,
     checkpoint_int,
 )
-from repro.core.state import PhaseState
 
 __all__ = ["FocusEngine", "FOCUS_STAT_THRESHOLD", "hash_sign"]
 
@@ -194,55 +193,21 @@ class FocusEngine(DecisionEngine):
         t_new = self._t + 1
         cum_new = self._cum + z
         statistic = self._statistic(t_new, cum_new)
-
-        observer = self._observer
-        if observer is not None:
-            step = self._consumed
-            observer.emit(
-                {
-                    "ev": "similarity",
-                    "step": step,
-                    "value": statistic,
-                    "cw": 0,
-                    "tw": 0,
-                }
-            )
-            observer.emit(
-                {
-                    "ev": "decision",
-                    "step": step,
-                    "state": "P" if statistic < self.stat_threshold else "T",
-                    "value": statistic,
-                    "bar": self.stat_threshold,
-                }
-            )
-
-        entered = False
-        closed = None
-        if statistic >= self.stat_threshold:
-            # Changepoint: close the phase at the step boundary, drop
-            # the old baseline, and re-estimate from here on — the
-            # current group is the new baseline's first observation.
-            if self.state.is_phase():
-                closed = self._close(self._consumed - group_len)
-                self._phase_stats_clear()
-            self.state = PhaseState.TRANSITION
-            self._reset_baseline()
-            self._warmup_observe(value)
-        else:
+        in_phase = statistic < self.stat_threshold
+        self._emit_decision(statistic, in_phase, self.stat_threshold)
+        if in_phase:
             self._t = t_new
             self._cum = cum_new
             self._push_hull(self._pos, t_new, cum_new, lower=True)
             self._push_hull(self._neg, t_new, cum_new, lower=False)
-            if not self.state.is_phase():
-                start = self._consumed - group_len
-                self.tracker.enter(self._consumed, start, start)
-                self._phase_stats_reset(statistic)
-                entered = True
-            else:
-                self._phase_stats_update(statistic)
-            self.state = PhaseState.PHASE
-        return PhaseDecision(self.state, statistic, entered, closed)
+        else:
+            # Changepoint: the phase (if open) closes at the step
+            # boundary; drop the old baseline and re-estimate from here
+            # on — the current group is the new baseline's first
+            # observation.
+            self._reset_baseline()
+            self._warmup_observe(value)
+        return self._settle(in_phase, statistic, group_len)
 
     # -- checkpointing ---------------------------------------------------------
 

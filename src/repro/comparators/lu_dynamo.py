@@ -10,30 +10,25 @@ We apply it to the branch trace by treating each profile element's
 *site* (method id + offset) as the sampled address — the same
 information their PC samples carry.  As the paper notes, this algorithm
 fits the framework too: the "model" computes window averages and the
-"analyzer" does the interval-bound test; we implement it standalone so
-its window bookkeeping stays faithful to the original description.
+"analyzer" does the interval-bound test; we implement it as its own
+engine so its window bookkeeping stays faithful to the original
+description.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.decision import (
     CheckpointError,
-    DecisionEngine,
-    PhaseDecision,
-    checkpoint_bool,
+    PerWindowEngine,
     checkpoint_float,
     checkpoint_int,
-    checkpoint_window_buffer,
 )
-from repro.core.state import PhaseState
-from repro.profiles.trace import BranchTrace
 
 #: Their sample-window size (4K samples).
 LU_WINDOW = 4_096
@@ -45,90 +40,16 @@ LU_SIGMA = 2.0
 LU_CONSECUTIVE = 2
 
 
-@dataclass
-class LuDynamoResult:
-    """Per-element states plus per-window averages (for inspection)."""
+class LuDynamoEngine(PerWindowEngine):
+    """The Lu et al. interval test as a :class:`PerWindowEngine`.
 
-    states: np.ndarray
-    window_averages: List[float]
-
-
-class LuDynamoDetector:
-    """Streaming implementation of the Lu et al. detector."""
-
-    def __init__(
-        self,
-        window_size: int = LU_WINDOW,
-        history: int = LU_HISTORY,
-        sigma: float = LU_SIGMA,
-        consecutive: int = LU_CONSECUTIVE,
-    ) -> None:
-        if window_size <= 0:
-            raise ValueError("window_size must be positive")
-        if history < 2:
-            raise ValueError("history must be at least 2")
-        self.window_size = window_size
-        self.history = history
-        self.sigma = sigma
-        self.consecutive = consecutive
-        self._averages: Deque[float] = deque(maxlen=history)
-        self._outside_streak = 0
-
-    def process_window(self, average: float) -> bool:
-        """Feed one window average; returns True if still in phase."""
-        if len(self._averages) < self.history:
-            self._averages.append(average)
-            return False  # warming up: treat as transition
-        mean = sum(self._averages) / len(self._averages)
-        variance = sum((a - mean) ** 2 for a in self._averages) / len(self._averages)
-        stddev = math.sqrt(variance)
-        # Degenerate history (identical averages): any change is "outside".
-        outside = abs(average - mean) > self.sigma * stddev if stddev else average != mean
-        if outside:
-            self._outside_streak += 1
-        else:
-            self._outside_streak = 0
-        if self._outside_streak >= self.consecutive:
-            # Phase ended: restart history from the new behavior.
-            self._averages.clear()
-            self._averages.append(average)
-            self._outside_streak = 0
-            return False
-        self._averages.append(average)
-        return True
-
-    def run(self, trace: BranchTrace) -> LuDynamoResult:
-        """Run over a whole trace; one state per element."""
-        data = trace.array
-        total = int(data.size)
-        # Strip the taken bit: the sampled "address" is the branch site.
-        sites = (data >> np.int64(1)).astype(np.float64)
-        states = np.zeros(total, dtype=bool)
-        averages: List[float] = []
-        for start in range(0, total, self.window_size):
-            window = sites[start : start + self.window_size]
-            average = float(window.mean())
-            averages.append(average)
-            in_phase = self.process_window(average)
-            if in_phase:
-                states[start : start + window.size] = True
-        return LuDynamoResult(states=states, window_averages=averages)
-
-
-def run_lu_dynamo(trace: BranchTrace, window_size: int = LU_WINDOW, **kwargs) -> LuDynamoResult:
-    """Convenience one-shot run of the Lu et al. detector."""
-    return LuDynamoDetector(window_size=window_size, **kwargs).run(trace)
-
-
-class LuDynamoEngine(DecisionEngine):
-    """The Lu et al. interval test as a :class:`DecisionEngine`.
-
-    An *online projection* of :class:`LuDynamoDetector`:
-    ``config.cw_size`` is the sample window, each full window's average
+    ``config.cw_size`` is the sample window.  Each window's average
     site address is tested against the mean ± sigma·stddev interval of
-    the previous ``LU_HISTORY`` windows, and the resulting in-phase
-    flag colors elements going forward (one-window lag versus the batch
-    :func:`run_lu_dynamo`, which colors each window retroactively).
+    the previous ``LU_HISTORY`` window averages; until the history is
+    full (at the start, and again after each phase break restarts it
+    from the breaking window) windows only fill it.
+    :meth:`~repro.core.decision.PerWindowEngine.window_states` colours
+    each window by its own verdict, the related-work table's view.
 
     The decision statistic is the deviation in stddev units, so **low**
     means stable; ``stat_threshold`` overrides the :data:`LU_SIGMA`
@@ -141,20 +62,17 @@ class LuDynamoEngine(DecisionEngine):
         super().__init__(config, observer=observer, metrics=metrics)
         bar = config.stat_threshold
         self.stat_threshold = LU_SIGMA if bar is None else bar
-        self._window = config.cw_size
-        self._buffer: List[int] = []
         self._averages: Deque[float] = deque(maxlen=LU_HISTORY)
         self._outside_streak = 0
-        self._in_phase = False
 
-    def _process_average(self, average: float) -> Optional[float]:
-        """The interval test of :meth:`LuDynamoDetector.process_window`,
-        returning the deviation statistic (None while history fills)."""
+    def _judge(self, window: List[int]) -> Tuple[Optional[float], bool]:
+        # Strip the taken bit: the sampled "address" is the branch site.
+        sites = np.asarray(window, dtype=np.int64) >> np.int64(1)
+        average = float(sites.astype(np.float64).mean())
         averages = self._averages
         if len(averages) < LU_HISTORY:
             averages.append(average)
-            self._in_phase = False
-            return None
+            return None, False  # warming up: treat as transition
         mean = sum(averages) / len(averages)
         variance = sum((a - mean) ** 2 for a in averages) / len(averages)
         stddev = math.sqrt(variance)
@@ -162,6 +80,7 @@ class LuDynamoEngine(DecisionEngine):
             deviation = abs(average - mean) / stddev
             outside = deviation > self.stat_threshold
         else:
+            # Degenerate history (identical averages): any change is "outside".
             outside = average != mean
             deviation = 0.0 if not outside else self.stat_threshold + 1.0
         if outside:
@@ -169,67 +88,13 @@ class LuDynamoEngine(DecisionEngine):
         else:
             self._outside_streak = 0
         if self._outside_streak >= LU_CONSECUTIVE:
+            # Phase ended: restart history from the new behavior.
             averages.clear()
             averages.append(average)
             self._outside_streak = 0
-            self._in_phase = False
-        else:
-            averages.append(average)
-            self._in_phase = True
-        return deviation
-
-    def step(self, elements) -> "PhaseDecision":
-        group_len = len(elements)
-        self._consumed += group_len
-        self._buffer.extend(elements)
-        statistic: Optional[float] = None
-        window = self._window
-        while len(self._buffer) >= window:
-            chunk = self._buffer[:window]
-            del self._buffer[:window]
-            sites = np.asarray(chunk, dtype=np.int64) >> np.int64(1)
-            average = float(sites.astype(np.float64).mean())
-            deviation = self._process_average(average)
-            if deviation is not None:
-                statistic = deviation
-                observer = self._observer
-                if observer is not None:
-                    step = self._consumed
-                    observer.emit(
-                        {
-                            "ev": "similarity",
-                            "step": step,
-                            "value": deviation,
-                            "cw": 0,
-                            "tw": 0,
-                        }
-                    )
-                    observer.emit(
-                        {
-                            "ev": "decision",
-                            "step": step,
-                            "state": "P" if self._in_phase else "T",
-                            "value": deviation,
-                            "bar": self.stat_threshold,
-                        }
-                    )
-        entered = False
-        closed = None
-        if self._in_phase:
-            if not self.state.is_phase():
-                start = self._consumed - group_len
-                self.tracker.enter(self._consumed, start, start)
-                self._phase_stats_reset(statistic if statistic is not None else 0.0)
-                entered = True
-            elif statistic is not None:
-                self._phase_stats_update(statistic)
-            self.state = PhaseState.PHASE
-        else:
-            if self.state.is_phase():
-                closed = self._close(self._consumed - group_len)
-                self._phase_stats_clear()
-            self.state = PhaseState.TRANSITION
-        return PhaseDecision(self.state, statistic, entered, closed)
+            return deviation, False
+        averages.append(average)
+        return deviation, True
 
     def _engine_state(self) -> Dict[str, object]:
         return {
@@ -239,17 +104,8 @@ class LuDynamoEngine(DecisionEngine):
             "in_phase": self._in_phase,
         }
 
-    def _restore_engine_state(self, payload: Dict[str, object]) -> None:
-        """Restore, rejecting any state ``step()`` could never reach."""
-        buffer = checkpoint_window_buffer(self, payload["buffer"])
-        in_phase = checkpoint_bool(
-            payload["in_phase"], "lu_dynamo checkpoint in_phase"
-        )
-        if in_phase != self.state.is_phase():
-            raise CheckpointError(
-                f"lu_dynamo checkpoint in_phase={in_phase} contradicts "
-                f"state {self.state.value!r}"
-            )
+    def _restore_window_state(self, payload: Dict[str, object]) -> None:
+        in_phase = self._in_phase
         averages = payload["averages"]
         if not isinstance(averages, list):
             raise CheckpointError(
@@ -283,7 +139,5 @@ class LuDynamoEngine(DecisionEngine):
                 f"lu_dynamo checkpoint is in phase with only "
                 f"{len(averages)} of {LU_HISTORY} averages"
             )
-        self._buffer = buffer
         self._averages = deque(averages, maxlen=LU_HISTORY)
         self._outside_streak = streak
-        self._in_phase = in_phase

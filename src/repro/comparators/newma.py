@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.core.config import DetectorConfig
 from repro.core.decision import DecisionEngine, PhaseDecision
-from repro.core.state import PhaseState
 
 __all__ = ["NewmaEngine", "NEWMA_STAT_THRESHOLD", "element_sketch"]
 
@@ -175,45 +174,8 @@ class NewmaEngine(DecisionEngine):
             self._stat_var = 0.0
             self._stat_seen = True
 
-        observer = self._observer
-        if observer is not None:
-            step = self._consumed
-            observer.emit(
-                {
-                    "ev": "similarity",
-                    "step": step,
-                    "value": distance,
-                    "cw": 0,
-                    "tw": 0,
-                }
-            )
-            observer.emit(
-                {
-                    "ev": "decision",
-                    "step": step,
-                    "state": "P" if in_phase else "T",
-                    "value": distance,
-                    "bar": bar,
-                }
-            )
-
-        entered = False
-        closed = None
-        if in_phase:
-            if not self.state.is_phase():
-                start = self._consumed - group_len
-                self.tracker.enter(self._consumed, start, start)
-                self._phase_stats_reset(distance)
-                entered = True
-            else:
-                self._phase_stats_update(distance)
-            self.state = PhaseState.PHASE
-        else:
-            if self.state.is_phase():
-                closed = self._close(self._consumed - group_len)
-                self._phase_stats_clear()
-            self.state = PhaseState.TRANSITION
-        return PhaseDecision(self.state, distance, entered, closed)
+        self._emit_decision(distance, in_phase, bar)
+        return self._settle(in_phase, distance, group_len)
 
     # -- checkpointing ---------------------------------------------------------
 

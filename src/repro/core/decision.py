@@ -17,6 +17,10 @@ This module owns that reduction:
   kernels, or one ``_advance_elements`` pass), phase statistics,
   and the versioned family checkpoint schema (v2), so a new family only
   writes its statistic update and its serializable state.
+- :class:`PerWindowEngine` — the base of the families that decide once
+  per ``cw_size``-element window (Das Pearson, Lu DYNAMO): it owns the
+  window buffer and its checkpoint checks, and adds the retroactive
+  :meth:`~PerWindowEngine.window_states` view.
 - :class:`PhaseTracker` — the single home of phase bookkeeping.  It
   consumes the engines' decisions (open on enter, close on exit) and
   emits the ``phase_enter``/``phase_exit`` observability events; no
@@ -41,7 +45,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Optional, Sequence
+from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -233,6 +237,10 @@ class DecisionEngine:
     - phase statistics — :meth:`_phase_stats_reset` on enter and
       :meth:`_phase_stats_update` per in-phase step feed the closed
       phase's ``mean_similarity``;
+    - the decision tail — :meth:`_emit_decision` emits a judged
+      statistic's ``similarity``/``decision`` events and
+      :meth:`_settle` turns a step's verdict into enter / continue /
+      exit, so a family's :meth:`step` ends in one call;
     - :meth:`advance` — the one chunked driver (a flat element list,
       grouped by ``skipFactor``) the streaming front uses, with the
       per-chunk ``runtime.advance_seconds`` metrics histogram;
@@ -337,6 +345,54 @@ class DecisionEngine:
             self._close(total_elements)
             self.state = PhaseState.TRANSITION
         return list(self.tracker.phases)
+
+    # -- the shared decision tail ----------------------------------------------
+
+    def _emit_decision(self, value: float, in_phase: bool, bar: float) -> None:
+        """Emit one judged statistic as ``similarity`` and ``decision`` events."""
+        observer = self._observer
+        if observer is None:
+            return
+        step = self._consumed
+        observer.emit(
+            {"ev": "similarity", "step": step, "value": value, "cw": 0, "tw": 0}
+        )
+        observer.emit(
+            {
+                "ev": "decision",
+                "step": step,
+                "state": "P" if in_phase else "T",
+                "value": value,
+                "bar": bar,
+            }
+        )
+
+    def _settle(
+        self, in_phase: bool, statistic: Optional[float], group_len: int
+    ) -> PhaseDecision:
+        """Apply one step's verdict: open, extend or close the phase.
+
+        A phase opens or closes at the first element of the step's
+        group; ``statistic`` (when the step produced one) feeds the
+        phase's mean.
+        """
+        entered = False
+        closed = None
+        if in_phase:
+            if not self.state.is_phase():
+                start = self._consumed - group_len
+                self.tracker.enter(self._consumed, start, start)
+                self._phase_stats_reset(0.0 if statistic is None else statistic)
+                entered = True
+            elif statistic is not None:
+                self._phase_stats_update(statistic)
+            self.state = PhaseState.PHASE
+        else:
+            if self.state.is_phase():
+                closed = self._close(self._consumed - group_len)
+                self._phase_stats_clear()
+            self.state = PhaseState.TRANSITION
+        return PhaseDecision(self.state, statistic, entered, closed)
 
     # -- chunked driving (the streaming entry point) ---------------------------
 
@@ -565,18 +621,103 @@ def checkpoint_bool(value: object, what: str) -> bool:
     return value
 
 
-def checkpoint_window_buffer(engine: "DecisionEngine", value: object) -> List[int]:
-    """The pending elements of an engine that decides once per
-    ``cw_size``-element window: exactly ``consumed % cw_size`` ints."""
-    window = engine.config.cw_size
-    expected = engine.consumed % window
-    if not isinstance(value, list) or len(value) != expected:
-        raise CheckpointError(
-            f"{engine.family} checkpoint buffer must hold {expected} elements "
-            f"(consumed {engine.consumed} % cw_size {window}), got {value!r:.80}"
-        )
-    return [checkpoint_int(element, f"{engine.family} checkpoint buffer element")
-            for element in value]
+class PerWindowEngine(DecisionEngine):
+    """An engine that decides once per ``cw_size``-element window.
+
+    Elements buffer until a window fills; each full window is judged by
+    the family's :meth:`_judge`, whose verdict sets the in-phase flag
+    that colours elements going forward.  A family supplies
+    :meth:`_judge`, its ``stat_threshold`` (the events' bar), its own
+    state, :meth:`_engine_state` and :meth:`_restore_window_state`; the
+    base owns the buffer, the flag, the window loop and the checks
+    every checkpoint's buffer and flag must pass.
+    """
+
+    #: The decision bar the ``decision`` events report.
+    stat_threshold: float
+
+    def __init__(self, config: DetectorConfig, observer=None, metrics=None) -> None:
+        super().__init__(config, observer=observer, metrics=metrics)
+        self._window = config.cw_size
+        self._buffer: List[int] = []
+        self._in_phase = False
+
+    def _judge(self, window: List[int]) -> Tuple[Optional[float], bool]:
+        """Judge one window: its statistic (``None`` while the family
+        warms up) and whether it is in phase."""
+        raise NotImplementedError
+
+    def step(self, elements: Sequence[int]) -> PhaseDecision:
+        group_len = len(elements)
+        self._consumed += group_len
+        buffer = self._buffer
+        buffer.extend(elements)
+        window = self._window
+        if len(buffer) < window:
+            # No window completed, so the flag and the state stand.
+            return PhaseDecision(self.state, None)
+        statistic: Optional[float] = None
+        while len(buffer) >= window:
+            chunk = buffer[:window]
+            del buffer[:window]
+            value, self._in_phase = self._judge(chunk)
+            if value is not None:
+                statistic = value
+                self._emit_decision(value, self._in_phase, self.stat_threshold)
+        return self._settle(self._in_phase, statistic, group_len)
+
+    def window_states(self, trace: BranchTrace) -> Tuple[np.ndarray, np.ndarray]:
+        """The retroactive per-window view of this configuration.
+
+        A fresh engine judges every window of ``trace``, the last,
+        partial one included, and each window is coloured by its own
+        verdict.  Returns the per-element states and one statistic per
+        window (NaN while the family warms up).  :meth:`step` colours
+        elements only after their window is judged, so its states lag
+        these by one window and never reflect the partial tail.
+        """
+        judge = type(self)(self.config)._judge
+        data = trace.array.tolist()
+        total = len(data)
+        window = self._window
+        states = np.zeros(total, dtype=bool)
+        statistics = np.full(-(-total // window), np.nan)
+        for index, start in enumerate(range(0, total, window)):
+            statistic, in_phase = judge(data[start : start + window])
+            if statistic is not None:
+                statistics[index] = statistic
+            if in_phase:
+                states[start : start + window] = True
+        return states, statistics
+
+    def _restore_window_state(self, payload: Dict[str, object]) -> None:
+        """Restore the family's own state (buffer and flag already set)."""
+        raise NotImplementedError
+
+    def _restore_engine_state(self, payload: Dict[str, object]) -> None:
+        """Restore, rejecting any state ``step()`` could never reach."""
+        family = self.family
+        value = payload["buffer"]
+        expected = self.consumed % self._window
+        if not isinstance(value, list) or len(value) != expected:
+            raise CheckpointError(
+                f"{family} checkpoint buffer must hold {expected} elements "
+                f"(consumed {self.consumed} % cw_size {self._window}), "
+                f"got {value!r:.80}"
+            )
+        buffer = [
+            checkpoint_int(element, f"{family} checkpoint buffer element")
+            for element in value
+        ]
+        in_phase = checkpoint_bool(payload["in_phase"], f"{family} checkpoint in_phase")
+        if in_phase != self.state.is_phase():
+            raise CheckpointError(
+                f"{family} checkpoint in_phase={in_phase} contradicts "
+                f"state {self.state.value!r}"
+            )
+        self._buffer = buffer
+        self._in_phase = in_phase
+        self._restore_window_state(payload)
 
 
 def validate_checkpoint(data: Dict[str, object]) -> None:

@@ -3,15 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.comparators import (
-    DasPearsonDetector,
-    LuDynamoDetector,
-    dhodapkar_smith_config,
-    run_das_pearson,
-    run_dhodapkar_smith,
-    run_lu_dynamo,
-)
+from repro.comparators import dhodapkar_smith_config, run_dhodapkar_smith
 from repro.comparators.das_pearson import pearson_correlation
+from repro.core.config import DetectorConfig
+from repro.core.decision import build_engine
 from repro.profiles.synthetic import SyntheticTraceBuilder, make_noise_trace
 from repro.profiles.trace import BranchTrace
 
@@ -42,14 +37,20 @@ class TestDhodapkarSmith:
             assert in_phase > 0.5, spec
 
 
+def window_states(trace, family, window, bar=None):
+    """The retroactive per-window colouring: (states, statistics)."""
+    config = DetectorConfig(cw_size=window, family=family, stat_threshold=bar)
+    return build_engine(config).window_states(trace)
+
+
 class TestLuDynamo:
     def test_stable_stream_stays_in_phase(self):
         builder = SyntheticTraceBuilder(seed=1)
         builder.add_phase(20_000, body_size=16)
         trace, _ = builder.build()
-        result = run_lu_dynamo(trace, window_size=512)
+        states, _ = window_states(trace, "lu_dynamo", 512)
         # After the 7-window warmup, everything is in phase.
-        warm = result.states[7 * 512 :]
+        warm = states[7 * 512 :]
         assert warm.mean() > 0.95
 
     def test_behavior_change_breaks_phase(self):
@@ -57,21 +58,20 @@ class TestLuDynamo:
         builder.add_phase(8_192, body_size=8)
         builder.add_phase(8_192, body_size=8)  # different pattern ids
         trace, _ = builder.build()
-        detector = LuDynamoDetector(window_size=512)
-        result = detector.run(trace)
-        boundary_region = result.states[8_192 - 512 : 8_192 + 2 * 512]
+        states, _ = window_states(trace, "lu_dynamo", 512)
+        boundary_region = states[8_192 - 512 : 8_192 + 2 * 512]
         assert not boundary_region.all()
 
     def test_window_averages_recorded(self):
         trace = make_noise_trace(length=2_048, seed=3)
-        result = run_lu_dynamo(trace, window_size=256)
-        assert len(result.window_averages) == 8
+        _, statistics = window_states(trace, "lu_dynamo", 256)
+        # One statistic per window; the 7 history windows have none.
+        assert len(statistics) == 8
+        assert np.isnan(statistics[:7]).all() and np.isfinite(statistics[7])
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            LuDynamoDetector(window_size=0)
-        with pytest.raises(ValueError):
-            LuDynamoDetector(history=1)
+            DetectorConfig(cw_size=0, family="lu_dynamo")
 
 
 class TestDasPearson:
@@ -98,72 +98,24 @@ class TestDasPearson:
         weights = [2 ** i for i in range(12)]
         elements = rng.choices(population, weights=weights, k=8_192)
         trace = BranchTrace(elements, name="skewed")
-        result = run_das_pearson(trace, window_size=512, threshold=0.8)
-        assert result.states[512:].mean() > 0.9
+        states, _ = window_states(trace, "das_pearson", 512, bar=0.8)
+        assert states[512:].mean() > 0.9
 
     def test_pattern_change_resets_target(self):
         builder = SyntheticTraceBuilder(seed=5)
         builder.add_phase(4_096, body_size=12)
         builder.add_phase(4_096, body_size=12)
         trace, _ = builder.build()
-        result = run_das_pearson(trace, window_size=512, threshold=0.8)
-        correlations = result.correlations
+        _, correlations = window_states(trace, "das_pearson", 512, bar=0.8)
         # Correlation dips at the pattern change (window index 8).
         assert min(correlations[7:10]) < 0.8
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            DasPearsonDetector(window_size=0)
-        with pytest.raises(ValueError):
-            DasPearsonDetector(threshold=2.0)
+            DetectorConfig(cw_size=0, family="das_pearson")
 
     def test_states_length(self):
         trace = make_noise_trace(length=1_000, seed=6)
-        result = run_das_pearson(trace, window_size=300)
-        assert result.states.shape == (1_000,)
-
-
-class TestDasLocal:
-    def test_per_region_detection(self):
-        """A phase confined to one method is found even while another
-        method's elements interleave as noise."""
-        import random
-        from repro.comparators import run_das_local
-        from repro.profiles.element import encode_element
-
-        rng = random.Random(11)
-        # Method 0: stable skewed distribution (a phase).
-        phase_pop = [encode_element(0, o, False) for o in range(8)]
-        phase_weights = [2 ** i for i in range(8)]
-        # Method 1: fresh offsets per draw (pure noise).
-        data = []
-        noise_offset = 0
-        for i in range(8_000):
-            if i % 2 == 0:
-                data.append(rng.choices(phase_pop, weights=phase_weights, k=1)[0])
-            else:
-                data.append(encode_element(1, noise_offset % 60_000, False))
-                noise_offset += 1
-        trace = BranchTrace(data, name="mixed")
-        result = run_das_local(trace, window_size=1_024, threshold=0.6)
-        method_ids = trace.array >> 17
-        phase_states = result.states[method_ids == 0]
-        noise_states = result.states[method_ids == 1]
-        # The stable region is mostly in phase after warm-up...
-        assert phase_states[1_000:].mean() > 0.8
-        # ...while the noisy region never is.
-        assert noise_states.mean() < 0.2
-
-    def test_small_regions_stay_transition(self):
-        from repro.comparators import DasLocalDetector
-        from repro.profiles.element import encode_element
-
-        data = [encode_element(0, 1, False)] * 10  # below min_region_elements
-        result = DasLocalDetector(min_region_elements=64).run(BranchTrace(data))
-        assert not result.states.any()
-
-    def test_empty_trace(self):
-        from repro.comparators import run_das_local
-
-        result = run_das_local(BranchTrace([]))
-        assert result.states.size == 0
+        states, correlations = window_states(trace, "das_pearson", 300)
+        assert states.shape == (1_000,)
+        assert correlations.shape == (4,)  # three full windows and the tail
