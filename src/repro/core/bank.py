@@ -5,16 +5,15 @@ trace.  The bank splits its members between the two whole-trace routes
 of :func:`repro.core.kernels.kernel_path`:
 
 - **vectorized** members (fresh and unobserved: windowed runtimes with
-  standard components and the Threshold analyzer, NEWMA engines and
-  FOCuS engines) run together through
+  standard components and either analyzer, NEWMA engines and FOCuS
+  engines) run together through
   :func:`~repro.core.kernels.run_bank_batched`, which shares the
   trace's dense remap, every per-signature similarity or NEWMA
   distance series, and the FOCuS sign table and per-skip group values;
-- every other member (the Average analyzer, observed or custom
-  members, Das Pearson and Lu DYNAMO, or all of them with
-  ``kernels=False``) runs alone through
-  :meth:`~repro.core.decision.DecisionEngine.run`, which emits its own
-  ``run_begin``/``run_end`` events.
+- every other member (observed, restored or custom members, Das
+  Pearson and Lu DYNAMO, or all of them with ``kernels=False``) runs
+  alone through :meth:`~repro.core.decision.DecisionEngine.run`, which
+  emits its own ``run_begin``/``run_end`` events.
 
 A solo :meth:`~repro.core.decision.DecisionEngine.run` is the
 one-member case of the same two routes.  Every member is an

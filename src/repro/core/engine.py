@@ -40,13 +40,13 @@ def run_detector(
     the only added cost is one ``is not None`` test per step.
 
     ``kernels=False`` forces the fused loop (the ``step()`` loop for
-    non-window families).  By default windowed Threshold-analyzer
-    configs — Constant *and* Adaptive trailing, unweighted *and*
-    weighted, any geometry — and NEWMA and FOCuS configs take the
-    vectorized whole-trace path when unobserved, as a bank of one;
-    everything else (the Average analyzer, observed runs, Das Pearson
-    and Lu DYNAMO) takes the
-    fused or ``step()`` loop, with bit-identical results either way
+    non-window families).  By default windowed configs — Threshold
+    *and* Average analyzers, Constant *and* Adaptive trailing,
+    unweighted *and* weighted, any geometry — and NEWMA and FOCuS
+    configs take the vectorized whole-trace path when unobserved, as a
+    bank of one; everything else (observed runs, Das Pearson and Lu
+    DYNAMO) takes the fused or ``step()`` loop, with bit-identical
+    results either way
     (see ``docs/performance.md`` for the eligibility matrix).
     """
     return build_engine(config, observer=observer).run(trace, kernels=kernels)

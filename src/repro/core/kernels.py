@@ -12,12 +12,12 @@ remapped* element IDs.
 Whole-trace detection has exactly two routes (:func:`kernel_path`):
 
 - ``"vectorized"`` — fresh, unobserved, standard-component runtimes
-  with the Threshold analyzer, and fresh, unobserved NEWMA and FOCuS
-  engines, run through :func:`run_bank_batched` (a solo ``run`` is a
-  bank of one);
-- ``"legacy"`` — everything else (the Average analyzer, observed or
-  restored engines, custom components, Das Pearson and Lu DYNAMO,
-  ``kernels=False``) runs its own
+  (Threshold or Average analyzer), and fresh, unobserved NEWMA and
+  FOCuS engines, run through :func:`run_bank_batched` (a solo ``run``
+  is a bank of one);
+- ``"legacy"`` — everything else (observed or restored engines, custom
+  components, Das Pearson and Lu DYNAMO, ``kernels=False``) runs its
+  own
   :meth:`~repro.core.decision.DecisionEngine.run` (also as a
   :class:`~repro.core.bank.DetectorBank` member), one
   ``_advance_elements`` pass over the decoded trace: the fused loop
@@ -32,8 +32,8 @@ trace via one cached ``np.unique`` pass.  Every lane of a
 **Vectorized whole-trace fast path** — :func:`run_bank_batched` computes
 similarity series with sliding-window array operations and derives
 states and phases in one pass.  It covers every standard-component
-configuration with the Threshold analyzer: Constant *and* Adaptive
-trailing windows, unweighted *and* weighted models, any window
+configuration: Threshold *and* Average analyzers, Constant *and*
+Adaptive trailing windows, unweighted *and* weighted models, any window
 geometry.  The key observations:
 
 - With a Constant TW, at any *filled* step the windows are pure
@@ -62,10 +62,17 @@ geometry.  The key observations:
   TW boundary and refill/slide regimes are pure functions of the entry
   step.  One episode walk (:func:`_walk_windowed`) therefore serves
   both trailing policies: a constant-series scan finds each entry and
-  the anchor; the exit is the next below-threshold step of the same
-  series for a Constant TW, and a segment-local vectorized in-phase
-  scan (``_scan_phase_unweighted`` / ``_scan_phase_weighted``) for an
+  the anchor; the in-phase similarities come from the same series for
+  a Constant TW, and from a segment-local vectorized scan
+  (``_scan_phase_unweighted`` / ``_scan_phase_weighted``) for an
   Adaptive one.
+- Neither analyzer feeds back into the windows, so only the decisions
+  differ between them.  Entries test the constant series against a
+  fixed bar (``threshold``, or the Average analyzer's
+  ``enter_threshold``); one blockwise exit scan (:func:`_scan_exit`)
+  tests the in-phase similarities against ``threshold`` or against the
+  Average analyzer's running in-phase mean minus ``delta``, carried
+  from block to block with the incremental loops' addition order.
 
 **Batched bank advancement** — :class:`SharedTraceKernels` caches
 prev-occurrence links, skip-group boundaries, and whole similarity
@@ -144,12 +151,10 @@ def vectorized_eligible(engine) -> bool:
     holds from a cold start):
 
     - a windowed runtime with the exact standard components (same rule
-      as :meth:`~repro.core.runtime.DetectorRuntime.fused_capable`) and
-      the Threshold analyzer.  Within that, every configuration
-      qualifies: Constant *and* Adaptive trailing windows, unweighted
-      *and* weighted models, any window geometry.  The Average analyzer
-      — whose decision bar tracks in-phase statistics step by step —
-      stays on the fused loop;
+      as :meth:`~repro.core.runtime.DetectorRuntime.fused_capable`).
+      Every such configuration qualifies: Threshold *and* Average
+      analyzers, Constant *and* Adaptive trailing windows, unweighted
+      *and* weighted models, any window geometry;
     - a :class:`~repro.comparators.newma.NewmaEngine`: its distance
       series depends only on the trace and the sketch/EWMA signature
       (:meth:`SharedTraceKernels.newma_series`);
@@ -163,8 +168,6 @@ def vectorized_eligible(engine) -> bool:
         return False
     if not engine.fused_capable():
         return _newma_fresh(engine) or _focus_fresh(engine)
-    if type(engine.analyzer) is not ThresholdAnalyzer:
-        return False
     model = engine.model
     return (
         model.consumed == 0
@@ -210,13 +213,15 @@ def _focus_fresh(engine) -> bool:
 def kernel_path(engine, kernels: Optional[bool] = None) -> str:
     """Which route drives ``engine`` over a whole trace.
 
-    Returns ``"vectorized"`` (:func:`run_bank_batched`) or ``"legacy"``
-    (one ``_advance_elements`` pass per engine: the fused loop for
-    standard-component windowed runtimes at skip 1, the ``step()`` loop
-    for the rest) — the single dispatch rule shared by every engine's solo
-    ``run`` and the bank's member partition.  ``kernels=False`` forces
-    ``"legacy"``; ``None`` and ``True`` both mean the default (kernels
-    on).  See :func:`vectorized_eligible` for which engines qualify.
+    Returns ``"vectorized"`` (:func:`run_bank_batched`: fresh,
+    unobserved windowed runtimes of either analyzer, NEWMA and FOCuS)
+    or ``"legacy"`` (one ``_advance_elements`` pass per engine: the
+    fused loop for observed or restored standard-component windowed
+    runtimes at skip 1, the ``step()`` loop for the rest) — the single
+    dispatch rule shared by every engine's solo ``run`` and the bank's
+    member partition.  ``kernels=False`` forces ``"legacy"``; ``None``
+    and ``True`` both mean the default (kernels on).  See
+    :func:`vectorized_eligible` for which engines qualify.
     """
     if kernels is not False and vectorized_eligible(engine):
         return "vectorized"
@@ -340,7 +345,7 @@ def _fixed_interval_sims(
 _OCC_CELL_LIMIT = 1 << 21
 
 #: Step granularity of the blockwise scans (both the weighted numerator
-#: blocks and the adaptive in-phase exit scan).
+#: blocks and the in-phase exit scan).
 _BLOCK_STEPS = 256
 
 
@@ -625,22 +630,25 @@ class SharedTraceKernels:
 
 
 def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
-    """Episode walk for a windowed Threshold runtime (either TW policy).
+    """Episode walk for a windowed runtime (either analyzer, either TW
+    policy).
 
-    Every episode starts the same way: the entry is the first
-    above-threshold step of the cached constant series at or after the
-    first filled step since the last flush, and the anchor (RN or LNN)
-    is computed over that step's pre-resize windows, as the reference
-    path does.  The trailing policy picks the exit search:
+    Every episode starts the same way: the entry is the first step of
+    the cached constant series at or above the entry bar (``threshold``
+    or the Average analyzer's ``enter_threshold``) at or after the first
+    filled step since the last flush, and the anchor (RN or LNN) is
+    computed over that step's pre-resize windows, as the reference path
+    does.  The trailing policy picks the in-phase similarities, which
+    :func:`_scan_exit` tests block by block against the analyzer's bar:
 
-    - *Constant*: entries do not move the windows, so the exit is the
-      next below-threshold step of the same series;
+    - *Constant*: entries do not move the windows, so they are the same
+      series (:func:`_scan_phase_constant`);
     - *Adaptive*: the entry resize pins the TW's left edge at
       ``A = anchor_abs`` and starts the CW's at ``L = c_entry - cwc +
       moved`` (``moved = min(anchor, cwc-1)`` for SLIDE, 0 for MOVE),
       so at a later step end ``c`` CW = ``[max(L, c - cwc), c)`` and
       TW = ``[A, max(L, c - cwc))``; :func:`_scan_phase_unweighted` /
-      :func:`_scan_phase_weighted` scan those similarities blockwise.
+      :func:`_scan_phase_weighted` compute those similarities blockwise.
 
     Phases land in ``runtime.tracker`` and the final model/analyzer
     state is rebuilt bit-identically (an Adaptive phase open at the
@@ -654,7 +662,11 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
     cwc = config.cw_size
     twc = config.effective_tw_size
     fill_span = cwc + twc
-    threshold = runtime.analyzer.threshold
+    analyzer = runtime.analyzer
+    if type(analyzer) is ThresholdAnalyzer:
+        enter_bar = analyzer.threshold
+    else:
+        enter_bar = analyzer.enter_threshold
     data = shared.data
     total = shared.total
     states = np.zeros(total, dtype=bool)
@@ -665,16 +677,13 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
     n_steps = int(step_ends.size)
     weighted = type(runtime.model) is WeightedSetModel
     sims, counts = shared.series(weighted, cwc, twc, skip)
-    decisions = sims >= threshold
-    phase_steps = np.flatnonzero(decisions)
+    phase_steps = np.flatnonzero(sims >= enter_bar)
     adaptive = config.trailing is TrailingPolicy.ADAPTIVE
     if adaptive:
         slide = config.resize is ResizePolicy.SLIDE
         prev = None if weighted else shared.prev()
         distinct_all = counts[0] if counts is not None else None
         base_counts = np.zeros(n_codes, dtype=np.int64) if weighted else None
-    else:
-        gap_steps = np.flatnonzero(~decisions)
 
     tracker = runtime.tracker
     rn_anchor = config.anchor is AnchorPolicy.RN
@@ -707,20 +716,18 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
             tw_left = anchor_abs
             cw_left = c_entry - cwc + (min(anchor, cwc - 1) if slide else 0)
             if weighted:
-                exit_step, episode_sims = _scan_phase_weighted(
+                blocks = _scan_phase_weighted(
                     codes, n_codes, base_counts, step_ends, entry,
-                    float(sims[entry]), tw_left, cw_left, cwc, threshold,
-                    n_steps,
+                    tw_left, cw_left, cwc, n_steps,
                 )
             else:
-                exit_step, episode_sims = _scan_phase_unweighted(
-                    prev, distinct_all, step_ends, entry, float(sims[entry]),
-                    tw_left, cw_left, cwc, threshold, total, n_steps,
+                blocks = _scan_phase_unweighted(
+                    prev, distinct_all, step_ends, entry,
+                    tw_left, cw_left, cwc, total, n_steps,
                 )
         else:
-            drop = int(np.searchsorted(gap_steps, entry + 1))
-            exit_step = int(gap_steps[drop]) if drop < gap_steps.size else -1
-            episode_sims = sims[entry:exit_step] if exit_step >= 0 else sims[entry:]
+            blocks = _scan_phase_constant(sims, entry, n_steps)
+        exit_step, episode_sims = _scan_exit(blocks, float(sims[entry]), analyzer)
         if exit_step < 0:
             phase_open = True
             tracker.open_detected = detected_start
@@ -990,20 +997,69 @@ def _walk_focus(engine, shared: SharedTraceKernels) -> np.ndarray:
     return states
 
 
+def _scan_exit(blocks, entry_sim: float, analyzer) -> Tuple[int, np.ndarray]:
+    """The in-phase exit scan shared by every trailing policy and model.
+
+    ``blocks`` yields ``(first_step, sims)`` blocks of consecutive
+    in-phase candidate steps after the entry (:func:`_scan_phase_constant`,
+    :func:`_scan_phase_unweighted`, :func:`_scan_phase_weighted`).  A
+    step exits the phase when its similarity is below its bar:
+
+    - Threshold: the fixed ``threshold``;
+    - Average: the running in-phase mean minus ``delta``, where the mean
+      is over the entry similarity (the ``reset_stats`` seed) and every
+      in-phase similarity before the step.  The ``(total, count)`` carry
+      runs from block to block; ``np.cumsum`` (``np.add.accumulate``)
+      adds left to right, the same order as the incremental loops'
+      ``total += similarity``, and ``total / count - delta`` is the same
+      float division and subtraction, so every bar is bit-identical.
+
+    Returns ``(exit_step, episode_sims)``: the first failing step (or -1
+    when the phase stays open to the trace end) and the in-phase
+    similarities from the entry up to (excluding) the exit.  ``blocks``
+    is closed before returning.
+    """
+    average = type(analyzer) is not ThresholdAnalyzer
+    bar = None if average else analyzer.threshold
+    total = entry_sim
+    count = 1
+    parts = [np.array([entry_sim])]
+    for s, blk in blocks:
+        if average:
+            cum = np.cumsum(np.concatenate(([total], blk)))
+            bar = cum[:-1] / np.arange(count, count + blk.size) - analyzer.delta
+            total = float(cum[-1])
+            count += blk.size
+        bad = np.flatnonzero(blk < bar)
+        if bad.size:
+            blocks.close()
+            cut = int(bad[0])
+            if cut:
+                parts.append(blk[:cut])
+            return s + cut, np.concatenate(parts)
+        parts.append(blk)
+    return -1, np.concatenate(parts)
+
+
+def _scan_phase_constant(sims: np.ndarray, entry: int, n_steps: int):
+    """In-phase similarity blocks for a Constant TW: entries do not move
+    the windows, so they are the cached constant series itself."""
+    for s in range(entry + 1, n_steps, _BLOCK_STEPS):
+        yield s, sims[s : s + _BLOCK_STEPS]
+
+
 def _scan_phase_unweighted(
     prev: np.ndarray,
     distinct_all: np.ndarray,
     step_ends: np.ndarray,
     entry: int,
-    entry_sim: float,
     tw_left: int,
     cw_left: int,
     cwc: int,
-    threshold: float,
     total: int,
     n_steps: int,
-) -> Tuple[int, np.ndarray]:
-    """Blockwise in-phase unweighted similarities for one episode.
+):
+    """Blockwise in-phase unweighted similarities for one Adaptive episode.
 
     Geometry per step end ``c``: CW = ``[max(L, c-cwc), c)``, TW =
     ``[A, max(L, c-cwc))`` with ``A = tw_left``, ``L = cw_left``.  Two
@@ -1023,20 +1079,15 @@ def _scan_phase_unweighted(
       membership filter ``prev[i] >= A`` — accumulated per block with
       difference arrays.
 
-    Returns ``(exit_step, episode_sims)`` where ``exit_step`` is the
-    first step with similarity below ``threshold`` (or -1 if the phase
-    stays open to the trace end) and ``episode_sims`` the in-phase
-    similarities from ``entry`` up to (excluding) the exit.
+    Yields ``(first_step, sims)`` per block of steps after ``entry``;
+    :func:`_scan_exit` stops it at the exit.
     """
-    parts = [np.array([entry_sim])]
     seg_prev = prev[cw_left : min(cw_left + cwc, total)]
     rep = seg_prev < cw_left
     d_cum = np.concatenate(([0], np.cumsum(rep)))
     s_cum = np.concatenate(([0], np.cumsum(rep & (seg_prev >= tw_left))))
-    s = entry + 1
-    while s < n_steps:
-        b1 = min(s + _BLOCK_STEPS, n_steps)
-        ends_blk = step_ends[s:b1]
+    for s in range(entry + 1, n_steps, _BLOCK_STEPS):
+        ends_blk = step_ends[s : s + _BLOCK_STEPS]
         blk = np.empty(ends_blk.size, dtype=np.float64)
         refill = ends_blk <= cw_left + cwc
         if refill.any():
@@ -1060,15 +1111,7 @@ def _scan_phase_unweighted(
             rem = np.bincount(hi[ok] + 1 - l_min, minlength=width + 1)
             shared_l = np.cumsum(add[:width] - rem[:width])
             blk[sl] = shared_l[ls - l_min] / distinct_all[ls]
-        bad = np.flatnonzero(blk < threshold)
-        if bad.size:
-            cut = int(bad[0])
-            if cut:
-                parts.append(blk[:cut])
-            return s + cut, np.concatenate(parts)
-        parts.append(blk)
-        s = b1
-    return -1, np.concatenate(parts)
+        yield s, blk
 
 
 def _scan_phase_weighted(
@@ -1077,74 +1120,64 @@ def _scan_phase_weighted(
     base_counts: np.ndarray,
     step_ends: np.ndarray,
     entry: int,
-    entry_sim: float,
     tw_left: int,
     cw_left: int,
     cwc: int,
-    threshold: float,
     n_steps: int,
-) -> Tuple[int, np.ndarray]:
-    """Blockwise in-phase weighted similarities for one episode.
+):
+    """Blockwise in-phase weighted similarities for one Adaptive episode.
 
-    Same geometry as :func:`_scan_phase_unweighted`.  The growing TW's
-    per-code counts split as ``tw_e = base_counts[e] + occ[cw_start]``:
-    ``base_counts`` (a reusable per-code vector, advanced as the CW's
-    left edge passes elements into the TW for good) covers
-    ``[A, block_lo)`` and the block's cumulative occurrence matrix
-    covers the rest, so each block is one ``np.minimum`` reduction over
-    its local code set — a code absent from the block has ``cw_e = 0``
-    and contributes nothing, which keeps the restriction exact.  The
-    numerator ``sum_e min(cw_e * tw_len, tw_e * cw_len)`` is a pure
-    integer sum, so any evaluation order is bit-exact; the single
+    Same geometry and contract as :func:`_scan_phase_unweighted`.  The
+    growing TW's per-code counts split as ``tw_e = base_counts[e] +
+    occ[cw_start]``: ``base_counts`` (a reusable per-code vector,
+    advanced as the CW's left edge passes elements into the TW for
+    good) covers ``[A, block_lo)`` and the block's cumulative occurrence
+    matrix covers the rest, so each block is one ``np.minimum``
+    reduction over its local code set — a code absent from the block has
+    ``cw_e = 0`` and contributes nothing, which keeps the restriction
+    exact.  The numerator ``sum_e min(cw_e * tw_len, tw_e * cw_len)`` is
+    a pure integer sum, so any evaluation order is bit-exact; the single
     float division matches the fused loop's.  ``base_counts`` must
-    arrive all-zero and is re-zeroed (sparsely) before returning.
+    arrive all-zero and is re-zeroed (sparsely) when the generator
+    finishes or is closed.
     """
-    parts = [np.array([entry_sim])]
     covered = tw_left
-    exit_step = -1
     s = entry + 1
-    while s < n_steps:
-        take = min(_BLOCK_STEPS, n_steps - s)
-        while True:
-            b1 = s + take
-            ends_blk = step_ends[s:b1]
-            cw_start = np.maximum(cw_left, ends_blk - cwc)
-            p_lo = int(cw_start[0])
-            p_cov = int(ends_blk[-1])
-            occ, uniq = _occurrence_matrix(codes, p_lo, p_cov)
-            if take == 1 or occ.size <= _OCC_CELL_LIMIT:
-                break
-            take = max(1, take // 2)
-        if covered < p_lo:
-            base_counts += np.bincount(
-                codes[covered:p_lo], minlength=n_codes
+    try:
+        while s < n_steps:
+            take = min(_BLOCK_STEPS, n_steps - s)
+            while True:
+                b1 = s + take
+                ends_blk = step_ends[s:b1]
+                cw_start = np.maximum(cw_left, ends_blk - cwc)
+                p_lo = int(cw_start[0])
+                p_cov = int(ends_blk[-1])
+                occ, uniq = _occurrence_matrix(codes, p_lo, p_cov)
+                if take == 1 or occ.size <= _OCC_CELL_LIMIT:
+                    break
+                take = max(1, take // 2)
+            if covered < p_lo:
+                base_counts += np.bincount(
+                    codes[covered:p_lo], minlength=n_codes
+                )
+                covered = p_lo
+            cw_len = ends_blk - cw_start
+            tw_len = cw_start - tw_left
+            start_rows = occ[cw_start - p_lo]
+            cw_e = occ[ends_blk - p_lo] - start_rows
+            tw_e = base_counts[uniq][None, :] + start_rows
+            snum = np.minimum(
+                cw_e * tw_len[:, None], tw_e * cw_len[:, None]
+            ).sum(axis=1)
+            denom = cw_len * tw_len
+            yield s, np.divide(
+                snum, denom, out=np.zeros(snum.size, dtype=np.float64),
+                where=denom > 0,
             )
-            covered = p_lo
-        cw_len = ends_blk - cw_start
-        tw_len = cw_start - tw_left
-        start_rows = occ[cw_start - p_lo]
-        cw_e = occ[ends_blk - p_lo] - start_rows
-        tw_e = base_counts[uniq][None, :] + start_rows
-        snum = np.minimum(
-            cw_e * tw_len[:, None], tw_e * cw_len[:, None]
-        ).sum(axis=1)
-        denom = cw_len * tw_len
-        blk = np.divide(
-            snum, denom, out=np.zeros(snum.size, dtype=np.float64),
-            where=denom > 0,
-        )
-        bad = np.flatnonzero(blk < threshold)
-        if bad.size:
-            cut = int(bad[0])
-            if cut:
-                parts.append(blk[:cut])
-            exit_step = s + cut
-            break
-        parts.append(blk)
-        s = b1
-    if covered > tw_left:
-        base_counts[np.unique(codes[tw_left:covered])] = 0
-    return exit_step, np.concatenate(parts)
+            s = b1
+    finally:
+        if covered > tw_left:
+            base_counts[np.unique(codes[tw_left:covered])] = 0
 
 
 #: The walk :func:`run_bank_batched` runs per engine ``family``.

@@ -41,8 +41,9 @@ share the runtime's state:
 The runtime has no whole-trace driver of its own: it inherits
 :meth:`~repro.core.decision.DecisionEngine.run`, which loops
 :meth:`DetectorRuntime.step` for ``fused=False`` and
-``record_similarity=True``, sends fresh, unobserved Threshold-analyzer
-runtimes through the vectorized kernels of :mod:`repro.core.kernels`
+``record_similarity=True``, sends fresh, unobserved standard-component
+runtimes (either analyzer) through the vectorized kernels of
+:mod:`repro.core.kernels`
 (as a bank of one — bit-identical states, phases and checkpoints at a
 fraction of the cost), and hands everything else to the same
 ``_advance_elements`` hook :meth:`advance` uses, in one call.

@@ -17,6 +17,7 @@ from repro.core import (
     TrailingPolicy,
 )
 from repro.core import kernels as kernels_mod
+from repro.core.analyzers import ThresholdAnalyzer
 from repro.core.bank import DetectorBank
 from repro.core.decision import build_engine, restore_engine
 from repro.core.engine import run_detector
@@ -72,9 +73,9 @@ def matrix_configs():
 def run_both(trace, config):
     """(default-route result + checkpoint, reference result + checkpoint).
 
-    The default route is the vectorized kernel for Threshold configs and
-    the fused loop for Average configs; the oracle is the reference
-    ``step()`` loop (``fused=False``) for both.
+    The default route is the vectorized kernel for every config (either
+    analyzer); the oracle is the reference ``step()`` loop
+    (``fused=False``).
     """
     kernel_rt = DetectorRuntime(config)
     kernel = kernel_rt.run(trace)
@@ -140,12 +141,22 @@ class TestEligibility:
         assert vectorized_eligible(runtime)
         assert runtime.kernel_path() == "vectorized"
 
-    def test_average_analyzer_runs_on_lanes(self):
-        runtime = DetectorRuntime(
-            DetectorConfig(cw_size=20, skip_factor=5, analyzer=AnalyzerKind.AVERAGE)
+    def test_fresh_average_analyzer_is_vectorized(self, trace):
+        """A fresh, unobserved Average runtime takes the vectorized
+        route; observed and restored ones stay on the legacy route."""
+        config = DetectorConfig(
+            cw_size=20, skip_factor=5, analyzer=AnalyzerKind.AVERAGE
         )
-        assert not vectorized_eligible(runtime)
-        assert runtime.kernel_path() == "legacy"
+        runtime = DetectorRuntime(config)
+        assert vectorized_eligible(runtime)
+        assert runtime.kernel_path() == "vectorized"
+        observed = DetectorRuntime(config, observer=MemorySink())
+        consumed = DetectorRuntime(config)
+        consumed.advance(trace.array[:50].tolist(), bytearray(50), 0)
+        restored = DetectorRuntime.restore(consumed.checkpoint())
+        for engine in (observed, restored):
+            assert not vectorized_eligible(engine)
+            assert engine.kernel_path() == "legacy"
 
     def test_adaptive_trailing_is_vectorized(self):
         runtime = DetectorRuntime(
@@ -179,10 +190,21 @@ class TestEligibility:
 
     def test_kernel_entry_points_reject_ineligible(self, trace):
         runtime = DetectorRuntime(
-            DetectorConfig(cw_size=20, skip_factor=5, analyzer=AnalyzerKind.AVERAGE)
+            DetectorConfig(cw_size=20, skip_factor=5, analyzer=AnalyzerKind.AVERAGE),
+            observer=MemorySink(),
         )
         with pytest.raises(ValueError):
             run_bank_batched([runtime], trace)
+
+        class CustomAnalyzer(ThresholdAnalyzer):
+            pass
+
+        custom = DetectorRuntime(
+            DetectorConfig(cw_size=20, skip_factor=5),
+            analyzer=CustomAnalyzer(0.5),
+        )
+        with pytest.raises(ValueError):
+            run_bank_batched([custom], trace)
         consumed = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
         consumed.advance(trace.array[:5].tolist(), bytearray(5), 0)
         with pytest.raises(ValueError):
@@ -257,15 +279,22 @@ class TestBank:
             assert ours.detected_phases == theirs.detected_phases
 
     def test_mixed_bank_sends_average_members_to_lanes(self, trace):
-        """Average members run solo on the legacy route, Threshold
-        members on the batched vectorized route — by ``kernel_path()``
-        and by the ``bank.kernel`` spans' member counts — and every
-        member still matches its reference ``step()`` run."""
-        configs = self.grid()
-        average = [c.analyzer is AnalyzerKind.AVERAGE for c in configs]
-        bank = DetectorBank(configs)
+        """Fresh Average and Threshold members all run on the batched
+        vectorized route, and an observed Average member stays solo on
+        the legacy route — by ``kernel_path()`` and by the
+        ``bank.kernel`` spans' member counts — and every member still
+        matches its reference ``step()`` run (the observed one with its
+        event stream too)."""
+        grid = self.grid()
+        observed_config = next(
+            c for c in grid if c.analyzer is AnalyzerKind.AVERAGE
+        )
+        configs = [*grid, observed_config]
+        sink = MemorySink()
+        observers = [None] * len(grid) + [sink]
+        bank = DetectorBank(configs, observers=observers)
         paths = [runtime.kernel_path() for runtime in bank.runtimes]
-        assert paths == ["legacy" if avg else "vectorized" for avg in average]
+        assert paths == ["vectorized"] * len(grid) + ["legacy"]
         tracer = Tracer()
         results = bank.run(trace, tracer=tracer)
         kernel_spans = {
@@ -273,14 +302,16 @@ class TestBank:
             for span in tracer.spans
             if span.name == "bank.kernel"
         }
-        assert kernel_spans == {
-            "legacy": sum(average),
-            "vectorized": len(configs) - sum(average),
-        }
-        for config, result in zip(configs, results):
-            reference = DetectorRuntime(config).run(trace, fused=False)
+        assert kernel_spans == {"legacy": 1, "vectorized": len(grid)}
+        for config, observer, result in zip(configs, observers, results):
+            solo_sink = MemorySink() if observer is not None else None
+            reference = DetectorRuntime(config, observer=solo_sink).run(
+                trace, fused=False
+            )
             assert np.array_equal(result.states, reference.states)
             assert result.detected_phases == reference.detected_phases
+            if observer is not None:
+                assert observer.events == solo_sink.events
 
 
 def newma(cw_size=40, **overrides):
@@ -322,7 +353,8 @@ class TestNewmaRoute:
         two bars, FOCuS and an observed NEWMA in one bank: each member
         equals its solo ``kernels=False`` run (states, phase float bits,
         checkpoint, events), and the four fresh NEWMA members share one
-        distance series; the fresh FOCuS member is vectorized too."""
+        distance series; every fresh member, FOCuS and both windowed
+        analyzers included, is vectorized."""
         configs = [
             DetectorConfig(cw_size=40, skip_factor=8, threshold=0.5),
             DetectorConfig(
@@ -340,7 +372,7 @@ class TestNewmaRoute:
         observers = [None] * (len(configs) - 1) + [sink]
         bank = DetectorBank(configs, observers=observers)
         assert [engine.kernel_path() for engine in bank.runtimes] == [
-            "vectorized", "legacy", *["vectorized"] * 4, "vectorized", "legacy",
+            "vectorized", "vectorized", *["vectorized"] * 4, "vectorized", "legacy",
         ]
         series_calls = []
         compute = kernels_mod._newma_distances
