@@ -5,14 +5,14 @@ trace.  The bank splits its members between the two whole-trace routes
 of :func:`repro.core.kernels.kernel_path`:
 
 - **vectorized** members (fresh and unobserved: windowed runtimes with
-  standard components and either analyzer, NEWMA engines and FOCuS
-  engines) run together through
+  standard components and either analyzer, NEWMA, FOCuS, Das Pearson
+  and Lu DYNAMO engines) run together through
   :func:`~repro.core.kernels.run_bank_batched`, which shares the
   trace's dense remap, every per-signature similarity or NEWMA
-  distance series, and the FOCuS sign table and per-skip group values;
-- every other member (observed, restored or custom members, Das
-  Pearson and Lu DYNAMO, or all of them with ``kernels=False``) runs
-  alone through :meth:`~repro.core.decision.DecisionEngine.run`, which
+  distance series, the FOCuS sign table and per-skip group values, and
+  the decoded element list the per-window families slice;
+- every other member (observed, restored, partly advanced or custom
+  members, or all of them with ``kernels=False``) runs alone through :meth:`~repro.core.decision.DecisionEngine.run`, which
   emits its own ``run_begin``/``run_end`` events.
 
 A solo :meth:`~repro.core.decision.DecisionEngine.run` is the

@@ -307,9 +307,10 @@ class DecisionEngine:
         (:func:`repro.core.kernels.kernel_path`) shared by every
         engine's solo :meth:`run` and the bank's member partition, so
         the two fronts can never disagree on routing.  Of the
-        non-window families only fresh, unobserved NEWMA and FOCuS
-        engines report ``"vectorized"``; ``kernels=False`` forces
-        ``"legacy"``.
+        non-window families fresh, unobserved NEWMA, FOCuS, Das Pearson
+        and Lu DYNAMO engines report ``"vectorized"``; observed,
+        restored and partly advanced ones report ``"legacy"``, and
+        ``kernels=False`` forces ``"legacy"``.
         """
         return kernels_mod.kernel_path(self, kernels)
 
@@ -584,15 +585,16 @@ class DecisionEngine:
         # own state against them.
         engine._consumed = int(data["consumed"])  # type: ignore[arg-type]
         engine.state = PhaseState(data["state"])
+        open_phase = checkpoint_open_phase(
+            data.get("open_phase"), engine.state, engine._consumed
+        )
         engine._restore_engine_state(data["engine"])  # type: ignore[arg-type]
         stats: Dict[str, object] = data["stats"]  # type: ignore[assignment]
         engine._phase_count = int(stats["count"])  # type: ignore[arg-type]
         engine._phase_total = float(stats["total"])  # type: ignore[arg-type]
         tracker = engine.tracker
-        open_phase = data.get("open_phase")
         if open_phase is not None:
-            tracker.open_detected = int(open_phase[0])  # type: ignore[index]
-            tracker.open_corrected = int(open_phase[1])  # type: ignore[index]
+            tracker.open_detected, tracker.open_corrected = open_phase
         tracker.phases = [
             DetectedPhase(int(p[0]), int(p[1]), int(p[2]), float(p[3]))
             for p in data["phases"]  # type: ignore[union-attr]
@@ -621,6 +623,40 @@ def checkpoint_bool(value: object, what: str) -> bool:
     return value
 
 
+def checkpoint_open_phase(
+    value: object, state: PhaseState, consumed: int
+) -> Optional[Tuple[int, int]]:
+    """A checkpoint's ``open_phase`` as ``(detected, corrected)``, or
+    ``None``; :class:`CheckpointError` unless it agrees with ``state``.
+
+    Every engine holds an open phase exactly while its state is P, and
+    the phase opened at an element already consumed, its anchor no
+    later: ``0 <= corrected <= detected < consumed``.  Both checkpoint
+    schemas (v1 and v2) restore through this check.
+    """
+    if value is None:
+        if state.is_phase():
+            raise CheckpointError("checkpoint state 'P' has no open phase")
+        return None
+    if not state.is_phase():
+        raise CheckpointError(
+            f"checkpoint state 'T' has an open phase {value!r:.80}"
+        )
+    if not isinstance(value, list) or len(value) != 2:
+        raise CheckpointError(
+            f"checkpoint open_phase={value!r:.80} is not a "
+            "[detected, corrected] pair"
+        )
+    detected = checkpoint_int(value[0], "checkpoint open_phase detected start")
+    corrected = checkpoint_int(value[1], "checkpoint open_phase corrected start")
+    if not 0 <= corrected <= detected < consumed:
+        raise CheckpointError(
+            f"checkpoint open_phase=[{detected}, {corrected}] is not "
+            f"0 <= corrected <= detected < consumed {consumed}"
+        )
+    return detected, corrected
+
+
 class PerWindowEngine(DecisionEngine):
     """An engine that decides once per ``cw_size``-element window.
 
@@ -630,7 +666,11 @@ class PerWindowEngine(DecisionEngine):
     :meth:`_judge`, its ``stat_threshold`` (the events' bar), its own
     state, :meth:`_engine_state` and :meth:`_restore_window_state`; the
     base owns the buffer, the flag, the window loop and the checks
-    every checkpoint's buffer and flag must pass.
+    every checkpoint's buffer and flag must pass.  A fresh, unobserved
+    engine's whole-trace run skips the per-group loop:
+    :func:`repro.core.kernels._walk_per_window` feeds the same
+    :meth:`_judge` and :meth:`_settle` only at the steps that complete
+    a window.
     """
 
     #: The decision bar the ``decision`` events report.
@@ -714,6 +754,12 @@ class PerWindowEngine(DecisionEngine):
             raise CheckpointError(
                 f"{family} checkpoint in_phase={in_phase} contradicts "
                 f"state {self.state.value!r}"
+            )
+        # Only a judged window sets the flag.
+        if in_phase and self.consumed < self._window:
+            raise CheckpointError(
+                f"{family} checkpoint is in phase before its first window "
+                f"(consumed {self.consumed} < cw_size {self._window})"
             )
         self._buffer = buffer
         self._in_phase = in_phase

@@ -42,11 +42,10 @@ def run_detector(
     ``kernels=False`` forces the fused loop (the ``step()`` loop for
     non-window families).  By default windowed configs — Threshold
     *and* Average analyzers, Constant *and* Adaptive trailing,
-    unweighted *and* weighted, any geometry — and NEWMA and FOCuS
-    configs take the vectorized whole-trace path when unobserved, as a
-    bank of one; everything else (observed runs, Das Pearson and Lu
-    DYNAMO) takes the fused or ``step()`` loop, with bit-identical
-    results either way
+    unweighted *and* weighted, any geometry — and NEWMA, FOCuS, Das
+    Pearson and Lu DYNAMO configs take the vectorized whole-trace path
+    when unobserved, as a bank of one; observed runs take the fused or
+    ``step()`` loop, with bit-identical results either way
     (see ``docs/performance.md`` for the eligibility matrix).
     """
     return build_engine(config, observer=observer).run(trace, kernels=kernels)

@@ -12,12 +12,11 @@ remapped* element IDs.
 Whole-trace detection has exactly two routes (:func:`kernel_path`):
 
 - ``"vectorized"`` — fresh, unobserved, standard-component runtimes
-  (Threshold or Average analyzer), and fresh, unobserved NEWMA and
-  FOCuS engines, run through :func:`run_bank_batched` (a solo ``run``
-  is a bank of one);
-- ``"legacy"`` — everything else (observed or restored engines, custom
-  components, Das Pearson and Lu DYNAMO, ``kernels=False``) runs its
-  own
+  (Threshold or Average analyzer), and fresh, unobserved NEWMA, FOCuS,
+  Das Pearson and Lu DYNAMO engines, run through
+  :func:`run_bank_batched` (a solo ``run`` is a bank of one);
+- ``"legacy"`` — everything else (observed, restored or partly
+  advanced engines, custom components, ``kernels=False``) runs its own
   :meth:`~repro.core.decision.DecisionEngine.run` (also as a
   :class:`~repro.core.bank.DetectorBank` member), one
   ``_advance_elements`` pass over the decoded trace: the fused loop
@@ -88,8 +87,9 @@ so checkpoints taken after a vectorized run are bit-identical to the
 incremental paths' — the config-matrix suite in
 ``tests/core/test_kernels.py`` and the fuzz suites in
 ``tests/properties/test_kernel_properties.py``,
-``tests/properties/test_newma_properties.py`` and
-``tests/properties/test_focus_properties.py`` pin states, phases and
+``tests/properties/test_newma_properties.py``,
+``tests/properties/test_focus_properties.py`` and
+``tests/properties/test_per_window_properties.py`` pin states, phases and
 checkpoints against the reference :meth:`step` loop, and the
 ``kernel-equivalence`` and ``family-equivalence`` CI jobs byte-compare
 sweep caches produced with kernels on vs. off.
@@ -113,6 +113,17 @@ pruning as :meth:`FocusEngine.step
 <repro.comparators.focus.FocusEngine.step>`, not a scan of every
 candidate — collinear cusum points make that differ by an ulp), and
 the reset on each changepoint.
+
+**Per-window families** — Das Pearson and Lu DYNAMO decide once per
+``cw_size``-element window, yet their ``step()`` loop runs once per
+``skip_factor`` group.  :func:`_walk_per_window` visits only the steps
+that complete a window: it slices each full window from the trace's
+element list (decoded once per bank pass,
+:meth:`SharedTraceKernels.elements`), hands it to the engine's own
+``_judge`` (the family arithmetic exists once) and the step's verdict
+to the engine's own ``_settle``.  There is no per-window series: after
+the walk ``_judge`` is most of what is left, and a precomputed Lu mean
+would be a second copy of its arithmetic.
 
 Kernels are on by default wherever they apply; pass ``kernels=False``
 through :func:`~repro.core.engine.run_detector` / the sweep stack
@@ -144,7 +155,7 @@ __all__ = [
 def vectorized_eligible(engine) -> bool:
     """True when :func:`run_bank_batched` may run ``engine`` over a trace.
 
-    Three kinds of engine qualify, all only when unobserved (the
+    Four kinds of engine qualify, all only when unobserved (the
     vectorized walks emit no events; observed runs take the fused or
     ``step()`` loop, which emits the canonical event stream) and fresh
     (the walks assume stream position == trace position, which only
@@ -160,14 +171,20 @@ def vectorized_eligible(engine) -> bool:
       (:meth:`SharedTraceKernels.newma_series`);
     - a :class:`~repro.comparators.focus.FocusEngine`: its group values
       depend only on the trace and the skip
-      (:meth:`SharedTraceKernels.focus_values`).
-
-    Das Pearson and Lu DYNAMO stay on their ``step()`` loops.
+      (:meth:`SharedTraceKernels.focus_values`);
+    - a :class:`~repro.comparators.das_pearson.DasPearsonEngine` or a
+      :class:`~repro.comparators.lu_dynamo.LuDynamoEngine`: each full
+      ``cw_size`` window goes to the engine's own ``_judge`` once
+      (:func:`_walk_per_window`).
     """
     if engine.observer is not None:
         return False
     if not engine.fused_capable():
-        return _newma_fresh(engine) or _focus_fresh(engine)
+        return (
+            _newma_fresh(engine)
+            or _focus_fresh(engine)
+            or _per_window_fresh(engine)
+        )
     model = engine.model
     return (
         model.consumed == 0
@@ -210,18 +227,43 @@ def _focus_fresh(engine) -> bool:
     )
 
 
+def _per_window_fresh(engine) -> bool:
+    """True for a Das Pearson or Lu DYNAMO engine that has consumed
+    nothing."""
+    from repro.comparators.das_pearson import DasPearsonEngine
+    from repro.comparators.lu_dynamo import LuDynamoEngine
+
+    kind = type(engine)
+    if kind is DasPearsonEngine:
+        cold = engine._target is None
+    elif kind is LuDynamoEngine:
+        cold = not engine._averages and engine._outside_streak == 0
+    else:
+        return False
+    return (
+        cold
+        and engine.consumed == 0
+        and not engine._buffer
+        and not engine._in_phase
+        and engine.state is PhaseState.TRANSITION
+        and not engine.tracker.open
+        and not engine.tracker.phases
+    )
+
+
 def kernel_path(engine, kernels: Optional[bool] = None) -> str:
     """Which route drives ``engine`` over a whole trace.
 
     Returns ``"vectorized"`` (:func:`run_bank_batched`: fresh,
-    unobserved windowed runtimes of either analyzer, NEWMA and FOCuS)
-    or ``"legacy"`` (one ``_advance_elements`` pass per engine: the
-    fused loop for observed or restored standard-component windowed
-    runtimes at skip 1, the ``step()`` loop for the rest) — the single
-    dispatch rule shared by every engine's solo ``run`` and the bank's
-    member partition.  ``kernels=False`` forces ``"legacy"``; ``None``
-    and ``True`` both mean the default (kernels on).  See
-    :func:`vectorized_eligible` for which engines qualify.
+    unobserved windowed runtimes of either analyzer, NEWMA, FOCuS, Das
+    Pearson and Lu DYNAMO) or ``"legacy"`` (one ``_advance_elements``
+    pass per engine: the fused loop for observed or restored
+    standard-component windowed runtimes at skip 1, the ``step()`` loop
+    for the rest) — the single dispatch rule shared by every engine's
+    solo ``run`` and the bank's member partition.  ``kernels=False``
+    forces ``"legacy"``; ``None`` and ``True`` both mean the default
+    (kernels on).  See :func:`vectorized_eligible` for which engines
+    qualify.
     """
     if kernels is not False and vectorized_eligible(engine):
         return "vectorized"
@@ -500,8 +542,9 @@ class SharedTraceKernels:
     series plus its per-window-start count arrays; for NEWMA lanes,
     keyed by ``(sketch_dim, fast, slow, skip)``, the distance series
     (:meth:`newma_series`); for FOCuS lanes, keyed by skip, the group
-    values over one shared sign table (:meth:`focus_values`).  The
-    batched bank advancer
+    values over one shared sign table (:meth:`focus_values`); for Das
+    Pearson and Lu DYNAMO lanes, the decoded element list
+    (:meth:`elements`).  The batched bank advancer
     (:func:`run_bank_batched`) funnels every lane through one instance,
     so lanes that share a signature share the expensive series
     computation and differ only in their cheap episode or bar walks.
@@ -517,6 +560,7 @@ class SharedTraceKernels:
         self._newma: dict = {}
         self._signs: Optional[np.ndarray] = None
         self._focus: dict = {}
+        self._elements: Optional[List[int]] = None
 
     def codes(self) -> Tuple[np.ndarray, int]:
         """``(codes, n_codes)`` from the trace's cached dense remap."""
@@ -528,6 +572,13 @@ class SharedTraceKernels:
     def prev(self) -> np.ndarray:
         """Previous-occurrence links (cached on the trace itself)."""
         return self.trace.prev_links()
+
+    def elements(self) -> List[int]:
+        """The trace as one list of Python ints, decoded once per pass
+        and only sliced, never mutated, by the per-window walks."""
+        if self._elements is None:
+            self._elements = self.data.tolist()
+        return self._elements
 
     def step_ends(self, skip: int) -> np.ndarray:
         """Element offsets at which each skip-group step ends."""
@@ -997,6 +1048,64 @@ def _walk_focus(engine, shared: SharedTraceKernels) -> np.ndarray:
     return states
 
 
+def _walk_per_window(engine, shared: SharedTraceKernels) -> np.ndarray:
+    """Window walk for one Das Pearson or Lu DYNAMO lane.
+
+    Replays :meth:`PerWindowEngine.step
+    <repro.core.decision.PerWindowEngine.step>` at the granularity of
+    the steps that complete a window, ``n // cw_size`` judgements in
+    all instead of one ``step()`` call per group.  Window ``w``
+    completes at step ``((w + 1) * cw_size - 1) // skip``; every window
+    that step completes goes, in order, to the engine's own ``_judge``
+    (the family arithmetic exists once), and the step's verdict (its
+    last window's) and statistic (its last non-``None`` one) go to the
+    engine's own ``_settle`` at the stream position the step leaves.
+    So a phase opens or closes at the step's first element and the
+    phase statistics are summed exactly as the ``step()`` loop sums
+    them.  A step that completes no window changes nothing.  The engine
+    is left in the exact state the ``step()`` loop leaves it in
+    (trailing partial window in the buffer, in-phase flag, consumed
+    count, state, open phase statistics; ``_judge`` has already
+    updated the family's own state), so checkpoints match bit for bit;
+    the caller still runs ``engine.finish``.  Returns the bool state
+    array.
+    """
+    skip = engine.config.skip_factor
+    window = engine._window
+    total = shared.total
+    states = np.zeros(total, dtype=bool)
+    elements = shared.elements()
+    judge = engine._judge
+    settle = engine._settle
+    judged = 0  # elements in the windows judged so far
+    tail = total - total % window
+    in_phase = False
+    start = 0
+    while judged < tail:
+        first = (judged + window - 1) // skip * skip
+        consumed = min(first + skip, total)
+        done = consumed - consumed % window
+        statistic = None
+        for offset in range(judged, done, window):
+            value, in_phase = judge(elements[offset : offset + window])
+            if value is not None:
+                statistic = value
+        judged = done
+        engine._consumed = consumed
+        decision = settle(in_phase, statistic, consumed - first)
+        if decision.entered:
+            start = first
+        elif decision.closed is not None:
+            states[start:first] = True
+
+    engine._consumed = total
+    engine._buffer = elements[tail:]
+    engine._in_phase = in_phase
+    if engine.state.is_phase():
+        states[start:total] = True
+    return states
+
+
 def _scan_exit(blocks, entry_sim: float, analyzer) -> Tuple[int, np.ndarray]:
     """The in-phase exit scan shared by every trailing policy and model.
 
@@ -1181,7 +1290,13 @@ def _scan_phase_weighted(
 
 
 #: The walk :func:`run_bank_batched` runs per engine ``family``.
-_WALKS = {"windowed": _walk_windowed, "newma": _walk_newma, "focus": _walk_focus}
+_WALKS = {
+    "windowed": _walk_windowed,
+    "newma": _walk_newma,
+    "focus": _walk_focus,
+    "das_pearson": _walk_per_window,
+    "lu_dynamo": _walk_per_window,
+}
 
 
 def run_bank_batched(
@@ -1193,8 +1308,9 @@ def run_bank_batched(
     computation: the dense-code decode, previous-occurrence links, step
     boundaries, each distinct ``(weighted, cw, tw, skip)`` similarity
     series, each distinct NEWMA ``(sketch_dim, fast, slow, skip)``
-    distance series and the FOCuS sign table and per-skip group values
-    are computed once and shared, so N lanes cost one series pass per
+    distance series, the FOCuS sign table and per-skip group values and
+    the per-window families' element list are computed once and shared,
+    so N lanes cost one series pass per
     signature plus N cheap walks — instead of N full passes.  Lane
     order, per-lane results and checkpoints are exactly those of
     one-lane calls (the sharing is a pure cache).
@@ -1203,8 +1319,9 @@ def run_bank_batched(
 
     Each windowed lane walks its episodes with :func:`_walk_windowed`,
     each NEWMA lane its bar with :func:`_walk_newma`, each FOCuS lane
-    its recursion with :func:`_walk_focus` (picked by the engine's
-    ``family``); all leave the engine in the exact state its
+    its recursion with :func:`_walk_focus`, each Das Pearson and Lu
+    DYNAMO lane its windows with :func:`_walk_per_window` (picked by the
+    engine's ``family``); all leave the engine in the exact state its
     incremental loop would, and the
     caller still runs each engine's ``finish``.  Returns one bool state
     array per lane.  Raises :class:`ValueError`, before touching any

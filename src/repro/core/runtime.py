@@ -78,6 +78,7 @@ from repro.core.decision import (
     PhaseDecision,
     PhaseTracker,
     StepOutcome,
+    checkpoint_open_phase,
     validate_checkpoint,
 )
 from repro.core.models import (
@@ -608,10 +609,11 @@ class DetectorRuntime(DecisionEngine):
         stats.maximum = float(stats_data["maximum"])  # type: ignore[arg-type]
         runtime.state = PhaseState(data["state"])
         tracker = runtime.tracker
-        open_phase = data.get("open_phase")
+        open_phase = checkpoint_open_phase(
+            data.get("open_phase"), runtime.state, model.consumed
+        )
         if open_phase is not None:
-            tracker.open_detected = int(open_phase[0])  # type: ignore[index]
-            tracker.open_corrected = int(open_phase[1])  # type: ignore[index]
+            tracker.open_detected, tracker.open_corrected = open_phase
         tracker.phases = [
             DetectedPhase(int(p[0]), int(p[1]), int(p[2]), float(p[3]))
             for p in data["phases"]  # type: ignore[union-attr]

@@ -1,7 +1,8 @@
 """Array-native kernel tests: every whole-trace route is bit-identical to
 the reference ``step()`` loop, and the selection machinery (eligibility
 predicate, the ``kernels`` flag, bank partitioning) routes every
-configuration — windowed, NEWMA or FOCuS — to a correct path."""
+configuration — windowed, NEWMA, FOCuS, Das Pearson or Lu DYNAMO — to a
+correct path."""
 
 import json
 
@@ -343,10 +344,22 @@ class TestNewmaRoute:
                 run_bank_batched([engine], trace)
         assert build_engine(newma()).kernel_path(kernels=False) == "legacy"
 
-    def test_other_families_stay_legacy(self):
+    def test_fresh_per_window_families_are_vectorized(self, trace):
         for family in ("das_pearson", "lu_dynamo"):
-            engine = build_engine(DetectorConfig(family=family, cw_size=40))
-            assert engine.kernel_path() == "legacy"
+            config = DetectorConfig(family=family, cw_size=40)
+            fresh = build_engine(config)
+            assert vectorized_eligible(fresh)
+            assert fresh.kernel_path() == "vectorized"
+            observed = build_engine(config, observer=MemorySink())
+            consumed = build_engine(config)
+            consumed.advance(trace.array[:100].tolist(), bytearray(100), 0)
+            restored = restore_engine(consumed.checkpoint())
+            for engine in (observed, consumed, restored):
+                assert not vectorized_eligible(engine), family
+                assert engine.kernel_path() == "legacy", family
+                with pytest.raises(ValueError):
+                    run_bank_batched([engine], trace)
+            assert build_engine(config).kernel_path(kernels=False) == "legacy"
 
     def test_mixed_bank_matches_solo_step_loops(self, trace, monkeypatch):
         """Windowed Threshold and Average members, NEWMA at two CWs x

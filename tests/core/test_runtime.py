@@ -329,6 +329,44 @@ class TestCheckpointValidation:
         with pytest.raises(CheckpointError):
             validate_checkpoint([1, 2, 3])
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            pytest.param(
+                lambda d: d.update(open_phase=None), "no open phase", id="p-closed"
+            ),
+            pytest.param(lambda d: d.update(state="T"), "'T' has an open", id="t-open"),
+            pytest.param(
+                lambda d: d.update(open_phase=[d["consumed"], 0]), "consumed",
+                id="future-start",
+            ),
+            pytest.param(
+                lambda d: d.update(open_phase=[5, 6]), "corrected <= detected",
+                id="late-anchor",
+            ),
+            pytest.param(
+                lambda d: d.update(open_phase=[5, -1]), "0 <= corrected",
+                id="negative-anchor",
+            ),
+            pytest.param(
+                lambda d: d.update(open_phase=[5.0, 5]), "int", id="float-start"
+            ),
+            pytest.param(lambda d: d.update(open_phase=[5]), "pair", id="short-pair"),
+        ],
+    )
+    def test_state_and_open_phase_must_agree(self, trace, edit, match):
+        """Used to restore, then ``finish`` recorded a phase from -1."""
+        runtime = DetectorRuntime(
+            combo_config(ModelKind.UNWEIGHTED, AnalyzerKind.THRESHOLD)
+        )
+        drive_steps(runtime, trace, 0, 400)
+        data = json.loads(json.dumps(runtime.checkpoint()))
+        assert data["state"] == "P" and data["open_phase"][0] >= 5
+        DetectorRuntime.restore(data)  # the real checkpoint restores
+        edit(data)
+        with pytest.raises(CheckpointError, match=match):
+            DetectorRuntime.restore(data)
+
     def test_custom_components_cannot_checkpoint(self):
         config = combo_config(ModelKind.UNWEIGHTED, AnalyzerKind.THRESHOLD)
 

@@ -7,7 +7,8 @@ bytes of an engine that ran uninterrupted — for any trace and any
 chunking, not just the hand-picked ones in the unit tests.  The other
 side of the contract: a FOCuS checkpoint holding a state ``step()``
 could never reach is rejected at restore time with ``CheckpointError``,
-and so are Das Pearson and Lu DYNAMO checkpoints.
+and so are Das Pearson and Lu DYNAMO checkpoints, and any family's
+checkpoint whose state and open phase disagree.
 """
 
 import json
@@ -272,4 +273,67 @@ def test_malformed_window_checkpoint_is_rejected(family, edit, match):
     data = window_checkpoint(family)
     edit(data["engine"])
     with pytest.raises(CheckpointError, match=match):
+        restore_engine(data)
+
+
+# -- state and open phase must agree, in every family -------------------------
+
+
+def in_phase_checkpoint(family):
+    """A real checkpoint of ``family`` with a phase open."""
+    if family == "focus":
+        return focus_checkpoint(40)
+    if family == "newma":
+        engine = build_engine(DetectorConfig(family="newma", cw_size=8))
+        engine.advance(FOCUS_STREAM, bytearray(len(FOCUS_STREAM)), 0)
+        return json.loads(json.dumps(engine.checkpoint()))
+    return window_checkpoint(family)
+
+
+@pytest.mark.parametrize("family", ["das_pearson", "focus", "lu_dynamo", "newma"])
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        pytest.param(
+            lambda d: d.update(open_phase=None), "no open phase", id="p-closed"
+        ),
+        pytest.param(lambda d: d.update(state="T"), "'T' has an open", id="t-open"),
+        pytest.param(
+            lambda d: d.update(open_phase=[d["consumed"], 0]), "consumed",
+            id="future-start",
+        ),
+        pytest.param(
+            lambda d: d.update(open_phase=[5, 6]), "corrected <= detected",
+            id="late-anchor",
+        ),
+        pytest.param(
+            lambda d: d.update(open_phase=[5, -1]), "0 <= corrected",
+            id="negative-anchor",
+        ),
+        pytest.param(lambda d: d.update(open_phase=[5, True]), "int", id="bool-anchor"),
+        pytest.param(lambda d: d.update(open_phase=5), "pair", id="scalar"),
+    ],
+)
+def test_state_and_open_phase_must_agree(family, edit, match):
+    """A "P" document without an open phase used to restore in every
+    family, and ``finish`` then recorded a phase from -1; so did an open
+    phase from an element never consumed."""
+    data = in_phase_checkpoint(family)
+    assert data["state"] == "P"
+    edit(data)
+    with pytest.raises(CheckpointError, match=match):
+        restore_engine(data)
+
+
+@pytest.mark.parametrize("family", sorted(WINDOW_CONFIGS))
+def test_in_phase_before_first_window_is_rejected(family):
+    """``step()`` sets the flag only on a judged window, so no engine is
+    in phase before one.  Das Pearson used to accept this; Lu DYNAMO
+    rejected it only through its averages count."""
+    data = window_checkpoint(family, length=3)
+    assert data["state"] == "T"
+    data["state"] = "P"
+    data["open_phase"] = [0, 0]
+    data["engine"]["in_phase"] = True
+    with pytest.raises(CheckpointError, match="before its first window"):
         restore_engine(data)
