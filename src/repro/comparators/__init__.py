@@ -23,8 +23,8 @@ gives the retroactive per-window colouring the related-work table
 scores.
 
 The **family registry** is the one code path from a family name (the
-``family`` field of :class:`~repro.core.config.DetectorConfig` and of
-version-2 checkpoints) to a live :class:`~repro.core.decision.DecisionEngine`:
+``family`` field of :class:`~repro.core.config.DetectorConfig` and the
+``family`` tag of checkpoints) to a live :class:`~repro.core.decision.DecisionEngine`:
 :func:`engine_family` resolves a name to its :class:`FamilySpec`,
 :func:`family_names` enumerates what is registered.  The decision
 layer's :func:`~repro.core.decision.build_engine` and
@@ -43,6 +43,7 @@ from repro.core.config import (
     TrailingPolicy,
 )
 from repro.core.decision import CheckpointError, DecisionEngine
+from repro.core.runtime import DetectorRuntime
 
 from repro.comparators.dhodapkar_smith import (
     DHODAPKAR_SMITH_THRESHOLD,
@@ -85,7 +86,7 @@ class FamilySpec:
 
     ``build(config, observer=..., metrics=...)`` returns a live engine;
     ``restore(data, observer=..., metrics=...)`` rebuilds one from a
-    version-2 checkpoint dict; ``default_config()`` returns a runnable
+    checkpoint dict; ``default_config()`` returns a runnable
     representative configuration (callers ``replace()`` fields to
     taste).  ``statistic`` documents the family's decision statistic
     and which direction means stable.
@@ -99,20 +100,6 @@ class FamilySpec:
     default_config: Callable[[], DetectorConfig]
 
 
-def _build_windowed(
-    config: DetectorConfig, observer=None, metrics=None
-) -> DecisionEngine:
-    from repro.core.runtime import DetectorRuntime
-
-    return DetectorRuntime(config, observer=observer, metrics=metrics)
-
-
-def _restore_windowed(data, observer=None, metrics=None) -> DecisionEngine:
-    from repro.core.runtime import DetectorRuntime
-
-    return DetectorRuntime.restore(data, observer=observer, metrics=metrics)
-
-
 def _build_dhodapkar_smith(
     config: DetectorConfig, observer=None, metrics=None
 ) -> DecisionEngine:
@@ -122,10 +109,8 @@ def _build_dhodapkar_smith(
     :class:`~repro.core.runtime.DetectorRuntime` pinned to Dhodapkar &
     Smith's policies (unweighted model, threshold 0.5, skipFactor =
     TW = CW), with only ``cw_size`` taken from the caller's config.
-    Its checkpoints are therefore version-1 windowed checkpoints.
+    Its checkpoints are therefore windowed-family checkpoints.
     """
-    from repro.core.runtime import DetectorRuntime
-
     normalized = replace(
         config,
         family="windowed",
@@ -141,8 +126,8 @@ def _build_dhodapkar_smith(
 
 def _restore_dhodapkar_smith(data, observer=None, metrics=None) -> DecisionEngine:
     raise CheckpointError(
-        "dhodapkar_smith engines checkpoint as the windowed family "
-        "(version 1); restore through repro.core.decision.restore_engine"
+        "dhodapkar_smith engines checkpoint as the windowed family; "
+        "restore through repro.core.decision.restore_engine"
     )
 
 
@@ -159,8 +144,10 @@ _register(
         summary="The paper's grid: windowed working-set similarity "
         "(Model x Analyzer x WindowPolicy).",
         statistic="similarity in [0, 1]; high = stable",
-        build=_build_windowed,
-        restore=_restore_windowed,
+        build=lambda config, observer=None, metrics=None: DetectorRuntime(
+            config, observer=observer, metrics=metrics
+        ),
+        restore=DetectorRuntime.restore,
         default_config=lambda: DetectorConfig(cw_size=250),
     )
 )

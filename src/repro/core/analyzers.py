@@ -23,33 +23,35 @@ from repro.core.state import PhaseState
 
 @dataclass
 class PhaseStats:
-    """Running statistics of the similarity values of the current phase."""
+    """Running statistics of the decision statistic over the current phase.
+
+    Every :class:`~repro.core.decision.DecisionEngine` keeps one (the
+    windowed runtime's is its analyzer's); the closed phase's ``mean``
+    becomes its ``mean_similarity``, and checkpoints carry both fields.
+    """
 
     count: int = 0
     total: float = 0.0
-    minimum: float = 1.0
-    maximum: float = 0.0
+
+    def start(self, value: float) -> None:
+        """A phase opened with ``value`` as its first statistic."""
+        self.count = 1
+        self.total = value
 
     def add(self, value: float) -> None:
-        """Fold one similarity value into the statistics."""
+        """Fold one more statistic into the phase."""
         self.count += 1
         self.total += value
-        if value < self.minimum:
-            self.minimum = value
-        if value > self.maximum:
-            self.maximum = value
 
     @property
     def mean(self) -> float:
-        """Mean similarity of the phase so far (0.0 before any value)."""
+        """Mean statistic of the phase so far (0.0 before any value)."""
         return self.total / self.count if self.count else 0.0
 
     def reset(self) -> None:
         """Clear the statistics (phase ended)."""
         self.count = 0
         self.total = 0.0
-        self.minimum = 1.0
-        self.maximum = 0.0
 
 
 class Analyzer:
@@ -74,8 +76,7 @@ class Analyzer:
 
     def reset_stats(self, seed: float) -> None:
         """A new phase started; seed the statistics with its first value."""
-        self.stats.reset()
-        self.stats.add(seed)
+        self.stats.start(seed)
 
     def update_stats(self, similarity: float) -> None:
         """Still in phase; fold in the latest similarity value."""

@@ -198,13 +198,9 @@ class DetectorConfig:
         )
 
     def to_dict(self) -> Dict[str, object]:
-        """A JSON-safe dict representation (used by detector checkpoints).
-
-        The windowed family serializes exactly its original 11 keys —
-        family fields appear only for non-windowed configurations — so
-        v1 windowed checkpoints stay byte-identical.
-        """
-        data: Dict[str, object] = {
+        """A JSON-safe dict of every field (detector checkpoints and the
+        serve layer's ``open`` message)."""
+        return {
             "cw_size": self.cw_size,
             "tw_size": self.tw_size,
             "skip_factor": self.skip_factor,
@@ -216,14 +212,12 @@ class DetectorConfig:
             "threshold": self.threshold,
             "delta": self.delta,
             "enter_threshold": self.enter_threshold,
+            "family": self.family,
+            "stat_threshold": self.stat_threshold,
+            "newma_fast": self.newma_fast,
+            "newma_slow": self.newma_slow,
+            "sketch_dim": self.sketch_dim,
         }
-        if not self.is_windowed:
-            data["family"] = self.family
-            data["stat_threshold"] = self.stat_threshold
-            data["newma_fast"] = self.newma_fast
-            data["newma_slow"] = self.newma_slow
-            data["sketch_dim"] = self.sketch_dim
-        return data
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DetectorConfig":
@@ -247,24 +241,6 @@ class DetectorConfig:
             newma_slow=float(data.get("newma_slow", 0.05)),
             sketch_dim=int(data.get("sketch_dim", 64)),
         )
-
-    @classmethod
-    def wire_defaults(cls) -> Dict[str, object]:
-        """Default values for every wire-settable field, family included.
-
-        What the serve layer's ``open`` message merges client overrides
-        into — unlike :meth:`to_dict` (whose windowed form is pinned to
-        the v1 checkpoint bytes), this always lists the family fields so
-        clients can select any registered family.
-        """
-        probe = cls(cw_size=1)
-        data = probe.to_dict()
-        data["family"] = probe.family
-        data["stat_threshold"] = probe.stat_threshold
-        data["newma_fast"] = probe.newma_fast
-        data["newma_slow"] = probe.newma_slow
-        data["sketch_dim"] = probe.sketch_dim
-        return data
 
     def describe(self) -> str:
         """A short human-readable label for reports."""

@@ -15,8 +15,8 @@ This module owns that reduction:
   a decision; the base class supplies the chunked ``advance()`` driver,
   the one whole-trace ``run()`` driver (reference loop, vectorized
   kernels, or one ``_advance_elements`` pass), phase statistics,
-  and the versioned family checkpoint schema (v2), so a new family only
-  writes its statistic update and its serializable state.
+  and the one checkpoint schema, so a new family only writes its
+  statistic update and its serializable state.
 - :class:`PerWindowEngine` — the base of the families that decide once
   per ``cw_size``-element window (Das Pearson, Lu DYNAMO): it owns the
   window buffer and its checkpoint checks, and adds the retroactive
@@ -30,14 +30,11 @@ This module owns that reduction:
   field) or a serialized checkpoint to a live engine, dispatching
   through the :mod:`repro.comparators` registry.
 
-Checkpoint schema versions (see ``docs/formats.md``):
-
-- **v1** — the windowed grid's schema, emitted by
-  :class:`~repro.core.runtime.DetectorRuntime` unchanged (byte-for-byte
-  stable across the decision-layer refactor).
-- **v2** — the family schema: a ``family`` tag plus an opaque
-  ``engine`` payload each family serializes for itself.  v1 remains
-  readable; :func:`restore_engine` accepts both.
+Every family, the windowed grid included, writes one checkpoint schema
+(version 2, see ``docs/formats.md``): a shared envelope (position,
+state, phase statistics, open and closed phases) plus a ``family`` tag
+and an ``engine`` payload each family serializes for itself.  Restore
+rejects every document whose state ``step()`` could never reach.
 """
 
 from __future__ import annotations
@@ -50,6 +47,7 @@ from typing import ClassVar, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core import kernels as kernels_mod
+from repro.core.analyzers import PhaseStats
 from repro.core.config import DetectorConfig
 from repro.core.state import PhaseState
 from repro.profiles.trace import BranchTrace
@@ -57,10 +55,8 @@ from repro.scoring.states import Interval, states_from_phases
 
 #: ``format`` field of a serialized checkpoint.
 CHECKPOINT_FORMAT = "repro-detector-checkpoint"
-#: The windowed grid's checkpoint schema version (see ``docs/formats.md``).
-CHECKPOINT_VERSION = 1
-#: The family checkpoint schema version (``family`` tag + engine payload).
-CHECKPOINT_VERSION_FAMILY = 2
+#: The checkpoint schema version (see ``docs/formats.md``).
+CHECKPOINT_VERSION = 2
 
 #: The windowed grid's family name (the :class:`DetectorConfig` default).
 WINDOWED_FAMILY = "windowed"
@@ -234,9 +230,8 @@ class DecisionEngine:
     base class provides:
 
     - ``tracker`` — the :class:`PhaseTracker` to call on enter/exit;
-    - phase statistics — :meth:`_phase_stats_reset` on enter and
-      :meth:`_phase_stats_update` per in-phase step feed the closed
-      phase's ``mean_similarity``;
+    - ``stats`` — the open phase's :class:`~repro.core.analyzers.PhaseStats`,
+      whose mean becomes the closed phase's ``mean_similarity``;
     - the decision tail — :meth:`_emit_decision` emits a judged
       statistic's ``similarity``/``decision`` events and
       :meth:`_settle` turns a step's verdict into enter / continue /
@@ -246,13 +241,13 @@ class DecisionEngine:
       per-chunk ``runtime.advance_seconds`` metrics histogram;
     - :meth:`run` — the one whole-trace driver, with ``run_begin`` /
       ``run_end`` observability events;
-    - :meth:`checkpoint` / :meth:`restore` — the versioned family
-      schema (v2); a family only implements :meth:`_engine_state` and
+    - :meth:`checkpoint` / :meth:`restore` — the one checkpoint
+      schema; a family only implements :meth:`_engine_state` and
       :meth:`_restore_engine_state` for its own serializable state.
 
     The windowed :class:`~repro.core.runtime.DetectorRuntime` overrides
-    the ``_advance_elements`` hook with its fused loop and keeps its v1
-    checkpoint schema; it inherits :meth:`run`.
+    the ``_advance_elements`` hook with its fused loop; it inherits
+    :meth:`run`, :meth:`checkpoint` and :meth:`restore`.
     """
 
     #: Registry name of this engine's family (see :mod:`repro.comparators`).
@@ -265,8 +260,7 @@ class DecisionEngine:
         self._observer = observer
         self.metrics = metrics
         self._consumed = 0
-        self._phase_total = 0.0
-        self._phase_count = 0
+        self.stats = PhaseStats()
 
     # -- observer plumbing -----------------------------------------------------
 
@@ -320,25 +314,8 @@ class DecisionEngine:
         """Consume one ``skipFactor`` group; decide enter/exit/continue."""
         raise NotImplementedError
 
-    # -- phase statistics (feed the closed phase's mean_similarity) ------------
-
-    def _phase_stats_reset(self, value: float) -> None:
-        self._phase_total = value
-        self._phase_count = 1
-
-    def _phase_stats_update(self, value: float) -> None:
-        self._phase_total += value
-        self._phase_count += 1
-
-    def _phase_stats_clear(self) -> None:
-        self._phase_total = 0.0
-        self._phase_count = 0
-
     def _close(self, end: int) -> DetectedPhase:
-        mean = (
-            self._phase_total / self._phase_count if self._phase_count else 0.0
-        )
-        return self.tracker.exit(self.consumed, end, mean)
+        return self.tracker.exit(self.consumed, end, self.stats.mean)
 
     def finish(self, total_elements: int) -> List[DetectedPhase]:
         """Close any phase still open at end of stream; return all phases."""
@@ -383,15 +360,15 @@ class DecisionEngine:
             if not self.state.is_phase():
                 start = self._consumed - group_len
                 self.tracker.enter(self._consumed, start, start)
-                self._phase_stats_reset(0.0 if statistic is None else statistic)
+                self.stats.start(0.0 if statistic is None else statistic)
                 entered = True
             elif statistic is not None:
-                self._phase_stats_update(statistic)
+                self.stats.add(statistic)
             self.state = PhaseState.PHASE
         else:
             if self.state.is_phase():
                 closed = self._close(self._consumed - group_len)
-                self._phase_stats_clear()
+                self.stats.reset()
             self.state = PhaseState.TRANSITION
         return PhaseDecision(self.state, statistic, entered, closed)
 
@@ -516,7 +493,7 @@ class DecisionEngine:
             similarity_values=similarities,
         )
 
-    # -- checkpointing (family schema, v2) -------------------------------------
+    # -- checkpointing -----------------------------------------------------------
 
     def _engine_state(self) -> Dict[str, object]:
         """This family's serializable state (JSON-safe, exact floats)."""
@@ -525,13 +502,17 @@ class DecisionEngine:
         )
 
     def _restore_engine_state(self, payload: Dict[str, object]) -> None:
-        """Rebuild this family's state from :meth:`_engine_state` output."""
+        """Rebuild this family's state from :meth:`_engine_state` output.
+
+        Runs once the envelope's position, state and phases are set, so
+        a family can check its own state against them.
+        """
         raise CheckpointError(
             f"{type(self).__name__} does not support checkpointing"
         )
 
     def checkpoint(self) -> Dict[str, object]:
-        """Serialize the full engine state as a JSON-safe dict (schema v2).
+        """Serialize the full engine state as a JSON-safe dict.
 
         JSON round-trips Python floats exactly (``repr`` shortest-form),
         so :meth:`restore` resumes with bit-identical continuation —
@@ -539,18 +520,16 @@ class DecisionEngine:
         run.
         """
         tracker = self.tracker
+        stats = self.stats
         return {
             "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION_FAMILY,
+            "version": CHECKPOINT_VERSION,
             "family": self.family,
             "config": self.config.to_dict(),
             "consumed": self.consumed,
             "state": self.state.value,
             "engine": self._engine_state(),
-            "stats": {
-                "count": self._phase_count,
-                "total": self._phase_total,
-            },
+            "stats": {"count": stats.count, "total": stats.total},
             "open_phase": (
                 [tracker.open_detected, tracker.open_corrected]
                 if tracker.open
@@ -566,39 +545,59 @@ class DecisionEngine:
     def restore(
         cls, data: Dict[str, object], observer=None, metrics=None
     ) -> "DecisionEngine":
-        """Rebuild an engine from a :meth:`checkpoint` dict (schema v2)."""
+        """Rebuild an engine from a :meth:`checkpoint` dict.
+
+        Raises :class:`CheckpointError` for any document whose state
+        ``step()`` could never reach — the envelope is checked here, the
+        family's payload by :meth:`_restore_engine_state` — and for a
+        missing field or a value of the wrong type.
+        """
         validate_checkpoint(data)
-        if data.get("version") != CHECKPOINT_VERSION_FAMILY:
-            raise CheckpointError(
-                f"{cls.__name__} reads family checkpoints "
-                f"(version {CHECKPOINT_VERSION_FAMILY}), "
-                f"got version {data.get('version')!r}"
-            )
-        family = data.get("family")
+        family = data["family"]
         if family != cls.family:
             raise CheckpointError(
                 f"checkpoint family {family!r} does not match {cls.family!r}"
             )
-        config = DetectorConfig.from_dict(data["config"])  # type: ignore[arg-type]
-        engine = cls(config, observer=observer, metrics=metrics)
-        # Position and state first: a family's validation may check its
-        # own state against them.
-        engine._consumed = int(data["consumed"])  # type: ignore[arg-type]
-        engine.state = PhaseState(data["state"])
-        open_phase = checkpoint_open_phase(
-            data.get("open_phase"), engine.state, engine._consumed
-        )
-        engine._restore_engine_state(data["engine"])  # type: ignore[arg-type]
-        stats: Dict[str, object] = data["stats"]  # type: ignore[assignment]
-        engine._phase_count = int(stats["count"])  # type: ignore[arg-type]
-        engine._phase_total = float(stats["total"])  # type: ignore[arg-type]
-        tracker = engine.tracker
-        if open_phase is not None:
-            tracker.open_detected, tracker.open_corrected = open_phase
-        tracker.phases = [
-            DetectedPhase(int(p[0]), int(p[1]), int(p[2]), float(p[3]))
-            for p in data["phases"]  # type: ignore[union-attr]
-        ]
+        try:
+            config = DetectorConfig.from_dict(data["config"])  # type: ignore[arg-type]
+            if config.family != family:
+                raise CheckpointError(
+                    f"checkpoint config family {config.family!r} does not "
+                    f"match its tag {family!r}"
+                )
+            engine = cls(config, observer=observer, metrics=metrics)
+            # Position, state and phases first: the payload is checked
+            # against them.
+            consumed = checkpoint_int(data["consumed"], "checkpoint consumed")
+            if consumed < 0:
+                raise CheckpointError(f"checkpoint consumed={consumed} is negative")
+            state = PhaseState(data["state"])
+            engine._consumed = consumed
+            engine.state = state
+            tracker = engine.tracker
+            open_phase = checkpoint_open_phase(data.get("open_phase"), state, consumed)
+            if open_phase is not None:
+                tracker.open_detected, tracker.open_corrected = open_phase
+            tracker.phases = [
+                checkpoint_phase(phase, consumed)
+                for phase in data["phases"]  # type: ignore[union-attr]
+            ]
+            engine._restore_engine_state(data["engine"])  # type: ignore[arg-type]
+            stats: Dict[str, object] = data["stats"]  # type: ignore[assignment]
+            count = checkpoint_int(stats["count"], "checkpoint stats.count")
+            # A phase opens with its first statistic.
+            least = 1 if state.is_phase() else 0
+            if count < least:
+                raise CheckpointError(
+                    f"checkpoint stats.count={count} is below {least} "
+                    f"in state {state.value!r}"
+                )
+            engine.stats.count = count
+            engine.stats.total = checkpoint_float(stats["total"], "checkpoint stats.total")
+        except CheckpointError:
+            raise
+        except (KeyError, TypeError, ValueError) as error:
+            raise CheckpointError(f"malformed {family} checkpoint: {error!r}") from error
         return engine
 
 
@@ -631,8 +630,7 @@ def checkpoint_open_phase(
 
     Every engine holds an open phase exactly while its state is P, and
     the phase opened at an element already consumed, its anchor no
-    later: ``0 <= corrected <= detected < consumed``.  Both checkpoint
-    schemas (v1 and v2) restore through this check.
+    later: ``0 <= corrected <= detected < consumed``.
     """
     if value is None:
         if state.is_phase():
@@ -655,6 +653,27 @@ def checkpoint_open_phase(
             f"0 <= corrected <= detected < consumed {consumed}"
         )
     return detected, corrected
+
+
+def checkpoint_phase(value: object, consumed: int) -> DetectedPhase:
+    """One ``phases`` entry of a checkpoint; :class:`CheckpointError`
+    unless it is a phase some run could have closed:
+    ``0 <= corrected <= detected < end <= consumed``, finite mean."""
+    if not isinstance(value, list) or len(value) != 4:
+        raise CheckpointError(
+            f"checkpoint phase {value!r:.80} is not a "
+            "[detected, corrected, end, mean] list"
+        )
+    detected = checkpoint_int(value[0], "checkpoint phase detected start")
+    corrected = checkpoint_int(value[1], "checkpoint phase corrected start")
+    end = checkpoint_int(value[2], "checkpoint phase end")
+    mean = checkpoint_float(value[3], "checkpoint phase mean")
+    if not 0 <= corrected <= detected < end <= consumed:
+        raise CheckpointError(
+            f"checkpoint phase [{detected}, {corrected}, {end}] is not "
+            f"0 <= corrected <= detected < end <= consumed {consumed}"
+        )
+    return DetectedPhase(detected, corrected, end, mean)
 
 
 class PerWindowEngine(DecisionEngine):
@@ -769,10 +788,8 @@ class PerWindowEngine(DecisionEngine):
 def validate_checkpoint(data: Dict[str, object]) -> None:
     """Check a checkpoint dict's envelope; raise :class:`CheckpointError`.
 
-    Accepts the windowed schema (v1) and the family schema (v2, which
-    adds the ``family`` tag and the opaque ``engine`` payload).
-    Unknown versions are rejected outright — a newer schema may encode
-    state this code cannot faithfully resume.
+    Other versions are rejected outright: an older or newer schema may
+    encode state this code cannot faithfully resume.
     """
     if not isinstance(data, dict):
         raise CheckpointError(f"checkpoint must be a dict, got {type(data).__name__}")
@@ -781,21 +798,14 @@ def validate_checkpoint(data: Dict[str, object]) -> None:
             f"not a detector checkpoint (format={data.get('format')!r})"
         )
     version = data.get("version")
-    if version == CHECKPOINT_VERSION:
-        required = ("config", "consumed", "state", "filled", "growing",
-                    "cw", "tw", "stats", "phases")
-    elif version == CHECKPOINT_VERSION_FAMILY:
-        if not isinstance(data.get("family"), str) or not data["family"]:
-            raise CheckpointError(
-                "version-2 checkpoint missing its family tag"
-            )
-        required = ("config", "consumed", "state", "engine", "stats", "phases")
-    else:
+    if version != CHECKPOINT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint version {version!r} "
-            f"(this build reads versions {CHECKPOINT_VERSION} "
-            f"and {CHECKPOINT_VERSION_FAMILY})"
+            f"(this build reads version {CHECKPOINT_VERSION})"
         )
+    if not isinstance(data.get("family"), str) or not data["family"]:
+        raise CheckpointError("checkpoint missing its family tag")
+    required = ("config", "consumed", "state", "engine", "stats", "phases")
     missing = [field for field in required if field not in data]
     if missing:
         raise CheckpointError(f"checkpoint missing fields {missing}")
@@ -840,17 +850,13 @@ def build_engine(
 def restore_engine(
     data: Dict[str, object], observer=None, metrics=None
 ) -> DecisionEngine:
-    """Rebuild an engine from any supported checkpoint schema.
-
-    v1 checkpoints are the windowed grid's schema; v2 checkpoints carry
-    a ``family`` tag resolved through the registry.
-    """
+    """Rebuild an engine from a checkpoint, whatever its ``family`` tag
+    (resolved through the :mod:`repro.comparators` registry)."""
     validate_checkpoint(data)
-    if data.get("version") == CHECKPOINT_VERSION:
-        from repro.core.runtime import DetectorRuntime
-
-        return DetectorRuntime.restore(data, observer=observer, metrics=metrics)
-    family = str(data["family"])
     from repro.comparators import engine_family
 
-    return engine_family(family).restore(data, observer=observer, metrics=metrics)
+    try:
+        spec = engine_family(data["family"])  # type: ignore[arg-type]
+    except ValueError as error:
+        raise CheckpointError(str(error)) from None
+    return spec.restore(data, observer=observer, metrics=metrics)

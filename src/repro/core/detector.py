@@ -78,6 +78,7 @@ class PhaseDetector:
     @analyzer.setter
     def analyzer(self, value: Analyzer) -> None:
         self.runtime.analyzer = value
+        self.runtime.stats = value.stats
 
     @property
     def state(self) -> PhaseState:

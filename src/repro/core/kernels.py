@@ -818,13 +818,9 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
         model._cw_add(element)
     model.consumed = total
     if phase_open:
-        stats = runtime.analyzer.stats
+        stats = runtime.stats
         stats.count = int(episode_sims.size)
         stats.total = float(np.cumsum(episode_sims)[-1])
-        low = float(np.min(episode_sims))
-        high = float(np.max(episode_sims))
-        stats.minimum = low if low < 1.0 else 1.0
-        stats.maximum = high if high > 0.0 else 0.0
         runtime.state = PhaseState.PHASE
     else:
         runtime.state = PhaseState.TRANSITION
@@ -905,12 +901,11 @@ def _walk_newma(engine, shared: SharedTraceKernels) -> np.ndarray:
     engine._stat_seen = True
     if in_phase:
         states[start:total] = True
-        engine._phase_total = phase_total
-        engine._phase_count = phase_count
+        engine.stats.count = phase_count
+        engine.stats.total = phase_total
         engine.state = PhaseState.PHASE
     else:
-        engine._phase_total = 0.0
-        engine._phase_count = 0
+        engine.stats.reset()
         engine.state = PhaseState.TRANSITION
     return states
 
@@ -1038,12 +1033,11 @@ def _walk_focus(engine, shared: SharedTraceKernels) -> np.ndarray:
     engine._neg = neg
     if in_phase:
         states[start:total] = True
-        engine._phase_total = phase_total
-        engine._phase_count = phase_count
+        engine.stats.count = phase_count
+        engine.stats.total = phase_total
         engine.state = PhaseState.PHASE
     else:
-        engine._phase_total = 0.0
-        engine._phase_count = 0
+        engine.stats.reset()
         engine.state = PhaseState.TRANSITION
     return states
 

@@ -48,16 +48,18 @@ runtimes (either analyzer) through the vectorized kernels of
 fraction of the cost), and hands everything else to the same
 ``_advance_elements`` hook :meth:`advance` uses, in one call.
 
-The runtime's state is serializable: :meth:`DetectorRuntime.checkpoint`
-returns a JSON-safe dict (the versioned **v1** windowed schema, see
-``docs/formats.md``) from which :meth:`DetectorRuntime.restore` resumes
+The runtime's state is serializable through the one checkpoint schema
+every family shares (see ``docs/formats.md``): it supplies only the
+``engine`` payload — the two windows and their ``filled`` / ``growing``
+flags — and inherits :meth:`~repro.core.decision.DecisionEngine.checkpoint`
+and :meth:`~repro.core.decision.DecisionEngine.restore`, which resume
 with bit-identical continuation — same states, same phases, same event
 stream as an uninterrupted run.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.analyzers import (
     Analyzer,
@@ -69,7 +71,6 @@ from repro.core.config import DetectorConfig, TrailingPolicy
 from repro.core.decision import (
     CHECKPOINT_FORMAT,
     CHECKPOINT_VERSION,
-    CHECKPOINT_VERSION_FAMILY,
     WINDOWED_FAMILY,
     CheckpointError,
     DecisionEngine,
@@ -78,7 +79,7 @@ from repro.core.decision import (
     PhaseDecision,
     PhaseTracker,
     StepOutcome,
-    checkpoint_open_phase,
+    checkpoint_bool,
     validate_checkpoint,
 )
 from repro.core.models import (
@@ -92,7 +93,6 @@ from repro.core.state import PhaseState
 __all__ = [
     "CHECKPOINT_FORMAT",
     "CHECKPOINT_VERSION",
-    "CHECKPOINT_VERSION_FAMILY",
     "CheckpointError",
     "DecisionEngine",
     "DetectedPhase",
@@ -140,6 +140,8 @@ class DetectorRuntime(DecisionEngine):
         super().__init__(config, observer=observer, metrics=metrics)
         self.model: SimilarityModel = model if model is not None else build_model(config)
         self.analyzer: Analyzer = analyzer if analyzer is not None else build_analyzer(config)
+        # One phase-statistics record: the analyzer's bar reads it.
+        self.stats = self.analyzer.stats
         self._adaptive = config.trailing is TrailingPolicy.ADAPTIVE
         self.model.observer = observer  # windows emit tw_resize/window_flush
 
@@ -244,11 +246,6 @@ class DetectorRuntime(DecisionEngine):
         self.state = new_state
         return StepOutcome(new_state, similarity, entered, closed)
 
-    def _close(self, end: int) -> DetectedPhase:
-        stats = self.analyzer.stats
-        mean = stats.total / stats.count if stats.count else 0.0
-        return self.tracker.exit(self.model.consumed, end, mean)
-
     # -- the optimized path ----------------------------------------------------
 
     def _advance_elements(
@@ -309,11 +306,9 @@ class DetectorRuntime(DecisionEngine):
         growing = model.growing
         in_phase = self.state is PhaseState.PHASE
 
-        stats = analyzer.stats
+        stats = self.stats
         stat_total = stats.total
         stat_count = stats.count
-        stat_min = stats.minimum
-        stat_max = stats.maximum
 
         distinct_cw = len(cw_counts)
         shared = 0
@@ -474,8 +469,6 @@ class DetectorRuntime(DecisionEngine):
                 analyzer.reset_stats(similarity)
                 stat_total = stats.total
                 stat_count = stats.count
-                stat_min = stats.minimum
-                stat_max = stats.maximum
                 tracker.enter(consumed, consumed - 1, anchor_abs)
             elif in_phase and not new_in_phase:
                 phase_mean = stat_total / stat_count if stat_count else 0.0
@@ -494,15 +487,9 @@ class DetectorRuntime(DecisionEngine):
                 s_dirty = True
                 stat_total = stats.total
                 stat_count = stats.count
-                stat_min = stats.minimum
-                stat_max = stats.maximum
             elif in_phase:
                 stat_total += similarity
                 stat_count += 1
-                if similarity < stat_min:
-                    stat_min = similarity
-                if similarity > stat_max:
-                    stat_max = similarity
 
             if new_in_phase:
                 states[offset] = 1
@@ -519,21 +506,14 @@ class DetectorRuntime(DecisionEngine):
             model._shared = shared
         stats.total = stat_total
         stats.count = stat_count
-        stats.minimum = stat_min
-        stats.maximum = stat_max
         self.state = PhaseState.PHASE if in_phase else PhaseState.TRANSITION
 
     # -- checkpointing ---------------------------------------------------------
 
-    def checkpoint(self) -> Dict[str, object]:
-        """Serialize the full detector state as a JSON-safe dict.
+    def _engine_state(self) -> Dict[str, object]:
+        """The windows and their flags (the envelope holds the rest).
 
-        The windowed grid keeps its original **v1** schema (``version``
-        = :data:`CHECKPOINT_VERSION`, documented in ``docs/formats.md``)
-        — byte-for-byte what it wrote before the decision-layer split —
-        so existing checkpoints and their consumers are untouched.
-        :meth:`restore` resumes with bit-identical continuation.  Only
-        the standard model/analyzer components are serializable —
+        Only the standard model/analyzer components are serializable —
         custom components raise :class:`CheckpointError`.
         """
         if not self.fused_capable():
@@ -542,80 +522,68 @@ class DetectorRuntime(DecisionEngine):
                 f"got {type(self.model).__name__}/{type(self.analyzer).__name__}"
             )
         model = self.model
-        stats = self.analyzer.stats
-        tracker = self.tracker
         return {
-            "format": CHECKPOINT_FORMAT,
-            "version": CHECKPOINT_VERSION,
-            "config": self.config.to_dict(),
-            "consumed": model.consumed,
-            "state": self.state.value,
             "filled": model.filled,
             "growing": model.growing,
             "cw": [int(element) for element in model._cw],
             "tw": [int(element) for element in model._tw],
-            "stats": {
-                "count": stats.count,
-                "total": stats.total,
-                "minimum": stats.minimum,
-                "maximum": stats.maximum,
-            },
-            "open_phase": (
-                [tracker.open_detected, tracker.open_corrected]
-                if tracker.open
-                else None
-            ),
-            "phases": [
-                [p.detected_start, p.corrected_start, p.end, p.mean_similarity]
-                for p in tracker.phases
-            ],
         }
 
-    @classmethod
-    def restore(
-        cls, data: Dict[str, object], observer=None, metrics=None
-    ) -> "DetectorRuntime":
-        """Rebuild a runtime from a :meth:`checkpoint` dict (schema v1).
-
-        Family (v2) checkpoints belong to their engines — route them
-        through :func:`repro.core.decision.restore_engine` instead.
-        """
-        validate_checkpoint(data)
-        if data.get("version") != CHECKPOINT_VERSION:
+    def _restore_engine_state(self, payload: Dict[str, object]) -> None:
+        """Restore the windows, rejecting any state ``step()`` could
+        never reach (see ``docs/formats.md``)."""
+        model = self.model
+        consumed = self._consumed
+        in_phase = self.state.is_phase()
+        phases = self.tracker.phases
+        # finish() closes a phase at the end of the stream without
+        # flushing the windows; no step() closes one there.
+        finished = bool(phases) and phases[-1].end == consumed
+        filled = checkpoint_bool(payload["filled"], "windowed checkpoint filled")
+        growing = checkpoint_bool(payload["growing"], "windowed checkpoint growing")
+        cw: List[int] = payload["cw"]  # type: ignore[assignment]
+        tw: List[int] = payload["tw"]  # type: ignore[assignment]
+        cw_cap = model.cw_capacity
+        tw_cap = model.tw_capacity
+        if len(cw) > cw_cap:
             raise CheckpointError(
-                f"{cls.__name__} reads windowed checkpoints "
-                f"(version {CHECKPOINT_VERSION}), got version "
-                f"{data.get('version')!r} — use "
-                "repro.core.decision.restore_engine for family checkpoints"
+                f"windowed checkpoint cw holds {len(cw)} elements, "
+                f"more than cw_size {cw_cap}"
             )
-        config = DetectorConfig.from_dict(data["config"])  # type: ignore[arg-type]
-        runtime = cls(config, observer=observer, metrics=metrics)
-        model = runtime.model
+        if len(cw) + len(tw) > consumed:
+            raise CheckpointError(
+                f"windowed checkpoint windows hold {len(cw) + len(tw)} "
+                f"elements, more than consumed {consumed}"
+            )
+        # Only the Adaptive TW grows: from phase entry to phase exit.
+        if growing != (self._adaptive and (in_phase or finished)):
+            raise CheckpointError(
+                f"windowed checkpoint growing={growing} contradicts the "
+                f"{self.config.trailing.value} TW in state {self.state.value!r}"
+            )
+        if len(tw) > tw_cap and not growing:
+            raise CheckpointError(
+                f"windowed checkpoint tw holds {len(tw)} elements, "
+                f"more than its size {tw_cap}, while not growing"
+            )
+        # Full windows set the flag and only a phase exit clears it;
+        # only phase entry (Adaptive TW) shrinks the windows again.
+        full = len(cw) == cw_cap and len(tw) >= tw_cap
+        if (filled != full and not growing) or (in_phase and not filled):
+            raise CheckpointError(
+                f"windowed checkpoint filled={filled} contradicts windows "
+                f"of {len(cw)}/{len(tw)} elements in state {self.state.value!r}"
+            )
         # Replay the windows through the add hooks so the model's
         # incremental aggregates are rebuilt exactly (TW first: the
         # shared count is attributed on the CW side).
-        for element in data["tw"]:  # type: ignore[union-attr]
-            model._tw_add(int(element))
-        for element in data["cw"]:  # type: ignore[union-attr]
-            model._cw_add(int(element))
-        model.consumed = int(data["consumed"])  # type: ignore[arg-type]
-        model.filled = bool(data["filled"])
-        model.growing = bool(data["growing"])
-        stats_data: Dict[str, object] = data["stats"]  # type: ignore[assignment]
-        stats = runtime.analyzer.stats
-        stats.count = int(stats_data["count"])  # type: ignore[arg-type]
-        stats.total = float(stats_data["total"])  # type: ignore[arg-type]
-        stats.minimum = float(stats_data["minimum"])  # type: ignore[arg-type]
-        stats.maximum = float(stats_data["maximum"])  # type: ignore[arg-type]
-        runtime.state = PhaseState(data["state"])
-        tracker = runtime.tracker
-        open_phase = checkpoint_open_phase(
-            data.get("open_phase"), runtime.state, model.consumed
-        )
-        if open_phase is not None:
-            tracker.open_detected, tracker.open_corrected = open_phase
-        tracker.phases = [
-            DetectedPhase(int(p[0]), int(p[1]), int(p[2]), float(p[3]))
-            for p in data["phases"]  # type: ignore[union-attr]
-        ]
-        return runtime
+        for window, add in ((tw, model._tw_add), (cw, model._cw_add)):
+            for element in window:
+                if type(element) is not int:
+                    raise CheckpointError(
+                        f"windowed checkpoint element {element!r:.80} is not an int"
+                    )
+                add(element)
+        model.consumed = consumed
+        model.filled = filled
+        model.growing = growing

@@ -43,6 +43,8 @@ from repro.core.decision import (
     DetectedPhase,
     DetectionResult,
     build_engine,
+    checkpoint_bool,
+    checkpoint_int,
     restore_engine,
 )
 
@@ -170,22 +172,50 @@ class StreamingDetector:
     ) -> "StreamingDetector":
         """Rebuild a streaming detector from a :meth:`checkpoint` dict.
 
-        Accepts both checkpoint schemas: v1 rebuilds the windowed
-        runtime, v2 dispatches on the ``family`` tag (see
-        :func:`repro.core.decision.restore_engine`).
+        The engine restores through
+        :func:`repro.core.decision.restore_engine` (dispatching on the
+        ``family`` tag); the ``stream`` section must agree with it, or
+        :class:`CheckpointError` is raised.
         """
         runtime = restore_engine(data, observer=observer, metrics=metrics)
         stream_data = data.get("stream")
         if not isinstance(stream_data, dict):
             raise CheckpointError("checkpoint has no stream section")
+        position = checkpoint_int(stream_data.get("position"), "stream position")
+        if position != runtime.consumed:
+            raise CheckpointError(
+                f"stream position {position} is not the engine's "
+                f"consumed {runtime.consumed}"
+            )
+        buffer = stream_data.get("buffer")
+        skip = runtime.config.skip_factor
+        # A whole group in the buffer would already have been stepped.
+        if not isinstance(buffer, list) or len(buffer) >= skip:
+            raise CheckpointError(
+                f"stream buffer {buffer!r:.80} must be a list of fewer "
+                f"than skip_factor {skip} elements"
+            )
+        buffer = [checkpoint_int(element, "stream buffer element") for element in buffer]
+        in_phase = checkpoint_bool(stream_data.get("in_phase"), "stream in_phase")
+        try:
+            packed = base64.b64decode(stream_data.get("states"), validate=True)
+        except (TypeError, ValueError) as error:  # binascii.Error is a ValueError
+            raise CheckpointError(f"stream states are not base64: {error}") from None
+        expected = -(-position // 8)
+        if len(packed) != expected:
+            raise CheckpointError(
+                f"stream states hold {len(packed)} bytes, not the "
+                f"{expected} that {position} states pack into"
+            )
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:position]
+        if in_phase != (position > 0 and bool(bits[-1])):
+            raise CheckpointError(
+                f"stream in_phase={in_phase} contradicts its last state"
+            )
         streaming = cls(runtime.config, on_boundary=on_boundary, runtime=runtime)
-        streaming._position = int(stream_data["position"])
-        streaming._in_phase = bool(stream_data["in_phase"])
-        streaming._buffer = [int(element) for element in stream_data["buffer"]]
-        packed = np.frombuffer(
-            base64.b64decode(stream_data["states"]), dtype=np.uint8
-        )
-        bits = np.unpackbits(packed)[: streaming._position]
+        streaming._position = position
+        streaming._in_phase = in_phase
+        streaming._buffer = buffer
         streaming._states = bytearray(bits.tobytes())
         return streaming
 

@@ -65,12 +65,11 @@ SERVE_MANIFEST_KIND = "serve-run"
 DEFAULT_QUEUE_SIZE = 8
 
 #: Wire-config defaults: every ``DetectorConfig`` field except the
-#: required ``cw_size``, so clients may send partial config dicts.
-#: ``wire_defaults`` (unlike ``to_dict``) always includes the family
-#: fields, so a client can open e.g. a ``"family": "newma"`` session.
+#: required ``cw_size``, so clients may send partial config dicts
+#: (e.g. only ``cw_size`` and ``"family": "newma"``).
 _CONFIG_DEFAULTS = {
     key: value
-    for key, value in DetectorConfig.wire_defaults().items()
+    for key, value in DetectorConfig(cw_size=1).to_dict().items()
     if key != "cw_size"
 }
 

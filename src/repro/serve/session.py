@@ -15,8 +15,8 @@ and carries it through the serving state machine::
                      v
                    closed
 
-Parking serializes the detector through the versioned ``checkpoint()``
-schema (v1, see ``docs/formats.md``) to a spool file and drops the
+Parking serializes the detector through the one versioned ``checkpoint()``
+schema (see ``docs/formats.md``) to a spool file and drops the
 in-memory state; the next event rehydrates it with **bit-identical
 continuation** — the event stream the client sees is byte-for-byte the
 stream of an uninterrupted run.  That property is what lets one worker

@@ -77,8 +77,6 @@ class TestPhaseStats:
             stats.add(value)
         assert stats.count == 3
         assert stats.mean == pytest.approx(0.7)
-        assert stats.minimum == 0.5
-        assert stats.maximum == 0.9
 
     def test_reset(self):
         stats = PhaseStats()

@@ -4,9 +4,9 @@ The contract under test is :class:`repro.core.decision.DecisionEngine`:
 whatever the family, stepping over a trace must produce consistent
 decisions (enter/exit/continue transitions that match the state
 stream), schema-valid observability events, a well-formed
-:class:`DetectionResult`, and a version-2 checkpoint that restores to a
-bit-identical continuation.  The windowed grid keeps its version-1
-schema; cross-version handling is pinned here too.
+:class:`DetectionResult`, and a checkpoint of the one schema that
+restores to a bit-identical continuation.  Documents of any other
+schema version are rejected.
 """
 
 import json
@@ -21,7 +21,6 @@ from repro.comparators import engine_family, family_names
 from repro.core.config import DetectorConfig
 from repro.core.decision import (
     CHECKPOINT_VERSION,
-    CHECKPOINT_VERSION_FAMILY,
     CheckpointError,
     DecisionEngine,
     PhaseDecision,
@@ -54,14 +53,14 @@ def family_config(name):
 
 
 ALL_FAMILIES = family_names()
-#: Families whose engines write version-2 checkpoints (dhodapkar_smith
-#: normalizes to a windowed runtime, so it stays on version 1).
-V2_FAMILIES = ["focus", "newma", "das_pearson", "lu_dynamo"]
+#: Families whose engines write checkpoints under their own tag
+#: (dhodapkar_smith normalizes to a windowed runtime and its tag).
+CHECKPOINT_FAMILIES = ["windowed", "focus", "newma", "das_pearson", "lu_dynamo"]
 
 
 def test_registry_names_and_miss():
     assert ALL_FAMILIES[0] == "windowed"
-    assert set(V2_FAMILIES) <= set(ALL_FAMILIES)
+    assert set(CHECKPOINT_FAMILIES) <= set(ALL_FAMILIES)
     with pytest.raises(ValueError, match="unknown detector family"):
         engine_family("bogus")
     for name in ALL_FAMILIES:
@@ -199,7 +198,7 @@ def test_advance_is_chunk_invariant(name, skip, blocks, cw, cuts):
     assert json.dumps(chunked.checkpoint()) == json.dumps(reference.checkpoint())
 
 
-@pytest.mark.parametrize("name", V2_FAMILIES)
+@pytest.mark.parametrize("name", CHECKPOINT_FAMILIES)
 def test_family_checkpoint_roundtrip_bit_identical(name):
     elements = phased_trace().array.tolist()
     config = family_config(name)
@@ -216,7 +215,7 @@ def test_family_checkpoint_roundtrip_bit_identical(name):
         parked.advance(elements[base:stop], states_b, base)
         blob = json.dumps(parked.checkpoint(), separators=(",", ":"))
         data = json.loads(blob)
-        assert data["version"] == CHECKPOINT_VERSION_FAMILY
+        assert data["version"] == CHECKPOINT_VERSION
         assert data["family"] == name
         validate_checkpoint(data)
         parked = restore_engine(data)
@@ -230,7 +229,7 @@ def test_family_checkpoint_roundtrip_bit_identical(name):
     assert phases_a == phases_b
 
 
-@pytest.mark.parametrize("name", V2_FAMILIES)
+@pytest.mark.parametrize("name", CHECKPOINT_FAMILIES)
 def test_family_event_stream_unbroken_by_park(name):
     """Parked/rehydrated engines emit the uninterrupted event stream."""
     elements = phased_trace().array.tolist()
@@ -262,28 +261,31 @@ def test_restore_rejects_wrong_family():
     data = engine.checkpoint()
     with pytest.raises(CheckpointError, match="family"):
         engine_family("newma").restore(data)
+    data["family"] = "bogus"
+    with pytest.raises(CheckpointError, match="unknown detector family"):
+        restore_engine(data)
 
 
 def test_windowed_runtime_rejects_family_checkpoints():
     engine = build_engine(family_config("newma"))
     engine.advance([1, 2, 3, 4], bytearray(4), 0)
     data = engine.checkpoint()
-    with pytest.raises(CheckpointError, match="windowed checkpoints"):
+    with pytest.raises(CheckpointError, match="family 'newma' does not match"):
         DetectorRuntime.restore(data)
 
 
-def test_restore_engine_handles_both_versions():
+def test_restore_engine_rejects_version_1():
+    """The windowed grid's former schema (no ``family`` tag, windows at
+    the top level) is no longer read."""
     windowed = build_engine(DetectorConfig(cw_size=8))
     windowed.advance(list(range(40)), bytearray(40), 0)
-    v1 = windowed.checkpoint()
-    assert v1["version"] == CHECKPOINT_VERSION
-    assert isinstance(restore_engine(v1), DetectorRuntime)
-
-    focus = build_engine(family_config("focus"))
-    focus.advance(list(range(40)), bytearray(40), 0)
-    v2 = focus.checkpoint()
-    restored = restore_engine(v2)
-    assert restored.family == "focus"
+    data = windowed.checkpoint()
+    assert data["version"] == CHECKPOINT_VERSION == 2
+    assert isinstance(restore_engine(data), DetectorRuntime)
+    v1 = {key: value for key, value in data.items() if key not in ("family", "engine")}
+    v1.update(data["engine"], version=1)
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
+        restore_engine(v1)
 
 
 def test_validate_checkpoint_rejects_unknown_and_untagged():

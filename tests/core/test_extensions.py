@@ -152,6 +152,8 @@ class TestExtendedDetector:
         )
         result = detector.run(trace)
         assert len(result.detected_phases) >= 2
+        # Phase means come from the swapped-in analyzer's statistics.
+        assert all(phase.mean_similarity > 0.5 for phase in result.detected_phases)
 
 
 class TestHysteresisAnalyzer:

@@ -321,7 +321,7 @@ class TestCheckpointValidation:
 
     def test_missing_fields_rejected(self):
         data = self._checkpoint()
-        del data["cw"], data["stats"]
+        del data["engine"], data["stats"]
         with pytest.raises(CheckpointError, match="missing"):
             validate_checkpoint(data)
 

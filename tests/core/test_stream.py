@@ -186,6 +186,51 @@ class TestStreamCheckpoint:
         resumed.finish()
         assert events == full_events
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            # each of these used to be accepted
+            pytest.param(
+                lambda s: s.update(position=s["position"] + 1), "position",
+                id="position-past-consumed",
+            ),
+            pytest.param(
+                lambda s: s.update(position=-1), "position", id="negative-position"
+            ),
+            pytest.param(
+                lambda s: s.update(buffer=[0] * 50), "buffer", id="long-buffer"
+            ),
+            pytest.param(
+                lambda s: s.update(in_phase="no"), "in_phase", id="string-in-phase"
+            ),
+            pytest.param(lambda s: s.update(states=""), "states", id="empty-states"),
+            pytest.param(
+                lambda s: s["buffer"].__setitem__(0, 1.5), "buffer element",
+                id="float-buffer-element",
+            ),
+            # this one used to raise a bare binascii.Error
+            pytest.param(
+                lambda s: s.update(states="!!"), "base64", id="bad-base64"
+            ),
+            # and the last invariant
+            pytest.param(
+                lambda s: s.update(in_phase=not s["in_phase"]), "last state",
+                id="flag-vs-last-state",
+            ),
+        ],
+    )
+    def test_impossible_stream_section_rejected(self, trace, edit, match):
+        from repro.core.decision import CheckpointError
+
+        head = StreamingDetector(config(skip_factor=3))
+        head.feed(trace.array[:1_001])
+        data = json.loads(json.dumps(head.checkpoint()))
+        assert len(data["stream"]["buffer"]) == 2
+        StreamingDetector.restore(json.loads(json.dumps(data)))  # restores as is
+        edit(data["stream"])
+        with pytest.raises(CheckpointError, match=match):
+            StreamingDetector.restore(data)
+
     def test_missing_stream_section_rejected(self, trace):
         from repro.core.runtime import CheckpointError, DetectorRuntime
 

@@ -1,14 +1,16 @@
-"""Hypothesis: FOCuS/NEWMA park–rehydrate is invisible, bit for bit.
+"""Hypothesis: park–rehydrate is invisible, bit for bit, in every family.
 
-Mirrors the PR 6 serve-layer guarantees for the new families: an engine
-parked (``checkpoint()`` → JSON → ``restore``) at *every* chunk
-boundary must produce exactly the states, phases, and final checkpoint
-bytes of an engine that ran uninterrupted — for any trace and any
-chunking, not just the hand-picked ones in the unit tests.  The other
-side of the contract: a FOCuS checkpoint holding a state ``step()``
-could never reach is rejected at restore time with ``CheckpointError``,
-and so are Das Pearson and Lu DYNAMO checkpoints, and any family's
-checkpoint whose state and open phase disagree.
+Mirrors the serve layer's guarantees for every checkpointing engine —
+the windowed runtime and the FOCuS, NEWMA, Das Pearson and Lu DYNAMO
+families: an engine parked (``checkpoint()`` → JSON → ``restore``) at
+*every* chunk boundary must produce exactly the states, phases, and
+final checkpoint bytes of an engine that ran uninterrupted — for any
+trace and any chunking, not just the hand-picked ones in the unit
+tests.  The other side of the contract: a checkpoint holding a state
+``step()`` could never reach is rejected at restore time with
+``CheckpointError`` — a malformed windowed, FOCuS, Das Pearson or Lu
+DYNAMO payload, and in any family an envelope whose statistics or
+phases are impossible, or whose state and open phase disagree.
 """
 
 import json
@@ -19,21 +21,48 @@ import pytest
 from hypothesis import given, settings
 
 from repro.comparators import engine_family
-from repro.core.config import DetectorConfig
+from repro.core.config import (
+    AnalyzerKind,
+    AnchorPolicy,
+    DetectorConfig,
+    ModelKind,
+    ResizePolicy,
+    TrailingPolicy,
+)
 from repro.core.decision import CheckpointError, build_engine, restore_engine
 
 elements = st.integers(min_value=0, max_value=12)
 
+#: Small windows, so short hypothesis traces enter and leave phases:
+#: both models, both TW policies (with every Adaptive anchor and resize
+#: policy), both analyzers, one element per step or three.
+windowed_configs = st.builds(
+    DetectorConfig,
+    cw_size=st.integers(min_value=2, max_value=10),
+    tw_size=st.one_of(st.none(), st.integers(min_value=2, max_value=10)),
+    skip_factor=st.sampled_from([1, 3]),
+    trailing=st.sampled_from(TrailingPolicy),
+    anchor=st.sampled_from(AnchorPolicy),
+    resize=st.sampled_from(ResizePolicy),
+    model=st.sampled_from(ModelKind),
+    analyzer=st.sampled_from(AnalyzerKind),
+    threshold=st.floats(min_value=0.3, max_value=0.8),
+    delta=st.floats(min_value=0.0, max_value=0.3),
+)
+
 #: cw_size doubles as the warm-up / window scale for these families;
 #: keep it small so short hypothesis traces exercise post-warm-up code.
-family_configs = st.sampled_from(["focus", "newma", "das_pearson", "lu_dynamo"]).flatmap(
-    lambda name: st.builds(
-        lambda cw, bar: replace(
-            engine_family(name).default_config(), cw_size=cw, stat_threshold=bar
-        ),
-        st.integers(min_value=2, max_value=24),
-        st.one_of(st.none(), st.floats(min_value=0.5, max_value=8.0)),
-    )
+family_configs = st.one_of(
+    windowed_configs,
+    st.sampled_from(["focus", "newma", "das_pearson", "lu_dynamo"]).flatmap(
+        lambda name: st.builds(
+            lambda cw, bar: replace(
+                engine_family(name).default_config(), cw_size=cw, stat_threshold=bar
+            ),
+            st.integers(min_value=2, max_value=24),
+            st.one_of(st.none(), st.floats(min_value=0.5, max_value=8.0)),
+        )
+    ),
 )
 
 
@@ -57,6 +86,8 @@ def test_park_at_every_chunk_boundary_is_bit_identical(trace, config, chunk):
 
     parked = build_engine(config)
     states_b = bytearray(len(trace))
+    # Chunks start on group boundaries (see DecisionEngine.advance).
+    chunk *= config.skip_factor
     base = 0
     while base < len(trace):
         stop = min(base + chunk, len(trace))
@@ -78,7 +109,8 @@ def test_park_at_every_chunk_boundary_is_bit_identical(trace, config, chunk):
 def test_checkpoint_is_a_fixed_point(trace, config, cut):
     """restore(checkpoint(e)).checkpoint() == checkpoint(e), bytewise."""
     engine = build_engine(config)
-    stop = round(cut * len(trace))
+    skip = config.skip_factor
+    stop = round(cut * len(trace)) // skip * skip
     engine.advance(trace[:stop], bytearray(stop), 0)
     restored, blob = roundtrip(engine)
     assert json.dumps(restored.checkpoint(), separators=(",", ":")) == blob
@@ -276,11 +308,90 @@ def test_malformed_window_checkpoint_is_rejected(family, edit, match):
         restore_engine(data)
 
 
+# -- malformed windowed checkpoints fail at restore time -----------------------
+
+
+def windowed_checkpoint(length, trailing=TrailingPolicy.CONSTANT):
+    """A real windowed checkpoint (cw 8) after ``length`` elements of
+    ``FOCUS_STREAM``: in transition with part-filled windows at 12, in
+    transition after one closed phase at 100, in phase at 140."""
+    engine = build_engine(DetectorConfig(cw_size=8, trailing=trailing))
+    engine.advance(FOCUS_STREAM[:length], bytearray(length), 0)
+    return json.loads(json.dumps(engine.checkpoint()))
+
+
+def test_real_windowed_checkpoints_restore():
+    for trailing in TrailingPolicy:
+        for length in range(len(FOCUS_STREAM) + 1):
+            data = windowed_checkpoint(length, trailing)
+            assert restore_engine(data).checkpoint() == data
+
+
+def _set_first_cw_element(value):
+    return lambda d: d["engine"]["cw"].__setitem__(0, value)
+
+
+@pytest.mark.parametrize(
+    "length, trailing, edit, match",
+    [
+        # each of these used to be accepted
+        pytest.param(
+            140, TrailingPolicy.CONSTANT,
+            lambda d: d["engine"].update(cw=d["engine"]["cw"] * 10), "cw holds",
+            id="ten-fold-cw",
+        ),
+        pytest.param(
+            140, TrailingPolicy.CONSTANT,
+            lambda d: d["engine"].update(filled=False), "filled", id="unfilled-full",
+        ),
+        pytest.param(
+            140, TrailingPolicy.CONSTANT,
+            lambda d: d["engine"].update(growing=True), "growing", id="growing-constant",
+        ),
+        pytest.param(
+            100, TrailingPolicy.ADAPTIVE,
+            lambda d: d["engine"].update(growing=True), "growing",
+            id="growing-in-transition",
+        ),
+        pytest.param(
+            140, TrailingPolicy.CONSTANT, _set_first_cw_element(1.5), "not an int",
+            id="float-element",
+        ),
+        pytest.param(
+            12, TrailingPolicy.CONSTANT,
+            lambda d: d["engine"]["tw"].extend([0, 0]), "more than consumed",
+            id="windows-past-consumed",
+        ),
+        pytest.param(
+            140, TrailingPolicy.CONSTANT,
+            lambda d: d["stats"].update(count=str(d["stats"]["count"])), "stats.count",
+            id="string-count",
+        ),
+        pytest.param(
+            12, TrailingPolicy.CONSTANT,
+            lambda d: d["stats"].update(count=-1), "stats.count", id="negative-count",
+        ),
+        pytest.param(
+            140, TrailingPolicy.CONSTANT,
+            lambda d: d["stats"].update(total=float("nan")), "stats.total",
+            id="nan-total",
+        ),
+    ],
+)
+def test_malformed_windowed_checkpoint_is_rejected(length, trailing, edit, match):
+    data = windowed_checkpoint(length, trailing)
+    edit(data)
+    with pytest.raises(CheckpointError, match=match):
+        restore_engine(data)
+
+
 # -- state and open phase must agree, in every family -------------------------
 
 
 def in_phase_checkpoint(family):
     """A real checkpoint of ``family`` with a phase open."""
+    if family == "windowed":
+        return windowed_checkpoint(140)
     if family == "focus":
         return focus_checkpoint(40)
     if family == "newma":
@@ -290,7 +401,54 @@ def in_phase_checkpoint(family):
     return window_checkpoint(family)
 
 
-@pytest.mark.parametrize("family", ["das_pearson", "focus", "lu_dynamo", "newma"])
+CHECKPOINT_FAMILIES = ["das_pearson", "focus", "lu_dynamo", "newma", "windowed"]
+
+
+@pytest.mark.parametrize("family", CHECKPOINT_FAMILIES)
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        pytest.param(
+            lambda d: d["stats"].update(count=str(d["stats"]["count"])), "stats.count",
+            id="string-count",
+        ),
+        pytest.param(
+            lambda d: d["stats"].update(count=-1), "stats.count", id="negative-count"
+        ),
+        pytest.param(
+            lambda d: d["stats"].update(total=float("nan")), "stats.total",
+            id="nan-total",
+        ),
+        pytest.param(
+            lambda d: d.update(phases=[[0, 0, d["consumed"] + 1, 0.5]]),
+            "end <= consumed", id="phase-past-consumed",
+        ),
+        pytest.param(
+            lambda d: d.update(phases=[[1.5, 0, 4, 0.5]]), "int", id="float-start"
+        ),
+        pytest.param(
+            lambda d: d.update(phases=[[4, 0, 2, 0.5]]), "detected < end",
+            id="reversed-phase",
+        ),
+        pytest.param(
+            lambda d: d["config"].update(
+                family="newma" if d["family"] != "newma" else "focus"
+            ),
+            "config family", id="config-family",
+        ),
+    ],
+)
+def test_impossible_envelope_is_rejected(family, edit, match):
+    """The shared envelope is checked once, for every family: each of
+    these used to restore in every family."""
+    data = in_phase_checkpoint(family)
+    assert data["state"] == "P"
+    edit(data)
+    with pytest.raises(CheckpointError, match=match):
+        restore_engine(data)
+
+
+@pytest.mark.parametrize("family", CHECKPOINT_FAMILIES)
 @pytest.mark.parametrize(
     "edit, match",
     [

@@ -215,5 +215,5 @@ class TestParkRehydrateIdentity:
         session.park()
         data = json.loads(session.spool_path.read_text())
         assert data["format"] == "repro-detector-checkpoint"
-        assert data["version"] == 1
+        assert data["version"] == 2
         assert "stream" in data

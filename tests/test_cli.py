@@ -1,5 +1,8 @@
 """CLI tests (run each subcommand in-process)."""
 
+import copy
+import json
+
 import pytest
 
 from repro.cli import main
@@ -102,12 +105,21 @@ class TestDetectCheckpoint:
         assert main(args + ["--checkpoint-at", "99999999"]) == 1
 
     def test_resume_rejects_garbage_file(self, traced, capsys, tmp_path):
+        ckpt = tmp_path / "ckpt.json"
+        assert main(self._detect_args(traced)
+                    + ["--checkpoint", str(ckpt), "--checkpoint-at", "400"]) == 0
+        real = json.loads(ckpt.read_text())
+        no_cw = copy.deepcopy(real)
+        del no_cw["config"]["cw_size"]
+        bad_states = copy.deepcopy(real)
+        bad_states["stream"]["states"] = "not base64!"
         bad = tmp_path / "bad.json"
-        bad.write_text('{"format": "nope"}')
-        capsys.readouterr()
-        assert main(["detect", str(traced / "db.btrace"),
-                     "--resume", str(bad)]) == 1
-        assert "cannot resume" in capsys.readouterr().err
+        for document in ({"format": "nope"}, no_cw, bad_states):
+            bad.write_text(json.dumps(document))
+            capsys.readouterr()
+            assert main(["detect", str(traced / "db.btrace"),
+                         "--resume", str(bad)]) == 1
+            assert "cannot resume" in capsys.readouterr().err
 
     def test_resume_and_checkpoint_mutually_exclusive(self, traced, capsys, tmp_path):
         capsys.readouterr()
