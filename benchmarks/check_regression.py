@@ -46,9 +46,10 @@ per-signature series sharing, and the ratio is gated by
 ``BANK_BATCHED_MIN_SPEEDUP``.
 
 The family rows time the decision-layer detectors (``focus``,
-``newma``) on the same trace, giving them a calibration-normalized
-perf trajectory; their sum is checked against the baseline with the
-same tolerance as the windowed aggregate (when the baseline has it).
+``newma``, ``das_pearson``, ``lu_dynamo``, each on its vectorized
+walk) on the same trace, giving them a calibration-normalized perf
+trajectory; their sum is checked against the baseline with the same
+tolerance as the windowed aggregate (when the baseline has it).
 
 The zero-copy rows gate the evaluation scaffolding the same way (both
 sides in the same run, no baseline needed): **warm-start** compares a
@@ -129,6 +130,8 @@ CONFIGS = {
 FAMILY_CONFIGS = {
     "focus": DetectorConfig(cw_size=250, family="focus"),
     "newma": DetectorConfig(cw_size=250, family="newma"),
+    "das_pearson": DetectorConfig(cw_size=250, family="das_pearson"),
+    "lu_dynamo": DetectorConfig(cw_size=250, family="lu_dynamo"),
 }
 
 #: Members of the multi-config bank measurement (one sweep-like batch).

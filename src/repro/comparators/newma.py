@@ -31,12 +31,19 @@ happens once the averages reconverge and the moments re-adapt).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.config import DetectorConfig
-from repro.core.decision import DecisionEngine, PhaseDecision
+from repro.core.decision import (
+    CheckpointError,
+    DecisionEngine,
+    PhaseDecision,
+    checkpoint_bool,
+    checkpoint_float,
+    checkpoint_int,
+)
 
 __all__ = ["NewmaEngine", "NEWMA_STAT_THRESHOLD", "element_sketch"]
 
@@ -102,7 +109,8 @@ class NewmaEngine(DecisionEngine):
             if config.stat_threshold is not None
             else NEWMA_STAT_THRESHOLD
         )
-        self._warmup_left = max(2, config.cw_size // config.skip_factor)
+        self._warmup_steps = max(2, config.cw_size // config.skip_factor)
+        self._warmup_left = self._warmup_steps
         dim = config.sketch_dim
         self._fast = np.zeros(dim, dtype=np.float64)
         self._slow = np.zeros(dim, dtype=np.float64)
@@ -192,19 +200,41 @@ class NewmaEngine(DecisionEngine):
         }
 
     def _restore_engine_state(self, payload: Dict[str, object]) -> None:
-        fast: List[float] = payload["fast"]  # type: ignore[assignment]
-        slow: List[float] = payload["slow"]  # type: ignore[assignment]
-        dim = self.config.sketch_dim
-        if len(fast) != dim or len(slow) != dim:
-            from repro.core.decision import CheckpointError
-
+        """Restore, rejecting any state ``step()`` could never reach."""
+        warmup_left = checkpoint_int(
+            payload["warmup_left"], "newma checkpoint warmup_left"
+        )
+        if not 0 <= warmup_left <= self._warmup_steps:
             raise CheckpointError(
-                f"newma checkpoint sketch length {len(fast)}/{len(slow)} "
-                f"does not match sketch_dim={dim}"
+                f"newma checkpoint warmup_left={warmup_left} outside "
+                f"[0, {self._warmup_steps}]"
             )
-        self._warmup_left = int(payload["warmup_left"])
-        self._fast = np.asarray(fast, dtype=np.float64)
-        self._slow = np.asarray(slow, dtype=np.float64)
-        self._stat_mean = float(payload["stat_mean"])
-        self._stat_var = float(payload["stat_var"])
-        self._stat_seen = bool(payload["stat_seen"])
+        dim = self.config.sketch_dim
+        sketches = []
+        for name in ("fast", "slow"):
+            values = payload[name]
+            if not isinstance(values, list) or len(values) != dim:
+                raise CheckpointError(
+                    f"newma checkpoint {name} sketch {values!r:.80} is not "
+                    f"a list of sketch_dim={dim} numbers"
+                )
+            sketches.append(
+                np.array(
+                    [
+                        checkpoint_float(value, f"newma checkpoint {name} entry")
+                        for value in values
+                    ],
+                    dtype=np.float64,
+                )
+            )
+        stat_mean = checkpoint_float(payload["stat_mean"], "newma checkpoint stat_mean")
+        stat_var = checkpoint_float(payload["stat_var"], "newma checkpoint stat_var")
+        if stat_var < 0.0:
+            raise CheckpointError(f"newma checkpoint stat_var={stat_var} is negative")
+        self._warmup_left = warmup_left
+        self._fast, self._slow = sketches
+        self._stat_mean = stat_mean
+        self._stat_var = stat_var
+        self._stat_seen = checkpoint_bool(
+            payload["stat_seen"], "newma checkpoint stat_seen"
+        )

@@ -324,6 +324,17 @@ class DecisionEngine:
             self.state = PhaseState.TRANSITION
         return list(self.tracker.phases)
 
+    def _finished(self) -> bool:
+        """True when :meth:`finish` closed the last phase.
+
+        No step closes a phase at the end of the stream (a phase closes
+        at its step's first element), so a restore can tell the
+        in-phase engine state ``finish`` leaves behind from one no run
+        reaches.
+        """
+        phases = self.tracker.phases
+        return bool(phases) and phases[-1].end == self._consumed
+
     # -- the shared decision tail ----------------------------------------------
 
     def _emit_decision(self, value: float, in_phase: bool, bar: float) -> None:
@@ -769,7 +780,9 @@ class PerWindowEngine(DecisionEngine):
             for element in value
         ]
         in_phase = checkpoint_bool(payload["in_phase"], f"{family} checkpoint in_phase")
-        if in_phase != self.state.is_phase():
+        # finish() closes the phase but leaves the flag (and Lu's
+        # streak) as the last window set them.
+        if in_phase != (self.state.is_phase() or self._finished()):
             raise CheckpointError(
                 f"{family} checkpoint in_phase={in_phase} contradicts "
                 f"state {self.state.value!r}"

@@ -689,7 +689,8 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
     or the Average analyzer's ``enter_threshold``) at or after the first
     filled step since the last flush, and the anchor (RN or LNN) is
     computed over that step's pre-resize windows, as the reference path
-    does.  The trailing policy picks the in-phase similarities, which
+    does, from one per-walk stamp table over the dense codes.  The
+    trailing policy picks the in-phase similarities, which
     :func:`_scan_exit` tests block by block against the analyzer's bar:
 
     - *Constant*: entries do not move the windows, so they are the same
@@ -702,9 +703,10 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
       :func:`_scan_phase_weighted` compute those similarities blockwise.
 
     Phases land in ``runtime.tracker`` and the final model/analyzer
-    state is rebuilt bit-identically (an Adaptive phase open at the
-    trace end keeps its pinned, growing windows); the caller still runs
-    ``runtime.finish``.  Returns the bool state array.
+    state is rebuilt bit-identically, both windows in one
+    :meth:`~repro.core.windows.WindowPair._load` (an Adaptive phase open
+    at the trace end keeps its pinned, growing windows); the caller
+    still runs ``runtime.finish``.  Returns the bool state array.
     """
     from repro.core.runtime import DetectedPhase
 
@@ -736,6 +738,11 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
         distinct_all = counts[0] if counts is not None else None
         base_counts = np.zeros(n_codes, dtype=np.int64) if weighted else None
 
+    # Anchor membership: each episode stamps the CW's codes with a new
+    # epoch, and a TW element is in the CW iff its code carries it, so
+    # the table is allocated once and never cleared.
+    mark = np.zeros(n_codes, dtype=np.int64)
+    epoch = 0
     tracker = runtime.tracker
     rn_anchor = config.anchor is AnchorPolicy.RN
     origin = 0
@@ -752,9 +759,9 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
         c_entry = int(step_ends[entry])
         entry_len = c_entry - (int(step_ends[entry - 1]) if entry else 0)
         detected_start = c_entry - entry_len
-        cw_slice = codes[c_entry - cwc : c_entry]
-        tw_slice = codes[c_entry - fill_span : c_entry - cwc]
-        in_cw = np.isin(tw_slice, cw_slice)
+        epoch += 1
+        mark[codes[c_entry - cwc : c_entry]] = epoch
+        in_cw = mark[codes[c_entry - fill_span : c_entry - cwc]] == epoch
         if rn_anchor:
             noisy = np.flatnonzero(~in_cw)
             anchor = int(noisy[-1]) + 1 if noisy.size else 0
@@ -812,10 +819,7 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
         tw_start = cw_start - tw_len
         model.filled = since_origin >= fill_span
         model.growing = False
-    for element in data[tw_start:cw_start].tolist():
-        model._tw_add(element)
-    for element in data[cw_start:total].tolist():
-        model._cw_add(element)
+    model._load(data[tw_start:cw_start].tolist(), data[cw_start:total].tolist())
     model.consumed = total
     if phase_open:
         stats = runtime.stats

@@ -51,6 +51,10 @@ class UnweightedSetModel(SimilarityModel):
         self._distinct_cw = 0
         self._shared = 0
 
+    def _rebuild_aggregates(self) -> None:
+        self._distinct_cw = len(self.cw_counts)
+        self._shared = len(self.cw_counts.keys() & self.tw_counts.keys())
+
     def _on_cw_add(self, element: int, new_count: int) -> None:
         if new_count == 1:
             self._distinct_cw += 1

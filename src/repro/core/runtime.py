@@ -59,6 +59,7 @@ stream as an uninterrupted run.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.analyzers import (
@@ -535,10 +536,9 @@ class DetectorRuntime(DecisionEngine):
         model = self.model
         consumed = self._consumed
         in_phase = self.state.is_phase()
-        phases = self.tracker.phases
         # finish() closes a phase at the end of the stream without
-        # flushing the windows; no step() closes one there.
-        finished = bool(phases) and phases[-1].end == consumed
+        # flushing the windows.
+        finished = self._finished()
         filled = checkpoint_bool(payload["filled"], "windowed checkpoint filled")
         growing = checkpoint_bool(payload["growing"], "windowed checkpoint growing")
         cw: List[int] = payload["cw"]  # type: ignore[assignment]
@@ -574,16 +574,12 @@ class DetectorRuntime(DecisionEngine):
                 f"windowed checkpoint filled={filled} contradicts windows "
                 f"of {len(cw)}/{len(tw)} elements in state {self.state.value!r}"
             )
-        # Replay the windows through the add hooks so the model's
-        # incremental aggregates are rebuilt exactly (TW first: the
-        # shared count is attributed on the CW side).
-        for window, add in ((tw, model._tw_add), (cw, model._cw_add)):
-            for element in window:
-                if type(element) is not int:
-                    raise CheckpointError(
-                        f"windowed checkpoint element {element!r:.80} is not an int"
-                    )
-                add(element)
+        for element in chain(tw, cw):
+            if type(element) is not int:
+                raise CheckpointError(
+                    f"windowed checkpoint element {element!r:.80} is not an int"
+                )
+        model._load(tw, cw)
         model.consumed = consumed
         model.filled = filled
         model.growing = growing

@@ -13,7 +13,7 @@ the anchor-corrected phase starts of Figure 8 use.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Deque, Dict, Iterable, List
 
 from repro.core.config import AnchorPolicy, ResizePolicy
@@ -139,6 +139,21 @@ class WindowPair:
 
     def _reset_aggregates(self) -> None:
         """Reset model aggregates after a flush (hook for subclasses)."""
+
+    def _load(self, tw: List[int], cw: List[int]) -> None:
+        """Fill both empty windows at once: the state ``_tw_add`` over
+        ``tw`` then ``_cw_add`` over ``cw`` would leave, counts in the
+        same insertion order.  The vectorized walks' final state and
+        checkpoint restore load windows this way."""
+        self._tw.extend(tw)
+        self._cw.extend(cw)
+        self.tw_counts.update(Counter(tw))
+        self.cw_counts.update(Counter(cw))
+        self._rebuild_aggregates()
+
+    def _rebuild_aggregates(self) -> None:
+        """Recompute model aggregates from the counts after :meth:`_load`
+        (hook for subclasses)."""
 
     # -- geometry ---------------------------------------------------------------
 

@@ -8,9 +8,11 @@ final checkpoint bytes of an engine that ran uninterrupted — for any
 trace and any chunking, not just the hand-picked ones in the unit
 tests.  The other side of the contract: a checkpoint holding a state
 ``step()`` could never reach is rejected at restore time with
-``CheckpointError`` — a malformed windowed, FOCuS, Das Pearson or Lu
-DYNAMO payload, and in any family an envelope whose statistics or
-phases are impossible, or whose state and open phase disagree.
+``CheckpointError`` — a malformed windowed, FOCuS, NEWMA, Das Pearson
+or Lu DYNAMO payload, and in any family an envelope whose statistics or
+phases are impossible, or whose state and open phase disagree.  What a
+whole-trace ``run()`` leaves behind (``finish()`` included) restores in
+every family, on the default route and on the reference loop.
 """
 
 import json
@@ -30,6 +32,7 @@ from repro.core.config import (
     TrailingPolicy,
 )
 from repro.core.decision import CheckpointError, build_engine, restore_engine
+from repro.profiles.trace import BranchTrace
 
 elements = st.integers(min_value=0, max_value=12)
 
@@ -124,6 +127,47 @@ def test_checkpoint_is_a_fixed_point(trace, config, cut):
     assert engine.finish(len(trace)) == restored.finish(len(trace))
 
 
+#: Random traces, and loops repeated to the end so that ``finish()``
+#: often closes a phase.
+run_traces = st.one_of(
+    st.lists(elements, min_size=0, max_size=300),
+    st.builds(
+        lambda body, repeats: body * repeats,
+        st.lists(elements, min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=60),
+    ),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(trace=run_traces, config=family_configs, reference=st.booleans())
+def test_checkpoint_after_run_restores(trace, config, reference):
+    """run → checkpoint → restore → checkpoint is a fixed point, on the
+    routed run and on the reference ``step()`` loop."""
+    engine = build_engine(config)
+    engine.run(BranchTrace(trace), fused=False if reference else None)
+    restored, blob = roundtrip(engine)
+    assert json.dumps(restored.checkpoint(), separators=(",", ":")) == blob
+
+
+@pytest.mark.parametrize("family", ["das_pearson", "lu_dynamo"])
+@pytest.mark.parametrize("reference", [False, True], ids=["routed", "reference"])
+def test_per_window_checkpoint_after_finish_restores(family, reference):
+    """``finish()`` closes the phase but leaves the in-phase flag set:
+    restoring that checkpoint used to raise "in_phase=True contradicts
+    state 'T'"."""
+    engine = build_engine(DetectorConfig(cw_size=2, family=family))
+    engine.run(BranchTrace([0] * 40), fused=False if reference else None)
+    data = json.loads(json.dumps(engine.checkpoint()))
+    assert data["state"] == "T" and data["engine"]["in_phase"] is True
+    assert restore_engine(data).checkpoint() == data
+    # A flag set outside a phase that finish() did not close is still
+    # rejected.
+    data["phases"] = []
+    with pytest.raises(CheckpointError, match="contradicts"):
+        restore_engine(data)
+
+
 # -- malformed FOCuS checkpoints fail at restore time -------------------------
 
 FOCUS_STREAM = [0, 1, 2, 3] * 20 + [5, 9, 5, 9] * 15
@@ -191,6 +235,62 @@ def _late_hull_vertex(engine):
 )
 def test_malformed_focus_checkpoint_is_rejected(length, edit, match):
     data = focus_checkpoint(length)
+    edit(data["engine"])
+    with pytest.raises(CheckpointError, match=match):
+        restore_engine(data)
+
+
+# -- malformed NEWMA checkpoints fail at restore time --------------------------
+
+
+def newma_checkpoint(length=len(FOCUS_STREAM)):
+    """A real NEWMA checkpoint after ``length`` elements (warm-up 8)."""
+    engine = build_engine(DetectorConfig(family="newma", cw_size=8))
+    engine.advance(FOCUS_STREAM[:length], bytearray(length), 0)
+    return json.loads(json.dumps(engine.checkpoint()))
+
+
+def test_real_newma_checkpoints_restore():
+    for length in (0, 3, 8, 9, 40, len(FOCUS_STREAM)):
+        data = newma_checkpoint(length)
+        assert restore_engine(data).checkpoint() == data
+
+
+@pytest.mark.parametrize(
+    "edit, match",
+    [
+        # each of these used to be accepted
+        pytest.param(
+            lambda e: e.update(warmup_left=-5), "warmup_left", id="negative-warmup"
+        ),
+        pytest.param(
+            lambda e: e.update(warmup_left=9), "warmup_left", id="long-warmup"
+        ),
+        pytest.param(
+            lambda e: e.update(warmup_left="3"), "warmup_left", id="string-warmup"
+        ),
+        pytest.param(
+            lambda e: e.update(stat_var=float("nan")), "stat_var", id="nan-var"
+        ),
+        pytest.param(lambda e: e.update(stat_var=-1.0), "stat_var", id="negative-var"),
+        pytest.param(
+            lambda e: e.update(stat_mean=float("inf")), "stat_mean",
+            id="infinite-mean",
+        ),
+        pytest.param(
+            lambda e: e.update(stat_seen="no"), "stat_seen", id="string-seen"
+        ),
+        pytest.param(
+            lambda e: e["fast"].__setitem__(0, float("nan")), "fast entry",
+            id="nan-fast",
+        ),
+        pytest.param(
+            lambda e: e["slow"].__setitem__(0, "0.5"), "slow entry", id="string-slow"
+        ),
+    ],
+)
+def test_malformed_newma_checkpoint_is_rejected(edit, match):
+    data = newma_checkpoint()
     edit(data["engine"])
     with pytest.raises(CheckpointError, match=match):
         restore_engine(data)
@@ -395,9 +495,7 @@ def in_phase_checkpoint(family):
     if family == "focus":
         return focus_checkpoint(40)
     if family == "newma":
-        engine = build_engine(DetectorConfig(family="newma", cw_size=8))
-        engine.advance(FOCUS_STREAM, bytearray(len(FOCUS_STREAM)), 0)
-        return json.loads(json.dumps(engine.checkpoint()))
+        return newma_checkpoint()
     return window_checkpoint(family)
 
 

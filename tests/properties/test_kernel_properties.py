@@ -10,7 +10,8 @@ The Average analyzer's running bar gets its own edge cases: deltas 0
 and 1, one-step phases, similarities exactly on the bar, phases open at
 the trace end, and the carry-seeded blockwise ``np.cumsum`` the exit
 scan relies on.  The batched bank advancer and the bank's solo legacy
-members are pinned to per-lane fused runs.
+members are pinned to per-lane fused runs, and banks whose lanes share
+one window signature to each lane's reference run.
 """
 
 import json
@@ -181,6 +182,67 @@ def test_batched_bank_matches_sequential_legacy(trace, bank_configs):
         assert result.detected_phases == solo.detected_phases
         assert json.dumps(bank_runtime.checkpoint(), sort_keys=True) == (
             json.dumps(runtime.checkpoint(), sort_keys=True)
+        )
+
+
+#: Many short episodes over a wide alphabet: loops of 1-6 elements drawn
+#: from 500 codes, each repeated a few times and followed by noise, so
+#: the dense-code table is far larger than any window and one walk
+#: enters and leaves many phases.
+episode_traces = st.lists(
+    st.tuples(
+        st.lists(st.integers(min_value=0, max_value=499), min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=8),
+        st.lists(st.integers(min_value=0, max_value=499), max_size=4),
+    ),
+    min_size=4,
+    max_size=40,
+).map(lambda parts: [e for body, reps, noise in parts for e in body * reps + noise])
+
+#: What may differ between the lanes of one window signature.
+lane_variants = st.fixed_dictionaries(
+    {
+        "threshold": st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+        "analyzer": st.sampled_from(list(AnalyzerKind)),
+        "anchor": st.sampled_from(list(AnchorPolicy)),
+        "resize": st.sampled_from(list(ResizePolicy)),
+        "delta": st.sampled_from(DELTAS),
+        "enter_threshold": st.sampled_from(ENTER_THRESHOLDS),
+    }
+)
+
+
+def phase_bits(phases):
+    return [
+        (p.detected_start, p.corrected_start, p.end, p.mean_similarity.hex())
+        for p in phases
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    trace=episode_traces,
+    signature=configs,
+    variants=st.lists(lane_variants, min_size=2, max_size=8),
+)
+def test_shared_signature_bank_matches_oracle(trace, signature, variants):
+    """Lanes sharing one window signature (``cw``, ``tw``, skip, model,
+    trailing policy) but not bar, analyzer, anchor or resize share one
+    bank pass; each must equal its own reference ``step()`` run in
+    states, phase float bits and checkpoint JSON."""
+    bank_configs = [replace(signature, **variant) for variant in variants]
+    branch_trace = BranchTrace(trace)
+    bank = DetectorBank(bank_configs)
+    assert all(rt.kernel_path() == "vectorized" for rt in bank.runtimes)
+    for config, bank_runtime, result in zip(
+        bank_configs, bank.runtimes, bank.run(branch_trace)
+    ):
+        oracle_rt = DetectorRuntime(config)
+        oracle = oracle_rt.run(branch_trace, fused=False)
+        assert np.array_equal(result.states, oracle.states)
+        assert phase_bits(result.detected_phases) == phase_bits(oracle.detected_phases)
+        assert json.dumps(bank_runtime.checkpoint(), sort_keys=True) == (
+            json.dumps(oracle_rt.checkpoint(), sort_keys=True)
         )
 
 

@@ -2,7 +2,9 @@
 
 The models' incremental aggregates must agree with brute-force
 recomputation from the window contents under *any* operation sequence —
-pushes, flushes, anchoring with either policy, growth mode.
+pushes, flushes, anchoring with either policy, growth mode — and a bulk
+``_load`` of both windows must leave the state the element-by-element
+adds leave.
 """
 
 from collections import Counter
@@ -129,3 +131,43 @@ def test_anchor_index_definition(trailing, current, anchor):
     else:
         non_noisy = [i for i in range(len(trailing)) if i not in noisy]
         assert index == (non_noisy[0] if non_noisy else len(trailing))
+
+
+MODELS = [UnweightedSetModel, WeightedSetModel, JaccardSetModel, AsymmetricWeightedModel]
+AGGREGATES = ("_distinct_cw", "_distinct_tw", "_shared")
+
+
+def model_state(model):
+    return (
+        list(model._tw),
+        list(model._cw),
+        list(model.tw_counts.items()),
+        list(model.cw_counts.items()),
+        [getattr(model, name, None) for name in AGGREGATES],
+        model.similarity(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    model_cls=st.sampled_from(MODELS),
+    cw=st.integers(1, 6),
+    tw=st.integers(1, 8),
+    trailing=st.lists(elements, max_size=12),
+    current=st.lists(elements, max_size=6),
+    ops=operations,
+)
+def test_load_matches_element_adds(model_cls, cw, tw, trailing, current, ops):
+    """Counts in the same insertion order, the same aggregates, and the
+    same similarity — now and after any further operations."""
+    loaded = model_cls(cw, tw)
+    loaded._load(trailing, current)
+    replayed = model_cls(cw, tw)
+    for element in trailing:
+        replayed._tw_add(element)
+    for element in current:
+        replayed._cw_add(element)
+    assert model_state(loaded) == model_state(replayed)
+    apply_operations(loaded, ops)
+    apply_operations(replayed, ops)
+    assert model_state(loaded) == model_state(replayed)
