@@ -68,6 +68,15 @@ detector, at least one park in the eviction run, and a
 calibration-normalized throughput floor
 (``SERVE_MIN_NORMALIZED_THROUGHPUT``).
 
+The observer row gates what a phase-level observer costs a streaming
+detector: every ``OBSERVER_SPEC_STRIDE``-th quick-grid spec streams the
+first ``OBSERVER_ELEMENTS`` jlex elements in ``OBSERVER_CHUNK``-element
+chunks, once with the phase-only ``PhaseEventObserver`` every serve
+session attaches and once with no observer, paired spec by spec (side
+order flipping), and the median repeat's observed/unobserved ratio
+must stay within ``OBSERVER_MAX_OVERHEAD``.  A loop that builds
+per-step events the observer declined reads +40% or more.
+
 The telemetry row gates the cost of *enabled* live telemetry the
 same-run-ratio way: serve-bench with the flight recorder spooling at a
 tight interval (latency histograms are always on) must stay within
@@ -198,6 +207,20 @@ TELEMETRY_CHUNK = 160
 TELEMETRY_FLIGHT_INTERVAL = 0.1
 TELEMETRY_REPEATS = 3
 TELEMETRY_MAX_OVERHEAD = 0.05
+
+#: The observer-overhead row: every ninth spec of the quick paper grid
+#: (30 of 270: all three window families, every CW, both models, both
+#: analyzers) streamed over the first ``OBSERVER_ELEMENTS`` elements of
+#: the default-scale jlex trace in ``OBSERVER_CHUNK``-element chunks, with
+#: a phase-only observer and without one, ``OBSERVER_REPEATS`` times.
+OBSERVER_SPEC_STRIDE = 9
+OBSERVER_ELEMENTS = 60_000
+OBSERVER_CHUNK = 256
+OBSERVER_REPEATS = 5
+#: Ceiling on the median paired observed/unobserved time ratio, minus
+#: one.  With per-step events built for the observer to drop it read
+#: +42-53%; with the loops skipping them it reads within noise of 0.
+OBSERVER_MAX_OVERHEAD = 0.05
 
 
 def _bank_configs():
@@ -378,6 +401,69 @@ def _measure_telemetry(calibration):
         "max_overhead": TELEMETRY_MAX_OVERHEAD,
         "flight_samples": flight_samples,
         "flight_events_in": flight_total,
+    }
+
+
+def _observer_fixture():
+    """The row's specs (as configs) and its element list."""
+    from repro.experiments.config_space import QUICK, paper_grid
+    from repro.workloads.suite import load_traces
+
+    configs = [
+        spec.to_config(QUICK)
+        for spec in paper_grid(QUICK)[::OBSERVER_SPEC_STRIDE]
+    ]
+    trace, _ = load_traces("jlex")
+    return configs, trace.array[:OBSERVER_ELEMENTS].tolist()
+
+
+def _stream(config, elements, observed):
+    """Stream ``elements`` through one config, as a serve session does."""
+    from repro.core.stream import StreamingDetector
+    from repro.serve.session import PhaseEventObserver
+
+    observer = PhaseEventObserver(lambda event: None) if observed else None
+    detector = StreamingDetector(config, observer=observer)
+    for start in range(0, len(elements), OBSERVER_CHUNK):
+        detector.feed(elements[start : start + OBSERVER_CHUNK])
+    detector.finish()
+
+
+def _measure_observer():
+    """The observer-overhead row: phase-only observer vs none.
+
+    Each spec streams once per side back to back, the side order
+    flipping spec by spec, so a burst of co-tenant load lands on both
+    sides of a ~0.1 s pair instead of on one side of a whole-grid
+    sample.  A repeat's ratio is its summed observed time over its
+    summed unobserved time; the median repeat is gated.
+    """
+    configs, elements = _observer_fixture()
+    for config in configs:  # warm caches and imports
+        _stream(config, elements, observed=True)
+    off_totals, on_totals = [], []
+    for repeat in range(OBSERVER_REPEATS):
+        off_total = on_total = 0.0
+        for index, config in enumerate(configs):
+            if (repeat + index) % 2:
+                on_total += _timed(lambda: _stream(config, elements, True))
+                off_total += _timed(lambda: _stream(config, elements, False))
+            else:
+                off_total += _timed(lambda: _stream(config, elements, False))
+                on_total += _timed(lambda: _stream(config, elements, True))
+        off_totals.append(off_total)
+        on_totals.append(on_total)
+    ratios = sorted(on / off for on, off in zip(on_totals, off_totals))
+    return {
+        "specs": len(configs),
+        "elements": len(elements),
+        "chunk": OBSERVER_CHUNK,
+        "repeats": OBSERVER_REPEATS,
+        "off_seconds": round(min(off_totals), 6),
+        "on_seconds": round(min(on_totals), 6),
+        "ratios": [round(ratio, 4) for ratio in ratios],
+        "overhead": round(ratios[len(ratios) // 2] - 1.0, 4),
+        "max_overhead": OBSERVER_MAX_OVERHEAD,
     }
 
 
@@ -703,6 +789,7 @@ def measure(repeats):
     legacy_bank_seconds = min(legacy_bank_samples)
     serve_row = _measure_serve(calibration)
     telemetry_row = _measure_telemetry(calibration)
+    observer_row = _measure_observer()
     store_row = _measure_store(calibration)
     cold_seconds = min(cold_samples)
     zero_copy_seconds = min(zero_copy_samples)
@@ -776,6 +863,7 @@ def measure(repeats):
         },
         "serve": serve_row,
         "telemetry": telemetry_row,
+        "observer": observer_row,
         "store": store_row,
         "aggregate_normalized": round(
             sum(entry["normalized"] for entry in configs.values()), 4
@@ -847,6 +935,12 @@ def _print_report(result):
           f"on {telemetry['on_events_per_sec']:.0f} events/s "
           f"(overhead {telemetry['overhead']:+.1%}, "
           f"flight {telemetry['flight_samples']} samples)")
+    observer = result["observer"]
+    print(f"  observer[{observer['specs']} specs x {observer['elements']} elems] "
+          f"off {observer['off_seconds']:.4f}s vs "
+          f"phase-only {observer['on_seconds']:.4f}s "
+          f"(overhead {observer['overhead']:+.1%}, "
+          f"pair ratios {observer['ratios']})")
     store = result["store"]
     print(f"  store[{store['rows']} rows/{store['chunks']} chunks] "
           f"legacy {store['legacy_seconds']:.4f}s vs "
@@ -1021,6 +1115,17 @@ def main(argv=None):
         print(f"FAIL: flight-record deltas summed to "
               f"{telemetry['flight_events_in']} events but the run fed "
               f"{telemetry['elements']} — the spool lost samples",
+              file=sys.stderr)
+        return 1
+    # Observer gate: a paired same-run ratio, so it needs no baseline.
+    observer = result["observer"]
+    print(f"observer overhead: {observer['overhead']:+.1%} "
+          f"(gate <= {OBSERVER_MAX_OVERHEAD:+.0%})")
+    if observer["overhead"] > OBSERVER_MAX_OVERHEAD:
+        print(f"FAIL: streaming with a phase-only observer was "
+              f"{observer['overhead']:+.1%} slower than with none "
+              f"(gate {OBSERVER_MAX_OVERHEAD:.0%}) — are the loops building "
+              f"per-step events the observer did not ask for?",
               file=sys.stderr)
         return 1
     # Store gates: the persistence ratio is same-run (drift-immune);

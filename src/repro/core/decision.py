@@ -50,6 +50,7 @@ from repro.core import kernels as kernels_mod
 from repro.core.analyzers import PhaseStats
 from repro.core.config import DetectorConfig
 from repro.core.state import PhaseState
+from repro.obs.events import observes
 from repro.profiles.trace import BranchTrace
 from repro.scoring.states import Interval, states_from_phases
 
@@ -189,7 +190,7 @@ class PhaseTracker:
         corrected = anchor_abs if anchor_abs < detected_start else detected_start
         self.open_detected = detected_start
         self.open_corrected = corrected
-        if self.observer is not None:
+        if observes(self.observer, "phase_enter"):
             self.observer.emit(
                 {
                     "ev": "phase_enter",
@@ -208,7 +209,7 @@ class PhaseTracker:
         self.phases.append(phase)
         self.open_detected = -1
         self.open_corrected = -1
-        if self.observer is not None:
+        if observes(self.observer, "phase_exit"):
             self.observer.emit(
                 {
                     "ev": "phase_exit",
@@ -233,7 +234,8 @@ class DecisionEngine:
     - ``stats`` — the open phase's :class:`~repro.core.analyzers.PhaseStats`,
       whose mean becomes the closed phase's ``mean_similarity``;
     - the decision tail — :meth:`_emit_decision` emits a judged
-      statistic's ``similarity``/``decision`` events and
+      statistic's ``similarity``/``decision`` events (those the
+      observer asked for; see :attr:`observer`) and
       :meth:`_settle` turns a step's verdict into enter / continue /
       exit, so a family's :meth:`step` ends in one call;
     - :meth:`advance` — the one chunked driver (a flat element list,
@@ -256,22 +258,31 @@ class DecisionEngine:
     def __init__(self, config: DetectorConfig, observer=None, metrics=None) -> None:
         self.config = config
         self.state = PhaseState.TRANSITION
-        self.tracker = PhaseTracker(observer)
-        self._observer = observer
+        self.tracker = PhaseTracker()
         self.metrics = metrics
         self._consumed = 0
         self.stats = PhaseStats()
+        self.observer = observer
 
     # -- observer plumbing -----------------------------------------------------
 
     @property
     def observer(self):
+        """The attached observability sink, or ``None``.
+
+        Its ``kinds`` (see :func:`repro.obs.events.observes`) are read
+        here, once: the per-step ``similarity`` / ``decision`` events
+        are built only when the observer asked for them, so a
+        phase-only observer costs the loops what no observer costs.
+        """
         return self._observer
 
     @observer.setter
     def observer(self, value) -> None:
         self._observer = value
         self.tracker.observer = value
+        self._similarity_events = observes(value, "similarity")
+        self._decision_events = observes(value, "decision")
 
     # -- derived views ---------------------------------------------------------
 
@@ -338,23 +349,23 @@ class DecisionEngine:
     # -- the shared decision tail ----------------------------------------------
 
     def _emit_decision(self, value: float, in_phase: bool, bar: float) -> None:
-        """Emit one judged statistic as ``similarity`` and ``decision`` events."""
-        observer = self._observer
-        if observer is None:
-            return
+        """Emit one judged statistic as ``similarity`` and ``decision``
+        events, each only when the observer asked for it."""
         step = self._consumed
-        observer.emit(
-            {"ev": "similarity", "step": step, "value": value, "cw": 0, "tw": 0}
-        )
-        observer.emit(
-            {
-                "ev": "decision",
-                "step": step,
-                "state": "P" if in_phase else "T",
-                "value": value,
-                "bar": bar,
-            }
-        )
+        if self._similarity_events:
+            self._observer.emit(
+                {"ev": "similarity", "step": step, "value": value, "cw": 0, "tw": 0}
+            )
+        if self._decision_events:
+            self._observer.emit(
+                {
+                    "ev": "decision",
+                    "step": step,
+                    "state": "P" if in_phase else "T",
+                    "value": value,
+                    "bar": bar,
+                }
+            )
 
     def _settle(
         self, in_phase: bool, statistic: Optional[float], group_len: int
@@ -457,7 +468,7 @@ class DecisionEngine:
         total = int(data.size)
         skip = self.config.skip_factor
         observer = self._observer
-        if observer is not None:
+        if observes(observer, "run_begin"):
             observer.emit(
                 {
                     "ev": "run_begin",
@@ -488,7 +499,7 @@ class DecisionEngine:
         # For a fresh engine consumed == total; a restored one closes its
         # final phase at the absolute stream position instead.
         phases = self.finish(self.consumed)
-        if observer is not None:
+        if observes(observer, "run_end"):
             observer.emit(
                 {
                     "ev": "run_end",

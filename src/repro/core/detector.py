@@ -47,8 +47,9 @@ class PhaseDetector:
     ``observer`` is an optional observability sink (anything with an
     ``emit(event: dict)`` method — see :mod:`repro.obs`).  When set,
     the detector emits the structured per-step event stream documented
-    in ``docs/observability.md``; when None (the default) no events are
-    built at all.
+    in ``docs/observability.md`` — only the event types the observer's
+    optional ``kinds`` names, when it carries one; when None (the
+    default) no events are built at all.
     """
 
     def __init__(self, config: DetectorConfig, observer=None) -> None:

@@ -113,9 +113,12 @@ class DetectorRuntime(DecisionEngine):
     Args:
         config: the detector configuration.
         observer: optional observability sink (anything with an
-            ``emit(event: dict)`` method — see :mod:`repro.obs`); the
-            default ``None`` keeps both paths free of event
-            construction.
+            ``emit(event: dict)`` method — see :mod:`repro.obs`).  Both
+            paths build the per-step ``similarity`` / ``decision``
+            events only when it asked for them (its optional ``kinds``,
+            read once when it is attached), so the default ``None`` and
+            a phase-only observer both keep the loops free of per-step
+            event construction.
         model: optional replacement similarity model (extensions); any
             non-standard component routes :meth:`advance` through the
             reference :meth:`step` path.
@@ -138,25 +141,19 @@ class DetectorRuntime(DecisionEngine):
         analyzer: Optional[Analyzer] = None,
         metrics=None,
     ) -> None:
-        super().__init__(config, observer=observer, metrics=metrics)
         self.model: SimilarityModel = model if model is not None else build_model(config)
         self.analyzer: Analyzer = analyzer if analyzer is not None else build_analyzer(config)
+        super().__init__(config, observer=observer, metrics=metrics)
         # One phase-statistics record: the analyzer's bar reads it.
         self.stats = self.analyzer.stats
         self._adaptive = config.trailing is TrailingPolicy.ADAPTIVE
-        self.model.observer = observer  # windows emit tw_resize/window_flush
 
     # -- observer plumbing -----------------------------------------------------
 
-    @property
-    def observer(self):
-        return self._observer
-
-    @observer.setter
+    @DecisionEngine.observer.setter
     def observer(self, value) -> None:
-        self._observer = value
-        self.model.observer = value
-        self.tracker.observer = value
+        DecisionEngine.observer.fset(self, value)
+        self.model.observer = value  # windows emit tw_resize/window_flush
 
     # -- derived views ---------------------------------------------------------
 
@@ -192,30 +189,29 @@ class DetectorRuntime(DecisionEngine):
         analyzer = self.analyzer
         model.push(elements)
 
-        observer = self._observer
         if not model.filled:
             new_state = PhaseState.TRANSITION
             similarity: Optional[float] = None
         else:
             similarity = model.similarity()
-            if observer is not None:
-                step = model.consumed
-                observer.emit(
+            if self._similarity_events:
+                self._observer.emit(
                     {
                         "ev": "similarity",
-                        "step": step,
+                        "step": model.consumed,
                         "value": similarity,
                         "cw": model.cw_length,
                         "tw": model.tw_length,
                     }
                 )
+            if self._decision_events:
                 bar = analyzer.effective_bar(self.state)
             new_state = analyzer.process_value(similarity, self.state)
-            if observer is not None:
-                observer.emit(
+            if self._decision_events:
+                self._observer.emit(
                     {
                         "ev": "decision",
-                        "step": step,
+                        "step": model.consumed,
                         "state": "P" if new_state.is_phase() else "T",
                         "value": similarity,
                         "bar": bar,
@@ -284,8 +280,13 @@ class DetectorRuntime(DecisionEngine):
         model = self.model
         analyzer = self.analyzer
         tracker = self.tracker
-        observer = self._observer
-        emit = observer.emit if observer is not None else None
+        similarity_events = self._similarity_events
+        decision_events = self._decision_events
+        # One per-element test when the observer declined both per-step
+        # event types (or there is none): no dict is built, no call made.
+        emit = (
+            self._observer.emit if similarity_events or decision_events else None
+        )
 
         cw_cap = model.cw_capacity
         tw_cap = model.tw_capacity
@@ -424,30 +425,32 @@ class DetectorRuntime(DecisionEngine):
                 else:
                     new_in_phase = similarity >= enter_threshold
                 if emit is not None:
-                    emit(
-                        {
-                            "ev": "similarity",
-                            "step": consumed,
-                            "value": similarity,
-                            "cw": len(cw),
-                            "tw": len(tw),
-                        }
-                    )
-                    if threshold_analyzer:
-                        bar = threshold
-                    elif in_phase and stat_count:
-                        bar = (stat_total / stat_count) - delta
-                    else:
-                        bar = enter_threshold
-                    emit(
-                        {
-                            "ev": "decision",
-                            "step": consumed,
-                            "state": "P" if new_in_phase else "T",
-                            "value": similarity,
-                            "bar": bar,
-                        }
-                    )
+                    if similarity_events:
+                        emit(
+                            {
+                                "ev": "similarity",
+                                "step": consumed,
+                                "value": similarity,
+                                "cw": len(cw),
+                                "tw": len(tw),
+                            }
+                        )
+                    if decision_events:
+                        if threshold_analyzer:
+                            bar = threshold
+                        elif in_phase and stat_count:
+                            bar = (stat_total / stat_count) - delta
+                        else:
+                            bar = enter_threshold
+                        emit(
+                            {
+                                "ev": "decision",
+                                "step": consumed,
+                                "state": "P" if new_in_phase else "T",
+                                "value": similarity,
+                                "bar": bar,
+                            }
+                        )
 
             # ---- state transitions (Figure 3) --------------------------------
             if not in_phase and new_in_phase:

@@ -17,6 +17,7 @@ from collections import Counter, deque
 from typing import Deque, Dict, Iterable, List
 
 from repro.core.config import AnchorPolicy, ResizePolicy
+from repro.obs.events import observes
 
 
 class WindowPair:
@@ -41,8 +42,9 @@ class WindowPair:
         self.filled = False
         #: True while the Adaptive TW is growing (in phase).
         self.growing = False
-        #: Optional observability sink (anything with ``emit(event)``);
-        #: None — the default — costs nothing beyond this attribute.
+        #: Optional observability sink (anything with ``emit(event)``,
+        #: optionally ``kinds``); None — the default — costs nothing
+        #: beyond this attribute.
         self.observer = None
 
     # -- hooks ---------------------------------------------------------------
@@ -128,7 +130,7 @@ class WindowPair:
         self._reset_aggregates()
         for element in seed_elements[-self.cw_capacity :]:
             self._cw_add(element)
-        if self.observer is not None:
+        if observes(self.observer, "window_flush"):
             self.observer.emit(
                 {
                     "ev": "window_flush",
@@ -221,7 +223,7 @@ class WindowPair:
             for _ in range(anchor):
                 self._tw_pop_left()
         self.growing = True
-        if self.observer is not None:
+        if observes(self.observer, "tw_resize"):
             self.observer.emit(
                 {
                     "ev": "tw_resize",

@@ -27,18 +27,22 @@ to every run:
 - :mod:`repro.obs.logsetup` — ``logging`` configuration for the CLI's
   ``--verbose``/``--quiet`` flags.
 
-Design rule: the *disabled* path must be free.  Nothing in ``repro.core``
-imports this package; the detector entry points take ``observer=None``
-and guard every emission behind a single ``is not None`` test, so a run
-without a sink costs one predictable branch per step.  See
-``docs/observability.md`` for the full taxonomy, the metrics catalog,
-and the overhead guarantees.
+Design rule: the *disabled* path must be free.  ``repro.core`` takes
+one thing from this package, :func:`~repro.obs.events.observes` (the
+package imports nothing from ``repro.core`` at import time).  The
+detector entry points take ``observer=None``; an engine asks
+``observes`` once, when an observer is attached, whether it wants the
+per-step event types, so a run without a sink — or with a sink that
+declared only phase-level ``kinds`` — costs one predictable branch per
+step.  See ``docs/observability.md`` for the full taxonomy, the metrics
+catalog, and the overhead guarantees.
 """
 
 from repro.obs.bus import EventBus, JsonlSink, MemorySink, NullSink, read_events
 from repro.obs.events import (
     EVENT_TYPES,
     EventSchemaError,
+    observes,
     replay_phases,
     validate_event,
 )
@@ -73,6 +77,7 @@ __all__ = [
     "diff_manifests",
     "load_manifest",
     "manifest_path_for",
+    "observes",
     "read_events",
     "read_flight_record",
     "read_spans",

@@ -6,11 +6,17 @@ one directly — a single sink is the common case and costs no fan-out
 indirection — or an :class:`EventBus` when several sinks should see the
 same stream.
 
+An observer may also carry ``kinds``: a frozenset of
+:data:`~repro.obs.events.EVENT_TYPES` names, or ``None`` (the same as
+no attribute) for every type.  The emitting code builds only the
+declared types (:func:`~repro.obs.events.observes`), reading the
+per-step ones once, when the observer is attached.
+
 Sinks:
 
 - :class:`NullSink` — drops everything; the explicit-object form of the
-  default ``observer=None`` (which is cheaper still: the emitting code
-  skips event construction entirely).
+  default ``observer=None``.  It declares no kinds, so it costs what
+  ``None`` costs: the emitting code builds no event.
 - :class:`MemorySink` — buffers events in a list (tests, ad-hoc
   analysis).
 - :class:`JsonlSink` — appends one compact JSON object per line; the
@@ -28,9 +34,9 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Union
 
-from repro.obs.events import EventSchemaError, validate_event
+from repro.obs.events import EventSchemaError, observes, validate_event
 
 PathLike = Union[str, os.PathLike]
 
@@ -50,10 +56,12 @@ class EventTraceError(ValueError):
 
 class NullSink:
     """Swallows every event.  Exists so 'no observability' is spellable
-    as an object; passing ``observer=None`` is cheaper (no event dicts
-    are even built)."""
+    as an object; it declares no kinds, so no event is even built for
+    it — the same cost as ``observer=None``."""
 
     __slots__ = ()
+
+    kinds: FrozenSet[str] = frozenset()
 
     def emit(self, event: Dict[str, object]) -> None:
         pass
@@ -139,11 +147,26 @@ class EventBus:
     """Fan one event stream out to several sinks.
 
     The bus itself satisfies the observer protocol, so it plugs into
-    the same ``observer=`` parameter a bare sink does.
+    the same ``observer=`` parameter a bare sink does.  Its
+    :attr:`kinds` is the union of its sinks' kinds, and each event goes
+    only to the sinks that declared its type.  An engine reads
+    ``kinds`` when the bus is attached, so subscribe the sinks first.
     """
 
     def __init__(self) -> None:
         self._sinks: List = []
+
+    @property
+    def kinds(self) -> Optional[FrozenSet[str]]:
+        """The union of the sinks' kinds; ``None`` when any sink wants
+        every type (an empty bus wants none)."""
+        union: FrozenSet[str] = frozenset()
+        for sink in self._sinks:
+            kinds = getattr(sink, "kinds", None)
+            if kinds is None:
+                return None
+            union |= kinds
+        return union
 
     def subscribe(self, sink) -> None:
         self._sinks.append(sink)
@@ -156,8 +179,10 @@ class EventBus:
         return list(self._sinks)
 
     def emit(self, event: Dict[str, object]) -> None:
+        kind = event["ev"]
         for sink in self._sinks:
-            sink.emit(event)
+            if observes(sink, kind):
+                sink.emit(event)
 
     def close(self) -> None:
         for sink in self._sinks:

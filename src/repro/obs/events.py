@@ -13,9 +13,10 @@ machine-checkable version lives in :data:`EVENT_TYPES` and is enforced
 by :func:`validate_event`.
 
 Events are deliberately *flat JSON-safe dicts* rather than dataclasses:
-the hot path builds at most two small dicts per detector step when a
-sink is attached and nothing at all when it isn't, and the JSONL sink
-can serialize them without any conversion layer.
+the hot path builds at most two small dicts per detector step when an
+attached sink asked for the per-step types and nothing at all when it
+did not (see :func:`observes`), and the JSONL sink can serialize them
+without any conversion layer.
 
 :func:`replay_phases` rebuilds the exact
 :class:`~repro.core.detector.DetectedPhase` sequence of a run from its
@@ -31,6 +32,7 @@ __all__ = [
     "EVENT_TYPES",
     "EventSchemaError",
     "SCHEMA_VERSION",
+    "observes",
     "replay_phases",
     "validate_event",
 ]
@@ -91,6 +93,23 @@ EVENT_TYPES: Dict[str, Dict[str, tuple]] = {
 
 class EventSchemaError(ValueError):
     """Raised when an event does not conform to :data:`EVENT_TYPES`."""
+
+
+def observes(observer, kind: str) -> bool:
+    """True when ``observer`` is to be handed events of type ``kind``.
+
+    The one rule every emission site follows: ``None`` observes
+    nothing; an observer whose ``kinds`` attribute is missing or
+    ``None`` observes every type; otherwise only the types in
+    ``kinds``.  Engines read it once, when an observer is attached, for
+    the per-step types (``similarity``, ``decision``), so a loop whose
+    observer declined them builds no per-step event at all; the rare
+    phase-level emission sites read it per event.
+    """
+    if observer is None:
+        return False
+    kinds = getattr(observer, "kinds", None)
+    return kinds is None or kind in kinds
 
 
 def validate_event(event: Mapping[str, object]) -> None:

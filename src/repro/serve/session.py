@@ -27,7 +27,10 @@ LRU/memory-pressure policy and this class makes the round-trip exact.
 Phase boundary events flow out through a :class:`PhaseEventObserver`
 attached to the runtime — by default only ``phase_enter`` and
 ``phase_exit`` (the serving payload); ``events="all"`` forwards the
-full per-step taxonomy.
+full per-step taxonomy.  The observer declares its event types as
+``kinds``, and the runtime builds only those: a phase-only session's
+detector loop constructs no per-step ``similarity`` / ``decision``
+events, so it advances as fast as an unobserved one.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.config import DetectorConfig
 from repro.core.stream import StreamingDetector
+from repro.obs.events import EVENT_TYPES
 from repro.serve.protocol import validate_sid
 
 __all__ = [
@@ -72,8 +76,13 @@ class PhaseEventObserver:
     """Observer that forwards a subset of detector events to a callback.
 
     ``kinds=None`` forwards everything; the default serving subset is
-    :data:`PHASE_EVENT_KINDS`.  The callback is synchronous and runs
-    inside the detector's feed path, so it must only buffer.
+    :data:`PHASE_EVENT_KINDS`.  ``kinds`` is the observer's declaration
+    to the detector (see :func:`repro.obs.events.observes`), which
+    builds and hands it only those event types, so :meth:`emit` filters
+    nothing itself.  A name outside :data:`~repro.obs.events.EVENT_TYPES`
+    — a typo that would silently drop events — raises
+    :class:`ValueError`.  The callback is synchronous and runs inside
+    the detector's feed path, so it must only buffer.
     """
 
     __slots__ = ("on_event", "kinds")
@@ -84,11 +93,18 @@ class PhaseEventObserver:
         kinds: Optional[Iterable[str]] = PHASE_EVENT_KINDS,
     ) -> None:
         self.on_event = on_event
-        self.kinds = frozenset(kinds) if kinds is not None else None
+        if kinds is not None:
+            kinds = frozenset(kinds)
+            unknown = sorted(kinds - EVENT_TYPES.keys())
+            if unknown:
+                raise ValueError(
+                    f"unknown event kinds {unknown}; "
+                    f"expected names from {sorted(EVENT_TYPES)}"
+                )
+        self.kinds = kinds
 
     def emit(self, event: Dict[str, object]) -> None:
-        if self.kinds is None or event["ev"] in self.kinds:
-            self.on_event(event)
+        self.on_event(event)
 
     def close(self) -> None:
         pass

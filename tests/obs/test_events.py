@@ -23,6 +23,7 @@ from repro.obs.bus import (
 from repro.obs.events import (
     EVENT_TYPES,
     EventSchemaError,
+    observes,
     replay_phases,
     replay_transitions,
     validate_event,
@@ -217,6 +218,60 @@ class TestSinks:
         bus.emit(event)
         assert len(first.events) == 2
         assert len(second.events) == 1
+
+    def test_bus_kinds_are_the_union_of_its_sinks(self):
+        class Declared(MemorySink):
+            __slots__ = ("kinds",)
+
+            def __init__(self, kinds):
+                super().__init__()
+                self.kinds = frozenset(kinds)
+
+        bus = EventBus()
+        assert bus.kinds == frozenset()
+        enter, exit_ = Declared({"phase_enter"}), Declared({"phase_exit"})
+        bus.subscribe(enter)
+        bus.subscribe(exit_)
+        assert bus.kinds == {"phase_enter", "phase_exit"}
+        bus.emit({"ev": "phase_exit", "step": 1, "detected_start": 0,
+                  "corrected_start": 0, "end": 1, "mean_similarity": 1.0})
+        bus.emit({"ev": "window_flush", "step": 1, "seeded": 1})
+        assert [e["ev"] for e in exit_.events] == ["phase_exit"]
+        assert enter.events == []
+        bus.subscribe(MemorySink())  # no kinds: wants every type
+        assert bus.kinds is None
+
+    def test_observes_rule(self):
+        assert not observes(None, "decision")
+        assert observes(MemorySink(), "decision")  # no kinds attribute
+        assert not observes(NullSink(), "phase_enter")
+        assert NullSink.kinds == frozenset()
+
+    def test_null_sink_builds_no_event(self):
+        """NullSink declares no kinds, so nothing is handed to it."""
+
+        class CountingNull(NullSink):
+            __slots__ = ("count",)
+
+            def __init__(self):
+                self.count = 0
+
+            def emit(self, event):
+                self.count += 1
+
+        # skip 5 loops step(); skip 1 runs the fused loop.
+        for config in (CONFIG, DetectorConfig(cw_size=60, threshold=0.55)):
+            sink = CountingNull()
+            result = run_detector(TRACE, config, observer=sink)
+            assert sink.count == 0
+            assert result.detected_phases == run_detector(TRACE, config).detected_phases
+
+    def test_kinds_are_read_when_the_observer_is_attached(self):
+        detector = PhaseDetector(CONFIG)
+        sink = MemorySink()
+        detector.observer = sink
+        detector.run(TRACE)
+        assert {"similarity", "decision"} <= {e["ev"] for e in sink.events}
 
     def test_bus_is_a_valid_observer(self):
         bus = EventBus()

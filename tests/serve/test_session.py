@@ -19,6 +19,7 @@ from repro.profiles.synthetic import make_phased_trace
 from repro.serve.protocol import ProtocolError
 from repro.serve.session import (
     PHASE_EVENT_KINDS,
+    PhaseEventObserver,
     Session,
     SessionError,
     SessionState,
@@ -160,6 +161,16 @@ class TestLifecycle:
         assert record["phases"] == sum(
             1 for e in events if e["ev"] == "phase_exit")
         assert record["phases"] >= 1
+
+
+class TestPhaseEventObserver:
+    def test_unknown_kind_is_rejected(self):
+        with pytest.raises(ValueError, match="decisions"):
+            PhaseEventObserver(lambda event: None, kinds=("phase_enter", "decisions"))
+
+    def test_known_kinds_and_none_are_accepted(self):
+        assert PhaseEventObserver(lambda event: None).kinds == set(PHASE_EVENT_KINDS)
+        assert PhaseEventObserver(lambda event: None, kinds=None).kinds is None
 
 
 class TestParkRehydrateIdentity:
