@@ -31,6 +31,9 @@ share the runtime's state:
   variables.  It operates directly on the standard model's deques and
   count dicts and syncs all scalar state back on exit, so the two paths
   interleave freely and a checkpoint taken after either is identical.
+  The weighted model's similarity numerator is an exact integer there,
+  updated per element by integer comparisons alone, with no builtin
+  ``min()`` call (see ``docs/performance.md`` for what that saves).
   Rare events (phase entry anchoring, window flushes) are delegated to
   the same :class:`~repro.core.windows.WindowPair` methods the
   reference path uses.  At ``skipFactor > 1`` (and with custom
@@ -266,12 +269,22 @@ class DetectorRuntime(DecisionEngine):
         - similarity aggregates are maintained incrementally: the
           unweighted model's distinct/shared counters always; the
           weighted model's scaled numerator
-          ``S = sum_e min(cw_e * |TW|, tw_e * |CW|)`` whenever both
-          window lengths are at their steady-state capacities (count
-          deltas are then exact with fixed lengths).  When lengths move
-          — initial fill, post-anchor refill, Adaptive TW growth — the
-          numerator is recomputed over the CW's distinct elements,
-          which in-phase is small because the content is repetitive;
+          ``S = sum_e min(cw_e * T, tw_e * C)`` (``C`` / ``T`` the CW /
+          TW capacities) whenever both window lengths are at their
+          steady-state capacities (count deltas are then exact with
+          fixed lengths).  When lengths move — initial fill, post-anchor
+          refill, Adaptive TW growth — the numerator is recomputed over
+          the CW's distinct elements, which in-phase is small because
+          the content is repetitive;
+        - ``S`` is a pure integer sum, so no arithmetic on it is rounded,
+          and none of it calls ``min()``.  One count change moves one
+          term: with ``a = cw_e * T`` and ``b = tw_e * C`` after the
+          change, a CW push adds ``min(a, b) - min(a - T, b)``, which is
+          ``T`` when ``a <= b``, ``b - a + T`` when only ``a - T < b``,
+          and ``0`` otherwise; a CW pop subtracts the same shape, and
+          the TW side is its mirror with ``C``.  At a tie both arms give
+          the same value;
+        - the window lengths are local counters, not ``len()`` calls;
         - everything hot is a local variable, synced back to the model
           and analyzer objects on exit (and around the rare transition
           calls into :class:`~repro.core.windows.WindowPair`).
@@ -319,6 +332,8 @@ class DetectorRuntime(DecisionEngine):
                 shared += 1
         s_num = 0
         s_dirty = True
+        cw_len = len(cw)
+        tw_len = len(tw)
 
         cw_append = cw.append
         cw_popleft = cw.popleft
@@ -336,8 +351,8 @@ class DetectorRuntime(DecisionEngine):
                 and not s_dirty
                 and filled
                 and not growing
-                and len(cw) == cw_cap
-                and len(tw) == tw_cap
+                and cw_len == cw_cap
+                and tw_len == tw_cap
             )
             if weighted and not steady_w:
                 s_dirty = True
@@ -345,6 +360,7 @@ class DetectorRuntime(DecisionEngine):
             # ---- push the element through the windows ------------------------
             consumed += 1
             cw_append(element)
+            cw_len += 1
             count = cw_counts_get(element, 0) + 1
             cw_counts[element] = count
             if count == 1:
@@ -354,11 +370,16 @@ class DetectorRuntime(DecisionEngine):
             if steady_w:
                 tw_count = tw_counts_get(element, 0)
                 if tw_count:
-                    s_num += min(count * tw_cap, tw_count * cw_cap) - min(
-                        (count - 1) * tw_cap, tw_count * cw_cap
-                    )
-            if len(cw) > cw_cap:
+                    # min(a, b) - min(a - T, b): the CW term grew by T.
+                    a = count * tw_cap
+                    b = tw_count * cw_cap
+                    if a <= b:
+                        s_num += tw_cap
+                    elif a - tw_cap < b:
+                        s_num += b - a + tw_cap
+            if cw_len > cw_cap:
                 old = cw_popleft()
+                cw_len -= 1
                 old_count = cw_counts[old] - 1
                 if old_count:
                     cw_counts[old] = old_count
@@ -369,19 +390,31 @@ class DetectorRuntime(DecisionEngine):
                         shared -= 1
                 old_tw = tw_counts_get(old, 0)
                 if steady_w and old_tw:
-                    s_num += min(old_count * tw_cap, old_tw * cw_cap) - min(
-                        (old_count + 1) * tw_cap, old_tw * cw_cap
-                    )
+                    # The CW term shrank by T: min(a, b) - min(a + T, b).
+                    a = old_count * tw_cap
+                    b = old_tw * cw_cap
+                    if a + tw_cap <= b:
+                        s_num -= tw_cap
+                    elif a < b:
+                        s_num += a - b
+                    # Then the TW term grows by C: min(a, b + C) - min(a, b).
+                    if old_count:
+                        if b + cw_cap <= a:
+                            s_num += cw_cap
+                        elif b < a:
+                            s_num += a - b
                 tw_append(old)
+                tw_len += 1
                 tw_counts[old] = old_tw + 1
                 if old_tw == 0 and old_count:
                     shared += 1
-                if steady_w and old_count:
-                    s_num += min(old_count * tw_cap, (old_tw + 1) * cw_cap) - min(
-                        old_count * tw_cap, old_tw * cw_cap
-                    )
-                if not growing and len(tw) > tw_cap:
+                    if steady_w:
+                        # A term appears: min(old_count * T, C).
+                        a = old_count * tw_cap
+                        s_num += a if a <= cw_cap else cw_cap
+                if not growing and tw_len > tw_cap:
                     dead = tw_popleft()
+                    tw_len -= 1
                     dead_count = tw_counts[dead] - 1
                     if dead_count:
                         tw_counts[dead] = dead_count
@@ -392,11 +425,15 @@ class DetectorRuntime(DecisionEngine):
                     if steady_w:
                         dead_cw = cw_counts_get(dead, 0)
                         if dead_cw:
-                            s_num += min(
-                                dead_cw * tw_cap, dead_count * cw_cap
-                            ) - min(dead_cw * tw_cap, (dead_count + 1) * cw_cap)
+                            # The TW term shrank by C: min(a, b) - min(a, b + C).
+                            a = dead_cw * tw_cap
+                            b = dead_count * cw_cap
+                            if b + cw_cap <= a:
+                                s_num -= cw_cap
+                            elif b < a:
+                                s_num += b - a
 
-            if not filled and len(tw) >= tw_cap and len(cw) >= cw_cap:
+            if not filled and tw_len >= tw_cap and cw_len >= cw_cap:
                 filled = True
 
             # ---- similarity + analyzer ---------------------------------------
@@ -405,14 +442,14 @@ class DetectorRuntime(DecisionEngine):
                 similarity = 0.0
             else:
                 if weighted:
-                    cw_len = len(cw)
-                    tw_len = len(tw)
                     if s_dirty:
                         s_num = 0
                         for cw_element, count in cw_counts.items():
                             tw_count = tw_counts_get(cw_element)
                             if tw_count is not None:
-                                s_num += min(count * tw_len, tw_count * cw_len)
+                                a = count * tw_len
+                                b = tw_count * cw_len
+                                s_num += a if a <= b else b
                         if cw_len == cw_cap and tw_len == tw_cap:
                             s_dirty = False
                     similarity = s_num / (cw_len * tw_len) if cw_len and tw_len else 0.0
@@ -431,8 +468,8 @@ class DetectorRuntime(DecisionEngine):
                                 "ev": "similarity",
                                 "step": consumed,
                                 "value": similarity,
-                                "cw": len(cw),
-                                "tw": len(tw),
+                                "cw": cw_len,
+                                "tw": tw_len,
                             }
                         )
                     if decision_events:
@@ -464,6 +501,8 @@ class DetectorRuntime(DecisionEngine):
                     anchor_policy, resize_policy, adaptive
                 )
                 growing = model.growing
+                cw_len = len(cw)
+                tw_len = len(tw)
                 distinct_cw = len(cw_counts)
                 shared = 0
                 for cw_element in cw_counts:
@@ -485,6 +524,8 @@ class DetectorRuntime(DecisionEngine):
                 analyzer.clear()
                 filled = False
                 growing = False
+                cw_len = len(cw)
+                tw_len = len(tw)
                 distinct_cw = len(cw_counts)
                 shared = 0
                 s_num = 0

@@ -153,8 +153,10 @@ def validate_client_message(message: Dict[str, object]) -> str:
                 f"events message carries {len(elements)} elements "
                 f"(limit {MAX_ELEMENTS_PER_MESSAGE})"
             )
+        # JSON decodes no int subclass but bool, so one exact type test
+        # per element rejects bools, floats, strings and nulls alike.
         for value in elements:
-            if isinstance(value, bool) or not isinstance(value, int):
+            if type(value) is not int:
                 raise ProtocolError(
                     f"events message element {value!r} is not an integer"
                 )

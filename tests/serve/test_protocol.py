@@ -100,6 +100,18 @@ class TestClientMessageValidation:
         with pytest.raises(ProtocolError):
             validate_client_message(message)
 
+    @pytest.mark.parametrize("line", [b"true", b"1.5", b'"7"', b"null"])
+    def test_rejects_decoded_non_int_element(self, line):
+        message = decode_message(
+            b'{"op":"events","sid":"s","elements":[1,' + line + b',2]}\n'
+        )
+        bad = message["elements"][1]
+        with pytest.raises(ProtocolError) as error:
+            validate_client_message(message)
+        assert str(error.value) == (
+            f"events message element {bad!r} is not an integer"
+        )
+
     def test_rejects_oversized_batch(self):
         message = {
             "op": "events",
