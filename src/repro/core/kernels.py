@@ -52,8 +52,7 @@ geometry.  The key observations:
   ``Σ_e min(cw_e·|TW|, tw_e·|CW|)`` — order-independent, so it
   vectorizes for *any* geometry via blockwise occurrence matrices
   (one ``np.add.at`` scatter per block of steps, cell-budgeted).  The
-  Fixed-Interval geometry (skip = CW = TW) keeps a leaner whole-block
-  path.
+  Fixed-Interval geometry (skip = CW = TW) takes the same path.
 - The Adaptive TW *does* have analyzer→window feedback (the entry
   resize pins the TW to the anchor; in-phase the TW grows), but the
   feedback is episode-local: between phases the windows follow Constant
@@ -84,15 +83,12 @@ shared cache.
 The walks reconstruct phases, anchor-corrected starts, per-phase mean
 similarity and the final runtime state (windows, analyzer statistics),
 so checkpoints taken after a vectorized run are bit-identical to the
-incremental paths' — the config-matrix suite in
-``tests/core/test_kernels.py`` and the fuzz suites in
-``tests/properties/test_kernel_properties.py``,
-``tests/properties/test_newma_properties.py``,
-``tests/properties/test_focus_properties.py`` and
-``tests/properties/test_per_window_properties.py`` pin states, phases and
-checkpoints against the reference :meth:`step` loop, and the
-``kernel-equivalence`` and ``family-equivalence`` CI jobs byte-compare
-sweep caches produced with kernels on vs. off.
+incremental paths' — ``tests/properties/test_oracle_harness.py`` pins
+the states, phases and checkpoints of every route, of streaming at
+random cuts and of park/rehydrate at random points against each
+family's reference :meth:`step` loop, and the ``kernel-equivalence``
+and ``family-equivalence`` CI jobs byte-compare sweep caches produced
+with kernels on vs. off.
 
 **NEWMA** — the fast and slow EWMAs and their distance depend only on
 the trace and ``(sketch_dim, newma_fast, newma_slow, skip)``, not on
@@ -344,44 +340,6 @@ def _unweighted_sims(
     return sims
 
 
-def _fixed_interval_sims(
-    codes: np.ndarray, n_codes: int, size: int, step_ends: np.ndarray, total: int
-) -> np.ndarray:
-    """Per-step weighted similarity for the Fixed-Interval geometry
-    (skip = CW = TW = ``size``): at every full-group step the windows
-    are whole consecutive blocks, so per-block multiset minima come
-    from one sorted ``(block, code)`` count pass.  Only the trace's
-    final group can be partial; its windows are computed directly.
-    """
-    n_steps = step_ends.size
-    sims = np.zeros(n_steps, dtype=np.float64)
-    if total < 2 * size:
-        return sims
-    n_full = total // size
-    blocks = np.arange(n_full * size, dtype=np.int64) // size
-    keys = blocks * n_codes + codes[: n_full * size]
-    ukeys, ucounts = np.unique(keys, return_counts=True)
-    target = ukeys - n_codes  # the same code in the previous block
-    pos = np.searchsorted(ukeys, target)
-    pos_c = np.minimum(pos, ukeys.size - 1)
-    matched = ukeys[pos_c] == target
-    minima = np.where(matched, np.minimum(ucounts, ucounts[pos_c]), 0)
-    per_block = np.zeros(n_full, dtype=np.int64)
-    np.add.at(per_block, ukeys // n_codes, minima)
-    denominator = size * size
-    full = (step_ends % size == 0) & (step_ends >= 2 * size)
-    pair = step_ends[full] // size - 1
-    sims[full] = (per_block[pair] * size) / denominator
-    if int(step_ends[-1]) % size != 0:
-        cw_counts = np.bincount(codes[total - size : total], minlength=n_codes)
-        tw_counts = np.bincount(
-            codes[total - 2 * size : total - size], minlength=n_codes
-        )
-        s_num = int(np.minimum(cw_counts, tw_counts).sum()) * size
-        sims[-1] = s_num / denominator
-    return sims
-
-
 #: Cell budget for the per-block occurrence matrices of the weighted
 #: blockwise kernels ((span+1) x distinct int64 cells, ~16 MiB).
 _OCC_CELL_LIMIT = 1 << 21
@@ -606,13 +564,10 @@ class SharedTraceKernels:
         key = (weighted, cwc, twc, skip)
         cached = self._series.get(key)
         if cached is None:
-            codes, n_codes = self.codes()
+            codes, _ = self.codes()
             ends = self.step_ends(skip)
             if weighted:
-                if skip == cwc and twc == cwc:
-                    sims = _fixed_interval_sims(codes, n_codes, cwc, ends, self.total)
-                else:
-                    sims = _weighted_general_sims(codes, cwc, twc, ends, self.total)
+                sims = _weighted_general_sims(codes, cwc, twc, ends, self.total)
                 counts = None
             else:
                 counts = (

@@ -314,6 +314,9 @@ def read_codes_sidecar(
     trace length against ``len(trace)``, and the recorded content hash
     against :func:`trace_content_hash` — a sidecar left behind by an
     older/different trace is therefore *stale*, never silently wrong.
+    The hash covers the trace, not the remap, so the remap itself is
+    checked too (:func:`_check_remap`): a payload corrupted behind a
+    valid header is rejected, never adopted.
 
     Returns ``(codes, values, counts)`` — memmap-backed read-only views
     with ``mmap=True``, heap arrays otherwise.  The caller adopts them
@@ -371,9 +374,35 @@ def read_codes_sidecar(
             codes = np.frombuffer(
                 payload, dtype="<i4", count=length, offset=n_codes * 16
             ).astype(np.int32)
+    _check_remap(path, trace, codes, values, counts)
     GLOBAL_METRICS.counter("io.codes_reads").inc()
     GLOBAL_METRICS.counter("io.trace_bytes_read").inc(file_size)
     return codes, values, counts
+
+
+def _check_remap(
+    path: Path,
+    trace: BranchTrace,
+    codes: np.ndarray,
+    values: np.ndarray,
+    counts: np.ndarray,
+) -> None:
+    """Reject a remap that is not exactly :meth:`BranchTrace.dense_codes`
+    of ``trace``: every code in ``[0, n_codes)``, ``values`` strictly
+    increasing, ``values[codes] == trace``, and ``counts ==
+    bincount(codes)`` with every count positive.  Together these pin
+    every array to the one remap the trace has."""
+    n_codes = int(values.size)
+    if codes.size and (int(codes.min()) < 0 or int(codes.max()) >= n_codes):
+        raise TraceFormatError(f"{path}: a dense code lies outside [0, {n_codes})")
+    if n_codes > 1 and not bool((values[1:] > values[:-1]).all()):
+        raise TraceFormatError(f"{path}: values are not strictly increasing")
+    if not np.array_equal(values[codes], trace.array):
+        raise TraceFormatError(f"{path}: values[codes] does not reproduce the trace")
+    if not np.array_equal(counts, np.bincount(codes, minlength=n_codes)):
+        raise TraceFormatError(f"{path}: counts do not match the codes")
+    if n_codes and int(counts.min()) < 1:
+        raise TraceFormatError(f"{path}: a value never occurs in the trace")
 
 
 def ensure_codes_sidecar(

@@ -1,8 +1,9 @@
 """Both detector implementations must emit identical event streams.
 
 The optimized engine already matches the reference detector's *output*
-bit-for-bit (test_engine_equivalence); observability extends the
-contract to the *event stream*: same events, same order, same payloads.
+bit-for-bit (``tests/properties/test_oracle_harness.py``); observability
+extends the contract to the *event stream*: same events, same order,
+same payloads.
 """
 
 import pytest
@@ -19,7 +20,20 @@ from repro.core import (
 from repro.core.engine import run_detector
 from repro.obs.bus import MemorySink
 from repro.obs.events import replay_phases, validate_event
-from tests.core.test_engine_equivalence import gnarly_trace
+from repro.profiles.synthetic import SyntheticTraceBuilder
+
+
+def gnarly_trace(seed=11):
+    builder = SyntheticTraceBuilder(seed=seed)
+    builder.add_transition(150)
+    first = builder.add_phase(900, body_size=7, noise_rate=0.03)
+    builder.add_transition(60)
+    builder.add_phase(400, body_size=25)
+    builder.add_transition(180)
+    builder.add_phase(1_400, pattern_id=first.pattern_id, noise_rate=0.01)
+    builder.add_transition(40)
+    return builder.build()[0]
+
 
 TRACE = gnarly_trace()
 

@@ -1,16 +1,21 @@
-"""Zero-copy evaluation pipeline equivalence at the sweep level.
+"""Sweep-level equivalence: same records, byte-identical cache.
 
-The acceptance bar for the mmap/sidecar/batched-scoring stack: sweep
-records and the JSONL cache bytes over memory-mapped traces must be
-identical to a per-spec evaluation over heap copies of the same traces.
+The reference for every comparison is one solo ``evaluate_spec`` call
+per grid point over a heap copy of the cached trace (no memmap, no
+cached dense remap, a ``run_detector`` pass scored lane by lane), so
+these tests pin the bank's routing, the batch scorer and the
+mmap/sidecar stack against the simplest evaluation, at any ``jobs``,
+with kernels on or off, over a fresh, pre-sidecar or stale cache.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.config import AnalyzerKind, ModelKind
 from repro.experiments import runner as runner_mod
-from repro.experiments.config_space import ConfigSpec, SuiteProfile
+from repro.experiments.config_space import QUICK, ConfigSpec, SuiteProfile, family_grid
 from repro.experiments.runner import BaselineSet, evaluate_bank, evaluate_spec
 from repro.experiments.store import cache_line
 from repro.experiments.sweep import Sweep
@@ -38,17 +43,22 @@ BENCHMARKS = ["db", "jlex"]
 CACHE_NAME = "sweep-tiny.jsonl"
 
 
-def _run_sweep(cache_dir, jobs=1):
+def _run_sweep(cache_dir, jobs=1, kernels=True):
     sweep = Sweep(
-        TINY, cache_dir=cache_dir, benchmarks=BENCHMARKS, mpl_nominals=MPLS,
+        TINY,
+        cache_dir=cache_dir,
+        benchmarks=BENCHMARKS,
+        mpl_nominals=MPLS,
+        kernels=kernels,
     )
     records = sweep.ensure(SPECS, jobs=jobs)
     return records, (cache_dir / CACHE_NAME).read_bytes()
 
 
-def _heap_sweep(cache_dir):
-    """Records and cache bytes of a serial per-spec evaluation over heap
-    copies of the cached traces (no memmap, no cached dense remap)."""
+def _reference_sweep(cache_dir):
+    """Records and cache bytes of one ``evaluate_spec`` call per grid
+    point over heap copies of the cached traces, in the serial sweep's
+    benchmark-major, spec-order layout."""
     records, lines = [], []
     for benchmark in BENCHMARKS:
         mapped, _ = load_traces(
@@ -66,18 +76,13 @@ def _heap_sweep(cache_dir):
     return records, "".join(lines).encode("utf-8")
 
 
-class TestMmapSweepEquivalence:
-    def test_mmap_on_off_byte_identical(self, tmp_path):
-        on_records, on_cache = _run_sweep(tmp_path / "on")
-        off_records, off_cache = _heap_sweep(tmp_path / "off")
-        assert on_records == off_records
-        assert on_cache == off_cache
-
-    def test_parallel_mmap_matches_serial_heap(self, tmp_path):
-        serial_records, serial_cache = _heap_sweep(tmp_path / "s")
-        parallel_records, parallel_cache = _run_sweep(tmp_path / "p", jobs=2)
-        assert parallel_records == serial_records
-        assert parallel_cache == serial_cache
+class TestSweepEquivalence:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_mmap_bank_sweep_matches_per_spec_heap_reference(self, tmp_path, jobs):
+        sweep_records, sweep_cache = _run_sweep(tmp_path / "sweep", jobs=jobs)
+        reference_records, reference_cache = _reference_sweep(tmp_path / "ref")
+        assert sweep_records == reference_records
+        assert sweep_cache == reference_cache
 
     def test_suite_traces_mmap_backed(self, tmp_path):
         # Warm the cache, then reload: the sweep's traces must be
@@ -89,18 +94,68 @@ class TestMmapSweepEquivalence:
             array = branch_trace.array
             assert isinstance(array, np.memmap) or isinstance(array.base, np.memmap)
 
-    def test_batch_scoring_matches_scalar(self, tmp_path):
-        branch, call_loop = load_traces(
-            "db", scale=TINY.workload_scale, cache_dir=tmp_path
+    def test_manifests_identical_modulo_timing(self, tmp_path):
+        """Kernels on and off do the same work accounting."""
+        _run_sweep(tmp_path / "kernels", jobs=2)
+        _run_sweep(tmp_path / "fused", jobs=2, kernels=False)
+        manifests = []
+        for mode in ("kernels", "fused"):
+            path = tmp_path / mode / "sweep-tiny.manifest.json"
+            data = json.loads(path.read_text())
+            # Strip run-dependent timing/identity, keep the work accounting
+            # (fingerprints, grid, record counts).
+            for key in ("created_at", "elapsed_seconds", "workers", "metrics",
+                        "chunk_profiles", "environment"):
+                data.pop(key, None)
+            manifests.append(data)
+        assert manifests[0] == manifests[1]
+
+    def test_family_caches_identical_kernels_on_and_off(self, tmp_path):
+        """Every NEWMA and FOCuS member rides the vectorized route; with
+        ``kernels=False`` each steps.  The record caches of all four
+        runs (kernels on/off x ``jobs`` 1/2) are byte-identical."""
+        specs = family_grid(QUICK, ("newma", "focus"))
+        caches = set()
+        for jobs in (1, 2):
+            for kernels in (True, False):
+                cache_dir = tmp_path / f"jobs{jobs}-kernels{kernels}"
+                Sweep(
+                    QUICK,
+                    cache_dir=cache_dir,
+                    benchmarks=BENCHMARKS,
+                    mpl_nominals=MPLS,
+                    kernels=kernels,
+                ).ensure(specs, jobs=jobs)
+                caches.add((cache_dir / "sweep-quick.jsonl").read_bytes())
+        assert len(caches) == 1
+        assert len(next(iter(caches)).splitlines()) == (
+            len(specs) * len(BENCHMARKS) * len(MPLS)
         )
-        baselines = BaselineSet(call_loop, TINY, MPLS, name="db")
-        batched = evaluate_bank(branch, baselines, SPECS, TINY)
-        scalar = [
+
+
+class TestEvaluateBank:
+    def _fixtures(self, tmp_path):
+        trace, call_loop = load_traces(
+            BENCHMARKS[0], scale=TINY.workload_scale, cache_dir=tmp_path
+        )
+        return trace, BaselineSet(call_loop, TINY, MPLS, name=BENCHMARKS[0])
+
+    def _per_spec(self, trace, baselines):
+        return [
             record
             for spec in SPECS
-            for record in evaluate_spec(branch, baselines, spec, TINY)
+            for record in evaluate_spec(trace, baselines, spec, TINY)
         ]
-        assert batched == scalar
+
+    @pytest.mark.parametrize("bank_size", [None, 2])
+    def test_banked_records_equal_per_spec_records(self, tmp_path, bank_size):
+        """A ``bank_size`` smaller than the spec list still covers every
+        spec in order (several bank batches)."""
+        trace, baselines = self._fixtures(tmp_path)
+        kwargs = {} if bank_size is None else {"bank_size": bank_size}
+        banked = evaluate_bank(trace, baselines, SPECS, TINY, **kwargs)
+        assert banked == self._per_spec(trace, baselines)
+        assert len(banked) == len(SPECS) * len(MPLS)
 
 
 class TestCacheCompat:

@@ -14,7 +14,10 @@ from repro.profiles.io import (
     write_codes_sidecar,
     write_trace_binary,
 )
+from repro.core.config import DetectorConfig, ModelKind
+from repro.core.engine import run_detector
 from repro.profiles.trace import BranchTrace
+from repro.workloads import load_traces
 
 
 @pytest.fixture
@@ -133,6 +136,87 @@ class TestCodesSidecar:
     def test_content_hash_is_storage_independent(self, trace, btrace_path):
         mapped = read_trace_binary(btrace_path, mmap=True)
         assert trace_content_hash(mapped) == trace_content_hash(trace)
+
+
+def corrupt_payload(path, edit):
+    """Rewrite a sidecar's arrays as ``edit(codes, values, counts)``
+    returns them, keeping magic, version, hash, length and the declared
+    sizes valid."""
+    data = path.read_bytes()
+    header = len(CODES_MAGIC) + 4 + 32
+    n_codes = int.from_bytes(data[header : header + 8], "little")
+    offset = header + 16
+    values = np.frombuffer(data, dtype="<i8", count=n_codes, offset=offset)
+    counts = np.frombuffer(
+        data, dtype="<i8", count=n_codes, offset=offset + 8 * n_codes
+    )
+    codes = np.frombuffer(data, dtype="<i4", offset=offset + 16 * n_codes)
+    codes, values, counts = edit(codes.copy(), values.copy(), counts.copy())
+    path.write_bytes(
+        data[:header] + values.size.to_bytes(8, "little") + data[header + 8 : offset]
+        + values.astype("<i8").tobytes() + counts.astype("<i8").tobytes()
+        + codes.astype("<i4").tobytes()
+    )
+
+
+def _recode(new_codes):
+    """Overwrite the first 400 codes with ``new_codes(codes, n_codes)``."""
+
+    def edit(codes, values, counts):
+        codes[:400] = new_codes(codes[:400], values.size)
+        return codes, values, counts
+
+    return edit
+
+
+#: Payload corruptions behind a valid header: the hash covers the trace,
+#: not the remap, so each of these used to be adopted (or, out of range,
+#: to raise a bare IndexError inside the kernels).
+CORRUPTIONS = {
+    "another-valid-code": _recode(lambda codes, n: (codes + 1) % n),
+    "minus-one": _recode(lambda codes, n: -1),
+    "out-of-range": _recode(lambda codes, n: n),
+}
+PAYLOAD_CORRUPTIONS = [
+    pytest.param(CORRUPTIONS["another-valid-code"], "reproduce the trace",
+                 id="another-valid-code"),
+    pytest.param(CORRUPTIONS["minus-one"], "outside", id="minus-one"),
+    pytest.param(CORRUPTIONS["out-of-range"], "outside", id="out-of-range"),
+    pytest.param(lambda c, v, n: (c, v[[1, 0, *range(2, v.size)]], n),
+                 "strictly increasing", id="unsorted-values"),
+    pytest.param(lambda c, v, n: (c, v, n + (np.arange(n.size) == 0)), "counts",
+                 id="wrong-count"),
+    pytest.param(lambda c, v, n: (c, np.append(v, v[-1] + 1), np.append(n, 0)),
+                 "never occurs", id="unused-value"),
+]
+
+
+class TestCorruptPayload:
+    @pytest.mark.parametrize("mmap", [False, True], ids=["heap", "mmap"])
+    @pytest.mark.parametrize("edit, match", PAYLOAD_CORRUPTIONS)
+    def test_rejected_at_read(self, trace, btrace_path, edit, match, mmap):
+        codes_path = codes_path_for(btrace_path)
+        write_codes_sidecar(trace, codes_path)
+        corrupt_payload(codes_path, edit)
+        with pytest.raises(TraceFormatError, match=match):
+            read_codes_sidecar(codes_path, trace, mmap=mmap)
+
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_corrupted_cache_is_rebuilt(self, tmp_path, corruption):
+        """``load_traces`` over a cache whose sidecar codes were
+        corrupted gives the phases of a heap copy with its own remap."""
+        config = DetectorConfig(cw_size=75, model=ModelKind.WEIGHTED)
+        load_traces("jlex", scale=0.08, cache_dir=tmp_path)
+        (codes_path,) = tmp_path.glob("*.bcodes")
+        corrupt_payload(codes_path, CORRUPTIONS[corruption])
+        mapped, _ = load_traces("jlex", scale=0.08, cache_dir=tmp_path)
+        heap = BranchTrace(np.array(mapped.array), name=mapped.name)
+        assert run_detector(mapped, config).detected_phases == (
+            run_detector(heap, config).detected_phases
+        )
+        # The sidecar on disk was rebuilt, not left corrupted.
+        codes, _, _ = read_codes_sidecar(codes_path, heap)
+        assert np.array_equal(codes, heap.dense_codes()[0])
 
 
 class TestEnsureCodesSidecar:

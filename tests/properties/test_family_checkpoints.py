@@ -1,153 +1,23 @@
-"""Hypothesis: park–rehydrate is invisible, bit for bit, in every family.
+"""Checkpoints: what ``step()`` can reach restores, nothing else does.
 
-Mirrors the serve layer's guarantees for every checkpointing engine —
-the windowed runtime and the FOCuS, NEWMA, Das Pearson and Lu DYNAMO
-families: an engine parked (``checkpoint()`` → JSON → ``restore``) at
-*every* chunk boundary must produce exactly the states, phases, and
-final checkpoint bytes of an engine that ran uninterrupted — for any
-trace and any chunking, not just the hand-picked ones in the unit
-tests.  The other side of the contract: a checkpoint holding a state
-``step()`` could never reach is rejected at restore time with
+Park/rehydrate being invisible bit for bit — at random chunk
+boundaries, as a fixed point of restore, and after a whole-trace
+``run()`` — is checked for every family in ``test_oracle_harness.py``.
+This file holds the other side of the contract: a checkpoint holding a
+state ``step()`` could never reach is rejected at restore time with
 ``CheckpointError`` — a malformed windowed, FOCuS, NEWMA, Das Pearson
 or Lu DYNAMO payload, and in any family an envelope whose statistics or
-phases are impossible, or whose state and open phase disagree.  What a
-whole-trace ``run()`` leaves behind (``finish()`` included) restores in
-every family, on the default route and on the reference loop.
+phases are impossible, or whose state and open phase disagree — while
+real checkpoints, ``finish()`` included, restore.
 """
 
 import json
-from dataclasses import replace
 
-import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
 
-from repro.comparators import engine_family
-from repro.core.config import (
-    AnalyzerKind,
-    AnchorPolicy,
-    DetectorConfig,
-    ModelKind,
-    ResizePolicy,
-    TrailingPolicy,
-)
+from repro.core.config import DetectorConfig, TrailingPolicy
 from repro.core.decision import CheckpointError, build_engine, restore_engine
 from repro.profiles.trace import BranchTrace
-
-elements = st.integers(min_value=0, max_value=12)
-
-#: Small windows, so short hypothesis traces enter and leave phases:
-#: both models, both TW policies (with every Adaptive anchor and resize
-#: policy), both analyzers, one element per step or three.
-windowed_configs = st.builds(
-    DetectorConfig,
-    cw_size=st.integers(min_value=2, max_value=10),
-    tw_size=st.one_of(st.none(), st.integers(min_value=2, max_value=10)),
-    skip_factor=st.sampled_from([1, 3]),
-    trailing=st.sampled_from(TrailingPolicy),
-    anchor=st.sampled_from(AnchorPolicy),
-    resize=st.sampled_from(ResizePolicy),
-    model=st.sampled_from(ModelKind),
-    analyzer=st.sampled_from(AnalyzerKind),
-    threshold=st.floats(min_value=0.3, max_value=0.8),
-    delta=st.floats(min_value=0.0, max_value=0.3),
-)
-
-#: cw_size doubles as the warm-up / window scale for these families;
-#: keep it small so short hypothesis traces exercise post-warm-up code.
-family_configs = st.one_of(
-    windowed_configs,
-    st.sampled_from(["focus", "newma", "das_pearson", "lu_dynamo"]).flatmap(
-        lambda name: st.builds(
-            lambda cw, bar: replace(
-                engine_family(name).default_config(), cw_size=cw, stat_threshold=bar
-            ),
-            st.integers(min_value=2, max_value=24),
-            st.one_of(st.none(), st.floats(min_value=0.5, max_value=8.0)),
-        )
-    ),
-)
-
-
-def roundtrip(engine):
-    """checkpoint → canonical JSON → restore, returning the new engine."""
-    blob = json.dumps(engine.checkpoint(), separators=(",", ":"))
-    return restore_engine(json.loads(blob)), blob
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    trace=st.lists(elements, min_size=0, max_size=400),
-    config=family_configs,
-    chunk=st.integers(min_value=1, max_value=97),
-)
-def test_park_at_every_chunk_boundary_is_bit_identical(trace, config, chunk):
-    straight = build_engine(config)
-    states_a = bytearray(len(trace))
-    straight.advance(trace, states_a, 0)
-    phases_a = straight.finish(len(trace))
-
-    parked = build_engine(config)
-    states_b = bytearray(len(trace))
-    # Chunks start on group boundaries (see DecisionEngine.advance).
-    chunk *= config.skip_factor
-    base = 0
-    while base < len(trace):
-        stop = min(base + chunk, len(trace))
-        parked.advance(trace[base:stop], states_b, base)
-        parked, _ = roundtrip(parked)
-        base = stop
-    phases_b = parked.finish(len(trace))
-
-    assert bytes(states_a) == bytes(states_b)
-    assert phases_a == phases_b
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    trace=st.lists(elements, min_size=1, max_size=300),
-    config=family_configs,
-    cut=st.floats(min_value=0.0, max_value=1.0),
-)
-def test_checkpoint_is_a_fixed_point(trace, config, cut):
-    """restore(checkpoint(e)).checkpoint() == checkpoint(e), bytewise."""
-    engine = build_engine(config)
-    skip = config.skip_factor
-    stop = round(cut * len(trace)) // skip * skip
-    engine.advance(trace[:stop], bytearray(stop), 0)
-    restored, blob = roundtrip(engine)
-    assert json.dumps(restored.checkpoint(), separators=(",", ":")) == blob
-    # And the parked engine's future equals the original's.
-    tail = trace[stop:]
-    states_a = bytearray(len(tail))
-    states_b = bytearray(len(tail))
-    engine.advance(tail, states_a, 0)
-    restored.advance(tail, states_b, 0)
-    assert bytes(states_a) == bytes(states_b)
-    assert engine.finish(len(trace)) == restored.finish(len(trace))
-
-
-#: Random traces, and loops repeated to the end so that ``finish()``
-#: often closes a phase.
-run_traces = st.one_of(
-    st.lists(elements, min_size=0, max_size=300),
-    st.builds(
-        lambda body, repeats: body * repeats,
-        st.lists(elements, min_size=1, max_size=6),
-        st.integers(min_value=1, max_value=60),
-    ),
-)
-
-
-@settings(max_examples=120, deadline=None)
-@given(trace=run_traces, config=family_configs, reference=st.booleans())
-def test_checkpoint_after_run_restores(trace, config, reference):
-    """run → checkpoint → restore → checkpoint is a fixed point, on the
-    routed run and on the reference ``step()`` loop."""
-    engine = build_engine(config)
-    engine.run(BranchTrace(trace), fused=False if reference else None)
-    restored, blob = roundtrip(engine)
-    assert json.dumps(restored.checkpoint(), separators=(",", ":")) == blob
 
 
 @pytest.mark.parametrize("family", ["das_pearson", "lu_dynamo"])

@@ -8,22 +8,16 @@ is judged, so window ``k``'s verdict first shows on element
 by its own verdict.  Both judge the same full windows in the same order
 from a fresh engine, so the verdicts must agree window for window.
 
-A fresh, unobserved engine's ``run()`` takes the vectorized route, a
-walk over the steps that complete a window; it must agree with the
-``step()`` loop (``run(fused=False)`` and chunked ``advance``) in
-states, phases and checkpoints, and its checkpoint must restore into an
-engine that continues like the uninterrupted loop.
+The routed run, chunked ``advance`` and park/rehydrate are checked
+against the ``step()`` loop in ``test_oracle_harness.py``.
 """
-
-import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import DetectorConfig
-from repro.core.decision import build_engine, restore_engine
-from repro.core.kernels import run_bank_batched
+from repro.core.decision import build_engine
 from repro.profiles.trace import BranchTrace
 
 FAMILIES = ("das_pearson", "lu_dynamo")
@@ -106,112 +100,3 @@ def test_partial_tail_window_alone_decides_the_last_span(
         BranchTrace(trace[:tail], name="head")
     )
     np.testing.assert_array_equal(head_states, states[:tail])
-
-
-# -- the vectorized route vs the step() loop ----------------------------------
-
-#: Skip factors past cw_size complete several windows in one step.
-route_configs = st.integers(min_value=1, max_value=24).flatmap(
-    lambda cw: st.builds(
-        DetectorConfig,
-        family=st.sampled_from(FAMILIES),
-        cw_size=st.just(cw),
-        skip_factor=st.integers(min_value=1, max_value=3 * cw + 1),
-        stat_threshold=st.one_of(
-            st.none(), st.sampled_from([0.3, 0.8, 0.99, 1.0, 1.5, 3.0])
-        ),
-    )
-)
-
-#: Repeated short bodies hold a window statistic steady long enough to
-#: open phases (Lu needs seven stable window averages first); a new body
-#: breaks them.
-segments = st.lists(
-    st.tuples(
-        st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=4),
-        st.integers(min_value=1, max_value=40),
-    ),
-    max_size=8,
-)
-
-
-def phase_key(phases):
-    return [
-        (p.detected_start, p.corrected_start, p.end, float.hex(p.mean_similarity))
-        for p in phases
-    ]
-
-
-def checkpoint_bytes(engine):
-    return json.dumps(engine.checkpoint(), sort_keys=True)
-
-
-@settings(max_examples=200, deadline=None)
-@given(
-    config=route_configs,
-    parts=segments,
-    shape=st.sampled_from(["short", "multiple", "any"]),
-    data=st.data(),
-)
-def test_route_matches_step_loop_and_chunked_advance(config, parts, shape, data):
-    window = config.cw_size
-    skip = config.skip_factor
-    stream = [element for body, repeats in parts for element in body * repeats]
-    if shape == "short":
-        stream = stream[: data.draw(st.integers(0, window - 1), label="length")]
-    elif shape == "multiple":
-        stream = stream[: len(stream) - len(stream) % window]
-    trace = BranchTrace(stream, name="segments")
-
-    routed = build_engine(config)
-    assert routed.kernel_path() == "vectorized"
-    ours = routed.run(trace)
-    reference = build_engine(config)
-    theirs = reference.run(trace, fused=False)
-
-    # Chunks start on group boundaries; only the last may end mid-group.
-    cuts = data.draw(
-        st.lists(st.integers(0, len(stream) // skip), max_size=6), label="cuts"
-    )
-    bounds = sorted({0, len(stream), *(cut * skip for cut in cuts)})
-    chunked = build_engine(config)
-    states = bytearray(len(stream))
-    for start, stop in zip(bounds, bounds[1:]):
-        chunked.advance(stream[start:stop], states, start)
-    chunked_phases = chunked.finish(len(stream))
-
-    assert np.array_equal(ours.states, theirs.states)
-    assert bytes(states) == ours.states.astype(np.uint8).tobytes()
-    assert phase_key(ours.detected_phases) == phase_key(theirs.detected_phases)
-    assert phase_key(ours.detected_phases) == phase_key(chunked_phases)
-    assert checkpoint_bytes(routed) == checkpoint_bytes(reference)
-    assert checkpoint_bytes(routed) == checkpoint_bytes(chunked)
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    config=route_configs,
-    parts=segments,
-    extra=st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=120),
-)
-def test_checkpoint_after_route_restores_and_continues(config, parts, extra):
-    """Park the engine right after the route (no ``finish``), restore
-    it, and keep streaming: states, phases and the final checkpoint
-    equal an engine that stepped through the same groups uninterrupted."""
-    stream = [element for body, repeats in parts for element in body * repeats]
-    routed = build_engine(config)
-    states = run_bank_batched([routed], BranchTrace(stream))[0]
-    restored = restore_engine(json.loads(checkpoint_bytes(routed)))
-    tail = bytearray(len(extra))
-    restored.advance(extra, tail, 0)
-
-    uninterrupted = build_engine(config)
-    head = bytearray(len(stream))
-    uninterrupted.advance(stream, head, 0)
-    assert states.astype(np.uint8).tobytes() == bytes(head)
-    rest = bytearray(len(extra))
-    uninterrupted.advance(extra, rest, 0)
-    assert bytes(tail) == bytes(rest)
-    assert checkpoint_bytes(restored) == checkpoint_bytes(uninterrupted)
-    total = len(stream) + len(extra)
-    assert phase_key(restored.finish(total)) == phase_key(uninterrupted.finish(total))

@@ -1,141 +1,25 @@
-"""The fused loop's weighted numerator is pinned to the ``step()`` oracle.
+"""The fused loop's weighted numerator at the ties of its delta arms.
 
 ``DetectorRuntime._advance_fused`` keeps the weighted model's scaled
 numerator ``S = sum_e min(cw_e * T, tw_e * C)`` (``C`` / ``T`` the
 CW / TW capacities) as an exact integer.  In steady state each count
 change is applied as a delta ``min(a, b) - min(a -+ T, b)`` (or the
 same on the TW side, ``+- C``), written as comparisons instead of
-``min()``.  This file pins that arithmetic to
-:meth:`~repro.core.runtime.DetectorRuntime.step` over
-:class:`~repro.core.models.WeightedSetModel`:
-
-- every weighted configuration (``cw == tw`` and ``cw != tw``, both TW
-  policies, both analyzers, every anchor / resize combination) streamed
-  at random chunk cuts, parked and restored at a random cut: state
-  bytes, phase float bits and every checkpoint's JSON are identical;
-- a table of the four steady-state deltas (CW push, CW pop, TW push,
-  TW pop) plus the TW term that appears, each at its ties (``a == b``,
-  ``a - T == b`` and their TW-side twins), where the similarity the
-  fused loop emits must equal the oracle's bit for bit.
+``min()``.  ``test_oracle_harness.py`` pins the fused loop to
+:meth:`~repro.core.runtime.DetectorRuntime.step` over every weighted
+configuration at random chunk cuts and park points; this file adds a
+table of the four steady-state deltas (CW push, CW pop, TW push, TW
+pop) plus the TW term that appears, each at its ties (``a == b``,
+``a - T == b`` and their TW-side twins), where the similarity the
+fused loop emits must equal the oracle's bit for bit.
 """
 
-import itertools
-import json
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.core import (
-    AnalyzerKind,
-    AnchorPolicy,
-    DetectorConfig,
-    ModelKind,
-    ResizePolicy,
-    TrailingPolicy,
-)
+from repro.core import DetectorConfig, ModelKind
 from repro.core.runtime import DetectorRuntime
-
-elements = st.integers(min_value=0, max_value=6)
-# Repeated bodies give long phases, and so long steady-state stretches
-# where the deltas (not the recompute) carry the numerator.
-segments = st.one_of(
-    st.lists(elements, max_size=30),
-    st.tuples(
-        st.lists(elements, min_size=1, max_size=6), st.integers(1, 25)
-    ).map(lambda pair: pair[0] * pair[1]),
-)
-traces = st.lists(segments, max_size=8).map(
-    lambda parts: [element for part in parts for element in part]
-)
-
-COMBINATIONS = list(
-    itertools.product(
-        TrailingPolicy, AnalyzerKind, AnchorPolicy, ResizePolicy, [True, False]
-    )
-)
-
-
-def dumps(value) -> str:
-    return json.dumps(value, separators=(",", ":"))
-
-
-def phase_bits(phases):
-    return [
-        (p.detected_start, p.corrected_start, p.end, p.mean_similarity.hex())
-        for p in phases
-    ]
-
-
-def drive(config, trace, cuts, park, fused):
-    """Feed ``trace`` cut at ``cuts`` through the fused loop or one
-    ``step()`` per element, checkpointing after every chunk and
-    restoring from the checkpoint after chunk ``park``."""
-    runtime = DetectorRuntime(config)
-    states = bytearray(len(trace))
-    checkpoints = []
-    start = 0
-    for index, stop in enumerate(cuts + [len(trace)]):
-        chunk = trace[start:stop]
-        if fused:
-            runtime._advance_fused(chunk, states, start)
-        else:
-            for offset, element in enumerate(chunk, start):
-                if runtime.step((element,)).state.is_phase():
-                    states[offset] = 1
-        start = stop
-        blob = dumps(runtime.checkpoint())
-        checkpoints.append(blob)
-        if index == park:
-            runtime = DetectorRuntime.restore(json.loads(blob))
-    phases = runtime.finish(runtime.consumed)
-    checkpoints.append(dumps(runtime.checkpoint()))
-    return bytes(states), phase_bits(phases), checkpoints
-
-
-@pytest.mark.parametrize(
-    "trailing, analyzer, anchor, resize, equal_windows",
-    COMBINATIONS,
-    ids=[
-        f"{t.value}-{a.value}-{an.value}-{r.value}-{'cw=tw' if eq else 'cw!=tw'}"
-        for t, a, an, r, eq in COMBINATIONS
-    ],
-)
-@settings(max_examples=25, deadline=None)
-@given(
-    trace=traces,
-    cw=st.integers(min_value=2, max_value=9),
-    tw_offset=st.integers(min_value=1, max_value=6),
-    threshold=st.sampled_from([0.3, 0.5, 0.6, 0.75, 0.9]),
-    delta=st.sampled_from([0.0, 0.05, 0.2]),
-    cuts=st.lists(st.integers(min_value=0, max_value=400), max_size=6),
-    park=st.integers(min_value=0, max_value=6),
-    data=st.data(),
-)
-def test_fused_weighted_matches_step(
-    trailing, analyzer, anchor, resize, equal_windows,
-    trace, cw, tw_offset, threshold, delta, cuts, park, data,
-):
-    tw = cw if equal_windows else data.draw(
-        st.sampled_from([max(1, cw - tw_offset), cw + tw_offset])
-    )
-    config = DetectorConfig(
-        cw_size=cw,
-        tw_size=tw,
-        trailing=trailing,
-        anchor=anchor,
-        resize=resize,
-        model=ModelKind.WEIGHTED,
-        analyzer=analyzer,
-        threshold=threshold,
-        delta=delta,
-        enter_threshold=threshold,
-    )
-    cuts = sorted(min(cut, len(trace)) for cut in cuts)
-    assert drive(config, trace, cuts, park, fused=True) == drive(
-        config, trace, cuts, park, fused=False
-    )
-
 
 # -- the delta arms at their ties ---------------------------------------------
 
