@@ -61,16 +61,22 @@ geometry.  The key observations:
   step.  One episode walk (:func:`_walk_windowed`) therefore serves
   both trailing policies: a constant-series scan finds each entry and
   the anchor; the in-phase similarities come from the same series for
-  a Constant TW, and from a segment-local vectorized scan
-  (``_scan_phase_unweighted`` / ``_scan_phase_weighted``) for an
-  Adaptive one.
+  a Constant TW, and from a segment-local scan for an Adaptive one.
+- Most episodes last a few steps, so each walks a scalar head of up to
+  ``_HEAD_STEPS`` in-phase steps before any blockwise NumPy scan
+  starts: a ``tolist()`` slice of the constant series, or, for an
+  unweighted Adaptive TW, O(1)-per-element window counts
+  (``_scan_head_unweighted``).  The blocks (``_scan_phase_constant``,
+  ``_scan_phase_unweighted``, ``_scan_phase_weighted``; weighted
+  Adaptive lanes have no head) run only for the steps after it.
 - Neither analyzer feeds back into the windows, so only the decisions
   differ between them.  Entries test the constant series against a
   fixed bar (``threshold``, or the Average analyzer's
-  ``enter_threshold``); one blockwise exit scan (:func:`_scan_exit`)
-  tests the in-phase similarities against ``threshold`` or against the
-  Average analyzer's running in-phase mean minus ``delta``, carried
-  from block to block with the incremental loops' addition order.
+  ``enter_threshold``); one exit scan (:func:`_scan_exit`, head then
+  blocks) tests the in-phase similarities against ``threshold`` or
+  against the Average analyzer's running in-phase mean minus
+  ``delta``, carried through the head and from block to block with the
+  incremental loops' addition order.
 
 **Batched bank advancement** — :class:`SharedTraceKernels` caches
 prev-occurrence links, skip-group boundaries, and whole similarity
@@ -347,6 +353,12 @@ _OCC_CELL_LIMIT = 1 << 21
 #: Step granularity of the blockwise scans (both the weighted numerator
 #: blocks and the in-phase exit scan).
 _BLOCK_STEPS = 256
+
+#: In-phase steps each unweighted episode walks as scalar Python (the
+#: head, :func:`_scan_head_unweighted` or a slice of the constant
+#: series) before the blockwise exit scan starts: most episodes end
+#: inside it, without one NumPy call for their exit.
+_HEAD_STEPS = 16
 
 
 def _occurrence_matrix(
@@ -646,16 +658,26 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
     computed over that step's pre-resize windows, as the reference path
     does, from one per-walk stamp table over the dense codes.  The
     trailing policy picks the in-phase similarities, which
-    :func:`_scan_exit` tests block by block against the analyzer's bar:
+    :func:`_scan_exit` tests against the analyzer's bar, first as a
+    scalar *head* of up to ``_HEAD_STEPS`` Python floats and then, only
+    for an episode the head does not end, block by block:
 
     - *Constant*: entries do not move the windows, so they are the same
-      series (:func:`_scan_phase_constant`);
+      series: the head is one ``tolist()`` slice of it, the blocks are
+      :func:`_scan_phase_constant`;
     - *Adaptive*: the entry resize pins the TW's left edge at
       ``A = anchor_abs`` and starts the CW's at ``L = c_entry - cwc +
       moved`` (``moved = min(anchor, cwc-1)`` for SLIDE, 0 for MOVE),
       so at a later step end ``c`` CW = ``[max(L, c - cwc), c)`` and
-      TW = ``[A, max(L, c - cwc))``; :func:`_scan_phase_unweighted` /
-      :func:`_scan_phase_weighted` compute those similarities blockwise.
+      TW = ``[A, max(L, c - cwc))``.  Unweighted, the head is
+      :func:`_scan_head_unweighted` (O(1) per element) and the blocks
+      :func:`_scan_phase_unweighted`; weighted, every step is in
+      :func:`_scan_phase_weighted`'s blocks.
+
+    The carry ``(total, count)`` that leaves the scan is the phase mean's
+    numerator and denominator, and the open phase's analyzer statistics.
+    Step boundaries are arithmetic (step ``k`` covers ``[k*skip,
+    min((k+1)*skip, total))``), never a search.
 
     Phases land in ``runtime.tracker`` and the final model/analyzer
     state is rebuilt bit-identically, both windows in one
@@ -704,16 +726,22 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
     cursor = 0
     phase_open = False
     while True:
-        first_filled = int(np.searchsorted(step_ends, origin + fill_span))
+        # The first step ending at or after the refill point: step k
+        # ends at min((k+1)*skip, total), so it is ceil(x / skip) - 1
+        # unless x is past the trace, where even a ragged last step
+        # cannot fill.
+        fill_end = origin + fill_span
+        if fill_end > total:
+            break
+        first_filled = -(-fill_end // skip) - 1
         if first_filled < cursor:
             first_filled = cursor
         hit = int(np.searchsorted(phase_steps, first_filled))
         if hit >= phase_steps.size:
             break
         entry = int(phase_steps[hit])
-        c_entry = int(step_ends[entry])
-        entry_len = c_entry - (int(step_ends[entry - 1]) if entry else 0)
-        detected_start = c_entry - entry_len
+        detected_start = entry * skip
+        c_entry = min(detected_start + skip, total)
         epoch += 1
         mark[codes[c_entry - cwc : c_entry]] = epoch
         in_cw = mark[codes[c_entry - fill_span : c_entry - cwc]] == epoch
@@ -725,38 +753,47 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
             anchor = int(hits[0]) if hits.size else twc
         anchor_abs = (c_entry - fill_span) + anchor
         corrected = anchor_abs if anchor_abs < detected_start else detected_start
-        if adaptive:
+        # The head: up to _HEAD_STEPS in-phase similarities as Python
+        # floats; the blocks pick up after it and run only if it ends
+        # without an exit.
+        head_stop = min(entry + 1 + _HEAD_STEPS, n_steps)
+        if not adaptive:
+            entry_sim, *head = sims[entry:head_stop].tolist()
+            blocks = _scan_phase_constant(sims, head_stop, n_steps)
+        else:
+            entry_sim = float(sims[entry])
             tw_left = anchor_abs
             cw_left = c_entry - cwc + (min(anchor, cwc - 1) if slide else 0)
             if weighted:
+                head = ()
                 blocks = _scan_phase_weighted(
-                    codes, n_codes, base_counts, step_ends, entry,
+                    codes, n_codes, base_counts, step_ends, entry + 1,
                     tw_left, cw_left, cwc, n_steps,
                 )
             else:
+                head = _scan_head_unweighted(
+                    prev, distinct_all, step_ends, entry + 1, head_stop,
+                    tw_left, cw_left, cwc,
+                )
                 blocks = _scan_phase_unweighted(
-                    prev, distinct_all, step_ends, entry,
+                    prev, distinct_all, step_ends, head_stop,
                     tw_left, cw_left, cwc, total, n_steps,
                 )
-        else:
-            blocks = _scan_phase_constant(sims, entry, n_steps)
-        exit_step, episode_sims = _scan_exit(blocks, float(sims[entry]), analyzer)
+        exit_step, phase_total, phase_count = _scan_exit(
+            head, blocks, entry + 1, entry_sim, analyzer
+        )
         if exit_step < 0:
             phase_open = True
             tracker.open_detected = detected_start
             tracker.open_corrected = corrected
             states[detected_start:total] = True
             break
-        c_exit = int(step_ends[exit_step])
-        exit_len = c_exit - int(step_ends[exit_step - 1])
-        end = c_exit - exit_len
-        # cumsum is a sequential left-to-right accumulation — the same
-        # addition order as the incremental paths' running total.
-        phase_total = float(np.cumsum(episode_sims)[-1])
-        mean = phase_total / int(episode_sims.size)
+        end = exit_step * skip
+        c_exit = min(end + skip, total)
+        mean = phase_total / phase_count
         tracker.phases.append(DetectedPhase(detected_start, corrected, end, mean))
         states[detected_start:end] = True
-        origin = c_exit - min(exit_len, cwc)
+        origin = c_exit - min(c_exit - end, cwc)
         cursor = exit_step + 1
 
     # ---- reconstruct the final incremental state -------------------------
@@ -778,8 +815,8 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
     model.consumed = total
     if phase_open:
         stats = runtime.stats
-        stats.count = int(episode_sims.size)
-        stats.total = float(np.cumsum(episode_sims)[-1])
+        stats.count = phase_count
+        stats.total = phase_total
         runtime.state = PhaseState.PHASE
     else:
         runtime.state = PhaseState.TRANSITION
@@ -1059,62 +1096,148 @@ def _walk_per_window(engine, shared: SharedTraceKernels) -> np.ndarray:
     return states
 
 
-def _scan_exit(blocks, entry_sim: float, analyzer) -> Tuple[int, np.ndarray]:
+def _scan_exit(
+    head, blocks, first: int, entry_sim: float, analyzer
+) -> Tuple[int, float, int]:
     """The in-phase exit scan shared by every trailing policy and model.
 
-    ``blocks`` yields ``(first_step, sims)`` blocks of consecutive
-    in-phase candidate steps after the entry (:func:`_scan_phase_constant`,
-    :func:`_scan_phase_unweighted`, :func:`_scan_phase_weighted`).  A
-    step exits the phase when its similarity is below its bar:
+    ``head`` yields the similarities of the in-phase candidate steps
+    ``first, first + 1, ...`` after the entry as Python floats (a slice
+    of the constant series, :func:`_scan_head_unweighted`, or nothing);
+    ``blocks`` yields ``(first_step, sims)`` blocks of the steps after
+    the head (:func:`_scan_phase_constant`,
+    :func:`_scan_phase_unweighted`, :func:`_scan_phase_weighted`) and is
+    only started when the head ends without an exit.  A step exits the
+    phase when its similarity is below its bar:
 
     - Threshold: the fixed ``threshold``;
     - Average: the running in-phase mean minus ``delta``, where the mean
       is over the entry similarity (the ``reset_stats`` seed) and every
-      in-phase similarity before the step.  The ``(total, count)`` carry
-      runs from block to block; ``np.cumsum`` (``np.add.accumulate``)
-      adds left to right, the same order as the incremental loops'
-      ``total += similarity``, and ``total / count - delta`` is the same
-      float division and subtraction, so every bar is bit-identical.
+      in-phase similarity before the step.
 
-    Returns ``(exit_step, episode_sims)``: the first failing step (or -1
-    when the phase stays open to the trace end) and the in-phase
-    similarities from the entry up to (excluding) the exit.  ``blocks``
-    is closed before returning.
+    The ``(total, count)`` carry starts at ``(entry_sim, 1)``, runs
+    through the head as ``total += sim`` and on through the blocks as
+    ``np.cumsum`` (``np.add.accumulate``) seeded with it: per block for
+    Average, once over the episode's blocks for Threshold.  Both add
+    left to right in the same order as the incremental loops' running
+    total, and ``total / count - delta`` is the same float division and
+    subtraction, so every bar and every phase mean is bit-identical.
+
+    Returns ``(exit_step, total, count)``: the first failing step (or -1
+    when the phase stays open to the trace end) and the carry over the
+    in-phase similarities from the entry up to (excluding) it, whose
+    quotient is the phase mean.  ``blocks`` is closed before returning.
     """
     average = type(analyzer) is not ThresholdAnalyzer
+    delta = analyzer.delta if average else None
     bar = None if average else analyzer.threshold
     total = entry_sim
     count = 1
-    parts = [np.array([entry_sim])]
+    for sim in head:
+        if average:
+            bar = total / count - delta
+        if sim < bar:
+            blocks.close()
+            return first + count - 1, total, count
+        total += sim
+        count += 1
+    # An Average block needs its running total for every bar; Threshold
+    # blocks defer theirs to one cumsum over all the episode's blocks.
+    parts = [np.array([total])]
+    exit_step = -1
     for s, blk in blocks:
         if average:
             cum = np.cumsum(np.concatenate(([total], blk)))
-            bar = cum[:-1] / np.arange(count, count + blk.size) - analyzer.delta
-            total = float(cum[-1])
-            count += blk.size
+            bar = cum[:-1] / np.arange(count, count + blk.size) - delta
         bad = np.flatnonzero(blk < bar)
+        cut = int(bad[0]) if bad.size else blk.size
+        count += cut
+        if average:
+            total = float(cum[cut])
+        else:
+            parts.append(blk[:cut])
         if bad.size:
             blocks.close()
-            cut = int(bad[0])
-            if cut:
-                parts.append(blk[:cut])
-            return s + cut, np.concatenate(parts)
-        parts.append(blk)
-    return -1, np.concatenate(parts)
+            exit_step = s + cut
+            break
+    if len(parts) > 1:
+        total = float(np.cumsum(np.concatenate(parts))[-1])
+    return exit_step, total, count
 
 
-def _scan_phase_constant(sims: np.ndarray, entry: int, n_steps: int):
-    """In-phase similarity blocks for a Constant TW: entries do not move
-    the windows, so they are the cached constant series itself."""
-    for s in range(entry + 1, n_steps, _BLOCK_STEPS):
+def _scan_phase_constant(sims: np.ndarray, first: int, n_steps: int):
+    """In-phase similarity blocks for a Constant TW from step ``first``
+    on: entries do not move the windows, so they are the cached constant
+    series itself."""
+    for s in range(first, n_steps, _BLOCK_STEPS):
         yield s, sims[s : s + _BLOCK_STEPS]
+
+
+def _scan_head_unweighted(
+    prev: np.ndarray,
+    distinct_all: np.ndarray,
+    step_ends: np.ndarray,
+    first: int,
+    stop: int,
+    tw_left: int,
+    cw_left: int,
+    cwc: int,
+):
+    """Scalar in-phase unweighted similarities of one Adaptive episode's
+    steps ``first .. stop-1``: the head of :func:`_scan_exit`.
+
+    Same geometry as :func:`_scan_phase_unweighted`: at step end ``c``
+    the CW is ``[left, c)`` with ``left = max(L, c - cwc)`` and the TW
+    ends at ``left`` from ``A = tw_left <= L = cw_left``.  An occurrence
+    ``i`` in the CW is a distinct member iff ``prev[i] < left``, and a
+    member shared with the TW iff also ``prev[i] >= A``; so the members
+    *not* shared are exactly the occurrences with ``prev[i] < A``, a
+    count that slides in O(1) per element: ``+1`` for an entering
+    element whose ``prev`` is below ``A``, ``-1`` for a leaving one.
+    While the CW refills (``left == L``) the distinct count grows by the
+    entering elements with ``prev < L``; once it slides it is the shared
+    per-window-start ``distinct_all[c - cwc]``.  The similarity is
+    ``(distinct - unshared) / distinct``, the same ``int / int`` as the
+    blockwise scan's.  Only ``prev`` slices of at most ``stop - first``
+    steps are decoded to Python ints, plus two NumPy counts seeding the
+    window ``[L, c_entry)`` left by the entry's resize.
+    """
+    if first >= stop:
+        return
+    c_entry = int(step_ends[first - 1])
+    ends = step_ends[first:stop].tolist()
+    seed = prev[cw_left:c_entry]
+    distinct = int(np.count_nonzero(seed < cw_left))
+    unshared = int(np.count_nonzero(seed < tw_left))
+    entering = prev[c_entry : ends[-1]].tolist()
+    last_left = ends[-1] - cwc
+    if last_left > cw_left:
+        leaving = prev[cw_left:last_left].tolist()
+        slid = distinct_all[cw_left + 1 : last_left + 1].tolist()
+    right = c_entry
+    left = cw_left
+    for c in ends:
+        for p in entering[right - c_entry : c - c_entry]:
+            if p < tw_left:
+                unshared += 1
+                distinct += 1
+            elif p < cw_left:
+                distinct += 1
+        right = c
+        if c - cwc > cw_left:
+            for p in leaving[left - cw_left : c - cwc - cw_left]:
+                if p < tw_left:
+                    unshared -= 1
+            left = c - cwc
+            distinct = slid[left - cw_left - 1]
+        yield (distinct - unshared) / distinct
 
 
 def _scan_phase_unweighted(
     prev: np.ndarray,
     distinct_all: np.ndarray,
     step_ends: np.ndarray,
-    entry: int,
+    first: int,
     tw_left: int,
     cw_left: int,
     cwc: int,
@@ -1141,14 +1264,15 @@ def _scan_phase_unweighted(
       membership filter ``prev[i] >= A`` — accumulated per block with
       difference arrays.
 
-    Yields ``(first_step, sims)`` per block of steps after ``entry``;
-    :func:`_scan_exit` stops it at the exit.
+    Yields ``(first_step, sims)`` per block of steps from ``first`` on
+    (the steps after the episode's head); :func:`_scan_exit` starts it
+    only when the head ends without an exit, and stops it at the exit.
     """
     seg_prev = prev[cw_left : min(cw_left + cwc, total)]
     rep = seg_prev < cw_left
     d_cum = np.concatenate(([0], np.cumsum(rep)))
     s_cum = np.concatenate(([0], np.cumsum(rep & (seg_prev >= tw_left))))
-    for s in range(entry + 1, n_steps, _BLOCK_STEPS):
+    for s in range(first, n_steps, _BLOCK_STEPS):
         ends_blk = step_ends[s : s + _BLOCK_STEPS]
         blk = np.empty(ends_blk.size, dtype=np.float64)
         refill = ends_blk <= cw_left + cwc
@@ -1181,7 +1305,7 @@ def _scan_phase_weighted(
     n_codes: int,
     base_counts: np.ndarray,
     step_ends: np.ndarray,
-    entry: int,
+    first: int,
     tw_left: int,
     cw_left: int,
     cwc: int,
@@ -1204,7 +1328,7 @@ def _scan_phase_weighted(
     finishes or is closed.
     """
     covered = tw_left
-    s = entry + 1
+    s = first
     try:
         while s < n_steps:
             take = min(_BLOCK_STEPS, n_steps - s)

@@ -139,8 +139,10 @@ class StreamingDetector:
             self._on_boundary("end", self._position)
             self._in_phase = False
         states = np.frombuffer(bytes(self._states), dtype=np.uint8).astype(bool)
+        # The engine's config, as run() reports it: a family builder may
+        # have normalized the caller's (dhodapkar_smith: skip = CW = TW).
         return DetectionResult(
-            states=states, detected_phases=phases, config=self.config
+            states=states, detected_phases=phases, config=self.runtime.config
         )
 
     # -- checkpointing ---------------------------------------------------------

@@ -112,21 +112,22 @@ class TestSweepEquivalence:
 
     def test_family_caches_identical_kernels_on_and_off(self, tmp_path):
         """Every NEWMA and FOCuS member rides the vectorized route; with
-        ``kernels=False`` each steps.  The record caches of all four
-        runs (kernels on/off x ``jobs`` 1/2) are byte-identical."""
+        ``kernels=False`` each steps.  The record caches of one crossed
+        pair (kernels on at ``jobs=2``, kernels off at ``jobs=1``) are
+        byte-identical; the other cells of that grid are pinned by the
+        family golden in CI and each route by the oracle harness."""
         specs = family_grid(QUICK, ("newma", "focus"))
         caches = set()
-        for jobs in (1, 2):
-            for kernels in (True, False):
-                cache_dir = tmp_path / f"jobs{jobs}-kernels{kernels}"
-                Sweep(
-                    QUICK,
-                    cache_dir=cache_dir,
-                    benchmarks=BENCHMARKS,
-                    mpl_nominals=MPLS,
-                    kernels=kernels,
-                ).ensure(specs, jobs=jobs)
-                caches.add((cache_dir / "sweep-quick.jsonl").read_bytes())
+        for jobs, kernels in ((2, True), (1, False)):
+            cache_dir = tmp_path / f"jobs{jobs}-kernels{kernels}"
+            Sweep(
+                QUICK,
+                cache_dir=cache_dir,
+                benchmarks=BENCHMARKS,
+                mpl_nominals=MPLS,
+                kernels=kernels,
+            ).ensure(specs, jobs=jobs)
+            caches.add((cache_dir / "sweep-quick.jsonl").read_bytes())
         assert len(caches) == 1
         assert len(next(iter(caches)).splitlines()) == (
             len(specs) * len(BENCHMARKS) * len(MPLS)

@@ -20,9 +20,10 @@ and a generated trace, four runs must agree with the oracle:
    position the other runs park at.
 
 "Agree" means identical state bytes, identical phases down to the float
-bits (``float.hex``), and identical ``sort_keys`` checkpoint JSON at
-every park point and at the end; a parked engine's checkpoint is also a
-fixed point of restore.
+bits (``float.hex``), the engine's config in every result (a family
+builder may normalize the caller's), and identical ``sort_keys``
+checkpoint JSON at every park point and at the end; a parked engine's
+checkpoint is also a fixed point of restore.
 
 The traces come from :func:`build_trace`: seeded segments that vary
 phase length, loop nesting and recursion depth, drift and noise, plus
@@ -53,7 +54,7 @@ from repro.core import (
 )
 from repro.core.bank import DetectorBank
 from repro.core.decision import build_engine, restore_engine
-from repro.core.kernels import run_bank_batched
+from repro.core.kernels import _HEAD_STEPS, run_bank_batched
 from repro.core.stream import StreamingDetector
 from repro.obs.bus import MemorySink
 from repro.profiles.trace import BranchTrace
@@ -305,6 +306,7 @@ class Outcome(NamedTuple):
     phases: List[tuple]
     checkpoints: Dict[int, str]  # at the requested group boundaries
     final: str  # after finish()
+    config: DetectorConfig  # the engine's, as built from the caller's
 
 
 def oracle(
@@ -324,13 +326,16 @@ def oracle(
         if start + len(group) in marks:
             checkpoints[start + len(group)] = dumps(engine)
     phases = engine.finish(len(trace))
-    return Outcome(bytes(states), phase_bits(phases), checkpoints, dumps(engine))
+    return Outcome(
+        bytes(states), phase_bits(phases), checkpoints, dumps(engine), engine.config
+    )
 
 
-def assert_agrees(label, states, phases, final, expected: Outcome) -> None:
+def assert_agrees(label, states, phases, final, config, expected: Outcome) -> None:
     assert states == expected.states, label
     assert phase_bits(phases) == expected.phases, label
     assert final == expected.final, label
+    assert config == expected.config, label
 
 
 def check_routed(config, trace, expected: Outcome) -> None:
@@ -341,7 +346,7 @@ def check_routed(config, trace, expected: Outcome) -> None:
         blob = dumps(engine)
         assert_agrees(
             f"run(kernels={kernels})", state_bytes(result.states),
-            result.detected_phases, blob, expected,
+            result.detected_phases, blob, result.config, expected,
         )
         # What a run leaves behind (finish() included) restores.
         assert dumps(restore_engine(json.loads(blob))) == blob
@@ -359,7 +364,7 @@ def check_bank(configs, observed: bool, trace, expected: List[Outcome]) -> None:
     ):
         assert_agrees(
             f"bank member {index}", state_bytes(result.states),
-            result.detected_phases, dumps(engine), outcome,
+            result.detected_phases, dumps(engine), result.config, outcome,
         )
     if observed:
         reference = MemorySink()
@@ -390,7 +395,7 @@ def check_streaming(config, trace, cuts, stream_parks, expected: Outcome) -> Non
     result = streaming.finish()
     assert_agrees(
         "stream", state_bytes(result.states), result.detected_phases,
-        dumps(streaming.runtime), expected,
+        dumps(streaming.runtime), result.config, expected,
     )
 
 
@@ -414,7 +419,9 @@ def check_parked(config, trace, parks, expected: Outcome) -> None:
         assert dumps(engine) == blob, f"restore at {park} is not a fixed point"
     engine.advance(trace[base:], states, base)
     phases = engine.finish(len(trace))
-    assert_agrees("parked", bytes(states), phases, dumps(engine), expected)
+    assert_agrees(
+        "parked", bytes(states), phases, dumps(engine), engine.config, expected
+    )
 
 
 def check_agreement(
@@ -523,7 +530,200 @@ PARTIAL_TAILS = [
     ("lu_dynamo", 4, [2, 2, 2, 2] * 7 + [2, 2, 2]),
 ]
 
+# The scalar head of the windowed exit scan: its edges sit at offsets
+# from ``_HEAD_STEPS``, so each trace below is the first candidate whose
+# oracle run has the wanted shape, not a hand-counted one.
+
+#: The lanes whose episodes walk a scalar head before the exit blocks:
+#: every Constant TW, and the unweighted Adaptive TW.
+HEAD_LANES = [
+    (TrailingPolicy.CONSTANT, ModelKind.UNWEIGHTED),
+    (TrailingPolicy.CONSTANT, ModelKind.WEIGHTED),
+    (TrailingPolicy.ADAPTIVE, ModelKind.UNWEIGHTED),
+]
+
+
+def _fresh(start: int, length: int) -> List[int]:
+    return list(range(start, start + length))
+
+
+def _steps(phase) -> int:
+    """Steps from a phase's entry step to its exit step, at skip 1."""
+    return phase[2] - phase[0]
+
+
+def _shaped(config, candidates, accept) -> List[int]:
+    """The first candidate trace whose oracle phases ``accept`` takes."""
+    for trace in candidates:
+        if accept(oracle(config, trace).phases, trace):
+            return trace
+    raise AssertionError(f"no candidate trace has the wanted shape for {config}")
+
+
+def _exit_after(config, steps: int) -> List[int]:
+    """A phase that exits ``steps`` steps after its entry step: on a
+    constant body, each repeat delays only the exit."""
+    return _shaped(
+        config,
+        (
+            _fresh(100, 12) + [1] * run + _fresh(200, 12)
+            for run in range(1, 4 * _HEAD_STEPS)
+        ),
+        lambda phases, _: bool(phases) and _steps(phases[0]) == steps,
+    )
+
+
+def _carried_into_blocks(config) -> List[int]:
+    """A noisy loop whose Average phase outlasts the head, so the
+    ``(total, count)`` carry enters the first block, on in-phase values
+    that are not all equal."""
+    return _shaped(
+        config,
+        (
+            build_trace(
+                [("noise", 10), ("loop", 3, repeats, 0, 0, 0.05, 0), ("noise", 30)],
+                seed,
+            )
+            for seed in range(20)
+            for repeats in (_HEAD_STEPS, 2 * _HEAD_STEPS, 4 * _HEAD_STEPS)
+        ),
+        lambda phases, _: any(
+            _HEAD_STEPS < _steps(phase) < _HEAD_STEPS + 256
+            and float.fromhex(phase[3]) != 1.0
+            for phase in phases
+        ),
+    )
+
+
+def _cw_after(config, trace, position: int) -> int:
+    """The oracle's CW length after ``position`` elements."""
+    blob = oracle(config, trace, {position}).checkpoints[position]
+    return len(json.loads(blob)["engine"]["cw"])
+
+
+def _refill_then_slide(config) -> List[int]:
+    """An Adaptive SLIDE phase whose entry resize shortens the CW, which
+    refills and then slides, all before the phase exits inside the
+    head."""
+    cwc = config.cw_size
+
+    def accept(phases, trace):
+        if not phases or _steps(phases[0]) > _HEAD_STEPS:
+            return False
+        refill = cwc - _cw_after(config, trace, phases[0][0] + 1)
+        return 0 < refill < _steps(phases[0]) - 1
+
+    return _shaped(
+        config,
+        (
+            _fresh(100, lead) + [1, 2, 3] * run + _fresh(200, 12)
+            for lead in (12, 13, 14)
+            for run in range(2, _HEAD_STEPS)
+        ),
+        accept,
+    )
+
+
+def _ragged_after_exit(config) -> List[int]:
+    """A Fixed lane (skip = CW = TW) whose last exit leaves one full step
+    and then a ragged one: the refill point lies past the trace end,
+    although rounding it up to a step names the ragged last step, whose
+    windows are similar enough to enter on."""
+    cwc = config.cw_size
+
+    def accept(phases, trace):
+        if not phases or not 2 * cwc > len(trace) - phases[-1][2] > cwc:
+            return False
+        cw, tw = set(trace[-cwc:]), set(trace[-2 * cwc : -cwc])
+        return len(cw & tw) / len(cw) >= config.threshold
+
+    return _shaped(
+        config,
+        (
+            [1, 2] * body + _fresh(100, noise) + [1, 2] * tail
+            for body in range(2 * cwc, 6 * cwc)
+            for noise in (1, 2, 3)
+            for tail in range(1, 2 * cwc)
+        ),
+        accept,
+    )
+
+
+def _open_in_head(config) -> List[int]:
+    """A phase still open at the trace end a few steps into its head."""
+    return _shaped(
+        config,
+        (_fresh(100, 9) + [1, 2, 3] * run for run in range(2, _HEAD_STEPS)),
+        lambda phases, trace: bool(phases)
+        and phases[-1][2] == len(trace)
+        and 1 < _steps(phases[-1]) < _HEAD_STEPS,
+    )
+
+
+def _lane(trailing, model, analyzer, **fields):
+    return DetectorConfig(
+        trailing=trailing, model=model, analyzer=analyzer, threshold=0.6,
+        delta=0.1, enter_threshold=0.6, **fields,
+    )
+
+
+HEAD_CASES = [
+    *(
+        pytest.param(
+            config, _exit_after(config, _HEAD_STEPS + offset), {}, None,
+            id=f"exit-at-head-end-plus-{offset}-{_tag(t, m)}-{a.value}",
+        )
+        for t, m in HEAD_LANES
+        for a in AnalyzerKind
+        for offset in (0, 1)
+        for config in [_lane(t, m, a, cw_size=4)]
+    ),
+    *(
+        pytest.param(
+            config, _carried_into_blocks(config), {}, None,
+            id=f"average-carry-head-into-block-{_tag(t, m)}",
+        )
+        for t, m in HEAD_LANES
+        for config in [_average(t, m, cw_size=8, delta=0.2, enter_threshold=0.5)]
+    ),
+    *(
+        pytest.param(
+            config, _refill_then_slide(config), {}, None,
+            id=f"adaptive-refill-to-slide-in-head-{anchor.value}",
+        )
+        for anchor in AnchorPolicy
+        for config in [
+            DetectorConfig(
+                cw_size=6, trailing=TrailingPolicy.ADAPTIVE, anchor=anchor,
+                resize=ResizePolicy.SLIDE, threshold=0.5,
+            )
+        ]
+    ),
+    *(
+        pytest.param(
+            config, _ragged_after_exit(config), {}, None,
+            id=f"fixed-ragged-last-step-unfilled-{m.value}",
+        )
+        for m in ModelKind
+        for config in [
+            DetectorConfig(cw_size=5, tw_size=5, skip_factor=5, model=m, threshold=0.5)
+        ]
+    ),
+    *(
+        pytest.param(
+            config, prefix + [1, 2, 3] * 5 + _fresh(300, 30),
+            dict(parks=[len(prefix)], cuts=[len(prefix)], stream_parks=[0]), None,
+            id=f"open-in-head-then-parked-{_tag(t, m)}-{a.value}",
+        )
+        for t, m in HEAD_LANES
+        for a in AnalyzerKind
+        for config in [_lane(t, m, a, cw_size=4)]
+        for prefix in [_open_in_head(config)]
+    ),
+]
+
 EDGE_CASES = [
+    *HEAD_CASES,
     *(
         pytest.param(
             _average(t, m, cw_size=4, tw_size=4, delta=0.0, enter_threshold=0.9),
