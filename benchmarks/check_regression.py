@@ -32,7 +32,11 @@ samples must stay under that config's absolute ceiling —
 ``unweighted-constant`` through the constant walk, and the Adaptive-TW
 rows through the episode-vectorized adaptive walk.  The kernel/legacy
 ratio is printed but not gated: it would fail whenever the fused loop
-got faster.
+got faster.  The bench trace's five long phases make those rows gate
+per-block cost; the short-episode rows gate per-episode cost the same
+way (best normalized repeat against ``SHORT_EPISODE_MAX_NORMALIZED``),
+timing the Adaptive walks on ``short_episode_trace()``, whose many
+phases each end within the walk's 16-step scalar head.
 
 The bank rows time two things.  The legacy row runs the
 ``BANK_SIZE``-config bank with ``kernels=False``, so every member takes
@@ -185,6 +189,35 @@ KERNEL_MAX_NORMALIZED = {
     "weighted-adaptive": 1.07,
 }
 
+#: The short-episode rows: both Adaptive-TW models at a small CW on
+#: ``short_episode_trace()``, where each of the 800 phases lasts 13
+#: (unweighted) or 11 (weighted) in-phase steps, inside the walk's
+#: 16-step scalar head.
+SHORT_EPISODE_CONFIGS = {
+    "unweighted-adaptive": DetectorConfig(
+        cw_size=8, trailing=TrailingPolicy.ADAPTIVE, threshold=0.6
+    ),
+    "weighted-adaptive": DetectorConfig(
+        cw_size=8,
+        model=ModelKind.WEIGHTED,
+        trailing=TrailingPolicy.ADAPTIVE,
+        threshold=0.6,
+    ),
+}
+
+#: Ceilings on the short-episode rows, normalized like
+#: ``KERNEL_MAX_NORMALIZED`` (each repeat divided by the lesser of the
+#: calibration samples just before and just after it, best repeat).
+#: Each sits a third above the median of eleven runs on the 2-CPU host
+#: (``cpu_count`` 2): unweighted-adaptive 0.215-0.321 (median 0.287),
+#: weighted-adaptive 0.461-0.614 (0.551).  Walking every weighted
+#: episode's first steps in NumPy blocks instead read 3.04-3.47 in
+#: eleven runs of these rows alone, and 1.99 in a full run.
+SHORT_EPISODE_MAX_NORMALIZED = {
+    "unweighted-adaptive": 0.382,
+    "weighted-adaptive": 0.735,
+}
+
 #: One score_states_batch pass must beat the per-(lane, MPL)
 #: score_states loop by at least this factor (same-run ratio).
 BATCH_MIN_SPEEDUP = 3.0
@@ -283,6 +316,26 @@ def bench_trace():
         builder.add_phase(6_000, body_size=14, noise_rate=0.01)
     builder.add_transition(400)
     return builder.build()[0]
+
+
+def short_episode_trace():
+    """800 short loops between noise, so per-episode work dominates.
+
+    Each loop cycles a 3-site body (one of five, in turn) for 20
+    elements; each transition is the next 12 sites of a 40-site noise
+    cycle, so no window sees a noise site twice.  55 distinct sites in
+    all, a real program's order of magnitude (the quick-scale jlex and
+    db traces have 39 and 25); a fresh site per noise element would
+    instead make every dense-code vector as long as the trace's noise.
+    """
+    elements = []
+    noise = 0
+    for loop in range(800):
+        elements.extend(1_000 + (noise + i) % 40 for i in range(12))
+        noise += 12
+        elements.extend(100 * (loop % 5) + i % 3 for i in range(20))
+    elements.extend(1_000 + (noise + i) % 40 for i in range(12))
+    return BranchTrace(np.asarray(elements, dtype=np.int64), name="short-episodes")
 
 
 def _warm_start_fixture(tmp_dir, trace):
@@ -758,6 +811,7 @@ def _timed(func):
 
 def measure(repeats):
     trace = bench_trace()
+    short_trace = short_episode_trace()
     # Interleave calibration samples with the detector samples so slow
     # drift (frequency scaling, co-tenant load) hits both sides of the
     # ratio; best-of-N on each side then discards transient spikes.
@@ -765,6 +819,8 @@ def measure(repeats):
     det_samples = {label: [] for label in CONFIGS}
     legacy_samples = {label: [] for label in CONFIGS}
     kernel_ratios = {label: [] for label in CONFIGS}
+    short_samples = {label: [] for label in SHORT_EPISODE_CONFIGS}
+    short_ratios = {label: [] for label in SHORT_EPISODE_CONFIGS}
     family_samples = {label: [] for label in FAMILY_CONFIGS}
     bank_configs = _bank_configs()
     legacy_bank_samples = []
@@ -795,6 +851,15 @@ def measure(repeats):
                 after = _timed(_calibration_workload)
                 kernel_ratios[label].append(
                     det_samples[label][-1] / min(before, after)
+                )
+                before = after
+            for label, config in SHORT_EPISODE_CONFIGS.items():
+                short_samples[label].append(
+                    _timed(lambda c=config: run_detector(short_trace, c))
+                )
+                after = _timed(_calibration_workload)
+                short_ratios[label].append(
+                    short_samples[label][-1] / min(before, after)
                 )
                 before = after
             for label, config in FAMILY_CONFIGS.items():
@@ -850,6 +915,18 @@ def measure(repeats):
             "legacy_seconds": round(legacy_seconds, 6),
             "speedup": round(legacy_seconds / seconds, 4),
         }
+    short_rows = {}
+    for label, config in SHORT_EPISODE_CONFIGS.items():
+        phases = run_detector(short_trace, config).detected_phases
+        short_rows[label] = {
+            "seconds": round(min(short_samples[label]), 6),
+            "normalized": round(min(short_ratios[label]), 4),
+            "max_normalized": SHORT_EPISODE_MAX_NORMALIZED[label],
+            "episodes": len(phases),
+            "longest_steps": max(
+                (p.end - p.detected_start for p in phases), default=0
+            ),
+        }
     families = {}
     for label in FAMILY_CONFIGS:
         seconds = min(family_samples[label])
@@ -883,6 +960,10 @@ def measure(repeats):
         "kernels": {
             "max_normalized": KERNEL_MAX_NORMALIZED,
             "configs": kernel_rows,
+        },
+        "short_episodes": {
+            "elements": len(short_trace),
+            "configs": short_rows,
         },
         "zero_copy": {
             "warm_start": {
@@ -945,6 +1026,12 @@ def _print_report(result):
               f"normalized={row['normalized']:.4f} vs "
               f"legacy {row['legacy_seconds']:.4f}s "
               f"(speedup {row['speedup']:.2f}x)")
+    short = result["short_episodes"]
+    for label, row in short["configs"].items():
+        print(f"  short-episode {label:19s} {row['seconds']:.4f}s "
+              f"normalized={row['normalized']:.4f} "
+              f"({row['episodes']} episodes, longest "
+              f"{row['longest_steps']} steps, {short['elements']} elems)")
     bank = result["bank"]
     print(f"  bank[{bank['size']}] legacy       {bank['legacy_seconds']:.4f}s "
           f"normalized={bank['legacy_normalized']:.4f}")
@@ -1098,6 +1185,19 @@ def main(argv=None):
             print(f"FAIL: the vectorized walk took {normalized:.4f} "
                   f"calibration units on {gate_config} (ceiling "
                   f"{ceiling:g})", file=sys.stderr)
+            return 1
+    # Short-episode gates: the same absolute ceilings, on per-episode
+    # cost.
+    for gate_config, ceiling in SHORT_EPISODE_MAX_NORMALIZED.items():
+        normalized = float(
+            result["short_episodes"]["configs"][gate_config]["normalized"]
+        )
+        print(f"short-episode normalized ({gate_config}): {normalized:.4f} "
+              f"(gate <= {ceiling:g})")
+        if normalized > ceiling:
+            print(f"FAIL: the vectorized walk took {normalized:.4f} "
+                  f"calibration units on {gate_config} short episodes "
+                  f"(ceiling {ceiling:g})", file=sys.stderr)
             return 1
     # Zero-copy gates: same-run ratios, baseline-independent like the
     # batched-advancer gate.

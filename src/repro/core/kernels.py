@@ -65,10 +65,12 @@ geometry.  The key observations:
 - Most episodes last a few steps, so each walks a scalar head of up to
   ``_HEAD_STEPS`` in-phase steps before any blockwise NumPy scan
   starts: a ``tolist()`` slice of the constant series, or, for an
-  unweighted Adaptive TW, O(1)-per-element window counts
-  (``_scan_head_unweighted``).  The blocks (``_scan_phase_constant``,
-  ``_scan_phase_unweighted``, ``_scan_phase_weighted``; weighted
-  Adaptive lanes have no head) run only for the steps after it.
+  Adaptive TW, window counts updated per element
+  (``_scan_head_unweighted``: O(1) counts over previous-occurrence
+  links; ``_scan_head_weighted``: per-code count tables, summed over
+  the CW's distinct codes at each step).  The blocks
+  (``_scan_phase_constant``, ``_scan_phase_unweighted``,
+  ``_scan_phase_weighted``) run only for the steps after it.
 - Neither analyzer feeds back into the windows, so only the decisions
   differ between them.  Entries test the constant series against a
   fixed bar (``threshold``, or the Average analyzer's
@@ -137,6 +139,7 @@ matrix and measured speedups.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -354,10 +357,10 @@ _OCC_CELL_LIMIT = 1 << 21
 #: blocks and the in-phase exit scan).
 _BLOCK_STEPS = 256
 
-#: In-phase steps each unweighted episode walks as scalar Python (the
-#: head, :func:`_scan_head_unweighted` or a slice of the constant
-#: series) before the blockwise exit scan starts: most episodes end
-#: inside it, without one NumPy call for their exit.
+#: In-phase steps each episode walks as scalar Python (the head: a
+#: slice of the constant series, :func:`_scan_head_unweighted` or
+#: :func:`_scan_head_weighted`) before the blockwise exit scan starts:
+#: most episodes end inside it, without one NumPy call for their exit.
 _HEAD_STEPS = 16
 
 
@@ -671,8 +674,9 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
       so at a later step end ``c`` CW = ``[max(L, c - cwc), c)`` and
       TW = ``[A, max(L, c - cwc))``.  Unweighted, the head is
       :func:`_scan_head_unweighted` (O(1) per element) and the blocks
-      :func:`_scan_phase_unweighted`; weighted, every step is in
-      :func:`_scan_phase_weighted`'s blocks.
+      :func:`_scan_phase_unweighted`; weighted, the head is
+      :func:`_scan_head_weighted` (per-code count tables) and the
+      blocks :func:`_scan_phase_weighted`.
 
     The carry ``(total, count)`` that leaves the scan is the phase mean's
     numerator and denominator, and the open phase's analyzer statistics.
@@ -765,9 +769,12 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
             tw_left = anchor_abs
             cw_left = c_entry - cwc + (min(anchor, cwc - 1) if slide else 0)
             if weighted:
-                head = ()
+                head = _scan_head_weighted(
+                    codes, step_ends, entry + 1, head_stop,
+                    tw_left, cw_left, cwc,
+                )
                 blocks = _scan_phase_weighted(
-                    codes, n_codes, base_counts, step_ends, entry + 1,
+                    codes, n_codes, base_counts, step_ends, head_stop,
                     tw_left, cw_left, cwc, n_steps,
                 )
             else:
@@ -1103,7 +1110,8 @@ def _scan_exit(
 
     ``head`` yields the similarities of the in-phase candidate steps
     ``first, first + 1, ...`` after the entry as Python floats (a slice
-    of the constant series, :func:`_scan_head_unweighted`, or nothing);
+    of the constant series, :func:`_scan_head_unweighted` or
+    :func:`_scan_head_weighted`);
     ``blocks`` yields ``(first_step, sims)`` blocks of the steps after
     the head (:func:`_scan_phase_constant`,
     :func:`_scan_phase_unweighted`, :func:`_scan_phase_weighted`) and is
@@ -1233,6 +1241,65 @@ def _scan_head_unweighted(
         yield (distinct - unshared) / distinct
 
 
+def _scan_head_weighted(
+    codes: np.ndarray,
+    step_ends: np.ndarray,
+    first: int,
+    stop: int,
+    tw_left: int,
+    cw_left: int,
+    cwc: int,
+):
+    """Scalar in-phase weighted similarities of one Adaptive episode's
+    steps ``first .. stop-1``: the weighted twin of
+    :func:`_scan_head_unweighted`.
+
+    Same geometry as :func:`_scan_phase_weighted`: at step end ``c`` the
+    CW is ``[left, c)`` with ``left = max(L, c - cwc)`` and the TW is
+    ``[A, left)``.  Two per-code count tables, seeded once from
+    ``codes[A:c_entry]``, follow the windows: an entering element adds
+    to the CW's count, a leaving one moves from the CW's count to the
+    TW's (the TW only grows in phase).  Each step's numerator
+    ``sum_e min(cw_e * T, tw_e * C)`` runs over the CW's distinct codes
+    (a code absent from the CW adds nothing), an exact integer, so the
+    one ``int / int`` equals the blocks' true division.  Neither window
+    is empty at an in-phase step (the argument is in
+    :func:`_scan_phase_weighted`), so the quotient needs no guard.
+    """
+    if first >= stop:
+        return
+    c_entry = int(step_ends[first - 1])
+    ends = step_ends[first:stop].tolist()
+    seq = codes[tw_left : ends[-1]].tolist()
+    tw = Counter(seq[: cw_left - tw_left])
+    cw = Counter(seq[cw_left - tw_left : c_entry - tw_left])
+    tw_get = tw.get
+    cw_get = cw.get
+    right = c_entry
+    left = cw_left
+    for c in ends:
+        for e in seq[right - tw_left : c - tw_left]:
+            cw[e] = cw_get(e, 0) + 1
+        right = c
+        if c - cwc > left:
+            for e in seq[left - tw_left : c - cwc - tw_left]:
+                n = cw[e] - 1
+                if n:
+                    cw[e] = n
+                else:
+                    del cw[e]
+                tw[e] = tw_get(e, 0) + 1
+            left = c - cwc
+        cw_len = c - left
+        tw_len = left - tw_left
+        snum = 0
+        for e, n in cw.items():
+            a = n * tw_len
+            b = tw_get(e, 0) * cw_len
+            snum += a if a < b else b
+        yield snum / (cw_len * tw_len)
+
+
 def _scan_phase_unweighted(
     prev: np.ndarray,
     distinct_all: np.ndarray,
@@ -1323,9 +1390,18 @@ def _scan_phase_weighted(
     ``cw_e = 0`` and contributes nothing, which keeps the restriction
     exact.  The numerator ``sum_e min(cw_e * tw_len, tw_e * cw_len)`` is
     a pure integer sum, so any evaluation order is bit-exact; the single
-    float division matches the fused loop's.  ``base_counts`` must
+    float division matches the fused loop's.  Yields ``(first_step,
+    sims)`` per block of steps from ``first`` on (the steps after the
+    episode's head, :func:`_scan_head_weighted`).  ``base_counts`` must
     arrive all-zero and is re-zeroed (sparsely) when the generator
     finishes or is closed.
+
+    Neither window is ever empty at an in-phase step ``c > c_entry``, so
+    the division needs no guard.  The anchor is at most ``twc`` into the
+    pre-resize TW, so ``A <= c_entry - cwc``, and ``tw_len = max(L, c -
+    cwc) - A >= c - c_entry >= 1``, under MOVE and SLIDE alike.  The
+    entry resize shifts ``L`` by at most ``cwc - 1``, so ``L < c_entry
+    < c`` and ``cw_len = c - max(L, c - cwc) >= 1``.
     """
     covered = tw_left
     s = first
@@ -1355,11 +1431,7 @@ def _scan_phase_weighted(
             snum = np.minimum(
                 cw_e * tw_len[:, None], tw_e * cw_len[:, None]
             ).sum(axis=1)
-            denom = cw_len * tw_len
-            yield s, np.divide(
-                snum, denom, out=np.zeros(snum.size, dtype=np.float64),
-                where=denom > 0,
-            )
+            yield s, snum / (cw_len * tw_len)
             s = b1
     finally:
         if covered > tw_left:

@@ -1,14 +1,16 @@
 """Array-native kernel routing: the selection machinery (eligibility
 predicate, the ``kernels`` flag, bank partitioning) routes every
 configuration — windowed, NEWMA, FOCuS, Das Pearson or Lu DYNAMO — to
-its path, and bank lanes share their series.  That every route is
-bit-identical to the reference ``step()`` loop is checked in
+its path, and bank lanes share their series; the weighted Adaptive
+exit scan's scalar head yields what its blocks would.  That every route
+is bit-identical to the reference ``step()`` loop is checked in
 ``tests/properties/test_oracle_harness.py``."""
 
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     AnalyzerKind,
@@ -278,3 +280,61 @@ class TestFocusRoute:
             assert json.dumps(engine.checkpoint(), sort_keys=True) == json.dumps(
                 solo.checkpoint(), sort_keys=True
             )
+
+
+@st.composite
+def weighted_episodes(draw):
+    """A trace of dense codes and one Adaptive episode on it: the entry
+    step, and the pinned TW left edge ``A`` and CW left edge ``L`` an
+    entry resize can leave (``A`` at most ``twc`` before the pre-resize
+    CW, ``L`` shifted right by at most ``cwc - 1``)."""
+    cwc = draw(st.integers(1, 12), label="cwc")
+    skip = draw(st.integers(1, 4), label="skip")
+    codes = np.array(
+        draw(st.lists(st.integers(0, 5), min_size=cwc + 2, max_size=120)),
+        dtype=np.int64,
+    )
+    total = codes.size
+    step_ends = np.minimum(
+        np.arange(1, -(-total // skip) + 1, dtype=np.int64) * skip, total
+    )
+    first_entry = int(np.searchsorted(step_ends, cwc + 1))
+    entry = draw(st.integers(first_entry, step_ends.size - 1), label="entry")
+    c_entry = int(step_ends[entry])
+    tw_left = draw(st.integers(0, c_entry - cwc), label="tw_left")
+    cw_left = c_entry - cwc + draw(st.integers(0, cwc - 1), label="moved")
+    return codes, step_ends, entry, tw_left, cw_left, cwc
+
+
+class TestWeightedHead:
+    @settings(max_examples=200, deadline=None)
+    @given(weighted_episodes())
+    def test_head_equals_first_blocks(self, episode):
+        """``_scan_head_weighted``'s similarities equal, by ``float.hex``,
+        the values ``_scan_phase_weighted`` yields for the same steps."""
+        codes, step_ends, entry, tw_left, cw_left, cwc = episode
+        n_steps = int(step_ends.size)
+        first = entry + 1
+        stop = min(first + kernels_mod._HEAD_STEPS, n_steps)
+        head = list(
+            kernels_mod._scan_head_weighted(
+                codes, step_ends, first, stop, tw_left, cw_left, cwc
+            )
+        )
+        n_codes = int(codes.max()) + 1
+        base_counts = np.zeros(n_codes, dtype=np.int64)
+        blocks = kernels_mod._scan_phase_weighted(
+            codes, n_codes, base_counts, step_ends, first,
+            tw_left, cw_left, cwc, n_steps,
+        )
+        expected = []
+        for _, blk in blocks:
+            expected.extend(blk.tolist())
+            if len(expected) >= len(head):
+                break
+        blocks.close()
+        assert len(head) == stop - first
+        assert [float.hex(v) for v in head] == [
+            float.hex(v) for v in expected[: len(head)]
+        ]
+        assert not base_counts.any()

@@ -36,6 +36,7 @@ holds the hand-picked inputs of the suites this harness replaced.
 from __future__ import annotations
 
 import json
+import random
 from dataclasses import replace
 from typing import Dict, Iterable, List, NamedTuple, Sequence
 
@@ -530,17 +531,11 @@ PARTIAL_TAILS = [
     ("lu_dynamo", 4, [2, 2, 2, 2] * 7 + [2, 2, 2]),
 ]
 
-# The scalar head of the windowed exit scan: its edges sit at offsets
-# from ``_HEAD_STEPS``, so each trace below is the first candidate whose
-# oracle run has the wanted shape, not a hand-counted one.
-
-#: The lanes whose episodes walk a scalar head before the exit blocks:
-#: every Constant TW, and the unweighted Adaptive TW.
-HEAD_LANES = [
-    (TrailingPolicy.CONSTANT, ModelKind.UNWEIGHTED),
-    (TrailingPolicy.CONSTANT, ModelKind.WEIGHTED),
-    (TrailingPolicy.ADAPTIVE, ModelKind.UNWEIGHTED),
-]
+# The scalar head of the windowed exit scan, which every model with
+# either trailing policy walks before the exit blocks: its edges sit at
+# offsets from ``_HEAD_STEPS``, so each trace below is the first
+# candidate whose oracle run has the wanted shape, not a hand-counted
+# one.
 
 
 def _fresh(start: int, length: int) -> List[int]:
@@ -595,10 +590,10 @@ def _carried_into_blocks(config) -> List[int]:
     )
 
 
-def _cw_after(config, trace, position: int) -> int:
-    """The oracle's CW length after ``position`` elements."""
+def _window_after(config, trace, position: int, window: str) -> int:
+    """The oracle's ``"cw"`` or ``"tw"`` length after ``position`` elements."""
     blob = oracle(config, trace, {position}).checkpoints[position]
-    return len(json.loads(blob)["engine"]["cw"])
+    return len(json.loads(blob)["engine"][window])
 
 
 def _refill_then_slide(config) -> List[int]:
@@ -610,7 +605,7 @@ def _refill_then_slide(config) -> List[int]:
     def accept(phases, trace):
         if not phases or _steps(phases[0]) > _HEAD_STEPS:
             return False
-        refill = cwc - _cw_after(config, trace, phases[0][0] + 1)
+        refill = cwc - _window_after(config, trace, phases[0][0] + 1, "cw")
         return 0 < refill < _steps(phases[0]) - 1
 
     return _shaped(
@@ -620,6 +615,26 @@ def _refill_then_slide(config) -> List[int]:
             for lead in (12, 13, 14)
             for run in range(2, _HEAD_STEPS)
         ),
+        accept,
+    )
+
+
+def _emptied_tw(config) -> List[int]:
+    """An Adaptive phase whose entry resize empties the TW (the RN anchor
+    lands at its right end: the TW's last element is not in the CW), so
+    its first in-phase step compares the CW with a one-element TW."""
+    rng = random.Random(0)
+
+    def accept(phases, trace):
+        return (
+            bool(phases)
+            and _steps(phases[0]) > 2
+            and _window_after(config, trace, phases[0][0] + 1, "tw") == 0
+        )
+
+    return _shaped(
+        config,
+        (_fresh(100, 12) + rng.choices(range(3), k=20) for _ in range(100)),
         accept,
     )
 
@@ -673,7 +688,7 @@ HEAD_CASES = [
             config, _exit_after(config, _HEAD_STEPS + offset), {}, None,
             id=f"exit-at-head-end-plus-{offset}-{_tag(t, m)}-{a.value}",
         )
-        for t, m in HEAD_LANES
+        for t, m in MODELS_X_TW
         for a in AnalyzerKind
         for offset in (0, 1)
         for config in [_lane(t, m, a, cw_size=4)]
@@ -683,19 +698,36 @@ HEAD_CASES = [
             config, _carried_into_blocks(config), {}, None,
             id=f"average-carry-head-into-block-{_tag(t, m)}",
         )
-        for t, m in HEAD_LANES
+        for t, m in MODELS_X_TW
         for config in [_average(t, m, cw_size=8, delta=0.2, enter_threshold=0.5)]
     ),
     *(
         pytest.param(
             config, _refill_then_slide(config), {}, None,
-            id=f"adaptive-refill-to-slide-in-head-{anchor.value}",
+            id="adaptive-refill-to-slide-in-head-"
+            + ("weighted-" if m is ModelKind.WEIGHTED else "")
+            + anchor.value,
         )
+        for m in ModelKind
         for anchor in AnchorPolicy
         for config in [
             DetectorConfig(
                 cw_size=6, trailing=TrailingPolicy.ADAPTIVE, anchor=anchor,
-                resize=ResizePolicy.SLIDE, threshold=0.5,
+                resize=ResizePolicy.SLIDE, model=m, threshold=0.5,
+            )
+        ]
+    ),
+    *(
+        pytest.param(
+            config, _emptied_tw(config), {}, None,
+            id=f"adaptive-entry-empties-tw-{m.value}-{resize.value}",
+        )
+        for m in ModelKind
+        for resize, cwc, twc in [(ResizePolicy.MOVE, 4, 8), (ResizePolicy.SLIDE, 1, 4)]
+        for config in [
+            DetectorConfig(
+                cw_size=cwc, tw_size=twc, trailing=TrailingPolicy.ADAPTIVE,
+                model=m, resize=resize, threshold=0.5,
             )
         ]
     ),
@@ -715,7 +747,7 @@ HEAD_CASES = [
             dict(parks=[len(prefix)], cuts=[len(prefix)], stream_parks=[0]), None,
             id=f"open-in-head-then-parked-{_tag(t, m)}-{a.value}",
         )
-        for t, m in HEAD_LANES
+        for t, m in MODELS_X_TW
         for a in AnalyzerKind
         for config in [_lane(t, m, a, cw_size=4)]
         for prefix in [_open_in_head(config)]
