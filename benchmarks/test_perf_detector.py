@@ -55,7 +55,9 @@ def test_engine_throughput(benchmark, label):
 def test_reference_throughput(benchmark, label):
     """Reference implementation baseline (the ablation's 'naive' side)."""
     config = CONFIGS[label]
-    result = benchmark(PhaseDetector(config).run, TRACE)
+    # A fresh detector per round: one detector run again continues its
+    # stream, and its result then covers every element it has consumed.
+    result = benchmark(lambda: PhaseDetector(config).run(TRACE))
     assert result.states.shape == (len(TRACE),)
 
 

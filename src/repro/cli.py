@@ -279,8 +279,7 @@ def cmd_bank(args: argparse.Namespace) -> int:
         bank_results = results
 
     identical = all(
-        a.detected_phases == b.detected_phases
-        and bool((a.states == b.states).all())
+        a.detected_phases == b.detected_phases and a.config == b.config
         for a, b in zip(serial_results, bank_results)
     )
     speedup = serial_best / bank_best if bank_best > 0 else float("inf")

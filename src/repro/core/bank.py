@@ -18,8 +18,8 @@ of :func:`repro.core.kernels.kernel_path`:
 A solo :meth:`~repro.core.decision.DecisionEngine.run` is the
 one-member case of the same two routes.  Every member is an
 independent engine (built by :func:`~repro.core.decision.build_engine`),
-so results (states, phases, similarity statistics, observability
-events) are bit-identical to running each configuration alone — pinned
+so results (phases, similarity statistics, observability events) are
+bit-identical to running each configuration alone — pinned
 by the equivalence tests and by the sweep cache byte-equality test.
 """
 
@@ -142,19 +142,13 @@ class DetectorBank:
                 tracer, "bank.kernel", bank_span,
                 path="vectorized", members=len(vector_members),
             ):
-                member_states = run_bank_batched(
+                run_bank_batched(
                     [runtimes[index] for index in vector_members],
                     trace,
                     histogram=histogram,
                 )
-            total = int(trace.array.size)
-            for index, states in zip(vector_members, member_states):
-                runtime = runtimes[index]
-                results[index] = DetectionResult(
-                    states=states,
-                    detected_phases=runtime.finish(total),
-                    config=runtime.config,
-                )
+            for index in vector_members:
+                results[index] = runtimes[index].result()
 
         if legacy_members:
             with _maybe_span(

@@ -14,9 +14,10 @@ This module owns that reduction:
   implements: ``step()`` consumes one ``skipFactor`` group and returns
   a decision; the base class supplies the chunked ``advance()`` driver,
   the one whole-trace ``run()`` driver (reference loop, vectorized
-  kernels, or one ``_advance_elements`` pass), phase statistics,
-  and the one checkpoint schema, so a new family only writes its
-  statistic update and its serializable state.
+  kernels, or one ``_advance_elements`` pass), the one result builder
+  (:meth:`~DecisionEngine.result`), phase statistics, and the one
+  checkpoint schema, so a new family only writes its statistic update
+  and its serializable state.
 - :class:`PerWindowEngine` — the base of the families that decide once
   per ``cw_size``-element window (Das Pearson, Lu DYNAMO): it owns the
   window buffer and its checkpoint checks, and adds the retroactive
@@ -30,8 +31,12 @@ This module owns that reduction:
   field) or a serialized checkpoint to a live engine, dispatching
   through the :mod:`repro.comparators` registry.
 
+A detector's output is its phase list (Section 2): every route records
+phases in the tracker and nothing else, and a
+:class:`DetectionResult`'s per-element P/T states are a view of it.
+
 Every family, the windowed grid included, writes one checkpoint schema
-(version 2, see ``docs/formats.md``): a shared envelope (position,
+(version 3, see ``docs/formats.md``): a shared envelope (position,
 state, phase statistics, open and closed phases) plus a ``family`` tag
 and an ``engine`` payload each family serializes for itself.  Restore
 rejects every document whose state ``step()`` could never reach.
@@ -57,7 +62,7 @@ from repro.scoring.states import Interval, states_from_phases
 #: ``format`` field of a serialized checkpoint.
 CHECKPOINT_FORMAT = "repro-detector-checkpoint"
 #: The checkpoint schema version (see ``docs/formats.md``).
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 #: The windowed grid's family name (the :class:`DetectorConfig` default).
 WINDOWED_FAMILY = "windowed"
@@ -90,16 +95,23 @@ class DetectedPhase:
 
 @dataclass
 class DetectionResult:
-    """The full output of a detector run over one trace."""
+    """The output of a detector over one stream: its phases.
 
-    states: np.ndarray               # bool, True = P, one per element
+    ``detected_phases`` holds every phase, the one still open at the
+    end of the stream closed there; ``num_elements`` is the stream's
+    length and ``config`` the engine's (a family builder may normalize
+    the caller's).  The per-element states are a view of the phases.
+    """
+
     detected_phases: List[DetectedPhase]
+    num_elements: int
     config: DetectorConfig
-    similarity_values: Optional[np.ndarray] = None
 
     @property
-    def num_elements(self) -> int:
-        return int(self.states.size)
+    def states(self) -> np.ndarray:
+        """Bool array, True = P, one per element: the union of the
+        phases' ``[detected_start, end)`` intervals."""
+        return states_from_phases(self.phases(), self.num_elements)
 
     def phases(self) -> List[Interval]:
         """Detected phase intervals as reported online (detection-time starts)."""
@@ -203,12 +215,18 @@ class PhaseTracker:
 
     def exit(self, step: int, end: int, mean_similarity: float) -> DetectedPhase:
         """Close the open phase at ``end``; record and return it."""
-        phase = DetectedPhase(
-            self.open_detected, self.open_corrected, end, mean_similarity
-        )
+        phase = self.closed_at(step, end, mean_similarity)
         self.phases.append(phase)
         self.open_detected = -1
         self.open_corrected = -1
+        return phase
+
+    def closed_at(self, step: int, end: int, mean_similarity: float) -> DetectedPhase:
+        """The open phase as it would close at ``end``, announced with a
+        ``phase_exit`` event; the tracker keeps it open."""
+        phase = DetectedPhase(
+            self.open_detected, self.open_corrected, end, mean_similarity
+        )
         if observes(self.observer, "phase_exit"):
             self.observer.emit(
                 {
@@ -243,6 +261,8 @@ class DecisionEngine:
       per-chunk ``runtime.advance_seconds`` metrics histogram;
     - :meth:`run` — the one whole-trace driver, with ``run_begin`` /
       ``run_end`` observability events;
+    - :meth:`result` — the one builder of a :class:`DetectionResult`,
+      which every front returns;
     - :meth:`checkpoint` / :meth:`restore` — the one checkpoint
       schema; a family only implements :meth:`_engine_state` and
       :meth:`_restore_engine_state` for its own serializable state.
@@ -329,22 +349,26 @@ class DecisionEngine:
         return self.tracker.exit(self.consumed, end, self.stats.mean)
 
     def finish(self, total_elements: int) -> List[DetectedPhase]:
-        """Close any phase still open at end of stream; return all phases."""
-        if self.state.is_phase():
-            self._close(total_elements)
-            self.state = PhaseState.TRANSITION
-        return list(self.tracker.phases)
+        """All phases, the open one (if any) closed at ``total_elements``.
 
-    def _finished(self) -> bool:
-        """True when :meth:`finish` closed the last phase.
-
-        No step closes a phase at the end of the stream (a phase closes
-        at its step's first element), so a restore can tell the
-        in-phase engine state ``finish`` leaves behind from one no run
-        reaches.
+        That phase's ``phase_exit`` event is emitted, but the engine is
+        left as it was: the stream may go on, and a checkpoint taken now
+        is one ``step()`` reaches.
         """
-        phases = self.tracker.phases
-        return bool(phases) and phases[-1].end == self._consumed
+        tracker = self.tracker
+        phases = list(tracker.phases)
+        if tracker.open:
+            phases.append(
+                tracker.closed_at(self.consumed, total_elements, self.stats.mean)
+            )
+        return phases
+
+    def result(self) -> DetectionResult:
+        """The result over every element consumed since the start of the
+        stream (a restored engine's included), with this engine's
+        config; see :meth:`finish`."""
+        consumed = self.consumed
+        return DetectionResult(self.finish(consumed), consumed, self.config)
 
     # -- the shared decision tail ----------------------------------------------
 
@@ -396,19 +420,15 @@ class DecisionEngine:
 
     # -- chunked driving (the streaming entry point) ---------------------------
 
-    def advance(
-        self, elements: Sequence[int], states: bytearray, base: int
-    ) -> None:
+    def advance(self, elements: Sequence[int]) -> None:
         """Advance over a flat chunk of profile elements.
 
         The chunk is cut into ``skipFactor`` groups from its first
         element, one :meth:`step` (or fused-loop iteration) each.  A
         chunk must therefore start on a group boundary, and only the
         stream's last chunk may end on a partial group; then the result
-        does not depend on where the stream is cut.
-
-        ``states`` must already hold zero bytes for every element from
-        offset ``base``; in-phase groups are marked with ``\\x01``.
+        does not depend on where the stream is cut.  Phases land in
+        :attr:`tracker`; :meth:`result` reads them.
 
         When a ``metrics`` registry is attached the chunk's wall time
         lands in the ``runtime.advance_seconds`` histogram — one
@@ -416,46 +436,37 @@ class DecisionEngine:
         """
         metrics = self.metrics
         started = time.perf_counter() if metrics is not None else 0.0
-        self._advance_elements(elements, states, base)
+        self._advance_elements(elements)
         if metrics is not None:
             metrics.histogram("runtime.advance_seconds").observe(
                 time.perf_counter() - started
             )
 
-    def _advance_elements(
-        self, elements: Sequence[int], states: bytearray, base: int
-    ) -> None:
+    def _advance_elements(self, elements: Sequence[int]) -> None:
+        """The reference loop: one :meth:`step` per group."""
         step = self.step
         skip = self.config.skip_factor
         if skip == 1:
             # One-element tuples: slicing every group costs 15-20% here.
-            offset = base
             for element in elements:
-                if step((element,)).state.is_phase():
-                    states[offset] = 1
-                offset += 1
+                step((element,))
             return
         for start in range(0, len(elements), skip):
-            group = elements[start : start + skip]
-            if step(group).state.is_phase():
-                group_len = len(group)
-                offset = base + start
-                states[offset : offset + group_len] = b"\x01" * group_len
+            step(elements[start : start + skip])
 
     # -- whole-trace driving ---------------------------------------------------
 
     def run(
         self,
         trace: BranchTrace,
-        record_similarity: bool = False,
         fused: Optional[bool] = None,
         kernels: bool = True,
     ) -> DetectionResult:
-        """Run this engine over a whole trace from its current state.
+        """Run this engine over a whole trace from its current state and
+        return its :meth:`result`.
 
-        - ``record_similarity=True`` (collects the per-step decision
-          statistic) or ``fused=False`` runs the reference :meth:`step`
-          loop, the oracle every fast path is tested against;
+        - ``fused=False`` runs the reference :meth:`step` loop, the
+          oracle every fast path is tested against;
         - an engine :meth:`kernel_path` routes to ``"vectorized"`` runs
           through :func:`~repro.core.kernels.run_bank_batched` as a
           bank of one (see ``docs/performance.md``);
@@ -466,7 +477,6 @@ class DecisionEngine:
         """
         data = trace.array
         total = int(data.size)
-        skip = self.config.skip_factor
         observer = self._observer
         if observes(observer, "run_begin"):
             observer.emit(
@@ -478,42 +488,23 @@ class DecisionEngine:
                     "config": self.config.describe(),
                 }
             )
-        similarities = np.full(total, np.nan) if record_similarity else None
-        if record_similarity or fused is False:
-            states = np.zeros(total, dtype=bool)
-            elements = data.tolist()
-            for start in range(0, total, skip):
-                group = elements[start : start + skip]
-                decision = self.step(group)
-                group_len = len(group)
-                if decision.state.is_phase():
-                    states[start : start + group_len] = True
-                if similarities is not None and decision.similarity is not None:
-                    similarities[start : start + group_len] = decision.similarity
+        if fused is False:
+            DecisionEngine._advance_elements(self, data.tolist())
         elif self.kernel_path(kernels) == "vectorized":
-            states = kernels_mod.run_bank_batched([self], trace)[0]
+            kernels_mod.run_bank_batched([self], trace)
         else:
-            buffer = bytearray(total)
-            self._advance_elements(data.tolist(), buffer, 0)
-            states = np.frombuffer(bytes(buffer), dtype=np.uint8).astype(bool)
-        # For a fresh engine consumed == total; a restored one closes its
-        # final phase at the absolute stream position instead.
-        phases = self.finish(self.consumed)
+            self._advance_elements(data.tolist())
+        result = self.result()
         if observes(observer, "run_end"):
             observer.emit(
                 {
                     "ev": "run_end",
                     "step": total,
-                    "phases": len(phases),
+                    "phases": len(result.detected_phases),
                     "elements": total,
                 }
             )
-        return DetectionResult(
-            states=states,
-            detected_phases=phases,
-            config=self.config,
-            similarity_values=similarities,
-        )
+        return result
 
     # -- checkpointing -----------------------------------------------------------
 
@@ -538,8 +529,7 @@ class DecisionEngine:
 
         JSON round-trips Python floats exactly (``repr`` shortest-form),
         so :meth:`restore` resumes with bit-identical continuation —
-        same states, same phases, same event stream as an uninterrupted
-        run.
+        same phases, same event stream as an uninterrupted run.
         """
         tracker = self.tracker
         stats = self.stats
@@ -791,9 +781,7 @@ class PerWindowEngine(DecisionEngine):
             for element in value
         ]
         in_phase = checkpoint_bool(payload["in_phase"], f"{family} checkpoint in_phase")
-        # finish() closes the phase but leaves the flag (and Lu's
-        # streak) as the last window set them.
-        if in_phase != (self.state.is_phase() or self._finished()):
+        if in_phase != self.state.is_phase():
             raise CheckpointError(
                 f"{family} checkpoint in_phase={in_phase} contradicts "
                 f"state {self.state.value!r}"

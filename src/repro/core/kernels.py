@@ -30,7 +30,7 @@ trace via one cached ``np.unique`` pass.  Every lane of a
 
 **Vectorized whole-trace fast path** — :func:`run_bank_batched` computes
 similarity series with sliding-window array operations and derives
-states and phases in one pass.  It covers every standard-component
+the phases in one pass.  It covers every standard-component
 configuration: Threshold *and* Average analyzers, Constant *and*
 Adaptive trailing windows, unweighted *and* weighted models, any window
 geometry.  The key observations:
@@ -92,7 +92,7 @@ The walks reconstruct phases, anchor-corrected starts, per-phase mean
 similarity and the final runtime state (windows, analyzer statistics),
 so checkpoints taken after a vectorized run are bit-identical to the
 incremental paths' — ``tests/properties/test_oracle_harness.py`` pins
-the states, phases and checkpoints of every route, of streaming at
+the phases and checkpoints of every route, of streaming at
 random cuts and of park/rehydrate at random points against each
 family's reference :meth:`step` loop, and the ``kernel-equivalence``
 and ``family-equivalence`` CI jobs byte-compare sweep caches produced
@@ -650,7 +650,7 @@ class SharedTraceKernels:
         return cached
 
 
-def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
+def _walk_windowed(runtime, shared: SharedTraceKernels) -> None:
     """Episode walk for a windowed runtime (either analyzer, either TW
     policy).
 
@@ -687,7 +687,7 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
     state is rebuilt bit-identically, both windows in one
     :meth:`~repro.core.windows.WindowPair._load` (an Adaptive phase open
     at the trace end keeps its pinned, growing windows); the caller
-    still runs ``runtime.finish``.  Returns the bool state array.
+    reads the phases with ``runtime.result()``.
     """
     from repro.core.runtime import DetectedPhase
 
@@ -703,9 +703,8 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
         enter_bar = analyzer.enter_threshold
     data = shared.data
     total = shared.total
-    states = np.zeros(total, dtype=bool)
     if total == 0:
-        return states
+        return
     codes, n_codes = shared.codes()
     step_ends = shared.step_ends(skip)
     n_steps = int(step_ends.size)
@@ -793,13 +792,11 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
             phase_open = True
             tracker.open_detected = detected_start
             tracker.open_corrected = corrected
-            states[detected_start:total] = True
             break
         end = exit_step * skip
         c_exit = min(end + skip, total)
         mean = phase_total / phase_count
         tracker.phases.append(DetectedPhase(detected_start, corrected, end, mean))
-        states[detected_start:end] = True
         origin = c_exit - min(c_exit - end, cwc)
         cursor = exit_step + 1
 
@@ -827,10 +824,9 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> np.ndarray:
         runtime.state = PhaseState.PHASE
     else:
         runtime.state = PhaseState.TRANSITION
-    return states
 
 
-def _walk_newma(engine, shared: SharedTraceKernels) -> np.ndarray:
+def _walk_newma(engine, shared: SharedTraceKernels) -> None:
     """Bar walk for one NEWMA lane over its signature's distance series.
 
     Replays :meth:`NewmaEngine.step
@@ -842,17 +838,16 @@ def _walk_newma(engine, shared: SharedTraceKernels) -> np.ndarray:
     The engine is left in the exact state the ``step()`` loop leaves it
     in (EWMAs, moments, warm-up counter, consumed count, state and open
     phase statistics), so checkpoints match bit for bit; the caller
-    still runs ``engine.finish``.  Returns the bool state array.
+    reads the phases with ``engine.result()``.
     """
     config = engine.config
     skip = config.skip_factor
     total = shared.total
-    states = np.zeros(total, dtype=bool)
     n_steps = (total + skip - 1) // skip
     warmup = engine._warmup_left
     engine._consumed = total
     if n_steps == 0:
-        return states
+        return
     distances, fast, slow = shared.newma_series(
         config.sketch_dim, config.newma_fast, config.newma_slow, skip
     )
@@ -860,7 +855,7 @@ def _walk_newma(engine, shared: SharedTraceKernels) -> np.ndarray:
     engine._slow = slow.copy()
     if n_steps <= warmup:
         engine._warmup_left = warmup - n_steps
-        return states
+        return
     engine._warmup_left = 0
 
     threshold = engine.stat_threshold
@@ -896,24 +891,21 @@ def _walk_newma(engine, shared: SharedTraceKernels) -> np.ndarray:
         elif in_phase:
             end = step * skip
             tracker.exit(min(end + skip, total), end, phase_total / phase_count)
-            states[start:end] = True
             in_phase = False
 
     engine._stat_mean = mean
     engine._stat_var = var
     engine._stat_seen = True
     if in_phase:
-        states[start:total] = True
         engine.stats.count = phase_count
         engine.stats.total = phase_total
         engine.state = PhaseState.PHASE
     else:
         engine.stats.reset()
         engine.state = PhaseState.TRANSITION
-    return states
 
 
-def _walk_focus(engine, shared: SharedTraceKernels) -> np.ndarray:
+def _walk_focus(engine, shared: SharedTraceKernels) -> None:
     """FOCuS0 walk for one FOCuS lane over its skip's group values.
 
     Replays :meth:`FocusEngine.step
@@ -927,12 +919,11 @@ def _walk_focus(engine, shared: SharedTraceKernels) -> np.ndarray:
     phase's mean.  The engine is left in the exact state the ``step()``
     loop leaves it in (warm-up counter, baseline, mu/sigma, t, cusum,
     both hulls, consumed count, state and open phase statistics), so
-    checkpoints match bit for bit; the caller still runs
-    ``engine.finish``.  Returns the bool state array.
+    checkpoints match bit for bit; the caller reads the phases with
+    ``engine.result()``.
     """
     skip = engine.config.skip_factor
     total = shared.total
-    states = np.zeros(total, dtype=bool)
     engine._consumed = total
     values = shared.focus_values(skip)
     warmup_steps = engine._warmup_steps
@@ -1003,7 +994,6 @@ def _walk_focus(engine, shared: SharedTraceKernels) -> np.ndarray:
             if in_phase:
                 end = step * skip
                 tracker.exit(min(end + skip, total), end, phase_total / phase_count)
-                states[start:end] = True
                 in_phase = False
             warm_left = warmup_steps
             n = 0
@@ -1035,17 +1025,15 @@ def _walk_focus(engine, shared: SharedTraceKernels) -> np.ndarray:
     engine._pos = pos
     engine._neg = neg
     if in_phase:
-        states[start:total] = True
         engine.stats.count = phase_count
         engine.stats.total = phase_total
         engine.state = PhaseState.PHASE
     else:
         engine.stats.reset()
         engine.state = PhaseState.TRANSITION
-    return states
 
 
-def _walk_per_window(engine, shared: SharedTraceKernels) -> np.ndarray:
+def _walk_per_window(engine, shared: SharedTraceKernels) -> None:
     """Window walk for one Das Pearson or Lu DYNAMO lane.
 
     Replays :meth:`PerWindowEngine.step
@@ -1064,20 +1052,17 @@ def _walk_per_window(engine, shared: SharedTraceKernels) -> np.ndarray:
     (trailing partial window in the buffer, in-phase flag, consumed
     count, state, open phase statistics; ``_judge`` has already
     updated the family's own state), so checkpoints match bit for bit;
-    the caller still runs ``engine.finish``.  Returns the bool state
-    array.
+    the caller reads the phases with ``engine.result()``.
     """
     skip = engine.config.skip_factor
     window = engine._window
     total = shared.total
-    states = np.zeros(total, dtype=bool)
     elements = shared.elements()
     judge = engine._judge
     settle = engine._settle
     judged = 0  # elements in the windows judged so far
     tail = total - total % window
     in_phase = False
-    start = 0
     while judged < tail:
         first = (judged + window - 1) // skip * skip
         consumed = min(first + skip, total)
@@ -1089,18 +1074,11 @@ def _walk_per_window(engine, shared: SharedTraceKernels) -> np.ndarray:
                 statistic = value
         judged = done
         engine._consumed = consumed
-        decision = settle(in_phase, statistic, consumed - first)
-        if decision.entered:
-            start = first
-        elif decision.closed is not None:
-            states[start:first] = True
+        settle(in_phase, statistic, consumed - first)
 
     engine._consumed = total
     engine._buffer = elements[tail:]
     engine._in_phase = in_phase
-    if engine.state.is_phase():
-        states[start:total] = True
-    return states
 
 
 def _scan_exit(
@@ -1448,9 +1426,7 @@ _WALKS = {
 }
 
 
-def run_bank_batched(
-    runtimes, trace, histogram=None
-) -> List[np.ndarray]:
+def run_bank_batched(runtimes, trace, histogram=None) -> None:
     """Advance all vectorized-eligible bank ``runtimes`` over ``trace``.
 
     One :class:`SharedTraceKernels` instance funnels every lane's series
@@ -1471,19 +1447,16 @@ def run_bank_batched(
     its recursion with :func:`_walk_focus`, each Das Pearson and Lu
     DYNAMO lane its windows with :func:`_walk_per_window` (picked by the
     engine's ``family``); all leave the engine in the exact state its
-    incremental loop would, and the
-    caller still runs each engine's ``finish``.  Returns one bool state
-    array per lane.  Raises :class:`ValueError`, before touching any
-    lane, when one is not :func:`vectorized_eligible`.
+    incremental loop would, phases in its tracker, and the caller reads
+    each lane's phases with the engine's ``result()``.  Raises
+    :class:`ValueError`, before touching any lane, when one is not
+    :func:`vectorized_eligible`.
     """
     if not all(vectorized_eligible(runtime) for runtime in runtimes):
         raise ValueError("runtime is not eligible for the vectorized kernel")
     shared = SharedTraceKernels(trace)
-    states: List[np.ndarray] = []
     for runtime in runtimes:
         started = time.perf_counter() if histogram is not None else 0.0
-        result = _WALKS[runtime.family](runtime, shared)
+        _WALKS[runtime.family](runtime, shared)
         if histogram is not None:
             histogram.observe(time.perf_counter() - started)
-        states.append(result)
-    return states

@@ -43,21 +43,21 @@ share the runtime's state:
 
 The runtime has no whole-trace driver of its own: it inherits
 :meth:`~repro.core.decision.DecisionEngine.run`, which loops
-:meth:`DetectorRuntime.step` for ``fused=False`` and
-``record_similarity=True``, sends fresh, unobserved standard-component
-runtimes (either analyzer) through the vectorized kernels of
-:mod:`repro.core.kernels`
-(as a bank of one — bit-identical states, phases and checkpoints at a
-fraction of the cost), and hands everything else to the same
-``_advance_elements`` hook :meth:`advance` uses, in one call.
+:meth:`DetectorRuntime.step` for ``fused=False``, sends fresh,
+unobserved standard-component runtimes (either analyzer) through the
+vectorized kernels of :mod:`repro.core.kernels` (as a bank of one —
+bit-identical phases and checkpoints at a fraction of the cost), and
+hands everything else to the same ``_advance_elements`` hook
+:meth:`advance` uses, in one call.  Every path records phases in the
+tracker and nothing per element.
 
 The runtime's state is serializable through the one checkpoint schema
 every family shares (see ``docs/formats.md``): it supplies only the
 ``engine`` payload — the two windows and their ``filled`` / ``growing``
 flags — and inherits :meth:`~repro.core.decision.DecisionEngine.checkpoint`
 and :meth:`~repro.core.decision.DecisionEngine.restore`, which resume
-with bit-identical continuation — same states, same phases, same event
-stream as an uninterrupted run.
+with bit-identical continuation — same phases, same event stream as an
+uninterrupted run.
 """
 
 from __future__ import annotations
@@ -248,19 +248,15 @@ class DetectorRuntime(DecisionEngine):
 
     # -- the optimized path ----------------------------------------------------
 
-    def _advance_elements(
-        self, elements: Sequence[int], states: bytearray, base: int
-    ) -> None:
+    def _advance_elements(self, elements: Sequence[int]) -> None:
         """With the standard components at skip 1 this runs the
         optimized inline loop; otherwise it loops :meth:`step`."""
         if self.config.skip_factor == 1 and self.fused_capable():
-            self._advance_fused(elements, states, base)
+            self._advance_fused(elements)
         else:
-            super()._advance_elements(elements, states, base)
+            super()._advance_elements(elements)
 
-    def _advance_fused(
-        self, elements: Sequence[int], states: bytearray, base: int
-    ) -> None:
+    def _advance_fused(self, elements: Sequence[int]) -> None:
         """The optimized skip-1 loop (see module docstring).
 
         Bit-identical to looping :meth:`step` over one-element groups
@@ -342,7 +338,6 @@ class DetectorRuntime(DecisionEngine):
         cw_counts_get = cw_counts.get
         tw_counts_get = tw_counts.get
 
-        offset = base
         for element in elements:
             # The incremental weighted numerator is exact only while both
             # windows sit at their steady-state lengths.
@@ -536,11 +531,7 @@ class DetectorRuntime(DecisionEngine):
                 stat_total += similarity
                 stat_count += 1
 
-            if new_in_phase:
-                states[offset] = 1
-
             in_phase = new_in_phase
-            offset += 1
 
         # ---- sync everything back so the paths interleave freely -------------
         model.consumed = consumed
@@ -580,9 +571,6 @@ class DetectorRuntime(DecisionEngine):
         model = self.model
         consumed = self._consumed
         in_phase = self.state.is_phase()
-        # finish() closes a phase at the end of the stream without
-        # flushing the windows.
-        finished = self._finished()
         filled = checkpoint_bool(payload["filled"], "windowed checkpoint filled")
         growing = checkpoint_bool(payload["growing"], "windowed checkpoint growing")
         cw: List[int] = payload["cw"]  # type: ignore[assignment]
@@ -600,7 +588,7 @@ class DetectorRuntime(DecisionEngine):
                 f"elements, more than consumed {consumed}"
             )
         # Only the Adaptive TW grows: from phase entry to phase exit.
-        if growing != (self._adaptive and (in_phase or finished)):
+        if growing != (self._adaptive and in_phase):
             raise CheckpointError(
                 f"windowed checkpoint growing={growing} contradicts the "
                 f"{self.config.trailing.value} TW in state {self.state.value!r}"

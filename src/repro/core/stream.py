@@ -10,16 +10,18 @@ provides the two glue layers a deployment needs:
   family the config names; the windowed
   :class:`~repro.core.runtime.DetectorRuntime` by default) exactly
   ``skipFactor`` elements per step (notifying an optional callback at
-  every phase boundary);
+  every phase boundary the engine's tracker records);
 - :func:`detect_stream` — detection over a binary trace file via
   :func:`repro.profiles.io.stream_trace`, with memory bounded by the
   chunk size plus the window state.
 
-Both produce output identical to an in-memory ``run()`` (tested).  A
-stream can also be suspended and resumed: :meth:`StreamingDetector.checkpoint`
-wraps the runtime's versioned checkpoint with the stream's own state
-(pending buffer, per-element states so far) for bit-identical
-continuation — see ``docs/formats.md``.
+Both produce output identical to an in-memory ``run()`` (tested): the
+phase list, of which the per-element states are a view.  The stream
+keeps no per-element history.  It can be suspended and resumed:
+:meth:`StreamingDetector.checkpoint` wraps the runtime's versioned
+checkpoint with the stream's own state (its position and pending
+sub-step buffer) for bit-identical continuation — see
+``docs/formats.md``.
 
 Streaming always uses the incremental runtime paths: the array-native
 kernels of :mod:`repro.core.kernels` need the whole trace up front for
@@ -30,7 +32,6 @@ kernel ``run()`` restores into a stream (and vice versa) seamlessly.
 
 from __future__ import annotations
 
-import base64
 import os
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Union
 
@@ -40,10 +41,8 @@ from repro.core.config import DetectorConfig
 from repro.core.decision import (
     CheckpointError,
     DecisionEngine,
-    DetectedPhase,
     DetectionResult,
     build_engine,
-    checkpoint_bool,
     checkpoint_int,
     restore_engine,
 )
@@ -56,10 +55,11 @@ class StreamingDetector:
     """Chunk-buffering front end for the unified detector runtime.
 
     Feed chunks of any size with :meth:`feed`; call :meth:`finish` at
-    end of stream.  States are accumulated per element; boundary events
-    fire as soon as the detector commits them (a "start" fires on the
-    step that enters P — necessarily after the true start, as the paper
-    discusses).
+    end of stream.  Boundary events follow the engine's tracker: after
+    each chunk, a "start" at every newly opened phase's detected start
+    and an "end" at every newly closed phase's end (a "start" fires on
+    the step that enters P — necessarily after the true start, as the
+    paper discusses).
     """
 
     def __init__(
@@ -77,20 +77,23 @@ class StreamingDetector:
             else build_engine(config, observer=observer, metrics=metrics)
         )
         self._buffer: List[int] = []
-        self._states = bytearray()
-        self._position = 0
-        self._in_phase = False
         self._on_boundary = on_boundary
+        # The tracker as last announced: its closed phases, and the
+        # open phase's detected start (-1: none).  A restored engine's
+        # phases were announced before the park.
+        tracker = self.runtime.tracker
+        self._closed_seen = len(tracker.phases)
+        self._open_seen = tracker.open_detected
 
     @property
     def position(self) -> int:
         """Number of elements consumed so far."""
-        return self._position
+        return self.runtime.consumed
 
     @property
     def elements_fed(self) -> int:
         """Elements handed to :meth:`feed` so far (consumed + pending buffer)."""
-        return self._position + len(self._buffer)
+        return self.runtime.consumed + len(self._buffer)
 
     def feed(self, chunk: Union[Sequence[int], np.ndarray]) -> None:
         """Consume one chunk of profile elements (any length)."""
@@ -106,44 +109,38 @@ class StreamingDetector:
             self._advance(head)
 
     def _advance(self, elements: List[int]) -> None:
-        base = self._position
-        length = len(elements)
-        self._states.extend(bytes(length))
-        self.runtime.advance(elements, self._states, base)
-        self._position += length
-        if self._on_boundary is not None:
-            # Every element of a group shares its step's state, so the
-            # byte transitions in the freshly written region are exactly
-            # the boundary positions (position *before* the group).
-            states = self._states
-            in_phase = self._in_phase
-            for start in range(base, self._position, self.runtime.config.skip_factor):
-                group_in_phase = states[start] != 0
-                if group_in_phase and not in_phase:
-                    self._on_boundary("start", start)
-                elif in_phase and not group_in_phase:
-                    self._on_boundary("end", start)
-                in_phase = group_in_phase
-            self._in_phase = in_phase
-        else:
-            self._in_phase = self._states[-1] != 0
+        runtime = self.runtime
+        runtime.advance(elements)
+        announce = self._on_boundary
+        if announce is None:
+            return
+        tracker = runtime.tracker
+        open_seen = self._open_seen
+        for phase in tracker.phases[self._closed_seen :]:
+            if phase.detected_start != open_seen:
+                announce("start", phase.detected_start)
+            announce("end", phase.end)
+            open_seen = -1
+        if tracker.open_detected != open_seen:
+            announce("start", tracker.open_detected)
+        self._closed_seen = len(tracker.phases)
+        self._open_seen = tracker.open_detected
 
     def finish(self) -> DetectionResult:
-        """Flush any partial step and return the full result."""
+        """Flush any partial step and return the result over the whole
+        stream (:meth:`~repro.core.decision.DecisionEngine.result`).
+
+        A phase still open closes at the end of the stream in the result
+        and announces its "end"; the engine itself is left as it was.
+        """
         if self._buffer:
             tail = self._buffer
             self._buffer = []
             self._advance(tail)
-        phases: List[DetectedPhase] = self.runtime.finish(self._position)
-        if self._in_phase and self._on_boundary is not None:
-            self._on_boundary("end", self._position)
-            self._in_phase = False
-        states = np.frombuffer(bytes(self._states), dtype=np.uint8).astype(bool)
-        # The engine's config, as run() reports it: a family builder may
-        # have normalized the caller's (dhodapkar_smith: skip = CW = TW).
-        return DetectionResult(
-            states=states, detected_phases=phases, config=self.runtime.config
-        )
+        result = self.runtime.result()
+        if self._on_boundary is not None and self.runtime.tracker.open:
+            self._on_boundary("end", self.runtime.consumed)
+        return result
 
     # -- checkpointing ---------------------------------------------------------
 
@@ -151,16 +148,13 @@ class StreamingDetector:
         """Serialize detector + stream state (see ``docs/formats.md``).
 
         The returned dict is the runtime's versioned checkpoint plus a
-        ``stream`` section holding the pending sub-step buffer and the
-        per-element states emitted so far (bit-packed, base64).
+        ``stream`` section holding the stream position and the pending
+        sub-step buffer: its size does not grow with the stream.
         """
         data = self.runtime.checkpoint()
-        bits = np.frombuffer(bytes(self._states), dtype=np.uint8)
         data["stream"] = {
-            "position": self._position,
-            "in_phase": self._in_phase,
+            "position": self.runtime.consumed,
             "buffer": [int(element) for element in self._buffer],
-            "states": base64.b64encode(np.packbits(bits).tobytes()).decode("ascii"),
         }
         return data
 
@@ -183,6 +177,10 @@ class StreamingDetector:
         stream_data = data.get("stream")
         if not isinstance(stream_data, dict):
             raise CheckpointError("checkpoint has no stream section")
+        # Version 2's per-element ``states`` and ``in_phase`` are gone.
+        unknown = sorted(set(stream_data) - {"position", "buffer"})
+        if unknown:
+            raise CheckpointError(f"stream section has unknown fields {unknown}")
         position = checkpoint_int(stream_data.get("position"), "stream position")
         if position != runtime.consumed:
             raise CheckpointError(
@@ -198,27 +196,8 @@ class StreamingDetector:
                 f"than skip_factor {skip} elements"
             )
         buffer = [checkpoint_int(element, "stream buffer element") for element in buffer]
-        in_phase = checkpoint_bool(stream_data.get("in_phase"), "stream in_phase")
-        try:
-            packed = base64.b64decode(stream_data.get("states"), validate=True)
-        except (TypeError, ValueError) as error:  # binascii.Error is a ValueError
-            raise CheckpointError(f"stream states are not base64: {error}") from None
-        expected = -(-position // 8)
-        if len(packed) != expected:
-            raise CheckpointError(
-                f"stream states hold {len(packed)} bytes, not the "
-                f"{expected} that {position} states pack into"
-            )
-        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8))[:position]
-        if in_phase != (position > 0 and bool(bits[-1])):
-            raise CheckpointError(
-                f"stream in_phase={in_phase} contradicts its last state"
-            )
         streaming = cls(runtime.config, on_boundary=on_boundary, runtime=runtime)
-        streaming._position = position
-        streaming._in_phase = in_phase
         streaming._buffer = buffer
-        streaming._states = bytearray(bits.tobytes())
         return streaming
 
 

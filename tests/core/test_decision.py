@@ -105,7 +105,8 @@ def test_decision_protocol_conformance(name):
         in_phase = decision.state.is_phase()
     phases = engine.finish(len(elements))
     assert engine.consumed == len(elements)
-    # Every enter eventually closes (finish closes the last open one).
+    # Every enter eventually closes (finish closes the last open one
+    # in what it returns).
     assert len(phases) == enters
     assert exits in (enters, enters - 1)
     for phase in phases:
@@ -171,7 +172,7 @@ CHUNK_INVARIANCE_CASES = [
 def test_advance_is_chunk_invariant(name, skip, blocks, cw, cuts):
     """``advance`` over any group-aligned cuts of a stream (only the
     last chunk may end on a partial group) equals one reference
-    ``run(fused=False)``: states, phases, and the final checkpoint."""
+    ``run(fused=False)``: phases, result, and the final checkpoint."""
     elements = []
     for body, repeats, base in blocks:
         elements += [base * 7 + i for i in range(body)] * repeats
@@ -185,16 +186,15 @@ def test_advance_is_chunk_invariant(name, skip, blocks, cw, cuts):
     expected = reference.run(BranchTrace(elements), fused=False)
 
     chunked = build_engine(config)
-    states = bytearray(len(elements))
     bounds = sorted({min(cut * skip, len(elements)) for cut in cuts})
     start = 0
     for stop in bounds + [len(elements)]:
-        chunked.advance(elements[start:stop], states, start)
+        chunked.advance(elements[start:stop])
         start = stop
     phases = chunked.finish(len(elements))
 
-    assert np.array_equal(np.frombuffer(bytes(states), dtype=bool), expected.states)
     assert phases == expected.detected_phases
+    assert chunked.result() == expected
     assert json.dumps(chunked.checkpoint()) == json.dumps(reference.checkpoint())
 
 
@@ -203,16 +203,14 @@ def test_family_checkpoint_roundtrip_bit_identical(name):
     elements = phased_trace().array.tolist()
     config = family_config(name)
     straight = build_engine(config)
-    states_a = bytearray(len(elements))
-    straight.advance(elements, states_a, 0)
+    straight.advance(elements)
     phases_a = straight.finish(len(elements))
 
     parked = build_engine(config)
-    states_b = bytearray(len(elements))
     base = 0
     while base < len(elements):
         stop = min(base + 500, len(elements))
-        parked.advance(elements[base:stop], states_b, base)
+        parked.advance(elements[base:stop])
         blob = json.dumps(parked.checkpoint(), separators=(",", ":"))
         data = json.loads(blob)
         assert data["version"] == CHECKPOINT_VERSION
@@ -225,7 +223,6 @@ def test_family_checkpoint_roundtrip_bit_identical(name):
         )
         base = stop
     phases_b = parked.finish(len(elements))
-    assert bytes(states_a) == bytes(states_b)
     assert phases_a == phases_b
 
 
@@ -236,16 +233,15 @@ def test_family_event_stream_unbroken_by_park(name):
     config = family_config(name)
     sink_a = MemorySink()
     straight = build_engine(config, observer=sink_a)
-    straight.advance(elements, bytearray(len(elements)), 0)
+    straight.advance(elements)
     straight.finish(len(elements))
 
     sink_b = MemorySink()
     parked = build_engine(config, observer=sink_b)
-    states = bytearray(len(elements))
     base = 0
     while base < len(elements):
         stop = min(base + 777, len(elements))
-        parked.advance(elements[base:stop], states, base)
+        parked.advance(elements[base:stop])
         parked = restore_engine(
             json.loads(json.dumps(parked.checkpoint())), observer=sink_b
         )
@@ -257,7 +253,7 @@ def test_family_event_stream_unbroken_by_park(name):
 def test_restore_rejects_wrong_family():
     config = family_config("focus")
     engine = build_engine(config)
-    engine.advance([1, 2, 3, 4], bytearray(4), 0)
+    engine.advance([1, 2, 3, 4])
     data = engine.checkpoint()
     with pytest.raises(CheckpointError, match="family"):
         engine_family("newma").restore(data)
@@ -268,7 +264,7 @@ def test_restore_rejects_wrong_family():
 
 def test_windowed_runtime_rejects_family_checkpoints():
     engine = build_engine(family_config("newma"))
-    engine.advance([1, 2, 3, 4], bytearray(4), 0)
+    engine.advance([1, 2, 3, 4])
     data = engine.checkpoint()
     with pytest.raises(CheckpointError, match="family 'newma' does not match"):
         DetectorRuntime.restore(data)
@@ -278,9 +274,9 @@ def test_restore_engine_rejects_version_1():
     """The windowed grid's former schema (no ``family`` tag, windows at
     the top level) is no longer read."""
     windowed = build_engine(DetectorConfig(cw_size=8))
-    windowed.advance(list(range(40)), bytearray(40), 0)
+    windowed.advance(list(range(40)))
     data = windowed.checkpoint()
-    assert data["version"] == CHECKPOINT_VERSION == 2
+    assert data["version"] == CHECKPOINT_VERSION == 3
     assert isinstance(restore_engine(data), DetectorRuntime)
     v1 = {key: value for key, value in data.items() if key not in ("family", "engine")}
     v1.update(data["engine"], version=1)
@@ -288,10 +284,45 @@ def test_restore_engine_rejects_version_1():
         restore_engine(v1)
 
 
+def test_restore_engine_rejects_version_2():
+    """Version 2 differs only in a stream's ``stream`` section (it held
+    per-element states); it is rejected outright all the same."""
+    engine = build_engine(family_config("focus"))
+    engine.advance([1, 2, 3, 4])
+    data = engine.checkpoint()
+    data["version"] = 2
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 2"):
+        restore_engine(data)
+
+
+@pytest.mark.parametrize("name", CHECKPOINT_FAMILIES)
+def test_finish_leaves_the_engine_as_it_was(name):
+    """``finish`` closes the open phase in what it returns and emits its
+    ``phase_exit``, but the engine keeps it open: the checkpoint after
+    ``finish`` is the one before, and it restores as a fixed point."""
+    elements = phased_trace().array.tolist()
+    sink = MemorySink()
+    engine = build_engine(family_config(name), observer=sink)
+    skip = engine.config.skip_factor
+    for start in range(0, len(elements), skip):
+        engine.advance(elements[start : start + skip])
+        if engine.tracker.open:
+            break
+    assert engine.tracker.open
+    before = json.dumps(engine.checkpoint())
+    sink.events.clear()
+    phases = engine.finish(engine.consumed)
+    assert [event["ev"] for event in sink.events] == ["phase_exit"]
+    assert phases[-1].end == engine.consumed
+    assert json.dumps(engine.checkpoint()) == before
+    assert json.dumps(restore_engine(json.loads(before)).checkpoint()) == before
+    assert engine.result().detected_phases == phases
+
+
 def test_validate_checkpoint_rejects_unknown_and_untagged():
     with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
         validate_checkpoint(
-            {"format": "repro-detector-checkpoint", "version": 3}
+            {"format": "repro-detector-checkpoint", "version": 4}
         )
     engine = build_engine(family_config("focus"))
     data = engine.checkpoint()

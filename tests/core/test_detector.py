@@ -98,17 +98,33 @@ class TestFrameworkLoop:
         builder.add_phase(600, body_size=5)
         trace, _ = builder.build()
         detector = PhaseDetector(config(cw_size=40))
-        detector.run(trace)
-        assert detector.state is PhaseState.TRANSITION  # closed by finish()
+        result = detector.run(trace)
+        # The result closes the phase at the end; the detector keeps it
+        # open, as the stream may go on.
+        assert result.detected_phases[-1].end == len(trace)
+        assert detector.state is PhaseState.PHASE
 
     def test_record_similarity(self, phased_truth):
+        """The similarity series is what a ``similarity`` observer
+        receives: one value per filled step."""
         trace, _, _ = phased_truth
-        result = PhaseDetector(config()).run(trace, record_similarity=True)
-        values = result.similarity_values
-        assert values is not None
-        assert np.isnan(values[:199]).all()  # windows not yet full
-        finite = values[~np.isnan(values)]
-        assert ((0.0 <= finite) & (finite <= 1.0)).all()
+
+        class Series:
+            kinds = frozenset({"similarity"})
+
+            def __init__(self):
+                self.events = []
+
+            def emit(self, event):
+                self.events.append(event)
+
+        series = Series()
+        PhaseDetector(config(), observer=series).run(trace)
+        steps = [event["step"] for event in series.events]
+        values = np.array([event["value"] for event in series.events])
+        assert steps[0] == 200  # the windows fill at element 200
+        assert steps == sorted(set(steps)) and steps[-1] <= len(trace)
+        assert ((0.0 <= values) & (values <= 1.0)).all()
 
 
 class TestSkipFactor:

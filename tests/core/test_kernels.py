@@ -58,7 +58,7 @@ class TestEligibility:
         assert runtime.kernel_path() == "vectorized"
         observed = DetectorRuntime(config, observer=MemorySink())
         consumed = DetectorRuntime(config)
-        consumed.advance(trace.array[:50].tolist(), bytearray(50), 0)
+        consumed.advance(trace.array[:50].tolist())
         restored = DetectorRuntime.restore(consumed.checkpoint())
         for engine in (observed, restored):
             assert not vectorized_eligible(engine)
@@ -89,8 +89,7 @@ class TestEligibility:
 
     def test_consumed_runtime_ineligible(self, trace):
         runtime = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
-        states = bytearray(10)
-        runtime.advance(trace.array[:10].tolist(), states, 0)
+        runtime.advance(trace.array[:10].tolist())
         assert not vectorized_eligible(runtime)
         assert runtime.kernel_path() == "legacy"
 
@@ -112,7 +111,7 @@ class TestEligibility:
         with pytest.raises(ValueError):
             run_bank_batched([custom], trace)
         consumed = DetectorRuntime(DetectorConfig(cw_size=20, skip_factor=5))
-        consumed.advance(trace.array[:5].tolist(), bytearray(5), 0)
+        consumed.advance(trace.array[:5].tolist())
         with pytest.raises(ValueError):
             run_bank_batched([consumed], trace)
         # A mixed batch is rejected before any lane runs.
@@ -201,7 +200,7 @@ class TestNewmaRoute:
     def test_observed_restored_consumed_and_flagged_newma_are_legacy(self, trace):
         observed = build_engine(newma(), observer=MemorySink())
         consumed = build_engine(newma())
-        consumed.advance(trace.array[:100].tolist(), bytearray(100), 0)
+        consumed.advance(trace.array[:100].tolist())
         restored = restore_engine(consumed.checkpoint())
         for engine in (observed, consumed, restored):
             assert not vectorized_eligible(engine)
@@ -218,7 +217,7 @@ class TestNewmaRoute:
             assert fresh.kernel_path() == "vectorized"
             observed = build_engine(config, observer=MemorySink())
             consumed = build_engine(config)
-            consumed.advance(trace.array[:100].tolist(), bytearray(100), 0)
+            consumed.advance(trace.array[:100].tolist())
             restored = restore_engine(consumed.checkpoint())
             for engine in (observed, consumed, restored):
                 assert not vectorized_eligible(engine), family
@@ -241,7 +240,7 @@ class TestFocusRoute:
     def test_observed_restored_consumed_and_flagged_focus_are_legacy(self, trace):
         observed = build_engine(focus(), observer=MemorySink())
         consumed = build_engine(focus())
-        consumed.advance(trace.array[:100].tolist(), bytearray(100), 0)
+        consumed.advance(trace.array[:100].tolist())
         restored = restore_engine(consumed.checkpoint())
         for engine in (observed, consumed, restored):
             assert not vectorized_eligible(engine)

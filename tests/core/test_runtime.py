@@ -3,7 +3,7 @@
 The checkpoint contract is the strong one the docs promise: suspend a
 runtime mid-trace, round-trip the checkpoint through JSON, restore, and
 the continuation is *bit-identical* to never having stopped — same
-per-element states, same phases, same observability event stream, and
+per-step states, same phases, same observability event stream, and
 the same end-of-run checkpoint.
 """
 
@@ -73,6 +73,21 @@ ALL_COMBOS = [
 ]
 
 
+class SimilaritySeries:
+    """An observer of the ``similarity`` events alone: the series of
+    values the decisions used, with the stream position of each."""
+
+    kinds = frozenset({"similarity"})
+
+    def __init__(self):
+        self.values = []
+        self.steps = []
+
+    def emit(self, event):
+        self.values.append(event["value"])
+        self.steps.append(event["step"])
+
+
 def drive_steps(runtime, trace, start=0, stop=None):
     """Feed trace[start:stop] through step(); return per-element states."""
     elements = trace.array.tolist()
@@ -123,9 +138,10 @@ class TestStepOutcome:
         assert closed in (len(phases), len(phases) - 1)
 
     def test_run_records_similarity_once_per_step(self, trace):
-        """Regression: record_similarity must not recompute the model's
-        similarity after the step (the old detector did, which is wrong
-        after a phase-entry resize and costs a second full pass)."""
+        """Regression: the similarity series must not recompute the
+        model's similarity after the step (the old detector did, which
+        is wrong after a phase-entry resize and costs a second full
+        pass)."""
 
         calls = {"n": 0}
 
@@ -135,23 +151,36 @@ class TestStepOutcome:
                 return super().similarity()
 
         config = combo_config(ModelKind.UNWEIGHTED, AnalyzerKind.THRESHOLD)
-        runtime = DetectorRuntime(config, model=CountingModel(config.cw_size, config.effective_tw_size))
-        result = runtime.run(trace, record_similarity=True)
-        filled_steps = np.count_nonzero(~np.isnan(result.similarity_values)) // config.skip_factor
-        assert calls["n"] == filled_steps
+        series = SimilaritySeries()
+        runtime = DetectorRuntime(
+            config,
+            model=CountingModel(config.cw_size, config.effective_tw_size),
+            observer=series,
+        )
+        runtime.run(trace)
+        assert series.values
+        assert calls["n"] == len(series.values)
 
     def test_recorded_similarities_are_decision_values(self, trace):
         """After a phase-entry step the TW has been resized; the recorded
         value must still be the pre-resize one the analyzer saw."""
-        sink = MemorySink()
         config = combo_config(ModelKind.UNWEIGHTED, AnalyzerKind.THRESHOLD)
-        runtime = DetectorRuntime(config, observer=sink)
-        result = runtime.run(trace, record_similarity=True)
+        series = SimilaritySeries()
+        result = DetectorRuntime(config, observer=series).run(trace)
         assert result.detected_phases  # the fixture trace has phases
-        decided = [e["value"] for e in sink.events if e["ev"] == "decision"]
-        recorded = result.similarity_values[~np.isnan(result.similarity_values)]
-        per_step = recorded[:: config.skip_factor]
-        assert list(per_step) == decided
+        reference = DetectorRuntime(config)
+        used = []
+        moved = 0
+        elements = trace.array.tolist()
+        for start in range(0, len(elements), config.skip_factor):
+            outcome = reference.step(elements[start : start + config.skip_factor])
+            if outcome.similarity is not None:
+                used.append(outcome.similarity)
+            if outcome.entered:
+                moved += reference.model.similarity() != outcome.similarity
+        assert series.values == used
+        # A recomputation after the step would differ at some entry.
+        assert moved
 
 
 class TestPathInterleaving:
@@ -166,13 +195,11 @@ class TestPathInterleaving:
 
         mixed = DetectorRuntime(config)
         head_states = drive_steps(mixed, trace, 0, cut)
-        tail = bytearray(total - cut)
-        mixed.advance(trace.array[cut:].tolist(), tail, 0)
-        phases = mixed.finish(total)
+        mixed.advance(trace.array[cut:].tolist())
+        result = mixed.result()
 
-        states = np.array(head_states + [b != 0 for b in tail], dtype=bool)
-        assert np.array_equal(states, pure.states)
-        assert phases == pure.detected_phases
+        assert head_states == pure.states[:cut].tolist()
+        assert result == pure
 
     def test_generic_advance_used_for_custom_components(self, trace):
         """Non-standard components must route advance() through step()."""
@@ -275,14 +302,9 @@ class TestCheckpointRestore:
         head = DetectorRuntime(config)
         drive_steps(head, trace, 0, cut)
         resumed = DetectorRuntime.restore(head.checkpoint())
-        tail = bytearray(total - cut)
-        resumed.advance(trace.array[cut:].tolist(), tail, 0)
-        phases = resumed.finish(total)
-        assert phases == full.detected_phases
-        assert np.array_equal(
-            np.frombuffer(bytes(tail), dtype=np.uint8).astype(bool),
-            full.states[cut:],
-        )
+        resumed.advance(trace.array[cut:].tolist())
+        # The restored engine's result covers the whole stream.
+        assert resumed.result() == full
 
     def test_json_round_trip_is_exact(self, trace):
         config = checkpoint_matrix_config(

@@ -8,7 +8,7 @@ state ``step()`` could never reach is rejected at restore time with
 ``CheckpointError`` — a malformed windowed, FOCuS, NEWMA, Das Pearson
 or Lu DYNAMO payload, and in any family an envelope whose statistics or
 phases are impossible, or whose state and open phase disagree — while
-real checkpoints, ``finish()`` included, restore.
+real checkpoints, ``finish()`` included, restore with no exemption.
 """
 
 import json
@@ -23,17 +23,19 @@ from repro.profiles.trace import BranchTrace
 @pytest.mark.parametrize("family", ["das_pearson", "lu_dynamo"])
 @pytest.mark.parametrize("reference", [False, True], ids=["routed", "reference"])
 def test_per_window_checkpoint_after_finish_restores(family, reference):
-    """``finish()`` closes the phase but leaves the in-phase flag set:
-    restoring that checkpoint used to raise "in_phase=True contradicts
-    state 'T'"."""
+    """``finish()`` closes the phase only in the result it returns, so
+    the engine after a run is one ``step()`` reaches: in phase, flag
+    set, and its checkpoint restores as a fixed point."""
     engine = build_engine(DetectorConfig(cw_size=2, family=family))
-    engine.run(BranchTrace([0] * 40), fused=False if reference else None)
+    result = engine.run(BranchTrace([0] * 40), fused=False if reference else None)
+    assert result.detected_phases[-1].end == 40
     data = json.loads(json.dumps(engine.checkpoint()))
-    assert data["state"] == "T" and data["engine"]["in_phase"] is True
+    assert data["state"] == "P" and data["engine"]["in_phase"] is True
     assert restore_engine(data).checkpoint() == data
-    # A flag set outside a phase that finish() did not close is still
-    # rejected.
-    data["phases"] = []
+    # A flag set outside a phase is rejected: what a finish() that
+    # closed the phase in the engine used to leave behind.
+    data.update(state="T", open_phase=None)
+    data["stats"]["count"] = 0
     with pytest.raises(CheckpointError, match="contradicts"):
         restore_engine(data)
 
@@ -46,7 +48,7 @@ FOCUS_STREAM = [0, 1, 2, 3] * 20 + [5, 9, 5, 9] * 15
 def focus_checkpoint(length):
     """A real FOCuS checkpoint after ``length`` elements (warm-up 8)."""
     engine = build_engine(DetectorConfig(family="focus", cw_size=8))
-    engine.advance(FOCUS_STREAM[:length], bytearray(length), 0)
+    engine.advance(FOCUS_STREAM[:length])
     return json.loads(json.dumps(engine.checkpoint()))
 
 
@@ -116,7 +118,7 @@ def test_malformed_focus_checkpoint_is_rejected(length, edit, match):
 def newma_checkpoint(length=len(FOCUS_STREAM)):
     """A real NEWMA checkpoint after ``length`` elements (warm-up 8)."""
     engine = build_engine(DetectorConfig(family="newma", cw_size=8))
-    engine.advance(FOCUS_STREAM[:length], bytearray(length), 0)
+    engine.advance(FOCUS_STREAM[:length])
     return json.loads(json.dumps(engine.checkpoint()))
 
 
@@ -179,7 +181,7 @@ WINDOW_CONFIGS = {
 
 def window_checkpoint(family, length=len(WINDOW_STREAM)):
     engine = build_engine(WINDOW_CONFIGS[family])
-    engine.advance(WINDOW_STREAM[:length], bytearray(length), 0)
+    engine.advance(WINDOW_STREAM[:length])
     return json.loads(json.dumps(engine.checkpoint()))
 
 
@@ -286,7 +288,7 @@ def windowed_checkpoint(length, trailing=TrailingPolicy.CONSTANT):
     ``FOCUS_STREAM``: in transition with part-filled windows at 12, in
     transition after one closed phase at 100, in phase at 140."""
     engine = build_engine(DetectorConfig(cw_size=8, trailing=trailing))
-    engine.advance(FOCUS_STREAM[:length], bytearray(length), 0)
+    engine.advance(FOCUS_STREAM[:length])
     return json.loads(json.dumps(engine.checkpoint()))
 
 

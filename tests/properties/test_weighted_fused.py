@@ -104,9 +104,8 @@ def similarities_after(C, T, tw, cw, fed, fused):
     document["engine"] = {"filled": True, "growing": False, "cw": cw, "tw": tw}
     observer = Similarities()
     runtime = DetectorRuntime.restore(document, observer=observer)
-    states = bytearray(len(fed))
     if fused:
-        runtime._advance_fused(fed, states, 0)
+        runtime._advance_fused(fed)
     else:
         for element in fed:
             runtime.step((element,))

@@ -226,5 +226,23 @@ class TestParkRehydrateIdentity:
         session.park()
         data = json.loads(session.spool_path.read_text())
         assert data["format"] == "repro-detector-checkpoint"
-        assert data["version"] == 2
-        assert "stream" in data
+        assert data["version"] == 3
+        assert sorted(data["stream"]) == ["buffer", "position"]
+
+    def test_spool_size_does_not_grow_with_the_stream(self, tmp_path):
+        """The spool file keeps no per-element history: on a phase-free
+        stream a short and a long session's checkpoints differ only in
+        the digits of their two position counters (``consumed`` and
+        ``stream.position``)."""
+        config = MATRIX["unweighted-threshold-constant"]
+        sizes = []
+        for length in (2_450, 16_180):
+            session = make_session(tmp_path / str(length), config, [])
+            # Seven-digit elements that never repeat: no phase opens, and
+            # the windows hold the same number of digits either way.
+            session.feed(list(range(1_000_000, 1_000_000 + length)))
+            session.park()
+            text = session.spool_path.read_text()
+            assert json.loads(text)["phases"] == []
+            sizes.append(len(text) - 2 * len(str(length)))
+        assert sizes[0] == sizes[1]
