@@ -255,7 +255,7 @@ class _Progress:
         return max(total - done, 0.0) / rate
 
     def note(self, profile_name: str, benchmark: str, configs: int,
-             benchmark_finished: bool, weight: Optional[float] = None) -> None:
+             benchmark_done: bool, weight: Optional[float] = None) -> None:
         now = time.perf_counter()
         self.benchmark_started.setdefault(benchmark, now)
         self.done_configs += configs
@@ -263,7 +263,7 @@ class _Progress:
         self.benchmark_configs[benchmark] = (
             self.benchmark_configs.get(benchmark, 0) + configs
         )
-        if not benchmark_finished:
+        if not benchmark_done:
             return
         elapsed = now - self.started
         rate = self.done_configs / elapsed if elapsed > 0 else float("inf")
