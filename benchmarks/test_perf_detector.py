@@ -46,9 +46,11 @@ def test_engine_throughput(benchmark, label):
     config = CONFIGS[label]
     result = benchmark(run_detector, TRACE, config)
     assert result.states.shape == (len(TRACE),)
-    benchmark.extra_info["elements_per_second"] = round(
-        len(TRACE) / benchmark.stats["mean"]
-    )
+    # ``--benchmark-disable`` runs the body once and records no stats.
+    if benchmark.stats is not None:
+        benchmark.extra_info["elements_per_second"] = round(
+            len(TRACE) / benchmark.stats["mean"]
+        )
 
 
 @pytest.mark.parametrize("label", ["unweighted-constant", "weighted-adaptive"])

@@ -15,13 +15,14 @@ length (MPL), the oracle selects the flat set of phases:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.baseline.cri import CRIKind, RepetitiveInstance, extract_cris
 from repro.baseline.tree import StaticId, build_repetition_tree
 from repro.profiles.callloop import CallLoopTrace
+from repro.scoring.states import states_from_phases
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,13 @@ class BaselineSolution:
             return 0.0
         return 100.0 * self.elements_in_phase / self.num_elements
 
+    def intervals(self) -> List[Tuple[int, int]]:
+        """The phases as ``(start, end)`` pairs, in start order."""
+        return [(phase.start, phase.end) for phase in self.phases]
+
     def states(self) -> np.ndarray:
         """Per-element states: boolean array, True = in phase (P)."""
-        in_phase = np.zeros(self.num_elements, dtype=bool)
-        for phase in self.phases:
-            in_phase[phase.start : phase.end] = True
-        return in_phase
+        return states_from_phases(self.intervals(), self.num_elements)
 
     def __repr__(self) -> str:
         return (

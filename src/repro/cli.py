@@ -54,7 +54,7 @@ from repro.obs.bus import JsonlSink
 from repro.obs.logsetup import setup_logging
 from repro.profiles.callloop import CallLoopTrace
 from repro.profiles.io import read_trace, write_trace_binary
-from repro.scoring import score_states
+from repro.scoring import score_phases, union_phases
 from repro.workloads import load_traces, workload, workload_names
 from repro.workloads.characteristics import BenchmarkCharacteristics
 
@@ -330,10 +330,10 @@ def cmd_score(args: argparse.Namespace) -> int:
     oracle = solve_baseline(call_loop, args.mpl)
     config = _config_from_args(args)
     result = _run_with_events(branch_trace, config, args.events)
-    plain = score_states(result.states, oracle.states())
-    corrected = score_states(
-        result.corrected_states(), oracle.states(), detected_phases=result.corrected_phases()
-    )
+    truth = union_phases(oracle.intervals())
+    n = result.num_elements
+    plain = score_phases(union_phases(result.phases()), truth, n)
+    corrected = score_phases(result.corrected_phases(), truth, n)
     print(f"workload {args.workload}: {len(branch_trace):,} elements, MPL={args.mpl}")
     print(f"oracle: {oracle.num_phases} phases ({oracle.percent_in_phase:.1f}% in phase)")
     print(f"detector: {config.describe()} -> {len(result.detected_phases)} phases")

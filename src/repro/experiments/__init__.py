@@ -39,7 +39,7 @@ from repro.experiments.config_space import (
 )
 from repro.experiments.parallel import ParallelSweepExecutor, resolve_jobs
 from repro.experiments.report import nominal_label, render_table
-from repro.experiments.runner import BaselineSet, SweepRecord, evaluate_spec
+from repro.experiments.runner import BaselineSet, SweepRecord
 from repro.experiments.sweep import Sweep
 
 __all__ = [
@@ -79,7 +79,6 @@ __all__ = [
     "render_table",
     "BaselineSet",
     "SweepRecord",
-    "evaluate_spec",
     "Sweep",
     "ParallelSweepExecutor",
     "resolve_jobs",

@@ -13,15 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
-import numpy as np
-
 from repro.baseline.oracle import solve_baseline
 from repro.core.config import DetectorConfig, ModelKind, TrailingPolicy
 from repro.core.engine import run_detector
 from repro.profiles.callloop import CallLoopTrace
 from repro.profiles.perturb import inject_noise
 from repro.profiles.trace import BranchTrace
-from repro.scoring.metric import score_states
+from repro.scoring.metric import score_phases
+from repro.scoring.states import union_phases
 
 
 @dataclass(frozen=True)
@@ -52,13 +51,15 @@ def noise_robustness(
     if detectors is None:
         cw = max(2, mpl // 2)
         detectors = default_robustness_detectors(cw)
-    oracle_states = solve_baseline(call_loop, mpl).states()
+    truth = union_phases(solve_baseline(call_loop, mpl).intervals())
     points: List[RobustnessPoint] = []
     for rate in noise_rates:
         corrupted = inject_noise(branch_trace, rate, seed=seed)
         for label, config in detectors.items():
             result = run_detector(corrupted, config)
-            score = score_states(result.states, oracle_states)
+            score = score_phases(
+                union_phases(result.phases()), truth, result.num_elements
+            )
             points.append(
                 RobustnessPoint(
                     detector=label,

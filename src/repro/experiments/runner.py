@@ -1,32 +1,31 @@
 """Run detectors over traces and score them against baselines.
 
-One detector run produces a state sequence; scoring it against each
-MPL's baseline yields one :class:`SweepRecord` per (benchmark, config,
-MPL).  Records carry both the ordinary score and the anchor-corrected
-score used by Figure 8.
+One detector run produces a list of phases; scoring it against each
+MPL's baseline phases yields one :class:`SweepRecord` per (benchmark,
+config, MPL).  Records carry both the ordinary score and the
+anchor-corrected score used by Figure 8.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence
 
 import numpy as np
 
 from repro.baseline.oracle import BaselineSolution, solve_baseline
 from repro.core.bank import DetectorBank
 from repro.core.detector import DetectionResult
-from repro.core.engine import run_detector
 from repro.experiments.config_space import ConfigSpec, SuiteProfile
 from repro.profiles.callloop import CallLoopTrace
 from repro.profiles.trace import BranchTrace
-from repro.scoring.metric import score_states, score_states_batch
-from repro.scoring.states import Interval, phases_from_states
+from repro.scoring.metric import score_intervals
+from repro.scoring.states import Interval, union_phases
 
 #: Grid points evaluated per single-pass :class:`DetectorBank`.  Bounds
-#: the bank's per-member state buffers (one byte per trace element each)
-#: while still amortizing the trace decode/chunking across many members.
+#: the bank's per-member window and series state while still amortizing
+#: the trace decode/chunking across many members.
 DEFAULT_BANK_SIZE = 16
 
 
@@ -150,7 +149,8 @@ class BaselineSet:
         return cls(call_loop, profile, mpl_nominals, name=benchmark)
 
     def states(self, mpl_nominal: int) -> np.ndarray:
-        """The oracle's state array for a nominal MPL (memoized)."""
+        """The oracle's state array for a nominal MPL (memoized): a
+        per-element view; scoring reads :meth:`phases`."""
         if mpl_nominal not in self._states_cache:
             self._states_cache[mpl_nominal] = self.solution(mpl_nominal).states()
         return self._states_cache[mpl_nominal]
@@ -158,13 +158,13 @@ class BaselineSet:
     def phases(self, mpl_nominal: int) -> List[Interval]:
         """The oracle's phase intervals for a nominal MPL (memoized).
 
-        Exactly ``phases_from_states(self.states(mpl_nominal))`` — the
-        default the scalar scorer derives per call — extracted once per
-        MPL for the batched scorer.
+        The maximal runs of the union of the solution's phases (touching
+        oracle phases merge): the P-runs of :meth:`states`, merged from
+        the intervals without building the array.
         """
         if mpl_nominal not in self._phases_cache:
-            self._phases_cache[mpl_nominal] = phases_from_states(
-                self.states(mpl_nominal)
+            self._phases_cache[mpl_nominal] = union_phases(
+                self.solution(mpl_nominal).intervals()
             )
         return self._phases_cache[mpl_nominal]
 
@@ -195,23 +195,6 @@ def _make_record(
     )
 
 
-def _score_result(
-    result: DetectionResult, baselines: BaselineSet, spec: ConfigSpec
-) -> List[SweepRecord]:
-    """Score one detector result at every MPL (one record per MPL)."""
-    corrected_states = result.corrected_states()
-    corrected_phases = result.corrected_phases()
-    records: List[SweepRecord] = []
-    for nominal in baselines.mpl_nominals:
-        base_states = baselines.states(nominal)
-        plain = score_states(result.states, base_states)
-        corrected = score_states(
-            corrected_states, base_states, detected_phases=corrected_phases
-        )
-        records.append(_make_record(baselines, spec, nominal, plain, corrected))
-    return records
-
-
 def _score_results(
     results: Sequence[DetectionResult],
     baselines: BaselineSet,
@@ -219,30 +202,23 @@ def _score_results(
 ) -> List[SweepRecord]:
     """Score a batch of detector results at every MPL in one pass.
 
-    Bit-identical to mapping :func:`_score_result` over the batch
-    (records in the same lane-major, MPL-minor order), but runs one
-    :func:`~repro.scoring.score_states_batch` call over a ``2L x N``
-    state matrix — rows ``0..L-1`` the plain states, rows ``L..2L-1``
-    the anchor-corrected states — so each MPL baseline is compared and
-    indexed once for the whole bank instead of once per lane.
+    One :func:`~repro.scoring.metric.score_intervals` call over ``2L``
+    lanes — lanes ``0..L-1`` each result's phases with touching ones
+    merged (its P-runs), lanes ``L..2L-1`` its anchor-corrected phases
+    as reported — so each MPL baseline is indexed once for the whole
+    bank, and no per-element array is built.  Records come out
+    lane-major, MPL-minor.
     """
-    num_lanes = len(results)
-    if num_lanes == 0:
+    if not results:
         return []
     nominals = baselines.mpl_nominals
-    matrix = np.vstack(
-        [np.asarray(result.states, dtype=bool) for result in results]
-        + [result.corrected_states() for result in results]
+    grid = score_intervals(
+        [union_phases(result.phases()) for result in results]
+        + [result.corrected_phases() for result in results],
+        [baselines.phases(nominal) for nominal in nominals],
+        results[0].num_elements,
     )
-    overrides: List[Optional[Sequence[Interval]]] = [None] * num_lanes + [
-        result.corrected_phases() for result in results
-    ]
-    grid = score_states_batch(
-        matrix,
-        [baselines.states(nominal) for nominal in nominals],
-        detected_phases=overrides,
-        baseline_phases=[baselines.phases(nominal) for nominal in nominals],
-    )
+    num_lanes = len(results)
     records: List[SweepRecord] = []
     for lane, spec in enumerate(specs):
         for column, nominal in enumerate(nominals):
@@ -250,24 +226,6 @@ def _score_results(
             corrected = grid[num_lanes + lane][column]
             records.append(_make_record(baselines, spec, nominal, plain, corrected))
     return records
-
-
-def evaluate_spec(
-    trace: BranchTrace,
-    baselines: BaselineSet,
-    spec: ConfigSpec,
-    profile: SuiteProfile,
-    kernels: bool = True,
-) -> List[SweepRecord]:
-    """Run one grid point over one trace; score it at every MPL.
-
-    The per-spec reference for :func:`evaluate_bank`: a solo
-    :func:`~repro.core.engine.run_detector` call scored lane by lane
-    with :func:`~repro.scoring.metric.score_states`.
-    """
-    config = spec.to_config(profile)
-    result = run_detector(trace, config, kernels=kernels)
-    return _score_result(result, baselines, spec)
 
 
 def evaluate_bank(
@@ -287,9 +245,10 @@ def evaluate_bank(
     :class:`~repro.core.bank.DetectorBank` batches of ``bank_size``, so
     the trace is decoded and chunked once per batch instead of once per
     grid point, and each batch is scored in one
-    :func:`~repro.scoring.score_states_batch` pass.  Records are
-    bit-identical to per-spec :func:`evaluate_spec` calls in spec order
-    (the tests pin this, which covers batch-vs-scalar scoring too).
+    :func:`~repro.scoring.metric.score_intervals` pass.  Records are
+    bit-identical to a solo :func:`~repro.core.engine.run_detector` run
+    per spec scored with :func:`~repro.scoring.metric.score_phases`, in
+    spec order (the tests pin this).
 
     ``kernels=False`` runs every member on the fused loop instead of
     the vectorized route (see :mod:`repro.core.kernels`); records are

@@ -1,7 +1,7 @@
 """Accuracy scoring metric (Section 3.2).
 
-Compares an online detector's per-element P/T output against the
-baseline solution:
+Compares an online detector's phases against the baseline solution's
+(:func:`score_intervals`; the state-array entry points wrap it):
 
 - **correlation** — fraction of profile elements on which detector and
   oracle agree;
@@ -16,14 +16,12 @@ from repro.scoring.states import (
     phases_from_states,
     states_from_phases,
     state_string,
+    union_phases,
 )
-from repro.scoring.boundaries import (
-    BaselinePhaseIndex,
-    BoundaryMatching,
-    match_phases,
-)
+from repro.scoring.boundaries import BaselinePhaseIndex, BoundaryMatching
 from repro.scoring.metric import (
     AccuracyScore,
+    score_intervals,
     score_phases,
     score_states,
     score_states_batch,
@@ -34,12 +32,13 @@ __all__ = [
     "phases_from_states",
     "states_from_phases",
     "state_string",
+    "union_phases",
     "BaselinePhaseIndex",
     "BoundaryMatching",
-    "match_phases",
     "AccuracyScore",
     "LatencyReport",
     "measure_latency",
+    "score_intervals",
     "score_phases",
     "score_states",
     "score_states_batch",

@@ -6,18 +6,21 @@ A detected phase ``D`` *qualifies* for baseline phase ``B`` when
    the baseline phase (online detectors are always late), and
 2. ``B.end <= D.end < next(B).start`` — the detected phase ends at or
    after the baseline phase ends, but before the next baseline phase
-   starts (``next(B).start`` is the trace length for the last phase).
+   starts (``next(B).start`` is the trace length + 1 for the last phase).
 
 Constraint 3 resolves ties: among qualifying detected phases, the one
-whose boundaries are closest to ``B``'s matches.  A matched phase
-contributes two matched boundaries (its start and its end).
+whose boundaries are closest to ``B``'s matches.  With sorted, disjoint
+detected phases the tie never arises: a second qualifier would have to
+start before ``B.end`` yet at or after the first one's end, which is
+``>= B.end``.  So every qualifying detected phase matches the one
+baseline phase containing its start.  A matched phase contributes two
+matched boundaries (its start and its end).
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -33,191 +36,65 @@ class BoundaryMatching:
     num_detected_phases: int
     num_baseline_phases: int
 
-    @property
-    def num_matched_boundaries(self) -> int:
-        """Each matched phase matches its start and end boundary."""
-        return 2 * len(self.pairs)
-
-    @property
-    def num_baseline_boundaries(self) -> int:
-        return 2 * self.num_baseline_phases
-
-    @property
-    def num_detected_boundaries(self) -> int:
-        return 2 * self.num_detected_phases
-
-    @property
-    def sensitivity(self) -> float:
-        """matchedBoundaries / baselineBoundaries (1.0 when nothing to find)."""
-        if self.num_baseline_boundaries == 0:
-            return 1.0
-        return self.num_matched_boundaries / self.num_baseline_boundaries
-
-    @property
-    def false_positives(self) -> float:
-        """unmatchedDetectedBoundaries / detectedBoundaries (0.0 when none)."""
-        if self.num_detected_boundaries == 0:
-            return 0.0
-        return (
-            self.num_detected_boundaries - self.num_matched_boundaries
-        ) / self.num_detected_boundaries
-
-
-def match_phases(
-    detected: Sequence[Interval],
-    baseline: Sequence[Interval],
-    num_elements: int,
-) -> BoundaryMatching:
-    """Match detected phases to baseline phases per the three constraints.
-
-    Both inputs must be sorted, disjoint interval lists.
-
-    Returns:
-        A :class:`BoundaryMatching` with the one-to-one match pairs.
-    """
-    _check_sorted_disjoint(detected, "detected")
-    _check_sorted_disjoint(baseline, "baseline")
-
-    if not baseline or not detected:
-        return BoundaryMatching((), len(detected), len(baseline))
-
-    baseline_starts = [b[0] for b in baseline]
-    # Candidate lists: baseline index -> [(distance, detected index)]
-    candidates: Dict[int, List[Tuple[int, int]]] = {}
-    for d_index, (d_start, d_end) in enumerate(detected):
-        b_index = _containing_phase(baseline_starts, baseline, d_start)
-        if b_index is None:
-            continue
-        b_start, b_end = baseline[b_index]
-        next_start = (
-            baseline[b_index + 1][0] if b_index + 1 < len(baseline) else num_elements + 1
-        )
-        if not b_end <= d_end < next_start:
-            continue
-        distance = (d_start - b_start) + (d_end - b_end)
-        candidates.setdefault(b_index, []).append((distance, d_index))
-
-    pairs: List[Tuple[int, int]] = []
-    for b_index, options in candidates.items():
-        options.sort()
-        pairs.append((options[0][1], b_index))
-    pairs.sort()
-    return BoundaryMatching(tuple(pairs), len(detected), len(baseline))
-
 
 class BaselinePhaseIndex:
-    """Precomputed matcher for one baseline phase list.
+    """The matcher for one baseline phase list.
 
     A sweep scores every detector config against the same per-MPL
-    baseline, so the baseline side of :func:`match_phases` — validation
-    plus the start/end/next-start arrays — is hoisted here and built
-    once per MPL instead of once per (config, MPL) pair.  :meth:`match`
-    then runs the three constraints as vectorized array ops and returns
-    a :class:`BoundaryMatching` identical (pairs, counts, and raised
-    errors alike) to ``match_phases(detected, baseline, num_elements)``.
+    baseline, so the baseline's validation and its start/end/next-start
+    arrays are built once per MPL.  :meth:`qualifying` then tests any
+    number of detected phases — one lane's or a whole bank's, since
+    qualification looks at each detected phase alone — in a handful of
+    vectorized array ops.
     """
 
-    __slots__ = ("phases", "num_elements", "_starts", "_ends", "_next_starts")
+    __slots__ = ("num_elements", "_starts", "_ends", "_next_starts")
 
     def __init__(self, baseline: Sequence[Interval], num_elements: int) -> None:
-        _check_sorted_disjoint(baseline, "baseline")
-        self.phases: Tuple[Interval, ...] = tuple(
-            (int(start), int(end)) for start, end in baseline
-        )
+        intervals = np.asarray(baseline, dtype=np.int64).reshape(len(baseline), 2)
+        check_sorted_disjoint_arrays(intervals[:, 0], intervals[:, 1], "baseline")
         self.num_elements = int(num_elements)
-        count = len(self.phases)
-        self._starts = np.fromiter(
-            (p[0] for p in self.phases), dtype=np.int64, count=count
-        )
-        self._ends = np.fromiter(
-            (p[1] for p in self.phases), dtype=np.int64, count=count
-        )
-        # next(B).start for the qualification upper bound; the scalar
-        # matcher uses num_elements + 1 past the last baseline phase.
+        self._starts = intervals[:, 0]
+        self._ends = intervals[:, 1]
+        # next(B).start for the qualification upper bound, and
+        # num_elements + 1 past the last baseline phase.
         self._next_starts = np.append(self._starts[1:], self.num_elements + 1)
 
-    def match(self, detected: Sequence[Interval]) -> BoundaryMatching:
-        """Match ``detected`` against this baseline (see :func:`match_phases`)."""
-        intervals = np.asarray(detected, dtype=np.int64).reshape(len(detected), 2)
-        check_sorted_disjoint_arrays(intervals[:, 0], intervals[:, 1], "detected")
-        return self.match_arrays(intervals[:, 0], intervals[:, 1])
+    def __len__(self) -> int:
+        return int(self._starts.size)
 
-    def match_arrays(
-        self, d_starts: np.ndarray, d_ends: np.ndarray
-    ) -> BoundaryMatching:
-        """:meth:`match` over pre-validated start/end arrays.
-
-        The batched scorer validates and array-packs each lane's
-        detected phases once (:func:`check_sorted_disjoint_arrays`),
-        then matches them against every baseline through this
-        entry point — skipping the per-pair validation re-run.
-        """
-        num_detected = int(d_starts.size)
-        num_baseline = len(self.phases)
-        if not num_baseline or not num_detected:
-            return BoundaryMatching((), num_detected, num_baseline)
-        # Constraint 1: the containing baseline phase, if any.
+    def qualifying(self, d_starts: np.ndarray, d_ends: np.ndarray):
+        """``(qualified, b_idx)``: which detected phases match, and the
+        baseline phase that contains each one's start."""
         b_idx = np.searchsorted(self._starts, d_starts, side="right") - 1
-        in_range = b_idx >= 0
-        safe = np.where(in_range, b_idx, 0)
-        contained = in_range & (d_starts < self._ends[safe])
-        # Constraint 2: ends at/after B.end, before next(B).start.
+        if not self._starts.size:
+            return np.zeros(d_starts.size, dtype=bool), b_idx
+        safe = np.maximum(b_idx, 0)
         qualified = (
-            contained
+            (b_idx >= 0)
+            & (d_starts < self._ends[safe])
             & (self._ends[safe] <= d_ends)
             & (d_ends < self._next_starts[safe])
         )
-        if not qualified.any():
-            return BoundaryMatching((), num_detected, num_baseline)
-        cand_d = np.flatnonzero(qualified)
-        cand_b = b_idx[cand_d]
-        distance = (d_starts[cand_d] - self._starts[cand_b]) + (
-            d_ends[cand_d] - self._ends[cand_b]
-        )
-        # Constraint 3: per baseline phase, the qualifying detected
-        # phase with minimal (distance, detected index) — the same
-        # tie-break ``options.sort()`` applies in the scalar matcher.
-        order = np.lexsort((cand_d, distance, cand_b))
-        ordered_b = cand_b[order]
-        first = np.ones(order.size, dtype=bool)
-        first[1:] = ordered_b[1:] != ordered_b[:-1]
-        winners = order[first]
-        pairs = sorted(
-            (int(cand_d[w]), int(b)) for w, b in zip(winners, ordered_b[first])
-        )
-        return BoundaryMatching(tuple(pairs), num_detected, num_baseline)
+        return qualified, b_idx
 
-
-def _containing_phase(
-    starts: List[int], baseline: Sequence[Interval], position: int
-) -> Optional[int]:
-    """Index of the baseline phase whose [start, end) contains ``position``."""
-    index = bisect.bisect_right(starts, position) - 1
-    if index < 0:
-        return None
-    start, end = baseline[index]
-    if start <= position < end:
-        return index
-    return None
-
-
-def _check_sorted_disjoint(phases: Sequence[Interval], label: str) -> None:
-    previous_end = -1
-    for start, end in phases:
-        if start > end:
-            raise ValueError(f"{label} phase ({start}, {end}) is malformed")
-        if start < previous_end:
-            raise ValueError(f"{label} phases overlap or are unsorted at ({start}, {end})")
-        previous_end = end
+    def match(self, detected: Sequence[Interval]) -> BoundaryMatching:
+        """Match a sorted, disjoint ``detected`` list against this baseline."""
+        intervals = np.asarray(detected, dtype=np.int64).reshape(len(detected), 2)
+        check_sorted_disjoint_arrays(intervals[:, 0], intervals[:, 1], "detected")
+        qualified, b_idx = self.qualifying(intervals[:, 0], intervals[:, 1])
+        d_idx = np.flatnonzero(qualified)
+        pairs = tuple(zip(d_idx.tolist(), b_idx[d_idx].tolist()))
+        return BoundaryMatching(pairs, len(detected), len(self))
 
 
 def check_sorted_disjoint_arrays(
     starts: np.ndarray, ends: np.ndarray, label: str
 ) -> None:
-    """Vectorized :func:`_check_sorted_disjoint` with identical errors.
+    """Reject malformed, unsorted or overlapping intervals.
 
     Reports the *first* offending interval, checking malformedness
-    before overlap at that interval, exactly as the scalar loop does.
+    before overlap at that interval.  Touching and empty intervals pass.
     """
     if starts.size == 0:
         return

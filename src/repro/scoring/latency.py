@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.scoring.boundaries import match_phases
+from repro.scoring.boundaries import BaselinePhaseIndex
 from repro.scoring.states import Interval
 
 
@@ -67,7 +67,7 @@ def measure_latency(
     match (and the correction overshoot shows up as a lower match
     count, not a negative lateness).
     """
-    matching = match_phases(detected, baseline, num_elements)
+    matching = BaselinePhaseIndex(baseline, num_elements).match(detected)
     start_lateness: List[int] = []
     end_lateness: List[int] = []
     for d_index, b_index in matching.pairs:

@@ -4,7 +4,9 @@
 
 Correlation weighs per-element agreement; sensitivity and false
 positives weigh boundary matching; scores fall in [0, 1], higher is
-more accurate.
+more accurate.  :func:`score_intervals` is the one implementation; it
+works on phase intervals, and the state-array entry points are thin
+wrappers over it.
 """
 
 from __future__ import annotations
@@ -14,12 +16,8 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.scoring.boundaries import (
-    BaselinePhaseIndex,
-    check_sorted_disjoint_arrays,
-    match_phases,
-)
-from repro.scoring.states import Interval, phases_from_states, states_from_phases
+from repro.scoring.boundaries import BaselinePhaseIndex, check_sorted_disjoint_arrays
+from repro.scoring.states import Interval, check_in_trace, runs_from_states
 
 CORRELATION_WEIGHT = 0.5
 SENSITIVITY_WEIGHT = 0.25
@@ -54,6 +52,117 @@ class AccuracyScore:
         )
 
 
+def _pack(phases: Sequence[Interval]) -> np.ndarray:
+    return np.asarray(phases, dtype=np.int64).reshape(len(phases), 2)
+
+
+def _stack(arrays: Sequence[np.ndarray]):
+    """Concatenate ``(k, 2)`` interval arrays; also return their offsets."""
+    offsets = np.cumsum([0] + [array.shape[0] for array in arrays])
+    return np.concatenate([np.empty((0, 2), dtype=np.int64), *arrays]), offsets
+
+
+def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    totals = np.concatenate(([0], np.cumsum(values, dtype=np.int64)))
+    return totals[offsets[1:]] - totals[offsets[:-1]]
+
+
+def _score(agreement, num_elements, num_detected, num_baseline, num_matched):
+    # Each matched phase matches two of each side's 2 * count boundaries.
+    return AccuracyScore(
+        correlation=agreement / num_elements,
+        sensitivity=num_matched / num_baseline if num_baseline else 1.0,
+        false_positives=(
+            (num_detected - num_matched) / num_detected if num_detected else 0.0
+        ),
+        num_detected_phases=num_detected,
+        num_baseline_phases=num_baseline,
+        num_matched_phases=num_matched,
+    )
+
+
+def score_intervals(
+    detected: Sequence[Sequence[Interval]],
+    baselines: Sequence[Sequence[Interval]],
+    num_elements: int,
+    detected_cover: Optional[Sequence[Sequence[Interval]]] = None,
+    baseline_cover: Optional[Sequence[Sequence[Interval]]] = None,
+) -> List[List[AccuracyScore]]:
+    """Score detector lanes against baselines: ``scores[lane][baseline]``.
+
+    Each lane's and each baseline's intervals (lists of pairs or
+    ``(k, 2)`` arrays: sorted and disjoint, touching and empty ones
+    allowed) are matched as given.  Correlation compares the union
+    ``D`` of a lane's cover intervals with the union ``B`` of a
+    baseline's; the covers (sorted and disjoint too) default to the
+    matched intervals.  The ``N - (|D| + |B| - 2 |D & B|)`` agreeing
+    elements are an exact integer, so dividing by ``N`` gives the float
+    ``np.mean`` over per-element states would.  Disjoint intervals
+    need no merging for this: touching ones add up like one run.
+
+    Per baseline, one cumulative-coverage lookup over every lane's
+    cover intervals gives each ``|D & B|``, and one
+    :meth:`~repro.scoring.boundaries.BaselinePhaseIndex.qualifying`
+    call over every lane's intervals gives each match count.
+
+    Args:
+        detected: per-lane phase intervals.
+        baselines: per-baseline phase intervals (one per MPL).
+        num_elements: the trace length ``N``.
+        detected_cover, baseline_cover: per-lane / per-baseline
+            intervals whose union the correlation uses instead; the
+            state-array wrappers pass the arrays' P-runs here, so that
+            an override moves only the matching.
+
+    Raises:
+        ValueError: a cover interval is malformed or leaves ``[0, N]``,
+            or matched intervals are malformed, unsorted or overlap.
+    """
+    lanes = [_pack(phases) for phases in detected]
+    bases = [_pack(phases) for phases in baselines]
+    covers = lanes if detected_cover is None else [_pack(p) for p in detected_cover]
+    base_covers = bases if baseline_cover is None else [_pack(p) for p in baseline_cover]
+    for cover in covers + base_covers:
+        check_in_trace(cover[:, 0], cover[:, 1], num_elements)
+    if num_elements == 0:
+        empty = AccuracyScore(1.0, 1.0, 0.0, 0, 0, 0)
+        return [[empty for _ in bases] for _ in lanes]
+    for lane in lanes:
+        check_sorted_disjoint_arrays(lane[:, 0], lane[:, 1], "detected")
+    indexes = [BaselinePhaseIndex(base, num_elements) for base in bases]
+
+    matched, match_offsets = _stack(lanes)
+    cover, cover_offsets = _stack(covers)
+    detected_sizes = _segment_sums(cover[:, 1] - cover[:, 0], cover_offsets)
+    points = cover.T.ravel()  # every cover start, then every cover end
+    grid: List[List[AccuracyScore]] = [[] for _ in lanes]
+    for index, base in zip(indexes, base_covers):
+        # covered[j] = |B & [0, b_ends[j])|, behind an empty sentinel
+        # interval, so below[i] = |B & [0, points[i])|.
+        b_starts = np.concatenate(([-1], base[:, 0]))
+        b_ends = np.concatenate(([-1], base[:, 1]))
+        covered = np.cumsum(b_ends - b_starts)
+        last = np.searchsorted(b_starts, points, side="right") - 1
+        below = covered[last] - np.maximum(b_ends[last] - points, 0)
+        overlap = _segment_sums(
+            below[cover.shape[0] :] - below[: cover.shape[0]], cover_offsets
+        )
+        agreement = num_elements - detected_sizes - covered[-1] + 2 * overlap
+        qualified, _ = index.qualifying(matched[:, 0], matched[:, 1])
+        hits = _segment_sums(qualified, match_offsets)
+        for lane, intervals in enumerate(lanes):
+            grid[lane].append(
+                _score(
+                    int(agreement[lane]),
+                    num_elements,
+                    intervals.shape[0],
+                    len(index),
+                    int(hits[lane]),
+                )
+            )
+    return grid
+
+
 def score_states(
     detected_states: np.ndarray,
     baseline_states: np.ndarray,
@@ -73,7 +182,8 @@ def score_states(
             to the P-runs of ``baseline_states``).
 
     Returns:
-        The full :class:`AccuracyScore`.
+        The full :class:`AccuracyScore` (:func:`score_intervals` on the
+        arrays' P-runs).
     """
     detected_states = np.asarray(detected_states, dtype=bool)
     baseline_states = np.asarray(baseline_states, dtype=bool)
@@ -82,23 +192,12 @@ def score_states(
             f"state arrays differ in length: {detected_states.size} vs "
             f"{baseline_states.size}"
         )
-    num_elements = int(detected_states.size)
-    if num_elements == 0:
-        return AccuracyScore(1.0, 1.0, 0.0, 0, 0, 0)
-    correlation = float(np.mean(detected_states == baseline_states))
-    if detected_phases is None:
-        detected_phases = phases_from_states(detected_states)
-    if baseline_phases is None:
-        baseline_phases = phases_from_states(baseline_states)
-    matching = match_phases(detected_phases, baseline_phases, num_elements)
-    return AccuracyScore(
-        correlation=correlation,
-        sensitivity=matching.sensitivity,
-        false_positives=matching.false_positives,
-        num_detected_phases=matching.num_detected_phases,
-        num_baseline_phases=matching.num_baseline_phases,
-        num_matched_phases=len(matching.pairs),
-    )
+    return score_states_batch(
+        detected_states[np.newaxis, :],
+        [baseline_states],
+        detected_phases=[detected_phases],
+        baseline_phases=[baseline_phases],
+    )[0][0]
 
 
 def score_states_batch(
@@ -107,17 +206,12 @@ def score_states_batch(
     detected_phases: Optional[Sequence[Optional[Sequence[Interval]]]] = None,
     baseline_phases: Optional[Sequence[Optional[Sequence[Interval]]]] = None,
 ) -> List[List[AccuracyScore]]:
-    """Score a bank of detector lanes against a set of baselines at once.
+    """Score a bank of detector state rows against a set of baselines.
 
-    Semantically equivalent to the nested loop
-    ``[[score_states(states_matrix[i], base, ...) for base in ...] for i ...]``
-    and bit-identical to it (pinned by
-    ``tests/properties/test_batch_scoring.py``), but hoists the
-    per-pair work: correlation becomes one bool-matrix reduction per
-    baseline, detected phases are extracted once per lane, and each
-    baseline's interval arrays are built once
-    (:class:`~repro.scoring.boundaries.BaselinePhaseIndex`) instead of
-    once per (lane, baseline) pair.
+    Equal to ``[[score_states(states_matrix[i], base, ...) for base in
+    ...] for i ...]``: :func:`score_intervals` on the rows' and the
+    baselines' P-runs, which stay the correlation's cover when an
+    override replaces what is matched.
 
     Args:
         states_matrix: ``(lanes, N)`` boolean matrix, one detector state
@@ -156,44 +250,21 @@ def score_states_batch(
             raise ValueError(
                 f"state arrays differ in length: {num_elements} vs {base.size}"
             )
-    if num_elements == 0:
-        empty = AccuracyScore(1.0, 1.0, 0.0, 0, 0, 0)
-        return [[empty for _ in baselines] for _ in range(num_lanes)]
+    runs = [runs_from_states(row) for row in matrix]
+    base_runs = [runs_from_states(base) for base in baselines]
+    return score_intervals(
+        _overridden(runs, detected_phases),
+        _overridden(base_runs, baseline_phases),
+        num_elements,
+        detected_cover=runs,
+        baseline_cover=base_runs,
+    )
 
-    # Each lane's phases are extracted, validated, and array-packed
-    # once, then matched against every baseline via match_arrays.
-    lane_intervals: List[np.ndarray] = []
-    for lane in range(num_lanes):
-        override = detected_phases[lane] if detected_phases is not None else None
-        phases = phases_from_states(matrix[lane]) if override is None else override
-        intervals = np.asarray(phases, dtype=np.int64).reshape(len(phases), 2)
-        check_sorted_disjoint_arrays(intervals[:, 0], intervals[:, 1], "detected")
-        lane_intervals.append(intervals)
-    grid: List[List[AccuracyScore]] = [[] for _ in range(num_lanes)]
-    for b_index, base in enumerate(baselines):
-        # One bool-matrix reduction per baseline.  The agreement count
-        # is an exact integer < 2**53, so dividing it by N reproduces
-        # np.mean's float64 result bit-for-bit.
-        agreement = (matrix == base[np.newaxis, :]).sum(axis=1, dtype=np.int64)
-        override = baseline_phases[b_index] if baseline_phases is not None else None
-        index = BaselinePhaseIndex(
-            phases_from_states(base) if override is None else override,
-            num_elements,
-        )
-        for lane in range(num_lanes):
-            intervals = lane_intervals[lane]
-            matching = index.match_arrays(intervals[:, 0], intervals[:, 1])
-            grid[lane].append(
-                AccuracyScore(
-                    correlation=float(agreement[lane]) / num_elements,
-                    sensitivity=matching.sensitivity,
-                    false_positives=matching.false_positives,
-                    num_detected_phases=matching.num_detected_phases,
-                    num_baseline_phases=matching.num_baseline_phases,
-                    num_matched_phases=len(matching.pairs),
-                )
-            )
-    return grid
+
+def _overridden(runs, overrides):
+    if overrides is None:
+        return runs
+    return [run if override is None else override for run, override in zip(runs, overrides)]
 
 
 def score_phases(
@@ -201,12 +272,6 @@ def score_phases(
     baseline_phases: Sequence[Interval],
     num_elements: int,
 ) -> AccuracyScore:
-    """Score from phase-interval lists alone (states are reconstructed)."""
-    detected_states = states_from_phases(detected_phases, num_elements)
-    baseline_states = states_from_phases(baseline_phases, num_elements)
-    return score_states(
-        detected_states,
-        baseline_states,
-        detected_phases=detected_phases,
-        baseline_phases=baseline_phases,
-    )
+    """Score from phase-interval lists alone: each list is matched as
+    given, and correlation compares the two lists' unions."""
+    return score_intervals([detected_phases], [baseline_phases], num_elements)[0][0]

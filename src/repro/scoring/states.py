@@ -15,19 +15,51 @@ import numpy as np
 Interval = Tuple[int, int]
 
 
+def runs_from_states(states: np.ndarray) -> np.ndarray:
+    """The maximal P-runs of a boolean state array, as a ``(k, 2)``
+    int64 array of ``[start, end)`` rows in increasing order."""
+    padded = np.concatenate(([False], np.asarray(states, dtype=bool), [False]))
+    deltas = np.diff(padded.astype(np.int8))
+    return np.column_stack(
+        (np.flatnonzero(deltas == 1), np.flatnonzero(deltas == -1))
+    ).astype(np.int64, copy=False)
+
+
 def phases_from_states(states: np.ndarray) -> List[Interval]:
     """Extract maximal P-runs from a boolean state array.
 
     Returns ``[(start, end), ...]`` in increasing order.
     """
-    states = np.asarray(states, dtype=bool)
-    if states.size == 0:
+    return [tuple(run) for run in runs_from_states(states).tolist()]
+
+
+def union_phases(phases: Sequence[Interval]) -> List[Interval]:
+    """The maximal runs of the union of ``[start, end)`` intervals.
+
+    The intervals must be sorted by start; empty ones vanish and
+    touching or overlapping ones merge, so the result is what
+    ``phases_from_states(states_from_phases(...))`` gives, without the
+    element-sized array.
+    """
+    intervals = np.asarray(phases, dtype=np.int64).reshape(len(phases), 2)
+    starts, ends = intervals[intervals[:, 0] < intervals[:, 1]].T
+    if starts.size == 0:
         return []
-    padded = np.concatenate(([False], states, [False]))
-    deltas = np.diff(padded.astype(np.int8))
-    starts = np.flatnonzero(deltas == 1)
-    ends = np.flatnonzero(deltas == -1)
-    return list(zip(starts.tolist(), ends.tolist()))
+    reach = np.maximum.accumulate(ends)
+    opens = np.flatnonzero(np.concatenate(([True], starts[1:] > reach[:-1])))
+    closes = reach[np.append(opens[1:], starts.size) - 1]
+    return list(zip(starts[opens].tolist(), closes.tolist()))
+
+
+def check_in_trace(starts: np.ndarray, ends: np.ndarray, num_elements: int) -> None:
+    """Reject the first interval that is malformed or leaves ``[0, N]``."""
+    bad = (starts < 0) | (starts > ends) | (ends > num_elements)
+    if bad.any():
+        index = int(np.argmax(bad))
+        raise ValueError(
+            f"phase ({int(starts[index])}, {int(ends[index])}) outside trace "
+            f"of {num_elements} elements"
+        )
 
 
 def states_from_phases(phases: Sequence[Interval], num_elements: int) -> np.ndarray:
@@ -36,12 +68,10 @@ def states_from_phases(phases: Sequence[Interval], num_elements: int) -> np.ndar
     Raises:
         ValueError: if intervals are out of range or malformed.
     """
+    intervals = np.asarray(phases, dtype=np.int64).reshape(len(phases), 2)
+    check_in_trace(intervals[:, 0], intervals[:, 1], num_elements)
     states = np.zeros(num_elements, dtype=bool)
-    for start, end in phases:
-        if not 0 <= start <= end <= num_elements:
-            raise ValueError(
-                f"phase ({start}, {end}) outside trace of {num_elements} elements"
-            )
+    for start, end in intervals.tolist():
         states[start:end] = True
     return states
 

@@ -58,14 +58,15 @@ class TestCsvRoundTrip:
     def test_real_sweep_records(self, tmp_path):
         from repro.core.config import AnalyzerKind, ModelKind
         from repro.experiments.config_space import ConfigSpec, SuiteProfile
-        from repro.experiments.runner import BaselineSet, evaluate_spec
+        from repro.experiments.runner import BaselineSet
         from repro.workloads import load_traces
+        from tests.experiments.solo import solo_records
 
         profile = SuiteProfile(name="csv", workload_scale=0.08)
         branch, call_loop = load_traces("db", scale=0.08, cache_dir=tmp_path)
         baselines = BaselineSet(call_loop, profile, (1_000,), name="db")
         spec = ConfigSpec("constant", 500, ModelKind.UNWEIGHTED, AnalyzerKind.THRESHOLD, 0.6)
-        records = evaluate_spec(branch, baselines, spec, profile)
+        records = solo_records(branch, baselines, spec, profile)
         path = tmp_path / "sweep.csv"
         records_to_csv(records, path)
         assert records_from_csv(path) == records

@@ -6,9 +6,10 @@ import pytest
 
 from repro.core.config import AnalyzerKind, ModelKind
 from repro.experiments.config_space import ConfigSpec, SuiteProfile
-from repro.experiments.runner import BaselineSet, evaluate_spec
+from repro.experiments.runner import BaselineSet, evaluate_bank
 from repro.experiments.sweep import Sweep
 from repro.workloads import load_traces
+from tests.experiments.solo import solo_records
 
 TINY = SuiteProfile(
     name="tiny",
@@ -35,7 +36,8 @@ class TestEvaluateSpec:
     def test_records_per_mpl(self, tmp_path):
         branch, call_loop = load_traces("db", scale=TINY.workload_scale, cache_dir=tmp_path)
         baselines = BaselineSet(call_loop, TINY, MPLS, name="db")
-        records = evaluate_spec(branch, baselines, SPECS[0], TINY)
+        records = solo_records(branch, baselines, SPECS[0], TINY)
+        assert evaluate_bank(branch, baselines, SPECS[:1], TINY) == records
         assert len(records) == len(MPLS)
         for record in records:
             assert record.benchmark == "db"
@@ -46,7 +48,7 @@ class TestEvaluateSpec:
     def test_record_round_trip(self, tmp_path):
         branch, call_loop = load_traces("db", scale=TINY.workload_scale, cache_dir=tmp_path)
         baselines = BaselineSet(call_loop, TINY, MPLS, name="db")
-        record = evaluate_spec(branch, baselines, SPECS[0], TINY)[0]
+        record = evaluate_bank(branch, baselines, SPECS[:1], TINY)[0]
         from repro.experiments.runner import SweepRecord
 
         assert SweepRecord.from_row(record.to_row()) == record

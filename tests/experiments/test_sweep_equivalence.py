@@ -1,9 +1,9 @@
 """Sweep-level equivalence: same records, byte-identical cache.
 
-The reference for every comparison is one solo ``evaluate_spec`` call
-per grid point over a heap copy of the cached trace (no memmap, no
-cached dense remap, a ``run_detector`` pass scored lane by lane), so
-these tests pin the bank's routing, the batch scorer and the
+The reference for every comparison is one solo ``run_detector`` run per
+grid point over a heap copy of the cached trace (no memmap, no cached
+dense remap), scored per MPL with ``score_phases`` (``solo.py``), so
+these tests pin the bank's routing, the banked scorer and the
 mmap/sidecar stack against the simplest evaluation, at any ``jobs``,
 with kernels on or off, over a fresh, pre-sidecar or stale cache.
 """
@@ -16,12 +16,13 @@ import pytest
 from repro.core.config import AnalyzerKind, ModelKind
 from repro.experiments import runner as runner_mod
 from repro.experiments.config_space import QUICK, ConfigSpec, SuiteProfile, family_grid
-from repro.experiments.runner import BaselineSet, evaluate_bank, evaluate_spec
+from repro.experiments.runner import BaselineSet, evaluate_bank
 from repro.experiments.store import cache_line
 from repro.experiments.sweep import Sweep
 from repro.profiles.trace import BranchTrace
 from repro.workloads import load_traces
 from repro.workloads.suite import workload
+from tests.experiments.solo import solo_records
 
 TINY = SuiteProfile(
     name="tiny",
@@ -56,7 +57,7 @@ def _run_sweep(cache_dir, jobs=1, kernels=True):
 
 
 def _reference_sweep(cache_dir):
-    """Records and cache bytes of one ``evaluate_spec`` call per grid
+    """Records and cache bytes of one solo run per grid
     point over heap copies of the cached traces, in the serial sweep's
     benchmark-major, spec-order layout."""
     records, lines = [], []
@@ -70,7 +71,7 @@ def _reference_sweep(cache_dir):
         )
         fingerprint = workload(benchmark).fingerprint(TINY.workload_scale)
         for spec in SPECS:
-            for record in evaluate_spec(heap, baselines, spec, TINY):
+            for record in solo_records(heap, baselines, spec, TINY):
                 records.append(record)
                 lines.append(cache_line(record, fingerprint))
     return records, "".join(lines).encode("utf-8")
@@ -145,7 +146,7 @@ class TestEvaluateBank:
         return [
             record
             for spec in SPECS
-            for record in evaluate_spec(trace, baselines, spec, TINY)
+            for record in solo_records(trace, baselines, spec, TINY)
         ]
 
     @pytest.mark.parametrize("bank_size", [None, 2])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.scoring.boundaries import BaselinePhaseIndex, match_phases
+from repro.scoring.boundaries import BaselinePhaseIndex, BoundaryMatching
 from repro.scoring.metric import score_states, score_states_batch
 from repro.scoring.states import states_from_phases
+from tests.scoring import section32
 
 
 class TestBaselinePhaseIndex:
@@ -13,12 +14,13 @@ class TestBaselinePhaseIndex:
         baseline = [(10, 40), (60, 90)]
         detected = [(12, 45), (50, 55), (65, 95), (96, 99)]
         index = BaselinePhaseIndex(baseline, 100)
-        assert index.match(detected) == match_phases(detected, baseline, 100)
-        assert index.match(detected).pairs == ((0, 0), (2, 1))
+        pairs = tuple(section32.matched_pairs(detected, baseline, 100))
+        assert index.match(detected) == BoundaryMatching(pairs, 4, 2)
+        assert pairs == ((0, 0), (2, 1))
 
     def test_last_phase_upper_bound(self):
         # Past the last baseline phase, qualification extends to the
-        # trace end (num_elements + 1 exclusive), as in match_phases.
+        # trace end (num_elements + 1 exclusive).
         baseline = [(10, 50)]
         detected = [(20, 100)]
         index = BaselinePhaseIndex(baseline, 100)
@@ -41,7 +43,7 @@ class TestBaselinePhaseIndex:
         index = BaselinePhaseIndex([], 100)
         assert index.match([(1, 2)]).pairs == ()
         full = BaselinePhaseIndex([(0, 10)], 100)
-        assert full.match([]) == match_phases([], [(0, 10)], 100)
+        assert full.match([]) == BoundaryMatching((), 0, 1)
 
 
 class TestScoreStatesBatch:
