@@ -59,18 +59,24 @@ geometry.  The key observations:
   geometry from the last flush origin, and within a phase the pinned
   TW boundary and refill/slide regimes are pure functions of the entry
   step.  One episode walk (:func:`_walk_windowed`) therefore serves
-  both trailing policies: a constant-series scan finds each entry and
-  the anchor; the in-phase similarities come from the same series for
-  a Constant TW, and from a segment-local scan for an Adaptive one.
+  both trailing policies: a constant-series scan finds each entry, and
+  the anchor comes from the entry step's windows as Python ints
+  (:func:`_entry_anchor`: a set of the CW's codes and a scan of the TW
+  that stops at the first element that decides); the in-phase
+  similarities come from the same series for a Constant TW, and from a
+  segment-local scan for an Adaptive one.
 - Most episodes last a few steps, so each walks a scalar head of up to
   ``_HEAD_STEPS`` in-phase steps before any blockwise NumPy scan
   starts: a ``tolist()`` slice of the constant series, or, for an
   Adaptive TW, window counts updated per element
-  (``_scan_head_unweighted``: O(1) counts over previous-occurrence
-  links; ``_scan_head_weighted``: per-code count tables, summed over
-  the CW's distinct codes at each step).  The blocks
-  (``_scan_phase_constant``, ``_scan_phase_unweighted``,
-  ``_scan_phase_weighted``) run only for the steps after it.
+  (``_scan_head_unweighted``: O(1) counts over one decoded slice of
+  previous-occurrence links; ``_scan_head_weighted``: per-code count
+  tables, summed over the CW's distinct codes at each step).  The
+  blocks (``_scan_phase_constant``, ``_scan_phase_unweighted``,
+  ``_scan_phase_weighted``) run only for the steps after it.  The
+  unweighted Adaptive blocks carry the count of CW occurrences the TW
+  has not seen from block to block, so a block costs O(block), not
+  O(block + CW).
 - Neither analyzer feeds back into the windows, so only the decisions
   differ between them.  Entries test the constant series against a
   fixed bar (``threshold``, or the Average analyzer's
@@ -650,6 +656,30 @@ class SharedTraceKernels:
         return cached
 
 
+def _entry_anchor(window: List[int], twc: int, rn: bool) -> int:
+    """The anchor inside an entry step's pre-resize TW, ``window[:twc]``,
+    against its CW, ``window[twc:]``: the rule of
+    :meth:`~repro.core.windows.WindowPair.anchor_index`.
+
+    A TW element is noisy when its code is not in the CW.  RN anchors
+    one right of the rightmost noisy element, so the scan walks left
+    from the TW's end while the elements are in the CW (0 when all
+    are); LNN anchors at the leftmost element in the CW, so the scan
+    walks right from the TW's start while they are not (``twc`` when
+    none is).  Both stop at the first element that decides.
+    """
+    cw = set(window[twc:])
+    if rn:
+        index = twc
+        while index and window[index - 1] in cw:
+            index -= 1
+        return index
+    index = 0
+    while index < twc and window[index] not in cw:
+        index += 1
+    return index
+
+
 def _walk_windowed(runtime, shared: SharedTraceKernels) -> None:
     """Episode walk for a windowed runtime (either analyzer, either TW
     policy).
@@ -659,11 +689,11 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> None:
     or the Average analyzer's ``enter_threshold``) at or after the first
     filled step since the last flush, and the anchor (RN or LNN) is
     computed over that step's pre-resize windows, as the reference path
-    does, from one per-walk stamp table over the dense codes.  The
-    trailing policy picks the in-phase similarities, which
-    :func:`_scan_exit` tests against the analyzer's bar, first as a
-    scalar *head* of up to ``_HEAD_STEPS`` Python floats and then, only
-    for an episode the head does not end, block by block:
+    does, by :func:`_entry_anchor` on one ``tolist()`` of the step's
+    ``cwc + twc`` dense codes.  The trailing policy picks the in-phase
+    similarities, which :func:`_scan_exit` tests against the analyzer's
+    bar, first as a scalar *head* of up to ``_HEAD_STEPS`` Python floats
+    and then, only for an episode the head does not end, block by block:
 
     - *Constant*: entries do not move the windows, so they are the same
       series: the head is one ``tolist()`` slice of it, the blocks are
@@ -718,11 +748,6 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> None:
         distinct_all = counts[0] if counts is not None else None
         base_counts = np.zeros(n_codes, dtype=np.int64) if weighted else None
 
-    # Anchor membership: each episode stamps the CW's codes with a new
-    # epoch, and a TW element is in the CW iff its code carries it, so
-    # the table is allocated once and never cleared.
-    mark = np.zeros(n_codes, dtype=np.int64)
-    epoch = 0
     tracker = runtime.tracker
     rn_anchor = config.anchor is AnchorPolicy.RN
     origin = 0
@@ -745,15 +770,9 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> None:
         entry = int(phase_steps[hit])
         detected_start = entry * skip
         c_entry = min(detected_start + skip, total)
-        epoch += 1
-        mark[codes[c_entry - cwc : c_entry]] = epoch
-        in_cw = mark[codes[c_entry - fill_span : c_entry - cwc]] == epoch
-        if rn_anchor:
-            noisy = np.flatnonzero(~in_cw)
-            anchor = int(noisy[-1]) + 1 if noisy.size else 0
-        else:
-            hits = np.flatnonzero(in_cw)
-            anchor = int(hits[0]) if hits.size else twc
+        anchor = _entry_anchor(
+            codes[c_entry - fill_span : c_entry].tolist(), twc, rn_anchor
+        )
         anchor_abs = (c_entry - fill_span) + anchor
         corrected = anchor_abs if anchor_abs < detected_start else detected_start
         # The head: up to _HEAD_STEPS in-phase similarities as Python
@@ -773,7 +792,7 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> None:
                     tw_left, cw_left, cwc,
                 )
                 blocks = _scan_phase_weighted(
-                    codes, n_codes, base_counts, step_ends, head_stop,
+                    codes, base_counts, step_ends, head_stop,
                     tw_left, cw_left, cwc, n_steps,
                 )
             else:
@@ -1184,26 +1203,24 @@ def _scan_head_unweighted(
     entering elements with ``prev < L``; once it slides it is the shared
     per-window-start ``distinct_all[c - cwc]``.  The similarity is
     ``(distinct - unshared) / distinct``, the same ``int / int`` as the
-    blockwise scan's.  Only ``prev`` slices of at most ``stop - first``
-    steps are decoded to Python ints, plus two NumPy counts seeding the
-    window ``[L, c_entry)`` left by the entry's resize.
+    blockwise scan's.  ``prev`` is decoded once, from ``L`` to the last
+    head step's end: the window ``[L, c_entry)`` left by the entry's
+    resize enters with the first step's elements, and the entering and
+    leaving elements are all slices of that one list.
     """
     if first >= stop:
         return
-    c_entry = int(step_ends[first - 1])
     ends = step_ends[first:stop].tolist()
-    seed = prev[cw_left:c_entry]
-    distinct = int(np.count_nonzero(seed < cw_left))
-    unshared = int(np.count_nonzero(seed < tw_left))
-    entering = prev[c_entry : ends[-1]].tolist()
+    seq = prev[cw_left : ends[-1]].tolist()
     last_left = ends[-1] - cwc
     if last_left > cw_left:
-        leaving = prev[cw_left:last_left].tolist()
         slid = distinct_all[cw_left + 1 : last_left + 1].tolist()
-    right = c_entry
+    distinct = 0
+    unshared = 0
+    right = cw_left
     left = cw_left
     for c in ends:
-        for p in entering[right - c_entry : c - c_entry]:
+        for p in seq[right - cw_left : c - cw_left]:
             if p < tw_left:
                 unshared += 1
                 distinct += 1
@@ -1211,7 +1228,7 @@ def _scan_head_unweighted(
                 distinct += 1
         right = c
         if c - cwc > cw_left:
-            for p in leaving[left - cw_left : c - cwc - cw_left]:
+            for p in seq[left - cw_left : c - cwc - cw_left]:
                 if p < tw_left:
                     unshared -= 1
             left = c - cwc
@@ -1301,53 +1318,64 @@ def _scan_phase_unweighted(
       shared with the TW iff additionally ``prev[i] >= A`` — its latest
       earlier occurrence is the TW's membership witness.  Both counts
       are prefix sums over ``prev[L : L+cwc]``, computed once per
-      episode.
+      episode and only if a block holds a refill step.
     - *slide* (``c > L + cwc``): the CW is the plain trailing window at
       start ``l = c - cwc``, so ``distinct(l)`` is the globally shared
-      per-window-start array, and ``shared(l)`` is the same interval-
-      stabbing count as the constant path but with the unbounded-TW
-      membership filter ``prev[i] >= A`` — accumulated per block with
-      difference arrays.
+      per-window-start array.  Its members not shared with the TW are
+      the occurrences with ``prev[i] < A`` (as in
+      :func:`_scan_head_unweighted`), so ``shared = distinct(l) -
+      unshared``.  ``unshared`` is counted once, over the CW ending at
+      ``e0 = max(L + cwc, c_head)`` (``c_head`` the head's last step
+      end), and carried from element ``e0`` to each block's last step
+      end ``e1`` as ``cumsum((prev[e0:e1] < A) - (prev[e0-cwc:e1-cwc] <
+      A))``, so a block costs O(block), whatever the CW.
 
-    Yields ``(first_step, sims)`` per block of steps from ``first`` on
-    (the steps after the episode's head); :func:`_scan_exit` starts it
-    only when the head ends without an exit, and stops it at the exit.
+    Every similarity is the same ``int / int`` of exact counts.  Yields
+    ``(first_step, sims)`` per block of steps from ``first`` on (the
+    steps after the episode's head); :func:`_scan_exit` starts it only
+    when the head ends without an exit, and stops it at the exit.
     """
-    seg_prev = prev[cw_left : min(cw_left + cwc, total)]
-    rep = seg_prev < cw_left
-    d_cum = np.concatenate(([0], np.cumsum(rep)))
-    s_cum = np.concatenate(([0], np.cumsum(rep & (seg_prev >= tw_left))))
+    refill_end = cw_left + cwc
+    d_cum = s_cum = None
+    e0 = max(refill_end, int(step_ends[first - 1]))
+    unshared = None
     for s in range(first, n_steps, _BLOCK_STEPS):
         ends_blk = step_ends[s : s + _BLOCK_STEPS]
-        blk = np.empty(ends_blk.size, dtype=np.float64)
-        refill = ends_blk <= cw_left + cwc
-        if refill.any():
-            r = ends_blk[refill] - cw_left
+        n_refill = 0
+        if ends_blk[0] <= refill_end:
+            n_refill = int(np.searchsorted(ends_blk, refill_end, side="right"))
+            if d_cum is None:
+                seg_prev = prev[cw_left : min(refill_end, total)]
+                rep = seg_prev < cw_left
+                d_cum = np.concatenate(([0], np.cumsum(rep)))
+                shared = rep & (seg_prev >= tw_left)
+                s_cum = np.concatenate(([0], np.cumsum(shared)))
+        if n_refill == ends_blk.size:
+            r = ends_blk - cw_left
             # d_cum[r] >= 1 always: the CW's first element (offset
             # cw_left) trivially has prev < cw_left.
-            blk[refill] = s_cum[r] / d_cum[r]
-        if not refill.all():
-            sl = ~refill
-            ls = ends_blk[sl] - cwc
-            l_min = int(ls[0])
-            l_max = int(ls[-1])
-            idx = np.arange(l_min, l_max + cwc, dtype=np.int64)
-            p = prev[l_min : l_max + cwc]
-            lo = np.maximum(p, idx - cwc) + 1
-            np.maximum(lo, l_min, out=lo)
-            hi = np.minimum(idx, l_max)
-            ok = (p >= tw_left) & (lo <= hi)
-            width = l_max - l_min + 1
-            add = np.bincount(lo[ok] - l_min, minlength=width + 1)
-            rem = np.bincount(hi[ok] + 1 - l_min, minlength=width + 1)
-            shared_l = np.cumsum(add[:width] - rem[:width])
-            blk[sl] = shared_l[ls - l_min] / distinct_all[ls]
-        yield s, blk
+            yield s, s_cum[r] / d_cum[r]
+            continue
+        if unshared is None:
+            unshared = int(np.count_nonzero(prev[e0 - cwc : e0] < tw_left))
+        ends_sl = ends_blk[n_refill:]
+        e1 = int(ends_sl[-1])
+        below = (prev[e0:e1] < tw_left).view(np.int8)
+        gone = (prev[e0 - cwc : e1 - cwc] < tw_left).view(np.int8)
+        carried = np.cumsum(below - gone, dtype=np.int64)
+        carried += unshared
+        distinct = distinct_all[ends_sl - cwc]
+        sims = (distinct - carried[ends_sl - (e0 + 1)]) / distinct
+        unshared = int(carried[-1])
+        e0 = e1
+        if n_refill:
+            r = ends_blk[:n_refill] - cw_left
+            sims = np.concatenate((s_cum[r] / d_cum[r], sims))
+        yield s, sims
 
 
 def _scan_phase_weighted(
     codes: np.ndarray,
-    n_codes: int,
     base_counts: np.ndarray,
     step_ends: np.ndarray,
     first: int,
@@ -1361,9 +1389,10 @@ def _scan_phase_weighted(
     Same geometry and contract as :func:`_scan_phase_unweighted`.  The
     growing TW's per-code counts split as ``tw_e = base_counts[e] +
     occ[cw_start]``: ``base_counts`` (a reusable per-code vector,
-    advanced as the CW's left edge passes elements into the TW for
-    good) covers ``[A, block_lo)`` and the block's cumulative occurrence
-    matrix covers the rest, so each block is one ``np.minimum``
+    advanced with one ``np.add.at`` over the elements the CW's left edge
+    passes into the TW for good, O(elements) and not O(codes)) covers
+    ``[A, block_lo)`` and the block's cumulative occurrence matrix
+    covers the rest, so each block is one ``np.minimum``
     reduction over its local code set — a code absent from the block has
     ``cw_e = 0`` and contributes nothing, which keeps the restriction
     exact.  The numerator ``sum_e min(cw_e * tw_len, tw_e * cw_len)`` is
@@ -1397,9 +1426,7 @@ def _scan_phase_weighted(
                     break
                 take = max(1, take // 2)
             if covered < p_lo:
-                base_counts += np.bincount(
-                    codes[covered:p_lo], minlength=n_codes
-                )
+                np.add.at(base_counts, codes[covered:p_lo], 1)
                 covered = p_lo
             cw_len = ends_blk - cw_start
             tw_len = cw_start - tw_left

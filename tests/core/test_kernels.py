@@ -2,7 +2,9 @@
 predicate, the ``kernels`` flag, bank partitioning) routes every
 configuration — windowed, NEWMA, FOCuS, Das Pearson or Lu DYNAMO — to
 its path, and bank lanes share their series; the weighted Adaptive
-exit scan's scalar head yields what its blocks would.  That every route
+exit scan's scalar head yields what its blocks would, the unweighted
+Adaptive head and blocks equal the set definition of the similarity,
+and the entry anchor is ``WindowPair.anchor_index``.  That every route
 is bit-identical to the reference ``step()`` loop is checked in
 ``tests/properties/test_oracle_harness.py``."""
 
@@ -14,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     AnalyzerKind,
+    AnchorPolicy,
     DetectorConfig,
     ModelKind,
     TrailingPolicy,
@@ -24,6 +27,7 @@ from repro.core.bank import DetectorBank
 from repro.core.decision import build_engine, restore_engine
 from repro.core.kernels import run_bank_batched, vectorized_eligible
 from repro.core.runtime import DetectorRuntime
+from repro.core.windows import WindowPair
 from repro.obs.bus import MemorySink
 from repro.obs.trace import Tracer
 from repro.profiles.synthetic import SyntheticTraceBuilder
@@ -320,10 +324,9 @@ class TestWeightedHead:
                 codes, step_ends, first, stop, tw_left, cw_left, cwc
             )
         )
-        n_codes = int(codes.max()) + 1
-        base_counts = np.zeros(n_codes, dtype=np.int64)
+        base_counts = np.zeros(int(codes.max()) + 1, dtype=np.int64)
         blocks = kernels_mod._scan_phase_weighted(
-            codes, n_codes, base_counts, step_ends, first,
+            codes, base_counts, step_ends, first,
             tw_left, cw_left, cwc, n_steps,
         )
         expected = []
@@ -337,3 +340,119 @@ class TestWeightedHead:
             float.hex(v) for v in expected[: len(head)]
         ]
         assert not base_counts.any()
+
+
+def _anchor_index(tw, cw, policy):
+    """The reference anchor: ``WindowPair.anchor_index`` over windows
+    loaded with ``_load``."""
+    pair = WindowPair(len(cw), len(tw))
+    pair._load(tw, cw)
+    return pair.anchor_index(policy)
+
+
+class TestEntryAnchor:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        tw=st.lists(st.integers(0, 6), min_size=1, max_size=16),
+        cw=st.lists(st.integers(0, 6), min_size=1, max_size=16),
+        policy=st.sampled_from(AnchorPolicy),
+    )
+    def test_matches_anchor_index(self, tw, cw, policy):
+        rn = policy is AnchorPolicy.RN
+        assert kernels_mod._entry_anchor(tw + cw, len(tw), rn) == _anchor_index(
+            tw, cw, policy
+        )
+
+    @pytest.mark.parametrize(
+        "tw, cw, policy, expected",
+        [
+            # Every TW element in the CW: RN anchors at the TW's start.
+            ([1, 2, 1, 2], [2, 1], AnchorPolicy.RN, 0),
+            ([1, 2, 1, 2], [2, 1], AnchorPolicy.LNN, 0),
+            # None in the CW: LNN anchors at the TW's end.
+            ([7, 8, 9], [1, 2, 1], AnchorPolicy.LNN, 3),
+            ([7, 8, 9], [1, 2, 1], AnchorPolicy.RN, 3),
+            # A one-element CW.
+            ([5, 1, 6, 1, 1], [1], AnchorPolicy.RN, 3),
+            ([5, 1, 6, 1, 1], [1], AnchorPolicy.LNN, 1),
+            # Repeated codes on both sides of the windows' edge.
+            ([4, 4, 3, 3, 4, 3], [3, 3, 3], AnchorPolicy.RN, 5),
+            ([4, 4, 3, 3, 4, 3], [3, 3, 3], AnchorPolicy.LNN, 2),
+        ],
+        ids=[
+            "all-in-cw-rn", "all-in-cw-lnn", "none-in-cw-lnn", "none-in-cw-rn",
+            "cw-1-rn", "cw-1-lnn", "repeated-rn", "repeated-lnn",
+        ],
+    )
+    def test_named_windows(self, tw, cw, policy, expected):
+        rn = policy is AnchorPolicy.RN
+        assert _anchor_index(tw, cw, policy) == expected
+        assert kernels_mod._entry_anchor(tw + cw, len(tw), rn) == expected
+
+
+@st.composite
+def unweighted_episodes(draw):
+    """A trace of dense codes, some of them seen once (``prev = -1``),
+    and one Adaptive episode on it, as :func:`weighted_episodes` draws
+    it; long traces let the blocks after the head run over several
+    256-step blocks.  Also draws how many steps the head covers."""
+    cwc = draw(st.integers(1, 12), label="cwc")
+    skip = draw(st.integers(1, 3), label="skip")
+    total = draw(
+        st.one_of(st.integers(cwc + 2, 120), st.integers(800, 1_100)), label="total"
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    codes = rng.integers(0, draw(st.integers(1, 12), label="alphabet"), total)
+    fresh = rng.random(total) < draw(st.sampled_from([0.0, 0.05, 0.3]), label="fresh")
+    codes[fresh] = 100 + np.flatnonzero(fresh)
+    step_ends = np.minimum(
+        np.arange(1, -(-total // skip) + 1, dtype=np.int64) * skip, total
+    )
+    first_entry = int(np.searchsorted(step_ends, cwc + 1))
+    entry = draw(
+        st.integers(first_entry, min(first_entry + 40, step_ends.size - 1)),
+        label="entry",
+    )
+    c_entry = int(step_ends[entry])
+    tw_left = draw(st.integers(0, c_entry - cwc), label="tw_left")
+    cw_left = c_entry - cwc + draw(st.integers(0, cwc - 1), label="moved")
+    head = draw(st.integers(0, kernels_mod._HEAD_STEPS), label="head")
+    return codes, step_ends, entry, tw_left, cw_left, cwc, head
+
+
+class TestUnweightedAdaptive:
+    @settings(max_examples=150, deadline=None)
+    @given(unweighted_episodes())
+    def test_head_and_blocks_equal_window_sets(self, episode):
+        """``_scan_head_unweighted`` then ``_scan_phase_unweighted`` from
+        the step after the head yield, by ``float.hex``, ``|CW ∩ TW| /
+        |CW|`` over distinct codes at every step after the entry, with
+        CW = ``[max(L, c - cwc), c)`` and TW = ``[A, max(L, c - cwc))``."""
+        codes, step_ends, entry, tw_left, cw_left, cwc, head = episode
+        total = int(codes.size)
+        n_steps = int(step_ends.size)
+        prev = kernels_mod._prev_occurrence(codes)
+        distinct_all = kernels_mod._unweighted_window_counts(prev, cwc, 1, total)[0]
+        first = entry + 1
+        stop = min(first + head, n_steps)
+        got = list(
+            kernels_mod._scan_head_unweighted(
+                prev, distinct_all, step_ends, first, stop, tw_left, cw_left, cwc
+            )
+        )
+        for _, blk in kernels_mod._scan_phase_unweighted(
+            prev, distinct_all, step_ends, stop, tw_left, cw_left, cwc, total,
+            n_steps,
+        ):
+            got.extend(blk.tolist())
+        seq = codes.tolist()
+        expected = []
+        tw = set()
+        tw_end = tw_left
+        for c in step_ends[first:].tolist():
+            left = max(cw_left, c - cwc)
+            tw.update(seq[tw_end:left])
+            tw_end = left
+            cw = set(seq[left:c])
+            expected.append(len(cw & tw) / len(cw))
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in expected]

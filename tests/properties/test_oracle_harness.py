@@ -58,7 +58,7 @@ from repro.core import (
 )
 from repro.core.bank import DetectorBank
 from repro.core.decision import build_engine, restore_engine
-from repro.core.kernels import _HEAD_STEPS, run_bank_batched
+from repro.core.kernels import _BLOCK_STEPS, _HEAD_STEPS, run_bank_batched
 from repro.core.stream import StreamingDetector
 from repro.obs.bus import MemorySink
 from repro.profiles.trace import BranchTrace
@@ -696,6 +696,59 @@ def _open_in_head(config) -> List[int]:
     )
 
 
+#: Fresh elements dotted through a long phase; above every other
+#: element the hand-picked traces use.
+DOTS = 2_000
+
+
+def _dotted_loop(length: int, start: int, gap: int, offset: int) -> List[int]:
+    """``[1, 2, 3]`` repeated, with a fresh element at every body index
+    ``i >= start`` where ``i % gap == offset``: a fresh element in the
+    CW is distinct and not in the TW, so the in-phase similarities vary
+    while the phase lasts."""
+    return [
+        DOTS + i if i >= start and i % gap == offset else (1, 2, 3)[i % 3]
+        for i in range(length)
+    ]
+
+
+def _refill_into_blocks(config) -> List[int]:
+    """An Adaptive SLIDE phase that outlasts the head by at least three
+    exit-scan blocks, whose entry resize shortens the CW so much that it
+    refills past the head and starts to slide inside the first block.
+
+    The dots start after the entry's windows, so they do not move the
+    anchor; ``cw_size - 1`` is a multiple of the gap, so when the first
+    element of the window the CW slides from, ``[L, L + cw)``, is a dot,
+    so is its last: shifting or shortening that window by one element
+    changes how many of its elements the TW has not seen."""
+    cwc, skip, gap = config.cw_size, config.skip_factor, 40
+    assert (cwc - 1) % gap == 0
+    length = (_HEAD_STEPS + 3 * _BLOCK_STEPS + 8) * skip + 2 * cwc
+
+    def accept(phases, trace):
+        if not phases or _steps(phases[0]) // skip < _HEAD_STEPS + 3 * _BLOCK_STEPS:
+            return False
+        c_entry = phases[0][0] + skip
+        refill = cwc - _window_after(config, trace, c_entry, "cw")
+        left = c_entry - cwc + refill
+        return (
+            _HEAD_STEPS + 1 < refill // skip + 1 <= _HEAD_STEPS + _BLOCK_STEPS
+            and trace[left] >= DOTS
+            and trace[left + cwc - 1] >= DOTS
+        )
+
+    return _shaped(
+        config,
+        (
+            _fresh(100, 2 * cwc) + _dotted_loop(length, cwc, gap, offset)
+            + _fresh(300, 2 * cwc)
+            for offset in range(gap)
+        ),
+        accept,
+    )
+
+
 def _lane(trailing, model, analyzer, **fields):
     return DetectorConfig(
         trailing=trailing, model=model, analyzer=analyzer, threshold=0.6,
@@ -735,6 +788,20 @@ HEAD_CASES = [
             DetectorConfig(
                 cw_size=6, trailing=TrailingPolicy.ADAPTIVE, anchor=anchor,
                 resize=ResizePolicy.SLIDE, model=m, threshold=0.5,
+            )
+        ]
+    ),
+    *(
+        pytest.param(
+            config, _refill_into_blocks(config), {}, None,
+            id=f"adaptive-refill-to-slide-in-first-block-{m.value}-skip-{skip}",
+        )
+        for m, threshold in [(ModelKind.UNWEIGHTED, 0.5), (ModelKind.WEIGHTED, 0.3)]
+        for skip in (1, 3)
+        for config in [
+            DetectorConfig(
+                cw_size=81, skip_factor=skip, trailing=TrailingPolicy.ADAPTIVE,
+                resize=ResizePolicy.SLIDE, model=m, threshold=threshold,
             )
         ]
     ),
