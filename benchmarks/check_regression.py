@@ -70,6 +70,15 @@ baselines, all as interval arrays); each repeat divided by the lesser
 of the calibration samples just before and just after it, the best
 repeat must stay under ``SCORING_MAX_NORMALIZED``.
 
+The park row times ``PARK_REPEATS`` samples of ``PARK_CYCLES`` park +
+rehydrate cycles of the four ``repro.serve.loadgen.BENCH_CONFIGS``
+sessions on a temporary spool, each session fed the first
+``PARK_ELEMENTS`` bench-trace elements.  It counts CPU time, not wall
+time, the park half and the rehydrate half apart; each divided by the
+lesser of the CPU-timed calibration samples just before and just after
+its sample, the best sample of each half must stay under its
+``PARK_MAX_NORMALIZED`` ceiling.
+
 The serve row replays ``SERVE_SESSIONS`` concurrent suite-workload
 sessions through :mod:`repro.serve` (plus a forced-eviction run that
 parks and rehydrates sessions mid-trace).  Gates: the session count,
@@ -123,6 +132,8 @@ from repro.profiles.synthetic import SyntheticTraceBuilder
 from repro.profiles.trace import BranchTrace
 from repro.scoring.metric import score_intervals
 from repro.scoring.states import runs_from_states
+from repro.serve.loadgen import BENCH_CONFIGS
+from repro.serve.session import Session
 
 BASELINE_VERSION = 1
 BENCH_DIR = Path(__file__).resolve().parent
@@ -229,6 +240,24 @@ SHORT_EPISODE_MAX_NORMALIZED = {
 #: state arrays and matches each pair alone read 3.91-5.52 in eleven
 #: runs alternating with them.
 SCORING_MAX_NORMALIZED = 0.254
+
+#: The park row: ``PARK_CYCLES`` cycles, each parking and then
+#: rehydrating the four ``BENCH_CONFIGS`` sessions fed the first
+#: ``PARK_ELEMENTS`` elements of the bench trace.  Their checkpoints are
+#: 3.2 KB, inside the 2.6-7.2 KB the ``serve-park`` workload writes, so
+#: the file-system work is a large share of each cycle.
+PARK_ELEMENTS = 300
+PARK_CYCLES = 20
+#: Samples of ``PARK_CYCLES`` cycles each, whatever ``--repeats`` says:
+#: the ceiling below is set for the best of this many.
+PARK_REPEATS = 25
+#: Ceilings on the park row's halves, in CPU-timed calibration units.
+#: Each sits a third above the median of eleven runs on the 2-CPU host
+#: (``cpu_count`` 2): park 0.094-0.138 (median 0.116), rehydrate
+#: 0.098-0.128 (0.114).  A park through a temporary file renamed over
+#: the checkpoint, with a ``mkdir`` per park, read 0.138-0.217 (median
+#: 0.168) on the park half in eleven runs alternating with them.
+PARK_MAX_NORMALIZED = {"park": 0.154, "rehydrate": 0.152}
 
 #: The mmap + sidecar warm start must beat the heap read + unique pass
 #: (same-run ratio; any reliable reduction passes).
@@ -383,6 +412,56 @@ def _batch_scoring_fixture(trace):
         [runs_from_states(base) for base in baselines],
         num_elements,
     )
+
+
+def _measure_park(trace):
+    """The park row: ``PARK_REPEATS`` samples of ``PARK_CYCLES`` park +
+    rehydrate cycles of the four ``BENCH_CONFIGS`` sessions on a
+    temporary spool, in CPU time, each half of the cycle timed apart.
+
+    Each sample's halves are divided by the lesser of the CPU-timed
+    calibration samples just before and just after it.  Wall time would
+    also count waits on the disk's writeback, which a truncating write
+    can incur and which other processes' I/O stretches.
+    """
+    elements = trace.array[:PARK_ELEMENTS].tolist()
+    ratios = {"park": [], "rehydrate": []}
+    with tempfile.TemporaryDirectory(prefix="repro-park-") as spool:
+        sessions = []
+        for label, config in BENCH_CONFIGS.items():
+            session = Session(label, config, spool, on_event=lambda *_: None)
+            session.feed(elements)
+            sessions.append(session)
+
+        def cycles():
+            park = rehydrate = 0.0
+            for _ in range(PARK_CYCLES):
+                start = time.process_time()
+                for session in sessions:
+                    session.park()
+                middle = time.process_time()
+                for session in sessions:
+                    session.rehydrate()
+                park += middle - start
+                rehydrate += time.process_time() - middle
+            return park, rehydrate
+
+        cycles()  # warm up: the spool files exist from here on
+        before = _cpu_timed(_calibration_workload)
+        for _ in range(PARK_REPEATS):
+            halves = cycles()
+            after = _cpu_timed(_calibration_workload)
+            for name, seconds in zip(("park", "rehydrate"), halves):
+                ratios[name].append(seconds / min(before, after))
+            before = after
+        sizes = [session.spool_path.stat().st_size for session in sessions]
+    return {
+        "sessions": len(sessions),
+        "cycles": PARK_CYCLES,
+        "checkpoint_bytes": sizes,
+        "normalized": {name: round(min(r), 4) for name, r in ratios.items()},
+        "max_normalized": PARK_MAX_NORMALIZED,
+    }
 
 
 def _measure_serve(calibration):
@@ -815,6 +894,12 @@ def _timed(func):
     return time.perf_counter() - start
 
 
+def _cpu_timed(func):
+    start = time.process_time()
+    func()
+    return time.process_time() - start
+
+
 def measure(repeats):
     trace = bench_trace()
     short_trace = short_episode_trace()
@@ -894,6 +979,7 @@ def measure(repeats):
     calibration = min(cal_samples)
     seq_kernel_seconds, batched_seconds = _measure_bank(trace, bank_configs)
     legacy_bank_seconds = min(legacy_bank_samples)
+    park_row = _measure_park(trace)
     serve_row = _measure_serve(calibration)
     telemetry_row = _measure_telemetry(calibration)
     observer_row = _measure_observer()
@@ -974,6 +1060,7 @@ def measure(repeats):
             "normalized": round(min(scoring_ratios), 4),
             "max_normalized": SCORING_MAX_NORMALIZED,
         },
+        "park": park_row,
         "zero_copy": {
             "warm_start": {
                 "elements": warm_elements,
@@ -1046,6 +1133,11 @@ def _print_report(result):
     scoring = result["scoring"]
     print(f"  scoring[{scoring['lanes']}x{scoring['baselines']}] "
           f"{scoring['seconds']:.4f}s normalized={scoring['normalized']:.4f}")
+    park = result["park"]
+    print(f"  park[{park['sessions']} sessions x {park['cycles']} cycles] "
+          f"normalized CPU park={park['normalized']['park']:.4f} "
+          f"rehydrate={park['normalized']['rehydrate']:.4f} "
+          f"(checkpoints {park['checkpoint_bytes']} B)")
     serve = result["serve"]
     print(f"  serve[{serve['sessions']} sessions] "
           f"{serve['events_per_sec']:.0f} events/s "
@@ -1215,6 +1307,16 @@ def main(argv=None):
         print(f"FAIL: score_intervals took {scoring:.4f} calibration units "
               f"(ceiling {SCORING_MAX_NORMALIZED:g})", file=sys.stderr)
         return 1
+    # Park gates: absolute calibration-normalized CPU ceilings on each
+    # half of the cycle, one spool write and one spool read per session.
+    for half, ceiling in PARK_MAX_NORMALIZED.items():
+        normalized = float(result["park"]["normalized"][half])
+        print(f"park normalized ({half}): {normalized:.4f} (gate <= {ceiling:g})")
+        if normalized > ceiling:
+            print(f"FAIL: the {half} half of {PARK_CYCLES} park + rehydrate "
+                  f"cycles took {normalized:.4f} calibration units of CPU "
+                  f"(ceiling {ceiling:g})", file=sys.stderr)
+            return 1
     # Serving gates: correctness flags are absolute (a mismatch anywhere
     # is a real bug); throughput uses the calibration-normalized floor so
     # the check survives host-speed differences.

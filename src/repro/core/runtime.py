@@ -561,8 +561,8 @@ class DetectorRuntime(DecisionEngine):
         return {
             "filled": model.filled,
             "growing": model.growing,
-            "cw": [int(element) for element in model._cw],
-            "tw": [int(element) for element in model._tw],
+            "cw": list(map(int, model._cw)),
+            "tw": list(map(int, model._tw)),
         }
 
     def _restore_engine_state(self, payload: Dict[str, object]) -> None:
@@ -606,11 +606,11 @@ class DetectorRuntime(DecisionEngine):
                 f"windowed checkpoint filled={filled} contradicts windows "
                 f"of {len(cw)}/{len(tw)} elements in state {self.state.value!r}"
             )
-        for element in chain(tw, cw):
-            if type(element) is not int:
-                raise CheckpointError(
-                    f"windowed checkpoint element {element!r:.80} is not an int"
-                )
+        if not set(map(type, chain(tw, cw))) <= {int}:
+            element = next(e for e in chain(tw, cw) if type(e) is not int)
+            raise CheckpointError(
+                f"windowed checkpoint element {element!r:.80} is not an int"
+            )
         model._load(tw, cw)
         model.consumed = consumed
         model.filled = filled

@@ -136,7 +136,8 @@ def top_frame(stats: Dict[str, object]) -> str:
         lines.append("  rates (last interval):")
         for name, rate in sorted(rates.items()):
             lines.append(f"    {name:<28} {_fmt_rate(rate)}")
-    for name in ("serve.feed_seconds", "serve.rehydrate_seconds"):
+    for name in ("serve.feed_seconds", "serve.park_seconds",
+                 "serve.rehydrate_seconds"):
         summary = histograms.get(name)
         if summary is not None:
             lines.append(_histogram_line(name, summary))  # type: ignore[arg-type]

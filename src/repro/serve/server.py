@@ -30,9 +30,9 @@ The same engine serves two transports:
   connection.
 
 Shutdown is a graceful drain: :meth:`drain` stops intake, lets every
-queue empty, parks still-open sessions (so a future worker could resume
-them), kills what cannot park, and writes a ``serve-run`` manifest with
-one record per session plus the server's metrics — see
+queue empty, parks still-open sessions (no server reads their spool
+files back), kills what cannot park, and writes a ``serve-run``
+manifest with one record per session plus the server's metrics — see
 ``docs/serving.md``.
 """
 
@@ -85,11 +85,15 @@ def _config_from_wire(data: Dict[str, object]) -> DetectorConfig:
     return DetectorConfig.from_dict({**_CONFIG_DEFAULTS, **data})
 
 
+async def _reply(writer: asyncio.StreamWriter, message: Dict[str, object]) -> None:
+    writer.write(protocol.encode_message(message))
+    await writer.drain()
+
+
 class _Lane:
     """One session's serving machinery: queue, worker, transport hooks."""
 
-    __slots__ = ("session", "queue", "worker", "on_event", "flush", "out",
-                 "failure")
+    __slots__ = ("session", "queue", "worker", "on_event", "flush")
 
     def __init__(self, session: Session, queue_size: int) -> None:
         self.session = session
@@ -97,8 +101,6 @@ class _Lane:
         self.worker: Optional[asyncio.Task] = None
         self.on_event: Optional[Callable[[str, Dict[str, object]], None]] = None
         self.flush: Optional[Callable[[], "asyncio.Future"]] = None
-        self.out: List[bytes] = []
-        self.failure: Optional[str] = None
 
 
 class PhaseServer:
@@ -170,6 +172,7 @@ class PhaseServer:
             )
         self._lanes: "OrderedDict[str, _Lane]" = OrderedDict()
         self._records: List[Dict[str, object]] = []  # finished sessions
+        self._failures: Dict[str, str] = {}  # sid -> why its session failed
         self._resident: "OrderedDict[str, Session]" = OrderedDict()
         self._draining = False
         self._started = time.perf_counter()
@@ -206,12 +209,15 @@ class PhaseServer:
         )
 
     def _park(self, session: Session) -> bool:
-        """Park one session, with the counter and (optional) span."""
-        with self._span("serve.park", sid=session.sid):
-            parked = session.park()
-        if parked:
-            self.metrics.counter("serve.sessions_parked").inc()
-        return parked
+        """Park one session, with the counter, histogram and (optional)
+        span; ``False`` when it holds nothing to park."""
+        if not session.hydrated:
+            return False
+        with self._span("serve.park", sid=session.sid), \
+                self.metrics.time_histogram("serve.park_seconds"):
+            session.park()
+        self.metrics.counter("serve.sessions_parked").inc()
+        return True
 
     def _hydrate(self, session: Session) -> None:
         """Make ``session`` resident, parking LRU sessions over the cap.
@@ -265,6 +271,7 @@ class PhaseServer:
             raise SessionError("server is draining; not accepting sessions")
         if sid in self._lanes:
             raise SessionError(f"session {sid} is already open")
+        self._failures.pop(sid, None)
         session = Session(
             sid,
             config,
@@ -300,9 +307,9 @@ class PhaseServer:
     def _lane(self, sid: str) -> _Lane:
         lane = self._lanes.get(sid)
         if lane is None:
-            raise SessionError(f"no open session {sid}")
-        if lane.failure is not None:
-            raise SessionError(f"session {sid} failed: {lane.failure}")
+            failure = self._failures.get(sid)
+            raise SessionError(f"no open session {sid}" if failure is None
+                               else f"session {sid} failed: {failure}")
         return lane
 
     async def _worker(self, lane: _Lane) -> None:
@@ -339,19 +346,19 @@ class PhaseServer:
             except asyncio.CancelledError:
                 raise
             except Exception as error:  # noqa: BLE001 - reported to the client
-                lane.failure = str(error)
+                failure = self._failures[session.sid] = str(error)
                 logger.warning("session %s failed: %s", session.sid, error)
                 session.kill()
                 self.metrics.counter("serve.sessions_failed").inc()
                 self._finish_lane(lane)
                 if kind == "close" and not payload.done():
-                    payload.set_exception(SessionError(lane.failure))
+                    payload.set_exception(SessionError(failure))
                 # Discard anything still queued so queue.join() (drain)
                 # cannot wait on chunks nobody will ever process.
                 while not queue.empty():
                     dead_kind, dead_payload, _ = queue.get_nowait()
                     if dead_kind == "close" and not dead_payload.done():
-                        dead_payload.set_exception(SessionError(lane.failure))
+                        dead_payload.set_exception(SessionError(failure))
                     queue.task_done()
                 return
             finally:
@@ -475,9 +482,7 @@ class PhaseServer:
                 try:
                     line = await reader.readline()
                 except (asyncio.LimitOverrunError, ValueError):
-                    writer.write(protocol.encode_message(
-                        protocol.error_message(None, "line too long")))
-                    await writer.drain()
+                    await _reply(writer, protocol.error_message(None, "line too long"))
                     break
                 if not line:
                     break
@@ -487,9 +492,7 @@ class PhaseServer:
                     message = protocol.decode_message(line)
                     op = protocol.validate_client_message(message)
                 except ProtocolError as error:
-                    writer.write(protocol.encode_message(
-                        protocol.error_message(None, str(error))))
-                    await writer.drain()
+                    await _reply(writer, protocol.error_message(None, str(error)))
                     break
                 if not await self._dispatch(op, message, writer, owned):
                     break
@@ -523,25 +526,20 @@ class PhaseServer:
     ) -> bool:
         """Apply one validated client message; False closes the connection."""
         if op == "ping":
-            writer.write(protocol.encode_message({"op": "pong"}))
-            await writer.drain()
+            await _reply(writer, {"op": "pong"})
             return True
         if op == "stats":
-            writer.write(protocol.encode_message(self.stats_payload()))
-            await writer.drain()
+            await _reply(writer, self.stats_payload())
             return True
         if op == "healthz":
-            writer.write(protocol.encode_message(self.healthz_payload()))
-            await writer.drain()
+            await _reply(writer, self.healthz_payload())
             return True
         sid: str = message["sid"]  # type: ignore[assignment]
         if op == "open":
             try:
                 config = _config_from_wire(message["config"])  # type: ignore[arg-type]
-            except (KeyError, TypeError, ValueError) as error:
-                writer.write(protocol.encode_message(
-                    protocol.error_message(sid, f"bad config: {error}")))
-                await writer.drain()
+            except (KeyError, TypeError, ValueError) as bad:
+                await _reply(writer, protocol.error_message(sid, f"bad config: {bad}"))
                 return True
             lane_out: List[bytes] = []
 
@@ -560,39 +558,29 @@ class PhaseServer:
                 await self.open_session(sid, config, on_event=on_event,
                                         flush=flush)
             except (SessionError, ProtocolError, ValueError) as error:
-                writer.write(protocol.encode_message(
-                    protocol.error_message(sid, str(error))))
-                await writer.drain()
+                await _reply(writer, protocol.error_message(sid, str(error)))
                 return True
             owned.append(sid)
-            writer.write(protocol.encode_message(protocol.opened_message(sid)))
-            await writer.drain()
+            await _reply(writer, protocol.opened_message(sid))
             return True
-        if sid not in self._lanes or sid not in owned:
-            writer.write(protocol.encode_message(
-                protocol.error_message(sid, f"no open session {sid}")))
-            await writer.drain()
+        if sid not in owned:
+            await _reply(writer, protocol.error_message(sid, f"no open session {sid}"))
             return True
         if op == "events":
             try:
                 await self.feed(sid, message["elements"])  # type: ignore[arg-type]
             except SessionError as error:
-                writer.write(protocol.encode_message(
-                    protocol.error_message(sid, str(error))))
-                await writer.drain()
+                await _reply(writer, protocol.error_message(sid, str(error)))
             return True
         # close
         try:
             summary = await self.close_session(sid)
         except SessionError as error:
-            writer.write(protocol.encode_message(
-                protocol.error_message(sid, str(error))))
-            await writer.drain()
+            await _reply(writer, protocol.error_message(sid, str(error)))
             return True
         owned.remove(sid)
-        writer.write(protocol.encode_message(protocol.closed_message(
-            sid, int(summary["elements"]), int(summary["phases"]))))
-        await writer.drain()
+        await _reply(writer, protocol.closed_message(
+            sid, int(summary["elements"]), int(summary["phases"])))
         return True
 
     # -- shutdown --------------------------------------------------------------

@@ -42,6 +42,7 @@ from pathlib import Path
 from typing import Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.core.config import DetectorConfig
+from repro.core.decision import CheckpointError
 from repro.core.stream import StreamingDetector
 from repro.obs.events import EVENT_TYPES
 from repro.serve.protocol import validate_sid
@@ -137,6 +138,7 @@ class Session:
         self.sid = validate_sid(sid)
         self.config = config
         self.spool_dir = Path(spool_dir)
+        self.spool_path = self.spool_dir / f"{self.sid}.ckpt.json"
         self.on_event = on_event
         self.metrics = metrics
         if events not in ("phase", "all"):
@@ -176,10 +178,6 @@ class Session:
     def closed(self) -> bool:
         return self.state is SessionState.CLOSED
 
-    @property
-    def spool_path(self) -> Path:
-        return self.spool_dir / f"{self.sid}.ckpt.json"
-
     def idle_seconds(self, now: Optional[float] = None) -> float:
         return (now if now is not None else time.monotonic()) - self.last_active
 
@@ -200,30 +198,43 @@ class Session:
     def park(self) -> bool:
         """Checkpoint to the spool and drop the in-memory detector.
 
+        The checkpoint is written in place over the session's previous
+        one (see ``docs/formats.md`` for what a crash mid-write leaves).
         Returns ``False`` (a no-op) when there is nothing to park — the
         session is already parked or closed.
         """
         if self._detector is None or self.closed:
             return False
-        data = self._detector.checkpoint()
-        path = self.spool_path
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        tmp.write_text(json.dumps(data, separators=(",", ":")) + "\n",
-                       encoding="utf-8")
-        tmp.replace(path)
+        data = (json.dumps(self._detector.checkpoint(), separators=(",", ":"))
+                + "\n").encode("utf-8")
+        try:
+            spool = open(self.spool_path, "wb")
+        except FileNotFoundError:
+            self.spool_dir.mkdir(parents=True, exist_ok=True)
+            spool = open(self.spool_path, "wb")
+        with spool:
+            spool.write(data)
         self._detector = None
         self.state = SessionState.PARKED
         self.parks += 1
         return True
 
     def rehydrate(self) -> None:
-        """Restore the detector from the spool, bit-identically."""
+        """Restore the detector from the spool, bit-identically.
+
+        A missing, torn or non-UTF-8-JSON spool file raises
+        :class:`~repro.core.decision.CheckpointError` naming the file.
+        """
         if self.closed:
             raise SessionError(f"session {self.sid} is closed")
         if self._detector is not None:
             return
-        data = json.loads(self.spool_path.read_text(encoding="utf-8"))
+        path = self.spool_path
+        try:
+            with open(path, "rb") as spool:
+                data = json.loads(spool.read().decode("utf-8"))
+        except (OSError, ValueError) as error:  # missing, torn, not UTF-8
+            raise CheckpointError(f"unreadable spool file {path}: {error}") from error
         self._detector = StreamingDetector.restore(
             data, observer=self._observer, metrics=self.metrics
         )

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +15,9 @@ from repro.core.config import (
     ResizePolicy,
     TrailingPolicy,
 )
+from repro.core.decision import CheckpointError
 from repro.core.engine import run_detector
+from repro.core.stream import StreamingDetector
 from repro.obs.bus import MemorySink
 from repro.profiles.synthetic import make_phased_trace
 from repro.serve.protocol import ProtocolError
@@ -246,3 +250,108 @@ class TestParkRehydrateIdentity:
             assert json.loads(text)["phases"] == []
             sizes.append(len(text) - 2 * len(str(length)))
         assert sizes[0] == sizes[1]
+
+
+def spool_bytes(config, elements):
+    """The bytes a park must leave: the checkpoint of a detector fed the
+    same elements uninterrupted, as compact JSON plus a newline."""
+    detector = StreamingDetector(config)
+    detector.feed(elements)
+    text = json.dumps(detector.checkpoint(), separators=(",", ":")) + "\n"
+    return text.encode("utf-8")
+
+
+class TestSpoolContract:
+    """A park is one in-place write of ``<sid>.ckpt.json``; a rehydrate
+    one read of it."""
+
+    def test_park_leaves_only_the_checkpoint_bytes(self, tmp_path, trace):
+        config = MATRIX["weighted-threshold-constant"]
+        elements = trace.array[:1_500].tolist()
+        session = make_session(tmp_path, config, [])
+        session.feed(elements[:700])
+        session.park()
+        session.feed(elements[700:])
+        session.park()
+        assert [path.name for path in tmp_path.iterdir()] == ["s1.ckpt.json"]
+        assert session.spool_path.read_bytes() == spool_bytes(config, elements)
+
+    def test_park_overwrites_the_same_file(self, tmp_path, trace):
+        # In place: no fresh inode per park, as a tmp file renamed over
+        # the old checkpoint would make.
+        session = make_session(
+            tmp_path, MATRIX["unweighted-threshold-constant"], [])
+        session.feed(trace.array[:500].tolist())
+        session.park()
+        inode = session.spool_path.stat().st_ino
+        session.feed(trace.array[500:900].tolist())
+        session.park()
+        assert session.spool_path.stat().st_ino == inode
+
+    def test_shorter_checkpoint_leaves_no_stale_tail(self, tmp_path, trace):
+        # Deep in the first phase the Adaptive TW holds ~1,100 elements;
+        # the exit at step 1,357 flushes it, so the second checkpoint is
+        # a tenth the size of the first.
+        config = MATRIX["unweighted-average-adaptive-slide"]
+        elements = trace.array[:1_400].tolist()
+        events = []
+        session = make_session(tmp_path, config, events)
+        session.feed(elements[:1_300])
+        session.park()
+        long_size = session.spool_path.stat().st_size
+        session.feed(elements[1_300:])
+        session.park()
+        assert [e["ev"] for e in events] == ["phase_enter", "phase_exit"]
+        assert session.spool_path.stat().st_size * 4 < long_size
+        assert session.spool_path.read_bytes() == spool_bytes(config, elements)
+        session.close()
+        assert encode(events) == offline_stream(trace, config, 1_400)
+
+    def test_park_makes_a_missing_spool_directory(self, tmp_path, trace):
+        config = MATRIX["unweighted-threshold-constant"]
+        spool = tmp_path / "not" / "yet"
+        session = Session("s1", config, spool, on_event=lambda *_: None)
+        session.feed(trace.array[:600].tolist())
+        assert session.park()
+        assert session.spool_path.parent == spool
+        session.feed(trace.array[600:1_200].tolist())
+        shutil.rmtree(tmp_path / "not")   # removed while the session is resident
+        assert session.park()
+        assert session.spool_path.read_bytes() == spool_bytes(
+            config, trace.array[:1_200].tolist())
+
+    def test_close_and_kill_remove_the_file(self, tmp_path, trace):
+        config = MATRIX["unweighted-threshold-constant"]
+        closed = Session("closed", config, tmp_path, on_event=lambda *_: None)
+        killed = Session("killed", config, tmp_path, on_event=lambda *_: None)
+        for session in (closed, killed):
+            session.feed(trace.array[:600].tolist())
+            session.park()
+        assert len(list(tmp_path.iterdir())) == 2
+        closed.close()
+        killed.kill()
+        assert list(tmp_path.iterdir()) == []
+
+
+def _truncate(path):
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+def _not_utf8(path):
+    path.write_bytes(b"\xff\xfe" + path.read_bytes()[2:])
+
+
+class TestUnreadableSpool:
+    """A damaged spool file fails rehydration with a typed error."""
+
+    @pytest.mark.parametrize("damage", [_truncate, Path.unlink, _not_utf8],
+                             ids=["torn", "missing", "not-utf8"])
+    def test_rehydrate_raises_checkpoint_error(self, tmp_path, trace, damage):
+        session = make_session(
+            tmp_path, MATRIX["weighted-average-adaptive-move"], [])
+        session.feed(trace.array[:900].tolist())
+        session.park()
+        damage(session.spool_path)
+        with pytest.raises(CheckpointError, match="s1.ckpt.json"):
+            session.feed(trace.array[900:1_000].tolist())
+        assert session.state is SessionState.PARKED

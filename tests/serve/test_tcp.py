@@ -14,7 +14,7 @@ from repro.profiles.synthetic import make_phased_trace
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import PhaseServer
-from repro.serve.session import PHASE_EVENT_KINDS
+from repro.serve.session import PHASE_EVENT_KINDS, SessionState
 
 CONFIG = DetectorConfig(cw_size=200, threshold=0.6)
 
@@ -151,3 +151,49 @@ class TestWire:
             server.close()
 
         asyncio.run(run())
+
+
+class TestUnreadableSpool:
+    """A parked session whose spool file is torn or gone fails alone."""
+
+    @pytest.mark.parametrize("damage", ["truncated", "deleted"])
+    def test_only_that_session_fails(self, trace, tmp_path, damage):
+        async def run():
+            server = PhaseServer(spool_dir=tmp_path, max_resident=1)
+            await server.start(port=0)
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            elements = trace.array[:1_800].tolist()
+            await client.open("victim", CONFIG)
+            await client.send("victim", elements[:600])
+            await client.ping()
+            await server._lanes["victim"].queue.join()
+            await client.open("bystander", CONFIG)  # parks the victim
+            victim = server._lanes["victim"].session
+            assert victim.state is SessionState.PARKED
+            if damage == "truncated":
+                data = victim.spool_path.read_bytes()
+                victim.spool_path.write_bytes(data[: len(data) // 2])
+            else:
+                victim.spool_path.unlink()
+            for start in range(0, 1_800, 300):
+                await client.send("bystander", elements[start : start + 300])
+                if start == 600:
+                    await client.send("victim", elements[600:900])
+            with pytest.raises(ServeError, match="victim.ckpt.json"):
+                await client.close_session("victim")
+            summary = await client.close_session("bystander")
+            streamed = client.events_for("bystander")
+            errors = client.errors
+            await client.aclose()
+            manifest = await server.drain()
+            server.close()
+            return summary, streamed, errors, manifest
+
+        summary, streamed, errors, manifest = asyncio.run(run())
+        assert summary["elements"] == 1_800
+        assert encode(streamed) == offline_stream(trace, CONFIG, 1_800)
+        assert [e["sid"] for e in errors] == ["victim"]
+        records = {r["sid"]: r for r in manifest["sessions"]}
+        assert records["victim"]["killed"] is True
+        assert records["bystander"]["state"] == "closed"
+        assert manifest["metrics"]["counters"]["serve.sessions_failed"] == 1

@@ -8,6 +8,7 @@ import asyncio
 import pytest
 
 from repro.core.config import DetectorConfig
+from repro.obs.console import top_frame
 from repro.obs.timeseries import read_flight_record
 from repro.obs.trace import Tracer
 from repro.serve.client import ServeClient
@@ -54,6 +55,33 @@ class TestStatsVerb:
         assert sum(feed_hist["buckets"].values()) == 8
         # The runtime histogram rode through the session pass-through.
         assert metrics["histograms"]["runtime.advance_seconds"]["count"] > 0
+
+    def test_park_and_rehydrate_histograms(self):
+        async def run():
+            server = PhaseServer(max_resident=1)
+            await server.start(port=0)
+            client = await ServeClient.connect("127.0.0.1", server.port)
+            await feed_sessions(client, ["p1", "p2"])  # every chunk swaps
+            await client.close_session("p1")
+            await client.close_session("p2")
+            stats = await client.stats()
+            await client.aclose()
+            await server.drain()
+            server.close()
+            return stats
+
+        stats = asyncio.run(run())
+        counters = stats["metrics"]["counters"]
+        histograms = stats["metrics"]["histograms"]
+        assert counters["serve.sessions_parked"] > 0
+        # One observation per real park; drain's no-op parks add none.
+        assert (histograms["serve.park_seconds"]["count"]
+                == counters["serve.sessions_parked"])
+        assert (histograms["serve.rehydrate_seconds"]["count"]
+                == counters["serve.sessions_rehydrated"])
+        frame = top_frame(stats)
+        assert "serve.park_seconds: n=" in frame
+        assert "serve.rehydrate_seconds: n=" in frame
 
     def test_stats_includes_flight_tail_when_recording(self):
         async def run():
