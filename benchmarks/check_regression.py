@@ -243,21 +243,22 @@ SCORING_MAX_NORMALIZED = 0.254
 
 #: The park row: ``PARK_CYCLES`` cycles, each parking and then
 #: rehydrating the four ``BENCH_CONFIGS`` sessions fed the first
-#: ``PARK_ELEMENTS`` elements of the bench trace.  Their checkpoints are
-#: 3.2 KB, inside the 2.6-7.2 KB the ``serve-park`` workload writes, so
-#: the file-system work is a large share of each cycle.
+#: ``PARK_ELEMENTS`` elements of the bench trace.  Their spool records
+#: are 3.0 KB, near the 4.4 KB a ``serve-park`` park writes on average,
+#: so the file-system work is a large share of each cycle.
 PARK_ELEMENTS = 300
 PARK_CYCLES = 20
 #: Samples of ``PARK_CYCLES`` cycles each, whatever ``--repeats`` says:
 #: the ceiling below is set for the best of this many.
 PARK_REPEATS = 25
 #: Ceilings on the park row's halves, in CPU-timed calibration units.
-#: Each sits a third above the median of eleven runs on the 2-CPU host
-#: (``cpu_count`` 2): park 0.094-0.138 (median 0.116), rehydrate
-#: 0.098-0.128 (0.114).  A park through a temporary file renamed over
-#: the checkpoint, with a ``mkdir`` per park, read 0.138-0.217 (median
-#: 0.168) on the park half in eleven runs alternating with them.
-PARK_MAX_NORMALIZED = {"park": 0.154, "rehydrate": 0.152}
+#: Each sits a third above the median of eleven runs of the packed
+#: spool record on the 2-CPU host (``cpu_count`` 2): park 0.046-0.061
+#: (median 0.053), rehydrate 0.073-0.100 (0.084).  A park that writes
+#: the checkpoint as one JSON document through a truncating open read
+#: 0.104-0.133 (median 0.124) on the park half in eleven runs
+#: alternating with them.
+PARK_MAX_NORMALIZED = {"park": 0.070, "rehydrate": 0.111}
 
 #: The mmap + sidecar warm start must beat the heap read + unique pass
 #: (same-run ratio; any reliable reduction passes).
@@ -421,8 +422,8 @@ def _measure_park(trace):
 
     Each sample's halves are divided by the lesser of the CPU-timed
     calibration samples just before and just after it.  Wall time would
-    also count waits on the disk's writeback, which a truncating write
-    can incur and which other processes' I/O stretches.
+    also count waits on the disk's writeback, which a spool write can
+    incur and which other processes' I/O stretches.
     """
     elements = trace.array[:PARK_ELEMENTS].tolist()
     ratios = {"park": [], "rehydrate": []}

@@ -13,6 +13,9 @@ Layers, bottom up:
 
 - :mod:`repro.serve.protocol` — the newline-delimited JSON wire
   protocol and its validation;
+- :mod:`repro.serve.spool` — the spool record a parked session's
+  checkpoint is packed into: int64 element lists behind a JSON header,
+  guarded by a length and a CRC-32;
 - :mod:`repro.serve.session` — one session's lifecycle (open → active
   → parked → rehydrated → closed) around the versioned detector
   checkpoint, with park/rehydrate to a disk spool;

@@ -47,6 +47,8 @@ import re
 from typing import Dict, List, Optional, Union
 
 __all__ = [
+    "ELEMENT_MAX",
+    "ELEMENT_MIN",
     "MAX_ELEMENTS_PER_MESSAGE",
     "MAX_LINE_BYTES",
     "PROTOCOL_VERSION",
@@ -73,6 +75,10 @@ MAX_LINE_BYTES = 1 << 22
 
 #: Most elements one ``events`` message may carry.
 MAX_ELEMENTS_PER_MESSAGE = 1 << 16
+
+#: Profile elements are signed 64-bit (``docs/formats.md``).
+ELEMENT_MIN = -(1 << 63)
+ELEMENT_MAX = (1 << 63) - 1
 
 #: Valid session ids: filesystem-safe, no leading dot, bounded length.
 SID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9._-]{0,63}")
@@ -120,7 +126,7 @@ def decode_message(line: Union[bytes, str]) -> Dict[str, object]:
             raise ProtocolError(f"line is not UTF-8: {error}") from None
     try:
         message = json.loads(line)
-    except json.JSONDecodeError as error:
+    except ValueError as error:  # not JSON, or an int past Python's digit limit
         raise ProtocolError(f"line is not valid JSON: {error}") from None
     if not isinstance(message, dict):
         raise ProtocolError("message is not a JSON object")
@@ -132,7 +138,7 @@ def validate_client_message(message: Dict[str, object]) -> str:
 
     Raises :class:`ProtocolError` naming the first violation: unknown
     op, missing field, bad sid, or an ``elements`` payload that is not
-    a bounded list of integers.
+    a bounded list of signed 64-bit integers.
     """
     op = message.get("op")
     if op not in CLIENT_OPS:
@@ -160,6 +166,10 @@ def validate_client_message(message: Dict[str, object]) -> str:
                 raise ProtocolError(
                     f"events message element {value!r} is not an integer"
                 )
+        if elements and (min(elements) < ELEMENT_MIN or max(elements) > ELEMENT_MAX):
+            raise ProtocolError(
+                "events message carries an element outside the signed 64-bit range"
+            )
     return op  # type: ignore[return-value]
 
 

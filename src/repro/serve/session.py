@@ -35,7 +35,7 @@ events, so it advances as fast as an unobserved one.
 
 from __future__ import annotations
 
-import json
+import os
 import time
 from enum import Enum
 from pathlib import Path
@@ -46,6 +46,7 @@ from repro.core.decision import CheckpointError
 from repro.core.stream import StreamingDetector
 from repro.obs.events import EVENT_TYPES
 from repro.serve.protocol import validate_sid
+from repro.serve.spool import decode_record, encode_record
 
 __all__ = [
     "PHASE_EVENT_KINDS",
@@ -138,7 +139,7 @@ class Session:
         self.sid = validate_sid(sid)
         self.config = config
         self.spool_dir = Path(spool_dir)
-        self.spool_path = self.spool_dir / f"{self.sid}.ckpt.json"
+        self.spool_path = self.spool_dir / f"{self.sid}.ckpt"
         self.on_event = on_event
         self.metrics = metrics
         if events not in ("phase", "all"):
@@ -198,22 +199,28 @@ class Session:
     def park(self) -> bool:
         """Checkpoint to the spool and drop the in-memory detector.
 
-        The checkpoint is written in place over the session's previous
-        one (see ``docs/formats.md`` for what a crash mid-write leaves).
+        The checkpoint is packed as one spool record
+        (:mod:`repro.serve.spool`), written over the session's previous
+        one from offset 0, and the file is truncated to the record's
+        length (see ``docs/formats.md`` for what a crash leaves).
         Returns ``False`` (a no-op) when there is nothing to park — the
         session is already parked or closed.
         """
         if self._detector is None or self.closed:
             return False
-        data = (json.dumps(self._detector.checkpoint(), separators=(",", ":"))
-                + "\n").encode("utf-8")
+        record = encode_record(self._detector.checkpoint())
         try:
-            spool = open(self.spool_path, "wb")
+            fd = os.open(self.spool_path, os.O_WRONLY | os.O_CREAT, 0o666)
         except FileNotFoundError:
             self.spool_dir.mkdir(parents=True, exist_ok=True)
-            spool = open(self.spool_path, "wb")
-        with spool:
-            spool.write(data)
+            fd = os.open(self.spool_path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            view = memoryview(record)
+            while view:
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(record))
+        finally:
+            os.close(fd)
         self._detector = None
         self.state = SessionState.PARKED
         self.parks += 1
@@ -222,7 +229,8 @@ class Session:
     def rehydrate(self) -> None:
         """Restore the detector from the spool, bit-identically.
 
-        A missing, torn or non-UTF-8-JSON spool file raises
+        A missing spool file, or a record that
+        :func:`~repro.serve.spool.decode_record` rejects, raises
         :class:`~repro.core.decision.CheckpointError` naming the file.
         """
         if self.closed:
@@ -232,8 +240,8 @@ class Session:
         path = self.spool_path
         try:
             with open(path, "rb") as spool:
-                data = json.loads(spool.read().decode("utf-8"))
-        except (OSError, ValueError) as error:  # missing, torn, not UTF-8
+                data = decode_record(spool.read())
+        except (OSError, CheckpointError) as error:
             raise CheckpointError(f"unreadable spool file {path}: {error}") from error
         self._detector = StreamingDetector.restore(
             data, observer=self._observer, metrics=self.metrics

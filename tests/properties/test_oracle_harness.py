@@ -16,6 +16,8 @@ and a generated trace, four runs must agree with the oracle:
 3. park/rehydrate at random group boundaries: the vectorized route up to
    the first park point, then ``advance`` between the others, each park
    a ``checkpoint()`` → ``json.dumps`` / ``loads`` → ``restore_engine``;
+   each checkpoint parked in runs 2 and 3 must also come back unchanged
+   from the serve spool record (:mod:`repro.serve.spool`);
 4. the oracle itself, one ``step()`` per group, checkpointed at every
    position the other runs park at.
 
@@ -63,6 +65,7 @@ from repro.core.stream import StreamingDetector
 from repro.obs.bus import MemorySink
 from repro.profiles.trace import BranchTrace
 from repro.scoring.states import states_from_phases
+from repro.serve.spool import decode_record, encode_record
 
 # -- the trace generator --------------------------------------------------------
 
@@ -400,6 +403,7 @@ def check_streaming(config, trace, cuts, stream_parks, expected: Outcome) -> Non
         start = cut
         if index in stream_parks:
             blob = json.dumps(streaming.checkpoint())
+            assert_record_round_trip(streaming.checkpoint(), cut)
             streaming = StreamingDetector.restore(json.loads(blob), on_boundary=record)
             data = json.loads(blob)
             del data["stream"]
@@ -421,10 +425,18 @@ def check_streaming(config, trace, cuts, stream_parks, expected: Outcome) -> Non
     ], "stream boundaries"
 
 
+def assert_record_round_trip(checkpoint, position) -> None:
+    """The serve spool record carries ``checkpoint`` exactly: decoded,
+    it equals the checkpoint's JSON round trip."""
+    decoded = decode_record(encode_record(checkpoint))
+    assert decoded == json.loads(json.dumps(checkpoint)), f"record at {position}"
+
+
 def check_parked(config, trace, parks, expected: Outcome) -> None:
     """Run to the first park point on the routed path (the vectorized
     walk when the engine is eligible), then ``advance`` from park to
-    park, rehydrating the engine from its JSON at each one."""
+    park, rehydrating the engine from its JSON at each one; each parked
+    checkpoint also crosses the serve spool record."""
     engine = build_engine(config)
     base = 0
     for park in parks:
@@ -435,6 +447,7 @@ def check_parked(config, trace, parks, expected: Outcome) -> None:
         base = park
         blob = dumps(engine)
         assert blob == expected.checkpoints[park], f"parked at {park}"
+        assert_record_round_trip(engine.checkpoint(), park)
         engine = restore_engine(json.loads(blob))
         assert dumps(engine) == blob, f"restore at {park} is not a fixed point"
     engine.advance(trace[base:])

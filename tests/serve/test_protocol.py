@@ -65,6 +65,12 @@ class TestFraming:
         with pytest.raises(ProtocolError):
             decode_message(line)
 
+    def test_decode_rejects_an_int_past_the_digit_limit(self):
+        # json.loads raises a plain ValueError past 4,300 digits.
+        line = b'{"op":"events","sid":"s","elements":[' + b"7" * 5_000 + b"]}\n"
+        with pytest.raises(ProtocolError, match="not valid JSON"):
+            decode_message(line)
+
     def test_decode_rejects_oversized_line(self):
         line = b'{"op":"ping","pad":"' + b"x" * protocol.MAX_LINE_BYTES + b'"}'
         with pytest.raises(ProtocolError):
@@ -111,6 +117,19 @@ class TestClientMessageValidation:
         assert str(error.value) == (
             f"events message element {bad!r} is not an integer"
         )
+
+    @pytest.mark.parametrize("value", [1 << 63, -(1 << 63) - 1, 1 << 70])
+    def test_rejects_elements_outside_int64(self, value):
+        message = {"op": "events", "sid": "s", "elements": [1, value, 2]}
+        with pytest.raises(ProtocolError, match="signed 64-bit"):
+            validate_client_message(message)
+
+    def test_accepts_the_int64_bounds(self):
+        message = {"op": "events", "sid": "s",
+                   "elements": [protocol.ELEMENT_MIN, 0, protocol.ELEMENT_MAX]}
+        assert validate_client_message(message) == "events"
+        assert validate_client_message(
+            {"op": "events", "sid": "s", "elements": []}) == "events"
 
     def test_rejects_oversized_batch(self):
         message = {

@@ -260,7 +260,7 @@ class TestLifecycleManagement:
             manifest = await server.drain()
             with pytest.raises(SessionError):
                 await server.open_session("late", CONFIG)
-            spool = server.spool_dir / "open1.ckpt.json"
+            spool = server.spool_dir / "open1.ckpt"
             spooled = spool.exists()
             manifest_file = server.spool_dir / "serve.manifest.json"
             on_disk = json.loads(manifest_file.read_text())

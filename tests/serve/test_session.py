@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
+import struct
+import zlib
 from pathlib import Path
 
 import pytest
@@ -28,6 +31,7 @@ from repro.serve.session import (
     SessionError,
     SessionState,
 )
+from repro.serve.spool import MAGIC, PREFIX, decode_record, encode_record
 
 #: The checkpoint matrix: model x analyzer x trailing, plus both
 #: resize policies on the adaptive side.
@@ -223,47 +227,61 @@ class TestParkRehydrateIdentity:
         session.close()
         assert encode(events) == offline_stream(trace, config, length)
 
-    def test_spool_file_is_valid_checkpoint_json(self, tmp_path, trace):
+    def test_spool_file_is_a_checkpoint_record(self, tmp_path, trace):
         session = make_session(
             tmp_path, MATRIX["unweighted-threshold-constant"], [])
-        session.feed(trace.array[:1_000].tolist())
+        session.feed(trace.array[:1_003].tolist())
+        checkpoint = session._detector.checkpoint()
         session.park()
-        data = json.loads(session.spool_path.read_text())
-        assert data["format"] == "repro-detector-checkpoint"
-        assert data["version"] == 3
-        assert sorted(data["stream"]) == ["buffer", "position"]
+        data = session.spool_path.read_bytes()
+        magic, head_size, payload_size, crc = PREFIX.unpack_from(data)
+        assert magic == MAGIC == b"RPSPOOL1"
+        assert payload_size == len(data) - PREFIX.size
+        assert crc == zlib.crc32(data[PREFIX.size:])
+        header = json.loads(data[PREFIX.size : PREFIX.size + head_size])
+        assert header["format"] == "repro-detector-checkpoint"
+        assert header["version"] == 3
+        engine, stream = checkpoint["engine"], checkpoint["stream"]
+        # Each packed list leaves its length in the header ...
+        assert header["engine"] == {**engine, "cw": 200, "tw": 200}
+        assert header["stream"] == {"position": 1_003, "buffer": 0}
+        assert stream["buffer"] == []
+        # ... and its elements in the body, as int64 in PACKED order.
+        body = data[PREFIX.size + head_size :]
+        packed = engine["cw"] + engine["tw"]
+        assert body == struct.pack(f"<{len(packed)}q", *packed)
+        assert decode_record(data) == checkpoint
 
     def test_spool_size_does_not_grow_with_the_stream(self, tmp_path):
         """The spool file keeps no per-element history: on a phase-free
-        stream a short and a long session's checkpoints differ only in
-        the digits of their two position counters (``consumed`` and
+        stream a short and a long session's records differ only in the
+        digits of their two position counters (``consumed`` and
         ``stream.position``)."""
         config = MATRIX["unweighted-threshold-constant"]
         sizes = []
         for length in (2_450, 16_180):
             session = make_session(tmp_path / str(length), config, [])
-            # Seven-digit elements that never repeat: no phase opens, and
-            # the windows hold the same number of digits either way.
+            # Elements that never repeat: no phase opens, and the windows
+            # hold as many elements either way.
             session.feed(list(range(1_000_000, 1_000_000 + length)))
             session.park()
-            text = session.spool_path.read_text()
-            assert json.loads(text)["phases"] == []
-            sizes.append(len(text) - 2 * len(str(length)))
+            data = session.spool_path.read_bytes()
+            assert decode_record(data)["phases"] == []
+            sizes.append(len(data) - 2 * len(str(length)))
         assert sizes[0] == sizes[1]
 
 
 def spool_bytes(config, elements):
-    """The bytes a park must leave: the checkpoint of a detector fed the
-    same elements uninterrupted, as compact JSON plus a newline."""
+    """The bytes a park must leave: the record of the checkpoint of a
+    detector fed the same elements uninterrupted."""
     detector = StreamingDetector(config)
     detector.feed(elements)
-    text = json.dumps(detector.checkpoint(), separators=(",", ":")) + "\n"
-    return text.encode("utf-8")
+    return encode_record(detector.checkpoint())
 
 
 class TestSpoolContract:
-    """A park is one in-place write of ``<sid>.ckpt.json``; a rehydrate
-    one read of it."""
+    """A park is one in-place write of the record to ``<sid>.ckpt``,
+    truncated to its length; a rehydrate one read of it."""
 
     def test_park_leaves_only_the_checkpoint_bytes(self, tmp_path, trace):
         config = MATRIX["weighted-threshold-constant"]
@@ -273,7 +291,7 @@ class TestSpoolContract:
         session.park()
         session.feed(elements[700:])
         session.park()
-        assert [path.name for path in tmp_path.iterdir()] == ["s1.ckpt.json"]
+        assert [path.name for path in tmp_path.iterdir()] == ["s1.ckpt"]
         assert session.spool_path.read_bytes() == spool_bytes(config, elements)
 
     def test_park_overwrites_the_same_file(self, tmp_path, trace):
@@ -333,25 +351,125 @@ class TestSpoolContract:
         assert list(tmp_path.iterdir()) == []
 
 
+def _repack(path, edit):
+    """Rewrite ``path``'s record with ``edit(header, body)`` applied and
+    a prefix whose lengths and CRC match the edited payload."""
+    data = path.read_bytes()
+    _, head_size, _, _ = PREFIX.unpack_from(data)
+    head = data[PREFIX.size : PREFIX.size + head_size]
+    head, body = edit(head, data[PREFIX.size + head_size :])
+    payload = head + body
+    path.write_bytes(
+        PREFIX.pack(MAGIC, len(head), len(payload), zlib.crc32(payload)) + payload
+    )
+
+
 def _truncate(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
 def _not_utf8(path):
-    path.write_bytes(b"\xff\xfe" + path.read_bytes()[2:])
+    _repack(path, lambda head, body: (b"\xff\xfe" + head[2:], body))
+
+
+def _bad_magic(path):
+    path.write_bytes(b"RPSPOOL0" + path.read_bytes()[8:])
+
+
+def _cut_short(path):
+    path.write_bytes(path.read_bytes()[:-8])
+
+
+def _stale_tail(path):
+    # What a crash between the write and the ftruncate leaves after a
+    # longer record.
+    path.write_bytes(path.read_bytes() + bytes(16))
+
+
+def _flipped_payload_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-5] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _count_past_body(path):
+    def edit(head, body):
+        header = json.loads(head)
+        header["engine"]["tw"] += 1
+        return json.dumps(header, separators=(",", ":")).encode(), body
+    _repack(path, edit)
+
+
+def _ragged_body(path):
+    _repack(path, lambda head, body: (head, body[:-3]))
+
+
+def _huge_int_header(path):
+    # Past Python's 4,300-digit limit, json.loads raises ValueError.
+    huge = b'"consumed":' + b"9" * 5_000
+    _repack(path, lambda head, body: (re.sub(rb'"consumed":\d+', huge, head), body))
+
+
+#: Each damage and the guard that must catch it.
+DAMAGE = {
+    "torn": (_truncate, "payload bytes, its prefix says"),
+    "missing": (Path.unlink, "No such file"),
+    "not-utf8": (_not_utf8, "header is not JSON.*utf-8"),
+    "bad-magic": (_bad_magic, "magic"),
+    "cut-short": (_cut_short, "payload bytes, its prefix says"),
+    "stale-tail": (_stale_tail, "payload bytes, its prefix says"),
+    "flipped-payload-byte": (_flipped_payload_byte, "CRC-32"),
+    "count-past-body": (_count_past_body, "packed elements, its body holds"),
+    "ragged-body": (_ragged_body, "not a whole number of int64s"),
+    "huge-int-header": (_huge_int_header, "header is not JSON.*4300 digits"),
+}
 
 
 class TestUnreadableSpool:
-    """A damaged spool file fails rehydration with a typed error."""
+    """A damaged spool file fails rehydration with a typed error naming
+    the file and the guard that caught it."""
 
-    @pytest.mark.parametrize("damage", [_truncate, Path.unlink, _not_utf8],
-                             ids=["torn", "missing", "not-utf8"])
-    def test_rehydrate_raises_checkpoint_error(self, tmp_path, trace, damage):
+    @pytest.mark.parametrize("damage,reason", DAMAGE.values(), ids=DAMAGE.keys())
+    def test_rehydrate_raises_checkpoint_error(self, tmp_path, trace, damage, reason):
         session = make_session(
             tmp_path, MATRIX["weighted-average-adaptive-move"], [])
         session.feed(trace.array[:900].tolist())
         session.park()
         damage(session.spool_path)
-        with pytest.raises(CheckpointError, match="s1.ckpt.json"):
+        with pytest.raises(CheckpointError, match=f"s1\\.ckpt: .*{reason}"):
             session.feed(trace.array[900:1_000].tolist())
         assert session.state is SessionState.PARKED
+
+
+class TestRecord:
+    """The record codec on its own (every family's checkpoints cross it
+    in the oracle harness)."""
+
+    def test_round_trip_leaves_the_checkpoint_alone(self, trace):
+        detector = StreamingDetector(MATRIX["skip-factor"])
+        detector.feed(trace.array[:1_002].tolist())
+        checkpoint = detector.checkpoint()
+        text = json.dumps(checkpoint)
+        assert decode_record(encode_record(checkpoint)) == checkpoint
+        assert json.dumps(checkpoint) == text
+        assert checkpoint["stream"]["buffer"] == trace.array[1_000:1_002].tolist()
+
+    def test_int64_bounds(self):
+        checkpoint = {"engine": {"buffer": [-(2**63), 2**63 - 1]}}
+        assert decode_record(encode_record(checkpoint)) == checkpoint
+        for value in (2**63, -(2**63) - 1):
+            with pytest.raises(struct.error):
+                encode_record({"engine": {"buffer": [value]}})
+
+    @pytest.mark.parametrize("count", [-1, True, 1.0, "1", None])
+    def test_rejects_a_header_count_that_is_not_a_length(self, count):
+        head = json.dumps({"stream": {"buffer": count}}).encode()
+        payload = head + bytes(8)
+        data = PREFIX.pack(MAGIC, len(head), len(payload), zlib.crc32(payload))
+        with pytest.raises(CheckpointError, match="stream.buffer"):
+            decode_record(data + payload)
+
+    @pytest.mark.parametrize("data", [b"", b"RPSPOOL1", bytes(PREFIX.size)])
+    def test_rejects_a_short_or_blank_prefix(self, data):
+        with pytest.raises(CheckpointError):
+            decode_record(data)

@@ -153,6 +153,60 @@ class TestWire:
         asyncio.run(run())
 
 
+#: Hostile ``events`` lines: an int past Python's 4,300-digit limit
+#: (``json.loads`` raises a plain ValueError) and one past int64.
+HOSTILE_LINES = {
+    "digits": b'{"op":"events","sid":"hostile","elements":[' + b"9" * 5_000 + b"]}\n",
+    "int64": b'{"op":"events","sid":"hostile","elements":[1,%d]}\n' % (1 << 70),
+}
+
+
+class TestHostileIntegers:
+    @pytest.mark.parametrize("kind", sorted(HOSTILE_LINES))
+    def test_error_reply_and_bystander_unmoved(self, trace, kind):
+        async def run():
+            server = PhaseServer()
+            await server.start(port=0)
+            bystander = await ServeClient.connect("127.0.0.1", server.port)
+            elements = trace.array[:1_800].tolist()
+            await bystander.open("bystander", CONFIG)
+            await bystander.send("bystander", elements[:900])
+            reader, writer = await asyncio.open_connection(
+                "127.0.0.1", server.port)
+            writer.write(protocol.encode_message(
+                {"op": "open", "sid": "hostile", "config": {"cw_size": 200}}))
+            writer.write(HOSTILE_LINES[kind])
+            await writer.drain()
+            # A server that serves the line never replies: time out.
+            opened, reply = [
+                protocol.decode_message(
+                    await asyncio.wait_for(reader.readline(), timeout=10))
+                for _ in range(2)
+            ]
+            tail = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            await bystander.send("bystander", elements[900:])
+            summary = await bystander.close_session("bystander")
+            streamed = bystander.events_for("bystander")
+            await bystander.aclose()
+            manifest = await server.drain()
+            server.close()
+            return opened, reply, tail, summary, streamed, manifest
+
+        opened, reply, tail, summary, streamed, manifest = asyncio.run(run())
+        assert opened["op"] == "opened"
+        assert reply["op"] == "error"
+        assert ("not valid JSON" if kind == "digits" else "signed 64-bit") in reply["error"]
+        assert tail == b""  # the server hung up after the bad line
+        assert summary["elements"] == 1_800
+        assert encode(streamed) == offline_stream(trace, CONFIG, 1_800)
+        records = {r["sid"]: r for r in manifest["sessions"]}
+        assert records["hostile"]["killed"] is True
+        assert records["hostile"]["events_in"] == 0
+        assert records["bystander"]["state"] == "closed"
+
+
 class TestUnreadableSpool:
     """A parked session whose spool file is torn or gone fails alone."""
 
@@ -179,7 +233,7 @@ class TestUnreadableSpool:
                 await client.send("bystander", elements[start : start + 300])
                 if start == 600:
                     await client.send("victim", elements[600:900])
-            with pytest.raises(ServeError, match="victim.ckpt.json"):
+            with pytest.raises(ServeError, match="victim.ckpt"):
                 await client.close_session("victim")
             summary = await client.close_session("bystander")
             streamed = client.events_for("bystander")
