@@ -556,6 +556,7 @@ def cmd_serve_stats(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
+    import signal
 
     from repro.serve.server import PhaseServer
 
@@ -567,7 +568,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     server = PhaseServer(
         spool_dir=Path(args.spool) if args.spool else None,
         max_resident=args.max_resident,
-        queue_size=args.queue_size,
         idle_timeout=args.idle_timeout,
         events=args.events,
         flight_record=Path(args.flight_record) if args.flight_record else None,
@@ -581,6 +581,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
               f"(max_resident={args.max_resident}, spool={server.spool_dir})",
               file=sys.stderr)
         stop = asyncio.Event()
+        # Drain on SIGINT even when the process started with SIGINT
+        # ignored, as a non-interactive shell's background jobs do.
+        asyncio.get_running_loop().add_signal_handler(signal.SIGINT, stop.set)
         try:
             await stop.wait()
         finally:
@@ -621,7 +624,6 @@ def cmd_serve_bench(args: argparse.Namespace) -> int:
         scale=args.scale,
         cache_dir=Path(args.cache_dir) if args.cache_dir else None,
         max_resident=args.max_resident,
-        queue_size=args.queue_size,
         seed=args.seed,
         transport=args.transport,
         connections=args.connections,
@@ -988,15 +990,18 @@ def build_parser() -> argparse.ArgumentParser:
     obs_trace_export.set_defaults(handler=cmd_obs_trace)
 
     serve_parser = subparsers.add_parser(
-        "serve", help="run the streaming phase-detection server (TCP)"
+        "serve", help="run the streaming phase-detection server (TCP)",
+        description="Serve the NDJSON wire protocol (docs/serving.md). Each "
+                    "line is applied in arrival order as soon as it is "
+                    "whole; a client that stops reading stops being read "
+                    "(TCP flow control). SIGINT drains: sessions still open "
+                    "are parked and the serve-run manifest is written.",
     )
     serve_parser.add_argument("--host", default="127.0.0.1")
     serve_parser.add_argument("--port", type=int, default=0,
                               help="0 binds an ephemeral port (printed)")
     serve_parser.add_argument("--max-resident", type=int, default=1024,
                               help="sessions kept hydrated before LRU parking")
-    serve_parser.add_argument("--queue-size", type=int, default=8,
-                              help="per-session inbound queue bound (chunks)")
     serve_parser.add_argument("--idle-timeout", type=float, default=None,
                               help="park sessions idle this many seconds")
     serve_parser.add_argument("--spool", default=None,
@@ -1036,7 +1041,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_bench_parser.add_argument("--connections", type=int, default=8,
                                     help="wire connections (tcp transport)")
     serve_bench_parser.add_argument("--max-resident", type=int, default=None)
-    serve_bench_parser.add_argument("--queue-size", type=int, default=8)
     serve_bench_parser.add_argument("--seed", type=int, default=17)
     serve_bench_parser.add_argument(
         "--family", default="windowed", metavar="NAME",

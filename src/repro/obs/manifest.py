@@ -202,7 +202,6 @@ def summarize_serve_manifest(manifest: Dict[str, object]) -> str:
     )
     lines.append(
         f"  limits:  max_resident={manifest.get('max_resident')}, "
-        f"queue_size={manifest.get('queue_size')}, "
         f"idle_timeout={manifest.get('idle_timeout')}"
     )
     flight_record = manifest.get("flight_record")

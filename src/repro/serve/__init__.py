@@ -14,15 +14,16 @@ Layers, bottom up:
 - :mod:`repro.serve.protocol` — the newline-delimited JSON wire
   protocol and its validation;
 - :mod:`repro.serve.spool` — the spool record a parked session's
-  checkpoint is packed into: int64 element lists behind a JSON header,
-  guarded by a length and a CRC-32;
+  checkpoint is packed into: int32 or int64 element lists behind a
+  JSON header, guarded by a length and a CRC-32;
 - :mod:`repro.serve.session` — one session's lifecycle (open → active
   → parked → rehydrated → closed) around the versioned detector
   checkpoint, with park/rehydrate to a disk spool;
-- :mod:`repro.serve.server` — :class:`PhaseServer`: bounded per-session
-  queues with backpressure, LRU elastic eviction of cold sessions,
-  idle parking, graceful drain, a serve-run manifest, and the TCP
-  front end (the same engine also drives purely in-process);
+- :mod:`repro.serve.server` — :class:`PhaseServer`: every message
+  applied synchronously in arrival order, one ``asyncio.Protocol`` per
+  TCP connection with transport flow control as backpressure, LRU
+  elastic eviction of cold sessions, idle parking, graceful drain and
+  a serve-run manifest (the same engine also drives in-process);
 - :mod:`repro.serve.client` — :class:`ServeClient`, the asyncio wire
   client;
 - :mod:`repro.serve.loadgen` — the seeded load generator behind

@@ -431,7 +431,6 @@ def serve_bench(
     scale: float = 0.3,
     cache_dir: Optional[Path] = None,
     max_resident: Optional[int] = None,
-    queue_size: int = 8,
     seed: int = 17,
     transport: str = "local",
     connections: int = 8,
@@ -491,7 +490,6 @@ def serve_bench(
         server = PhaseServer(
             spool_dir=spool_dir,
             max_resident=max_resident if max_resident is not None else sessions,
-            queue_size=queue_size,
             name="serve-bench",
             sample_latency=True,
             flight_record=flight_record,
@@ -526,7 +524,6 @@ def serve_bench(
         ]
         server = PhaseServer(
             max_resident=park_max_resident,
-            queue_size=queue_size,
             name="serve-bench-park",
             sample_latency=False,
         )

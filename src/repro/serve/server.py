@@ -1,16 +1,24 @@
 """The streaming phase-detection server.
 
 :class:`PhaseServer` multiplexes many concurrent trace-event sessions
-over one asyncio event loop.  Each session gets:
+over one asyncio event loop.  Every message is applied synchronously,
+in arrival order, as soon as it is whole, so nothing waits in a queue
+and no session is ever mid-step while another runs.  The same engine
+serves two transports:
 
-- a bounded :class:`asyncio.Queue` — the **backpressure** boundary: a
-  producer (`feed`, or the TCP reader) blocks when the queue is full,
-  which for a socket client means the server simply stops reading, and
-  TCP flow control pushes back to the sender.  Events are never dropped
-  and never reordered;
-- a worker task that drains the queue, drives the session's
-  :class:`~repro.core.stream.StreamingDetector`, and flushes served
-  events to the session's transport.
+- **in-process** — :meth:`open_session` / :meth:`feed` /
+  :meth:`close_session` with an ``on_event`` callback (what the load
+  generator and the tests drive); each call then awaits the session's
+  ``flush``;
+- **TCP** — :meth:`start` accepts newline-delimited JSON connections
+  speaking :mod:`repro.serve.protocol`, any number of sessions per
+  connection, one :class:`asyncio.Protocol` each.  The replies and
+  served events of one socket read go out in one ``transport.write``.
+
+Backpressure is the transport's flow control: while a connection's
+write buffer is over its high-water mark the server does not read that
+connection, and TCP pushes back to the sender.  Events are never
+dropped and never reordered.
 
 Elastic eviction: at most ``max_resident`` sessions keep detector state
 in memory.  Hydrating one more parks the least-recently-active resident
@@ -20,17 +28,8 @@ idle sweeper parks sessions that have gone quiet, whatever the resident
 count.  Both policies are invisible in the served event stream — only
 latency changes.
 
-The same engine serves two transports:
-
-- **in-process** — :meth:`open_session` / :meth:`feed` /
-  :meth:`close_session` with an ``on_event`` callback (what the load
-  generator and the tests drive);
-- **TCP** — :meth:`start` accepts newline-delimited JSON connections
-  speaking :mod:`repro.serve.protocol`, any number of sessions per
-  connection.
-
-Shutdown is a graceful drain: :meth:`drain` stops intake, lets every
-queue empty, parks still-open sessions (no server reads their spool
+Shutdown is a graceful drain: :meth:`drain` stops intake, closes the
+connections, parks still-open sessions (no server reads their spool
 files back), kills what cannot park, and writes a ``serve-run``
 manifest with one record per session plus the server's metrics — see
 ``docs/serving.md``.
@@ -52,7 +51,7 @@ from repro.obs.manifest import environment_info, write_manifest
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.timeseries import FlightRecorder
 from repro.serve import protocol
-from repro.serve.protocol import ProtocolError
+from repro.serve.protocol import MAX_LINE_BYTES, ProtocolError
 from repro.serve.session import Session, SessionError, SessionState
 
 __all__ = ["PhaseServer", "SERVE_MANIFEST_KIND"]
@@ -61,8 +60,9 @@ logger = logging.getLogger("repro.serve")
 
 SERVE_MANIFEST_KIND = "serve-run"
 
-#: Default bound of each session's inbound chunk queue.
-DEFAULT_QUEUE_SIZE = 8
+#: Seconds a drain lets each connection write out what it holds before
+#: aborting it (a client that stopped reading never takes it all).
+DRAIN_GRACE_S = 1.0
 
 #: Wire-config defaults: every ``DetectorConfig`` field except the
 #: required ``cw_size``, so clients may send partial config dicts
@@ -77,30 +77,13 @@ _CONFIG_DEFAULTS = {
 def _config_from_wire(data: Dict[str, object]) -> DetectorConfig:
     """Parse an ``open`` message's config, filling omitted fields with
     the :class:`DetectorConfig` defaults; unknown keys are an error."""
-    if not isinstance(data, dict):
-        raise TypeError("config must be an object")
-    unknown = set(data) - set(_CONFIG_DEFAULTS) - {"cw_size"}
-    if unknown:
-        raise ValueError(f"unknown config fields: {sorted(unknown)}")
-    return DetectorConfig.from_dict({**_CONFIG_DEFAULTS, **data})
-
-
-async def _reply(writer: asyncio.StreamWriter, message: Dict[str, object]) -> None:
-    writer.write(protocol.encode_message(message))
-    await writer.drain()
-
-
-class _Lane:
-    """One session's serving machinery: queue, worker, transport hooks."""
-
-    __slots__ = ("session", "queue", "worker", "on_event", "flush")
-
-    def __init__(self, session: Session, queue_size: int) -> None:
-        self.session = session
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_size)
-        self.worker: Optional[asyncio.Task] = None
-        self.on_event: Optional[Callable[[str, Dict[str, object]], None]] = None
-        self.flush: Optional[Callable[[], "asyncio.Future"]] = None
+    try:
+        unknown = set(data) - set(_CONFIG_DEFAULTS) - {"cw_size"}
+        if unknown:
+            raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        return DetectorConfig.from_dict({**_CONFIG_DEFAULTS, **data})
+    except (KeyError, TypeError, ValueError) as bad:
+        raise ValueError(f"bad config: {bad}") from None
 
 
 class PhaseServer:
@@ -112,14 +95,13 @@ class PhaseServer:
             that lives as long as the server object.
         max_resident: most sessions allowed to keep detector state in
             memory at once; the LRU excess parks to the spool.
-        queue_size: per-session inbound queue bound (chunks, not
-            elements) — the backpressure knob.
         idle_timeout: park sessions idle longer than this many seconds
             (``None`` disables the sweeper).
         events: ``"phase"`` serves phase boundaries only (the wire
             default); ``"all"`` serves the full event taxonomy.
         sample_latency: record per-chunk service latencies (seconds from
-            enqueue to processed) in :attr:`latency_samples`.
+            the start of the chunk's handling to processed) in
+            :attr:`latency_samples`.
         flight_record: spool interval metrics samples to this JSONL
             flight-record file (``docs/formats.md#flight-record-jsonl``).
         flight_interval: seconds between flight-recorder samples; set it
@@ -134,7 +116,6 @@ class PhaseServer:
         self,
         spool_dir: Optional[Path] = None,
         max_resident: int = 1024,
-        queue_size: int = DEFAULT_QUEUE_SIZE,
         idle_timeout: Optional[float] = None,
         idle_poll: float = 0.05,
         events: str = "phase",
@@ -146,8 +127,6 @@ class PhaseServer:
     ) -> None:
         if max_resident < 1:
             raise ValueError("max_resident must be at least 1")
-        if queue_size < 1:
-            raise ValueError("queue_size must be at least 1")
         self._tmp = None
         if spool_dir is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-serve-")
@@ -155,7 +134,6 @@ class PhaseServer:
         self.spool_dir = Path(spool_dir)
         self.spool_dir.mkdir(parents=True, exist_ok=True)
         self.max_resident = max_resident
-        self.queue_size = queue_size
         self.idle_timeout = idle_timeout
         self.idle_poll = idle_poll
         self.events = events
@@ -170,7 +148,8 @@ class PhaseServer:
                 interval=flight_interval if flight_interval is not None else 1.0,
                 spool_path=flight_record,
             )
-        self._lanes: "OrderedDict[str, _Lane]" = OrderedDict()
+        self._sessions: Dict[str, Session] = {}  # open sessions
+        self._flushes: Dict[str, Callable[[], "asyncio.Future"]] = {}
         self._records: List[Dict[str, object]] = []  # finished sessions
         self._failures: Dict[str, str] = {}  # sid -> why its session failed
         self._resident: "OrderedDict[str, Session]" = OrderedDict()
@@ -179,7 +158,7 @@ class PhaseServer:
         self._tcp_server: Optional[asyncio.AbstractServer] = None
         self._sweeper: Optional[asyncio.Task] = None
         self._flight_task: Optional[asyncio.Task] = None
-        self._connections: set = set()
+        self._connections: "set[_Connection]" = set()
 
     def _span(self, name: str, **attrs):
         """A lifecycle span when a tracer is attached, else a no-op —
@@ -193,7 +172,7 @@ class PhaseServer:
     @property
     def session_count(self) -> int:
         """Sessions currently open (not yet closed or killed)."""
-        return len(self._lanes)
+        return len(self._sessions)
 
     @property
     def resident_count(self) -> int:
@@ -204,8 +183,8 @@ class PhaseServer:
     def parked_count(self) -> int:
         """Open sessions currently checkpointed to the spool."""
         return sum(
-            1 for lane in self._lanes.values()
-            if lane.session.state is SessionState.PARKED
+            1 for session in self._sessions.values()
+            if session.state is SessionState.PARKED
         )
 
     def _park(self, session: Session) -> bool:
@@ -220,11 +199,7 @@ class PhaseServer:
         return True
 
     def _hydrate(self, session: Session) -> None:
-        """Make ``session`` resident, parking LRU sessions over the cap.
-
-        Runs synchronously on the event loop between awaits, so no other
-        session can be mid-feed while residency changes hands.
-        """
+        """Make ``session`` resident, parking LRU sessions over the cap."""
         sid = session.sid
         if sid in self._resident:
             self._resident.move_to_end(sid)
@@ -243,33 +218,37 @@ class PhaseServer:
         if len(self._resident) > high_water.value:
             high_water.set(len(self._resident))
 
-    def _discard(self, session: Session) -> None:
-        self._resident.pop(session.sid, None)
+    def _finish(self, session: Session) -> None:
+        sid = session.sid
+        self._resident.pop(sid, None)
+        self._records.append(session.record())
+        del self._sessions[sid]
+        self._flushes.pop(sid, None)
 
-    def _finish_lane(self, lane: _Lane) -> None:
-        self._discard(lane.session)
-        self._records.append(lane.session.record())
-        self._lanes.pop(lane.session.sid, None)
+    def _session(self, sid: str) -> Session:
+        session = self._sessions.get(sid)
+        if session is None:
+            failure = self._failures.get(sid)
+            raise SessionError(f"no open session {sid}" if failure is None
+                               else f"session {sid} failed: {failure}")
+        return session
 
-    # -- the in-process API ----------------------------------------------------
+    def _fail(self, session: Session, error: Exception) -> str:
+        """Kill a session whose step raised and remember why: its next
+        message gets the reason as an ``error`` reply."""
+        failure = self._failures[session.sid] = str(error)
+        logger.warning("session %s failed: %s", session.sid, error)
+        session.kill()
+        self.metrics.counter("serve.sessions_failed").inc()
+        self._finish(session)
+        return failure
 
-    async def open_session(
-        self,
-        sid: str,
-        config: DetectorConfig,
-        on_event: Optional[Callable[[str, Dict[str, object]], None]] = None,
-        flush: Optional[Callable[[], "asyncio.Future"]] = None,
-    ) -> Session:
-        """Open a session and start its worker.
+    # -- the synchronous core: one message, applied now ---------------------------
 
-        ``on_event(sid, event)`` receives each served detector event
-        synchronously from the worker; ``flush`` (a coroutine function)
-        is awaited after every processed chunk — the TCP front end uses
-        it to write-and-drain buffered wire lines.
-        """
+    def _open(self, sid: str, config: DetectorConfig, on_event) -> Session:
         if self._draining:
             raise SessionError("server is draining; not accepting sessions")
-        if sid in self._lanes:
+        if sid in self._sessions:
             raise SessionError(f"session {sid} is already open")
         self._failures.pop(sid, None)
         session = Session(
@@ -280,104 +259,89 @@ class PhaseServer:
             events=self.events,
             metrics=self.metrics,
         )
-        lane = _Lane(session, self.queue_size)
-        lane.on_event = on_event
-        lane.flush = flush
-        self._lanes[sid] = lane
+        self._sessions[sid] = session
         with self._span("serve.open", sid=sid):
             self._hydrate(session)
         self.metrics.counter("serve.sessions_opened").inc()
-        lane.worker = asyncio.ensure_future(self._worker(lane))
         self._ensure_sweeper()
         self._ensure_flight()
         return session
 
+    def _feed(self, sid: str, elements: Sequence[int]) -> None:
+        """Feed one chunk.  A step that raises fails the session; the
+        failure is reported on its next message, not here."""
+        session = self._session(sid)
+        started = time.perf_counter()
+        try:
+            self._hydrate(session)
+            with self._span("serve.feed", sid=sid, elements=len(elements)), \
+                    self.metrics.time_histogram("serve.feed_seconds"):
+                session.feed(elements)
+        except Exception as error:  # noqa: BLE001 - reported to the client
+            self._fail(session, error)
+            return
+        self.metrics.counter("serve.events_in").inc(len(elements))
+        self.metrics.counter("serve.chunks_in").inc()
+        if self.latency_samples is not None:
+            self.latency_samples.append(time.perf_counter() - started)
+
+    def _close(self, sid: str) -> Dict[str, object]:
+        session = self._session(sid)
+        try:
+            self._hydrate(session)
+            with self._span("serve.close", sid=sid):
+                summary = session.close()
+        except Exception as error:  # noqa: BLE001 - reported to the client
+            raise SessionError(self._fail(session, error)) from error
+        self.metrics.counter("serve.sessions_closed").inc()
+        self._finish(session)
+        return summary
+
+    # -- the in-process API ----------------------------------------------------
+
+    async def open_session(
+        self,
+        sid: str,
+        config: DetectorConfig,
+        on_event: Optional[Callable[[str, Dict[str, object]], None]] = None,
+        flush: Optional[Callable[[], "asyncio.Future"]] = None,
+    ) -> Session:
+        """Open a session.
+
+        ``on_event(sid, event)`` receives each served detector event
+        synchronously while a chunk is fed; ``flush`` (a coroutine
+        function) is awaited after every chunk and after the close, so
+        a slow flush holds back its own caller.
+        """
+        session = self._open(sid, config, on_event)
+        if flush is not None:
+            self._flushes[sid] = flush
+        return session
+
     async def feed(self, sid: str, elements: Sequence[int]) -> None:
-        """Enqueue one chunk for ``sid`` (blocks when its queue is full)."""
-        lane = self._lane(sid)
-        await lane.queue.put(("events", list(elements), time.perf_counter()))
+        """Feed one chunk to ``sid`` now, then await its ``flush``."""
+        self._feed(sid, elements)
+        flush = self._flushes.get(sid)
+        if flush is not None:
+            await flush()
 
     async def close_session(self, sid: str) -> Dict[str, object]:
-        """Finish ``sid`` after its queued chunks; return its summary."""
-        lane = self._lane(sid)
-        future: asyncio.Future = asyncio.get_running_loop().create_future()
-        await lane.queue.put(("close", future, time.perf_counter()))
-        return await future
-
-    def _lane(self, sid: str) -> _Lane:
-        lane = self._lanes.get(sid)
-        if lane is None:
-            failure = self._failures.get(sid)
-            raise SessionError(f"no open session {sid}" if failure is None
-                               else f"session {sid} failed: {failure}")
-        return lane
-
-    async def _worker(self, lane: _Lane) -> None:
-        """Drain one session's queue until it closes or fails."""
-        session = lane.session
-        queue = lane.queue
-        while True:
-            kind, payload, enqueued = await queue.get()
-            try:
-                if kind == "events":
-                    self._hydrate(session)
-                    with self._span("serve.feed", sid=session.sid,
-                                    elements=len(payload)), \
-                            self.metrics.time_histogram("serve.feed_seconds"):
-                        session.feed(payload)
-                    self.metrics.counter("serve.events_in").inc(len(payload))
-                    self.metrics.counter("serve.chunks_in").inc()
-                    if self.latency_samples is not None:
-                        self.latency_samples.append(
-                            time.perf_counter() - enqueued
-                        )
-                    if lane.flush is not None:
-                        await lane.flush()
-                else:  # close
-                    self._hydrate(session)
-                    with self._span("serve.close", sid=session.sid):
-                        summary = session.close()
-                    self.metrics.counter("serve.sessions_closed").inc()
-                    self._finish_lane(lane)
-                    if lane.flush is not None:
-                        await lane.flush()
-                    payload.set_result(summary)
-                    return
-            except asyncio.CancelledError:
-                raise
-            except Exception as error:  # noqa: BLE001 - reported to the client
-                failure = self._failures[session.sid] = str(error)
-                logger.warning("session %s failed: %s", session.sid, error)
-                session.kill()
-                self.metrics.counter("serve.sessions_failed").inc()
-                self._finish_lane(lane)
-                if kind == "close" and not payload.done():
-                    payload.set_exception(SessionError(failure))
-                # Discard anything still queued so queue.join() (drain)
-                # cannot wait on chunks nobody will ever process.
-                while not queue.empty():
-                    dead_kind, dead_payload, _ = queue.get_nowait()
-                    if dead_kind == "close" and not dead_payload.done():
-                        dead_payload.set_exception(SessionError(failure))
-                    queue.task_done()
-                return
-            finally:
-                queue.task_done()
+        """Finish ``sid`` and await its ``flush``; return its summary."""
+        flush = self._flushes.get(sid)
+        summary = self._close(sid)
+        if flush is not None:
+            await flush()
+        return summary
 
     def kill_session(self, sid: str) -> None:
-        """Terminate a session immediately (dropped connection, abort).
-
-        Pending queued chunks are discarded; the manifest records the
-        session as killed in the state it was in.
-        """
-        lane = self._lanes.get(sid)
-        if lane is None:
+        """Terminate a session immediately (dropped connection, abort);
+        the manifest records it as killed in the state it was in."""
+        session = self._sessions.get(sid)
+        if session is None:
             return
-        if lane.worker is not None:
-            lane.worker.cancel()
-        lane.session.kill()
+        session.kill()
         self.metrics.counter("serve.sessions_killed").inc()
-        self._finish_lane(lane)
+        self._finish(session)
 
     # -- idle sweeping ---------------------------------------------------------
 
@@ -392,12 +356,8 @@ class PhaseServer:
             await asyncio.sleep(self.idle_poll)
             now = time.monotonic()
             for sid in list(self._resident):
-                session = self._resident.get(sid)
-                if session is None or session.closed:
-                    continue
-                lane = self._lanes.get(sid)
-                busy = lane is not None and not lane.queue.empty()
-                if not busy and session.idle_seconds(now) >= self.idle_timeout:
+                session = self._resident[sid]
+                if session.idle_seconds(now) >= self.idle_timeout:
                     del self._resident[sid]
                     if self._park(session):
                         self.metrics.counter("serve.sessions_idle_parked").inc()
@@ -451,8 +411,8 @@ class PhaseServer:
         ``port=0`` binds an ephemeral port — read it back from
         ``server.sockets[0].getsockname()``.
         """
-        self._tcp_server = await asyncio.start_server(
-            self._handle_connection, host, port, limit=protocol.MAX_LINE_BYTES
+        self._tcp_server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), host, port
         )
         self._ensure_sweeper()
         self._ensure_flight()
@@ -464,161 +424,46 @@ class PhaseServer:
             return None
         return self._tcp_server.sockets[0].getsockname()[1]
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """One NDJSON connection; any number of multiplexed sessions.
-
-        Messages are processed strictly in arrival order.  ``feed``
-        awaits the session queue, so a full queue stops this reader —
-        that is the wire form of backpressure.
-        """
-        owned: List[str] = []
-        task = asyncio.current_task()
-        if task is not None:
-            self._connections.add(task)
-        try:
-            while True:
-                try:
-                    line = await reader.readline()
-                except (asyncio.LimitOverrunError, ValueError):
-                    await _reply(writer, protocol.error_message(None, "line too long"))
-                    break
-                if not line:
-                    break
-                if not line.strip():
-                    continue
-                try:
-                    message = protocol.decode_message(line)
-                    op = protocol.validate_client_message(message)
-                except ProtocolError as error:
-                    await _reply(writer, protocol.error_message(None, str(error)))
-                    break
-                if not await self._dispatch(op, message, writer, owned):
-                    break
-        except (ConnectionResetError, asyncio.CancelledError):
-            # A drain cancels open connections; exit cleanly so the
-            # asyncio stream wrapper sees a finished task, not a
-            # cancelled one.
-            pass
-        finally:
-            if task is not None:
-                self._connections.discard(task)
-            # A dropped connection kills its unfinished sessions; the
-            # manifest records the state each one died in.  During a
-            # graceful drain the server parks them instead.
-            if not self._draining:
-                for sid in owned:
-                    if sid in self._lanes:
-                        self.kill_session(sid)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionResetError, BrokenPipeError):
-                pass
-
-    async def _dispatch(
-        self,
-        op: str,
-        message: Dict[str, object],
-        writer: asyncio.StreamWriter,
-        owned: List[str],
-    ) -> bool:
-        """Apply one validated client message; False closes the connection."""
-        if op == "ping":
-            await _reply(writer, {"op": "pong"})
-            return True
-        if op == "stats":
-            await _reply(writer, self.stats_payload())
-            return True
-        if op == "healthz":
-            await _reply(writer, self.healthz_payload())
-            return True
-        sid: str = message["sid"]  # type: ignore[assignment]
-        if op == "open":
-            try:
-                config = _config_from_wire(message["config"])  # type: ignore[arg-type]
-            except (KeyError, TypeError, ValueError) as bad:
-                await _reply(writer, protocol.error_message(sid, f"bad config: {bad}"))
-                return True
-            lane_out: List[bytes] = []
-
-            def on_event(session_id: str, event: Dict[str, object],
-                         _out=lane_out) -> None:
-                _out.append(protocol.encode_message(
-                    protocol.event_message(session_id, event)))
-
-            async def flush(_out=lane_out) -> None:
-                if _out:
-                    writer.write(b"".join(_out))
-                    _out.clear()
-                    await writer.drain()
-
-            try:
-                await self.open_session(sid, config, on_event=on_event,
-                                        flush=flush)
-            except (SessionError, ProtocolError, ValueError) as error:
-                await _reply(writer, protocol.error_message(sid, str(error)))
-                return True
-            owned.append(sid)
-            await _reply(writer, protocol.opened_message(sid))
-            return True
-        if sid not in owned:
-            await _reply(writer, protocol.error_message(sid, f"no open session {sid}"))
-            return True
-        if op == "events":
-            try:
-                await self.feed(sid, message["elements"])  # type: ignore[arg-type]
-            except SessionError as error:
-                await _reply(writer, protocol.error_message(sid, str(error)))
-            return True
-        # close
-        try:
-            summary = await self.close_session(sid)
-        except SessionError as error:
-            await _reply(writer, protocol.error_message(sid, str(error)))
-            return True
-        owned.remove(sid)
-        await _reply(writer, protocol.closed_message(
-            sid, int(summary["elements"]), int(summary["phases"])))
-        return True
-
     # -- shutdown --------------------------------------------------------------
 
     async def drain(self, manifest_path: Optional[Path] = None) -> Dict[str, object]:
-        """Gracefully shut down: drain queues, park survivors, manifest.
+        """Gracefully shut down: close connections, park survivors, manifest.
 
-        Stops accepting new sessions and connections, waits for every
-        queued chunk to be processed, parks still-open sessions to the
-        spool (they could be resumed by a future worker), and writes the
+        Stops accepting new sessions and connections, closes every
+        connection (each gets :data:`DRAIN_GRACE_S` to write out what it
+        holds, then is aborted), parks still-open sessions to the spool
+        (they could be resumed by a future worker), and writes the
         ``serve-run`` manifest.  Returns the manifest dict.
         """
         self._draining = True
         if self._tcp_server is not None:
             self._tcp_server.close()
-            await self._tcp_server.wait_closed()
         if self._sweeper is not None:
             self._sweeper.cancel()
         if self._flight_task is not None:
             self._flight_task.cancel()
-        for task in list(self._connections):
-            task.cancel()
-        if self._connections:
-            await asyncio.gather(*self._connections, return_exceptions=True)
-        for lane in list(self._lanes.values()):
-            await lane.queue.join()
-        for sid, lane in list(self._lanes.items()):
-            if lane.worker is not None:
-                lane.worker.cancel()
-            session = lane.session
-            self._discard(session)
+        connections = list(self._connections)
+        for connection in connections:
+            connection.transport.close()
+        if connections:
+            waits = [asyncio.ensure_future(c.lost.wait()) for c in connections]
+            await asyncio.wait(waits, timeout=DRAIN_GRACE_S)
+            for connection in connections:
+                if not connection.lost.is_set():
+                    connection.transport.abort()
+            await asyncio.gather(*waits)
+        if self._tcp_server is not None:
+            await self._tcp_server.wait_closed()
+        for session in list(self._sessions.values()):
+            self._resident.pop(session.sid, None)
             if not session.closed:
                 if session.hydrated or session.state is SessionState.PARKED:
                     self._park(session)
                 else:
                     session.kill()
             self._records.append(session.record())
-            del self._lanes[sid]
+        self._sessions.clear()
+        self._flushes.clear()
         if self.flight is not None:
             # One final sample so the spooled deltas sum to the final
             # counters exactly; then stop spooling.
@@ -635,7 +480,7 @@ class PhaseServer:
         from datetime import datetime, timezone
 
         records = list(self._records)
-        records += [lane.session.record() for lane in self._lanes.values()]
+        records += [session.record() for session in self._sessions.values()]
         flight_record = (
             str(self.flight.spool_path)
             if self.flight is not None and self.flight.spool_path is not None
@@ -649,7 +494,6 @@ class PhaseServer:
             "name": self.name,
             "elapsed_seconds": round(time.perf_counter() - self._started, 6),
             "max_resident": self.max_resident,
-            "queue_size": self.queue_size,
             "idle_timeout": self.idle_timeout,
             "sessions": records,
             "metrics": self.metrics.snapshot(),
@@ -661,3 +505,141 @@ class PhaseServer:
         if self._tmp is not None:
             self._tmp.cleanup()
             self._tmp = None
+
+
+class _Connection(asyncio.Protocol):
+    """One NDJSON connection; any number of multiplexed sessions.
+
+    :meth:`data_received` frames whole lines out of each read and
+    applies them in arrival order; a partial last line waits in
+    :attr:`tail` for the next read, and is never allowed past
+    :data:`~repro.serve.protocol.MAX_LINE_BYTES`.  A line that does not
+    decode or validate gets one ``error`` reply, and the connection
+    closes.  Replies and served events are collected in :attr:`out` and
+    written once per read.
+    """
+
+    def __init__(self, server: PhaseServer) -> None:
+        self.server = server
+        self.transport: Optional[asyncio.Transport] = None
+        self.owned: Dict[str, Session] = {}
+        self.tail = bytearray()
+        self.out: List[bytes] = []
+        self.closing = False
+        self.lost = asyncio.Event()
+
+    # -- asyncio callbacks -----------------------------------------------------
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+        self.server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self.closing:
+            return
+        tail = self.tail
+        start = 0
+        end = data.find(b"\n")
+        while end >= 0:
+            if tail:
+                if len(tail) + end > MAX_LINE_BYTES:
+                    self._refuse(f"line exceeds {MAX_LINE_BYTES} bytes")
+                    break
+                tail += data[:end]
+                line = bytes(tail)
+                tail.clear()
+            else:
+                line = data[start:end]
+            if not self._apply(line):
+                break
+            start = end + 1
+            end = data.find(b"\n", start)
+        else:
+            if len(tail) + len(data) - start > MAX_LINE_BYTES:
+                self._refuse(f"line exceeds {MAX_LINE_BYTES} bytes")
+            else:
+                tail += data[start:]
+        self._write()
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        server = self.server
+        server._connections.discard(self)
+        # A dropped connection kills its unfinished sessions; the
+        # manifest records the state each one died in.  During a
+        # graceful drain the server parks them instead.
+        if not server._draining:
+            for sid, session in self.owned.items():
+                if server._sessions.get(sid) is session:
+                    server.kill_session(sid)
+        self.lost.set()
+
+    # -- applying lines ----------------------------------------------------------
+
+    def _write(self) -> None:
+        if self.out:
+            self.transport.write(b"".join(self.out))
+            self.out.clear()
+        if self.closing:
+            self.transport.close()
+
+    def _reply(self, message: Dict[str, object]) -> None:
+        self.out.append(protocol.encode_message(message))
+
+    def _event(self, sid: str, event: Dict[str, object]) -> None:
+        self.out.append(protocol.encode_message(protocol.event_message(sid, event)))
+
+    def _refuse(self, error: str) -> None:
+        """Answer a line that breaks the framing or the protocol with one
+        ``error``, then close: nothing after it on this connection is
+        applied."""
+        self._reply(protocol.error_message(None, error))
+        self.tail.clear()
+        self.closing = True
+
+    def _apply(self, line: bytes) -> bool:
+        """Apply one wire line; ``False`` once the connection refuses."""
+        if not line or line.isspace():
+            return True
+        try:
+            message = protocol.decode_message(line)
+            op = protocol.validate_client_message(message)
+        except ProtocolError as error:
+            self._refuse(str(error))
+            return False
+        reply = self._answer(op, message)
+        if reply is not None:
+            self._reply(reply)
+        return True
+
+    def _answer(self, op: str, message: Dict[str, object]) -> Optional[Dict[str, object]]:
+        """Apply one valid message; return its reply, if it has one."""
+        server = self.server
+        if op == "ping":
+            return {"op": "pong"}
+        if op == "stats":
+            return server.stats_payload()
+        if op == "healthz":
+            return server.healthz_payload()
+        sid: str = message["sid"]  # type: ignore[assignment]
+        try:
+            if op == "open":
+                config = _config_from_wire(message["config"])  # type: ignore[arg-type]
+                self.owned[sid] = server._open(sid, config, self._event)
+                return protocol.opened_message(sid)
+            if sid not in self.owned:
+                raise SessionError(f"no open session {sid}")
+            if op == "events":
+                server._feed(sid, message["elements"])  # type: ignore[arg-type]
+                return None
+            summary = server._close(sid)
+        except ValueError as error:  # a bad config or a SessionError
+            return protocol.error_message(sid, str(error))
+        del self.owned[sid]
+        return protocol.closed_message(
+            sid, int(summary["elements"]), int(summary["phases"]))

@@ -1,4 +1,4 @@
-"""PhaseServer: multiplexing, backpressure, eviction, drain, manifests."""
+"""PhaseServer: multiplexing, flush ordering, eviction, drain, manifests."""
 
 from __future__ import annotations
 
@@ -52,6 +52,23 @@ async def stream_session(server, sid, config, elements, chunk=300, buffer=None):
     return buffer, summary
 
 
+async def stream_interleaved(server, streams, elements):
+    """Open every ``sid -> (config, chunk, buffer)`` stream, then feed
+    them one chunk each per round, then close them all: the sessions are
+    open together, whatever the server does with each message."""
+    for sid, (config, _chunk, buffer) in streams.items():
+        await server.open_session(
+            sid, config, on_event=lambda _sid, ev, _b=buffer: _b.append(ev))
+    start = dict.fromkeys(streams, 0)
+    while any(offset < len(elements) for offset in start.values()):
+        for sid, (_config, chunk, _buffer) in streams.items():
+            if start[sid] < len(elements):
+                await server.feed(sid, elements[start[sid] : start[sid] + chunk])
+                start[sid] += chunk
+    for sid in streams:
+        await server.close_session(sid)
+
+
 class TestServing:
     def test_many_sessions_match_offline(self, trace):
         async def run():
@@ -59,20 +76,16 @@ class TestServing:
             try:
                 length = 2_500
                 elements = trace.array[:length].tolist()
-                buffers = {}
-                tasks = []
-                for index in range(24):
-                    sid = f"s{index:02d}"
-                    config = CONFIG if index % 2 == 0 else CONFIG_B
-                    buffers[sid] = (config, [])
-                    tasks.append(stream_session(
-                        server, sid, config, elements,
-                        chunk=101 + 13 * index, buffer=buffers[sid][1]))
-                await asyncio.gather(*tasks)
+                streams = {
+                    f"s{index:02d}": (CONFIG if index % 2 == 0 else CONFIG_B,
+                                      101 + 13 * index, [])
+                    for index in range(24)
+                }
+                await stream_interleaved(server, streams, elements)
                 await server.drain()
             finally:
                 server.close()
-            for config, events in buffers.values():
+            for config, _chunk, events in streams.values():
                 assert encode(events) == offline_stream(trace, config, length)
 
         asyncio.run(run())
@@ -84,12 +97,11 @@ class TestServing:
             length = 2_000
             elements = trace.array[:length].tolist()
             buffers = {f"s{i}": [] for i in range(8)}
-            tasks = [
-                stream_session(server, sid, CONFIG, elements, chunk=257,
-                               buffer=buffer)
-                for sid, buffer in buffers.items()
-            ]
-            await asyncio.gather(*tasks)
+            await stream_interleaved(
+                server,
+                {sid: (CONFIG, 257, buffer) for sid, buffer in buffers.items()},
+                elements,
+            )
             parked = server.metrics.counter("serve.sessions_parked").value
             manifest = await server.drain()
             server.close()
@@ -104,7 +116,7 @@ class TestServing:
 
     def test_backpressure_blocks_producer_without_loss(self, trace):
         async def run():
-            server = PhaseServer(max_resident=8, queue_size=2)
+            server = PhaseServer(max_resident=8)
             served = []
             slow = asyncio.Event()
 
@@ -122,8 +134,6 @@ class TestServing:
             for start in range(0, len(elements), 100):
                 await server.feed(sid, elements[start : start + 100])
                 fed += 1
-            # The producer completed every put even though the consumer
-            # lags; the queue bound just made the puts block.
             assert fed == 22
             await server.close_session(sid)
             await server.drain()
@@ -135,9 +145,10 @@ class TestServing:
         # No drops, no reorders: byte-identical to the offline run.
         assert encode(served) == offline_stream(trace, CONFIG, 2_200)
 
-    def test_queue_bound_enforced(self, trace):
+    def test_feed_waits_for_a_blocked_flush_in_order(self, trace):
         async def run():
-            server = PhaseServer(queue_size=3)
+            server = PhaseServer()
+            served = []
             blocked = asyncio.Event()
             release = asyncio.Event()
 
@@ -145,27 +156,33 @@ class TestServing:
                 blocked.set()
                 await release.wait()
 
-            await server.open_session("s", CONFIG, flush=flush)
-            lane_queue = server._lanes["s"].queue
+            await server.open_session(
+                "s", CONFIG, on_event=lambda _sid, ev: served.append(ev),
+                flush=flush)
+            session = server._sessions["s"]
+            elements = trace.array[:2_000].tolist()
 
             async def producer():
-                for _ in range(10):
-                    await server.feed("s", [1, 2, 3])
+                for start in range(0, len(elements), 200):
+                    await server.feed("s", elements[start : start + 200])
 
             task = asyncio.ensure_future(producer())
-            await blocked.wait()
+            await asyncio.wait_for(blocked.wait(), timeout=10)
             await asyncio.sleep(0.01)
-            # The worker is stuck in flush; the queue can hold at most
-            # its bound while the producer waits on put().
-            assert lane_queue.qsize() <= 3
+            # The first chunk is applied and its feed waits in flush:
+            # nothing after it has been applied.
             assert not task.done()
+            assert session.events_in == 200
             release.set()
-            await task
+            await asyncio.wait_for(task, timeout=10)
+            assert session.events_in == 2_000
             await server.close_session("s")
             await server.drain()
             server.close()
+            return served
 
-        asyncio.run(run())
+        served = asyncio.run(run())
+        assert encode(served) == offline_stream(trace, CONFIG, 2_000)
 
 
 class TestLifecycleManagement:
@@ -190,7 +207,6 @@ class TestLifecycleManagement:
             server = PhaseServer()
             await server.open_session("victim", CONFIG)
             await server.feed("victim", trace.array[:600].tolist())
-            await asyncio.sleep(0.05)  # let the worker consume
             server.kill_session("victim")
             manifest = await server.drain()
             server.close()
@@ -211,10 +227,9 @@ class TestLifecycleManagement:
             # Force a worker failure: drop the detector with no spool
             # file behind it, so the rehydrate on next feed blows up.
             await server.open_session("bad", CONFIG)
-            server._lanes["bad"].session._detector = None
+            server._sessions["bad"]._detector = None
             await server.feed("bad", [1, 2, 3])
-            await asyncio.sleep(0.05)
-            with pytest.raises(SessionError):
+            with pytest.raises(SessionError, match="bad failed"):
                 await server.feed("bad", [1, 2, 3])
             # The server still serves other sessions.
             buffer, summary = await stream_session(
@@ -237,7 +252,7 @@ class TestLifecycleManagement:
             await server.feed("idler", trace.array[:500].tolist())
             await asyncio.sleep(0.15)
             assert server.resident_count == 0
-            session = server._lanes["idler"].session
+            session = server._sessions["idler"]
             assert session.state is SessionState.PARKED
             # The next feed rehydrates transparently.
             await server.feed("idler", trace.array[500:1_000].tolist())

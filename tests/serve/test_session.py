@@ -234,8 +234,9 @@ class TestParkRehydrateIdentity:
         checkpoint = session._detector.checkpoint()
         session.park()
         data = session.spool_path.read_bytes()
-        magic, head_size, payload_size, crc = PREFIX.unpack_from(data)
-        assert magic == MAGIC == b"RPSPOOL1"
+        magic, head_size, payload_size, crc, width = PREFIX.unpack_from(data)
+        assert magic == MAGIC == b"RPSPOOL2"
+        assert width == 4  # every suite element fits an int32
         assert payload_size == len(data) - PREFIX.size
         assert crc == zlib.crc32(data[PREFIX.size:])
         header = json.loads(data[PREFIX.size : PREFIX.size + head_size])
@@ -246,10 +247,10 @@ class TestParkRehydrateIdentity:
         assert header["engine"] == {**engine, "cw": 200, "tw": 200}
         assert header["stream"] == {"position": 1_003, "buffer": 0}
         assert stream["buffer"] == []
-        # ... and its elements in the body, as int64 in PACKED order.
+        # ... and its elements in the body, as int32 in PACKED order.
         body = data[PREFIX.size + head_size :]
         packed = engine["cw"] + engine["tw"]
-        assert body == struct.pack(f"<{len(packed)}q", *packed)
+        assert body == struct.pack(f"<{len(packed)}i", *packed)
         assert decode_record(data) == checkpoint
 
     def test_spool_size_does_not_grow_with_the_stream(self, tmp_path):
@@ -355,13 +356,22 @@ def _repack(path, edit):
     """Rewrite ``path``'s record with ``edit(header, body)`` applied and
     a prefix whose lengths and CRC match the edited payload."""
     data = path.read_bytes()
-    _, head_size, _, _ = PREFIX.unpack_from(data)
+    _, head_size, _, _, width = PREFIX.unpack_from(data)
     head = data[PREFIX.size : PREFIX.size + head_size]
     head, body = edit(head, data[PREFIX.size + head_size :])
     payload = head + body
     path.write_bytes(
-        PREFIX.pack(MAGIC, len(head), len(payload), zlib.crc32(payload)) + payload
+        PREFIX.pack(MAGIC, len(head), len(payload), zlib.crc32(payload), width)
+        + payload
     )
+
+
+def _width(width):
+    """Set the prefix's packed-element width (outside the CRC)."""
+    def damage(path):
+        data = path.read_bytes()
+        path.write_bytes(data[:24] + struct.pack("<I", width) + data[28:])
+    return damage
 
 
 def _truncate(path):
@@ -420,7 +430,9 @@ DAMAGE = {
     "stale-tail": (_stale_tail, "payload bytes, its prefix says"),
     "flipped-payload-byte": (_flipped_payload_byte, "CRC-32"),
     "count-past-body": (_count_past_body, "packed elements, its body holds"),
-    "ragged-body": (_ragged_body, "not a whole number of int64s"),
+    "ragged-body": (_ragged_body, "not a whole number of 4-byte elements"),
+    "odd-width": (_width(2), "width 2 is not 4 or 8"),
+    "wide-width": (_width(8), "packed elements, its body holds"),
     "huge-int-header": (_huge_int_header, "header is not JSON.*4300 digits"),
 }
 
@@ -458,14 +470,28 @@ class TestRecord:
         checkpoint = {"engine": {"buffer": [-(2**63), 2**63 - 1]}}
         assert decode_record(encode_record(checkpoint)) == checkpoint
         for value in (2**63, -(2**63) - 1):
-            with pytest.raises(struct.error):
+            with pytest.raises(OverflowError):
                 encode_record({"engine": {"buffer": [value]}})
+
+    @pytest.mark.parametrize("values,width", [
+        ([], 4),
+        ([-(2**31), 2**31 - 1], 4),
+        ([-(2**31) - 1], 8),
+        ([0, 2**31], 8),
+    ])
+    def test_width_is_the_narrowest_that_fits(self, values, width):
+        checkpoint = {"engine": {"cw": [7], "tw": values}}
+        data = encode_record(checkpoint)
+        _, head_size, _, _, packed_width = PREFIX.unpack_from(data)
+        assert packed_width == width
+        assert len(data) == PREFIX.size + head_size + width * (1 + len(values))
+        assert decode_record(data) == checkpoint
 
     @pytest.mark.parametrize("count", [-1, True, 1.0, "1", None])
     def test_rejects_a_header_count_that_is_not_a_length(self, count):
         head = json.dumps({"stream": {"buffer": count}}).encode()
         payload = head + bytes(8)
-        data = PREFIX.pack(MAGIC, len(head), len(payload), zlib.crc32(payload))
+        data = PREFIX.pack(MAGIC, len(head), len(payload), zlib.crc32(payload), 8)
         with pytest.raises(CheckpointError, match="stream.buffer"):
             decode_record(data + payload)
 

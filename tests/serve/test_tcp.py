@@ -4,16 +4,20 @@ from __future__ import annotations
 
 import asyncio
 import json
+import socket
+import time
 
+import numpy as np
 import pytest
 
 from repro.core.config import DetectorConfig
 from repro.core.engine import run_detector
 from repro.obs.bus import MemorySink
 from repro.profiles.synthetic import make_phased_trace
+from repro.profiles.trace import BranchTrace
 from repro.serve import protocol
 from repro.serve.client import ServeClient, ServeError
-from repro.serve.server import PhaseServer
+from repro.serve.server import DRAIN_GRACE_S, PhaseServer
 from repro.serve.session import PHASE_EVENT_KINDS, SessionState
 
 CONFIG = DetectorConfig(cw_size=200, threshold=0.6)
@@ -219,10 +223,11 @@ class TestUnreadableSpool:
             elements = trace.array[:1_800].tolist()
             await client.open("victim", CONFIG)
             await client.send("victim", elements[:600])
+            # Lines are applied in arrival order: the pong comes after
+            # the chunk was fed.
             await client.ping()
-            await server._lanes["victim"].queue.join()
             await client.open("bystander", CONFIG)  # parks the victim
-            victim = server._lanes["victim"].session
+            victim = server._sessions["victim"]
             assert victim.state is SessionState.PARKED
             if damage == "truncated":
                 data = victim.spool_path.read_bytes()
@@ -251,3 +256,123 @@ class TestUnreadableSpool:
         assert records["victim"]["killed"] is True
         assert records["bystander"]["state"] == "closed"
         assert manifest["metrics"]["counters"]["serve.sessions_failed"] == 1
+
+
+def offline_all(config, elements):
+    """Every event an ``events="all"`` server serves for ``elements``."""
+    sink = MemorySink()
+    run_detector(BranchTrace(np.asarray(elements, dtype=np.int64)), config,
+                 observer=sink)
+    return [e for e in sink.events if e["ev"] not in ("run_begin", "run_end")]
+
+
+async def until(predicate, timeout=10.0):
+    """Poll ``predicate`` until it holds; fail after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        await asyncio.sleep(0.001)
+
+
+async def stall(server, chunks):
+    """Connect a raw client socket that streams ``chunks`` to session
+    ``slow`` and never reads, one chunk per server read until the
+    server stops reading it.  Returns the socket and the server's
+    connection."""
+    loop = asyncio.get_running_loop()
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setblocking(False)
+    await loop.sock_connect(sock, ("127.0.0.1", server.port))
+    await loop.sock_sendall(sock, protocol.encode_message(
+        {"op": "open", "sid": "slow", "config": CONFIG.to_dict()}))
+    await until(lambda: any("slow" in c.owned for c in server._connections))
+    (slow,) = [c for c in server._connections if "slow" in c.owned]
+    # Keep the kernel from absorbing the stream on the server side.
+    slow.transport.get_extra_info("socket").setsockopt(
+        socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    session = server._sessions["slow"]
+    for chunk in chunks:
+        await loop.sock_sendall(sock, protocol.encode_message(
+            {"op": "events", "sid": "slow", "elements": chunk}))
+        fed = session.events_in + len(chunk)
+        await until(lambda: session.events_in == fed
+                    or not slow.transport.is_reading())
+    return sock, slow
+
+
+class TestSlowReader:
+    """Backpressure is the transport's: a client that stops reading
+    stops being read, and holds back no one else."""
+
+    def test_paused_reader_holds_back_only_itself(self, trace):
+        elements = trace.array.tolist() * 4
+        chunks = [elements[start : start + 250]
+                  for start in range(0, len(elements), 250)]
+
+        async def run():
+            server = PhaseServer(events="all")
+            await server.start(port=0)
+            loop = asyncio.get_running_loop()
+            sock, slow = await stall(server, chunks)
+            await loop.sock_sendall(
+                sock, protocol.encode_message({"op": "close", "sid": "slow"}))
+            paused = not slow.transport.is_reading()
+            buffered = slow.transport.get_write_buffer_size()
+
+            bystander = await ServeClient.connect("127.0.0.1", server.port)
+            await bystander.open("bystander", CONFIG)
+            for chunk in chunks[:10]:
+                await bystander.send("bystander", chunk)
+            await bystander.close_session("bystander")
+            streamed = bystander.events_for("bystander")
+            still = (not slow.transport.is_reading(),
+                     slow.transport.get_write_buffer_size())
+
+            received = b""
+            while b'"closed"' not in received:
+                received += await asyncio.wait_for(
+                    loop.sock_recv(sock, 1 << 16), timeout=10)
+            sock.close()
+            lines = received.splitlines(keepends=True)
+            await bystander.aclose()
+            await server.drain()
+            server.close()
+            return paused, buffered, still, streamed, lines
+
+        paused, buffered, still, streamed, lines = asyncio.run(run())
+        served = b"".join(lines[1:-1])
+        assert paused
+        # One read's output past the 64 KiB high-water mark, far less
+        # than the stream the client has asked for.
+        assert 64 * 1024 <= buffered < 256 * 1024 < len(served) // 4
+        # Still paused, and nothing more was read or buffered meanwhile.
+        assert still[0] and still[1] <= buffered
+        assert encode(streamed) == encode(offline_all(CONFIG, elements[:2_500]))
+        assert served == b"".join(
+            protocol.encode_message(protocol.event_message("slow", event))
+            for event in offline_all(CONFIG, elements))
+        assert json.loads(lines[0])["op"] == "opened"
+        assert json.loads(lines[-1])["elements"] == len(elements)
+
+    def test_drain_parks_a_paused_readers_session(self, trace):
+        chunks = [trace.array[start : start + 250].tolist()
+                  for start in range(0, 2_250, 250)] * 4
+
+        async def run():
+            server = PhaseServer(events="all")
+            await server.start(port=0)
+            sock, slow = await stall(server, chunks)
+            paused = not slow.transport.is_reading()
+            started = time.monotonic()
+            manifest = await asyncio.wait_for(server.drain(), timeout=10)
+            took = time.monotonic() - started
+            sock.close()
+            server.close()
+            return paused, took, manifest
+
+        paused, took, manifest = asyncio.run(run())
+        assert paused
+        assert took < DRAIN_GRACE_S + 2
+        (record,) = manifest["sessions"]
+        assert record["state"] == "parked" and not record["killed"]
