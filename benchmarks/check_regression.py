@@ -36,7 +36,11 @@ got faster.  The bench trace's five long phases make those rows gate
 per-block cost; the short-episode rows gate per-episode cost the same
 way (best normalized repeat against ``SHORT_EPISODE_MAX_NORMALIZED``),
 timing the Adaptive walks on ``short_episode_trace()``, whose many
-phases each end within the walk's 16-step scalar head.
+phases each end within the walk's 16-step scalar head.  The
+large-window rows gate the weighted walks' cost at paper-scale windows
+the same way (best normalized repeat against
+``LARGE_WINDOW_MAX_NORMALIZED``): a weighted Constant, Adaptive and
+Fixed lane at CW 50,000 on ``large_window_trace()``.
 
 The bank rows time two things.  The legacy row runs the
 ``BANK_SIZE``-config bank with ``kernels=False``, so every member takes
@@ -199,9 +203,14 @@ BANK_INTERLEAVE = 3
 #: 0.030), unweighted-adaptive 0.062-0.095 (0.087), weighted-adaptive
 #: 0.71-0.88 (0.80).  They replace same-run kernel/legacy speedup floors
 #: (3.0x, 2.0x and 1.5x), which failed once the fused loop got faster.
+#: weighted-constant, gated since the weighted series became one
+#: carried-count scan, read 0.331-0.411 (median 0.392); the occurrence
+#: matrices it replaced read 0.520-0.590 (0.549) in eleven runs
+#: alternating with them.
 KERNEL_MAX_NORMALIZED = {
     "unweighted-constant": 0.040,
     "unweighted-adaptive": 0.116,
+    "weighted-constant": 0.523,
     "weighted-adaptive": 1.07,
 }
 
@@ -232,6 +241,36 @@ SHORT_EPISODE_CONFIGS = {
 SHORT_EPISODE_MAX_NORMALIZED = {
     "unweighted-adaptive": 0.382,
     "weighted-adaptive": 0.735,
+}
+
+#: The large-window rows: each weighted lane kind at CW 50,000 on
+#: ``large_window_trace()``, windows of a paper-profile run.
+LARGE_WINDOW_CONFIGS = {
+    "weighted-constant": DetectorConfig(
+        cw_size=50_000, model=ModelKind.WEIGHTED, threshold=0.5
+    ),
+    "weighted-adaptive": DetectorConfig(
+        cw_size=50_000,
+        model=ModelKind.WEIGHTED,
+        trailing=TrailingPolicy.ADAPTIVE,
+        threshold=0.5,
+    ),
+    "weighted-fixed": DetectorConfig.fixed_interval(
+        50_000, model=ModelKind.WEIGHTED, threshold=0.5
+    ),
+}
+
+#: Ceilings on the large-window rows, normalized like the short-episode
+#: rows.  Each sits a third above the median of eleven runs on the 2-CPU
+#: host (``cpu_count`` 2): weighted-constant 0.728-0.820 (median
+#: 0.777), weighted-adaptive 0.954-1.043 (1.009), weighted-fixed
+#: 0.207-0.232 (0.223).  Weighted scans that built an occurrence matrix
+#: over a span of the window per block read 8.1 on weighted-fixed, and
+#: ran past 240 s (over 2,000) on the other two.
+LARGE_WINDOW_MAX_NORMALIZED = {
+    "weighted-constant": 1.036,
+    "weighted-adaptive": 1.345,
+    "weighted-fixed": 0.298,
 }
 
 #: Ceiling on the scoring row, normalized like the short-episode rows.
@@ -374,6 +413,23 @@ def short_episode_trace():
         elements.extend(100 * (loop % 5) + i % 3 for i in range(20))
     elements.extend(1_000 + (noise + i) % 40 for i in range(12))
     return BranchTrace(np.asarray(elements, dtype=np.int64), name="short-episodes")
+
+
+def large_window_trace():
+    """About 200k elements for windows of 50,000: three long loops
+    (bodies of 9, 15 and 6 sites, 2% of their elements drawn from a
+    60-site noise pool) between 3,000-element transitions from that
+    pool; 90 distinct sites, a real program's order of magnitude."""
+    rng = np.random.default_rng(5)
+    parts = []
+    for loop, (body, length) in enumerate(((9, 60_000), (15, 70_000), (6, 60_000))):
+        parts.append(rng.integers(1_000, 1_060, 3_000))
+        elements = 100 * loop + np.arange(length) % body
+        noisy = rng.random(length) < 0.02
+        elements[noisy] = rng.integers(1_000, 1_060, int(noisy.sum()))
+        parts.append(elements)
+    parts.append(rng.integers(1_000, 1_060, 3_000))
+    return BranchTrace(np.concatenate(parts).astype(np.int64), name="large-windows")
 
 
 def _warm_start_fixture(tmp_dir, trace):
@@ -904,6 +960,7 @@ def _cpu_timed(func):
 def measure(repeats):
     trace = bench_trace()
     short_trace = short_episode_trace()
+    large_trace = large_window_trace()
     # Interleave calibration samples with the detector samples so slow
     # drift (frequency scaling, co-tenant load) hits both sides of the
     # ratio; best-of-N on each side then discards transient spikes.
@@ -913,6 +970,8 @@ def measure(repeats):
     kernel_ratios = {label: [] for label in CONFIGS}
     short_samples = {label: [] for label in SHORT_EPISODE_CONFIGS}
     short_ratios = {label: [] for label in SHORT_EPISODE_CONFIGS}
+    large_samples = {label: [] for label in LARGE_WINDOW_CONFIGS}
+    large_ratios = {label: [] for label in LARGE_WINDOW_CONFIGS}
     family_samples = {label: [] for label in FAMILY_CONFIGS}
     bank_configs = _bank_configs()
     legacy_bank_samples = []
@@ -952,6 +1011,15 @@ def measure(repeats):
                 after = _timed(_calibration_workload)
                 short_ratios[label].append(
                     short_samples[label][-1] / min(before, after)
+                )
+                before = after
+            for label, config in LARGE_WINDOW_CONFIGS.items():
+                large_samples[label].append(
+                    _timed(lambda c=config: run_detector(large_trace, c))
+                )
+                after = _timed(_calibration_workload)
+                large_ratios[label].append(
+                    large_samples[label][-1] / min(before, after)
                 )
                 before = after
             for label, config in FAMILY_CONFIGS.items():
@@ -1015,6 +1083,14 @@ def measure(repeats):
                 (p.end - p.detected_start for p in phases), default=0
             ),
         }
+    large_rows = {
+        label: {
+            "seconds": round(min(large_samples[label]), 6),
+            "normalized": round(min(large_ratios[label]), 4),
+            "max_normalized": LARGE_WINDOW_MAX_NORMALIZED[label],
+        }
+        for label in LARGE_WINDOW_CONFIGS
+    }
     families = {}
     for label in FAMILY_CONFIGS:
         seconds = min(family_samples[label])
@@ -1052,6 +1128,10 @@ def measure(repeats):
         "short_episodes": {
             "elements": len(short_trace),
             "configs": short_rows,
+        },
+        "large_windows": {
+            "elements": len(large_trace),
+            "configs": large_rows,
         },
         "scoring": {
             "lanes": len(scoring[0]),
@@ -1120,6 +1200,11 @@ def _print_report(result):
               f"normalized={row['normalized']:.4f} "
               f"({row['episodes']} episodes, longest "
               f"{row['longest_steps']} steps, {short['elements']} elems)")
+    large = result["large_windows"]
+    for label, row in large["configs"].items():
+        print(f"  large-window {label:20s} {row['seconds']:.4f}s "
+              f"normalized={row['normalized']:.4f} "
+              f"({large['elements']} elems)")
     bank = result["bank"]
     print(f"  bank[{bank['size']}] legacy       {bank['legacy_seconds']:.4f}s "
           f"normalized={bank['legacy_normalized']:.4f}")
@@ -1288,6 +1373,19 @@ def main(argv=None):
         if normalized > ceiling:
             print(f"FAIL: the vectorized walk took {normalized:.4f} "
                   f"calibration units on {gate_config} short episodes "
+                  f"(ceiling {ceiling:g})", file=sys.stderr)
+            return 1
+    # Large-window gates: the same absolute ceilings, on the weighted
+    # walks at CW 50,000.
+    for gate_config, ceiling in LARGE_WINDOW_MAX_NORMALIZED.items():
+        normalized = float(
+            result["large_windows"]["configs"][gate_config]["normalized"]
+        )
+        print(f"large-window normalized ({gate_config}): {normalized:.4f} "
+              f"(gate <= {ceiling:g})")
+        if normalized > ceiling:
+            print(f"FAIL: the vectorized walk took {normalized:.4f} "
+                  f"calibration units on {gate_config} at CW 50,000 "
                   f"(ceiling {ceiling:g})", file=sys.stderr)
             return 1
     # Zero-copy gate: a same-run ratio, baseline-independent like the

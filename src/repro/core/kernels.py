@@ -50,9 +50,12 @@ geometry.  The key observations:
   O(n) with difference arrays.
 - The weighted similarity is a pure integer sum
   ``Σ_e min(cw_e·|TW|, tw_e·|CW|)`` — order-independent, so it
-  vectorizes for *any* geometry via blockwise occurrence matrices
-  (one ``np.add.at`` scatter per block of steps, cell-budgeted).  The
-  Fixed-Interval geometry (skip = CW = TW) takes the same path.
+  vectorizes for *any* geometry: one scan (:func:`_scan_weighted`)
+  carries per-code CW and TW counts from block to block and applies
+  each block's window-edge crossings with one ``bincount``, so a block
+  costs the same whatever the window.  The Constant series (every
+  skip, the Fixed-Interval geometry skip = CW = TW included) and the
+  Adaptive in-phase blocks are the same scan.
 - The Adaptive TW *does* have analyzer→window feedback (the entry
   resize pins the TW to the anchor; in-phase the TW grows), but the
   feedback is episode-local: between phases the windows follow Constant
@@ -73,7 +76,7 @@ geometry.  The key observations:
   previous-occurrence links; ``_scan_head_weighted``: per-code count
   tables, summed over the CW's distinct codes at each step).  The
   blocks (``_scan_phase_constant``, ``_scan_phase_unweighted``,
-  ``_scan_phase_weighted``) run only for the steps after it.  The
+  ``_scan_weighted``) run only for the steps after it.  The
   unweighted Adaptive blocks carry the count of CW occurrences the TW
   has not seen from block to block, so a block costs O(block), not
   O(block + CW).
@@ -355,13 +358,14 @@ def _unweighted_sims(
     return sims
 
 
-#: Cell budget for the per-block occurrence matrices of the weighted
-#: blockwise kernels ((span+1) x distinct int64 cells, ~16 MiB).
-_OCC_CELL_LIMIT = 1 << 21
-
-#: Step granularity of the blockwise scans (both the weighted numerator
+#: Step granularity of the blockwise scans (the weighted similarity
 #: blocks and the in-phase exit scan).
 _BLOCK_STEPS = 256
+
+#: Bound on the elements one weighted block moves across each window
+#: edge: a block holds at most ``_BLOCK_ELEMENTS // skip`` steps (at
+#: least one), so a Fixed lane's block of CW-long steps stays O(this).
+_BLOCK_ELEMENTS = 1 << 16
 
 #: In-phase steps each episode walks as scalar Python (the head: a
 #: slice of the constant series, :func:`_scan_head_unweighted` or
@@ -370,79 +374,111 @@ _BLOCK_STEPS = 256
 _HEAD_STEPS = 16
 
 
-def _occurrence_matrix(
-    codes: np.ndarray, lo: int, hi: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(occ, uniq)`` for the span ``codes[lo:hi]``.
-
-    ``occ[p - lo, j]`` counts occurrences of ``uniq[j]`` in
-    ``codes[lo:p]`` — cumulative per-code occurrence counts, so any
-    window count over the span is one row difference.
-    """
-    seg = codes[lo:hi]
-    uniq, local = np.unique(seg, return_inverse=True)
-    occ = np.zeros((seg.size + 1, uniq.size), dtype=np.int64)
-    occ[np.arange(seg.size) + 1, local] = 1
-    np.cumsum(occ, axis=0, out=occ)
-    return occ, uniq
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct ``values`` in ascending order, by one sort (NumPy
+    2's ``np.unique`` costs 2-8x more on dense-code slices)."""
+    ordered = np.sort(values)
+    keep = np.empty(ordered.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
+    return ordered[keep]
 
 
-def _weighted_constant_snums(
-    codes: np.ndarray, cwc: int, twc: int, ends: np.ndarray
-) -> np.ndarray:
-    """Weighted similarity numerators at Constant-TW filled steps.
-
-    For each step end ``c`` in ``ends`` (every entry must satisfy
-    ``c >= cwc + twc``) the numerator is ``sum_e min(cw_e*twc,
-    tw_e*cwc)`` over the step's CW/TW slices — a pure *integer* sum, so
-    any evaluation order reproduces the fused loop's value exactly.
-    Computed with per-block occurrence matrices and one ``np.minimum``
-    reduction over the block's sparse code set.
-    """
-    out = np.empty(ends.size, dtype=np.int64)
-    n = int(ends.size)
-    b0 = 0
-    while b0 < n:
-        take = min(_BLOCK_STEPS, n - b0)
-        while True:
-            b1 = b0 + take
-            lo = int(ends[b0]) - cwc - twc
-            hi = int(ends[b1 - 1])
-            occ, _ = _occurrence_matrix(codes, lo, hi)
-            if take == 1 or occ.size <= _OCC_CELL_LIMIT:
-                break
-            take = max(1, take // 2)
-        c_rel = ends[b0:b1] - lo
-        mid = occ[c_rel - cwc]
-        cw = occ[c_rel] - mid
-        tw = mid - occ[c_rel - cwc - twc]
-        out[b0:b1] = np.minimum(cw * twc, tw * cwc).sum(axis=1)
-        b0 = b1
-    return out
-
-
-def _weighted_general_sims(
+def _scan_weighted(
     codes: np.ndarray,
+    step_ends: np.ndarray,
+    skip: int,
+    first: int,
+    tw_left: int,
+    cw_left: int,
     cwc: int,
     twc: int,
-    step_ends: np.ndarray,
-    total: int,
-) -> np.ndarray:
-    """Per-step weighted similarity for any Constant-TW geometry.
+):
+    """Weighted similarities of the steps from ``first`` on, by block.
 
-    Same contract as :func:`_unweighted_sims`: values at geometrically
-    filled steps (``c >= cwc + twc``), zeros elsewhere.
+    At step end ``c`` the CW is ``[m, c)`` with ``m = max(cw_left, c -
+    cwc)`` and the TW is ``[max(tw_left, m - twc), m)``.  The Constant
+    series passes ``cw_left = tw_left = 0``; an Adaptive episode passes
+    its pinned ``L`` and ``A`` and a ``twc`` past the trace end.
+
+    All three edges only move right, so per-code CW and TW counts are
+    carried from block to block.  An element at ``p`` enters the CW at
+    step ``p // skip``, passes to the TW at ``(p + cwc) // skip`` and
+    leaves it at ``(p + cwc + twc) // skip``, so one ``bincount`` over
+    (edge, step, code) cells and a cumulative sum along the steps give
+    every step's counts.  The codes are a sorted universe of those
+    either window holds, rebuilt when a new code enters.  A block of
+    ``_BLOCK_STEPS`` steps (fewer when they would move more than
+    ``_BLOCK_ELEMENTS`` elements) costs O(moved elements + steps ×
+    universe), whatever the window.
+
+    The numerator ``sum_e min(cw_e * T, tw_e * C)`` is an exact integer,
+    so the one true division per step equals the fused loop's.  Yields
+    ``(first_step, sims)``.  The caller guarantees that neither window
+    is empty at any step from ``first`` on.
     """
-    n_steps = step_ends.size
-    sims = np.zeros(n_steps, dtype=np.float64)
-    if total < cwc + twc:
-        return sims
-    valid = step_ends >= cwc + twc
-    ends = step_ends[valid]
-    snums = _weighted_constant_snums(codes, cwc, twc, ends)
-    # one exact int64/int division, bit-identical to the fused loop's
-    sims[valid] = snums / (cwc * twc)
-    return sims
+    n_steps = int(step_ends.size)
+    take = max(1, min(_BLOCK_STEPS, _BLOCK_ELEMENTS // skip))
+    c0 = int(step_ends[first - 1]) if first else 0
+    m0 = max(cw_left, c0 - cwc)
+    t0 = max(tw_left, m0 - twc)
+    uniq = _sorted_unique(codes[t0:c0])
+    # carry[0] / carry[1]: each code's count in the CW / the TW.
+    carry = np.stack([
+        np.bincount(uniq.searchsorted(codes[lo:hi]), minlength=uniq.size)
+        for lo, hi in ((m0, c0), (t0, m0))
+    ])
+    for s in range(first, n_steps, take):
+        ends = step_ends[s : s + take]
+        steps = int(ends.size)
+        c1 = int(ends[-1])
+        m1 = max(cw_left, c1 - cwc)
+        t1 = max(tw_left, m1 - twc)
+        entering = codes[c0:c1]
+        moved = np.concatenate((entering, codes[m0:m1], codes[t0:t1]))
+        cols = uniq.searchsorted(moved)
+        if not uniq.size or (
+            uniq.take(cols[: entering.size], mode="clip") != entering
+        ).any():
+            held = carry.any(axis=0)
+            kept = uniq[held]
+            uniq = _sorted_unique(np.concatenate((kept, entering)))
+            carry, held_n = np.zeros((2, uniq.size), dtype=np.int64), carry
+            carry[:, uniq.searchsorted(kept)] = held_n[:, held]
+            cols = uniq.searchsorted(moved)
+        # Cell (edge, step, code) of each crossing.
+        cells = np.concatenate((
+            np.arange(c0, c1),
+            np.arange(m0 + cwc, m1 + cwc),
+            np.arange(t0 + cwc + twc, t1 + cwc + twc),
+        ))
+        if skip > 1:
+            cells //= skip
+        cells -= s
+        cells *= uniq.size
+        cells += cols
+        width = steps * uniq.size
+        cells[c1 - c0 :] += width
+        cells[c1 - c0 + m1 - m0 :] += width
+        crossed = np.bincount(cells, minlength=3 * width).reshape(3, steps, -1)
+        # In place: a fresh block-sized array costs more than the sum.
+        crossed[0] -= crossed[1]
+        crossed[1] -= crossed[2]
+        counts = crossed[:2]
+        counts[:, 0] += carry
+        np.add.accumulate(counts, axis=1, out=counts)
+        carry = counts[:, -1].copy()
+        m = np.maximum(ends - cwc, cw_left)
+        cw_len = ends - m
+        tw_len = m - np.maximum(m - twc, tw_left)
+        # Both lengths only grow along the steps; a scalar factor costs
+        # half a broadcast column.
+        cw, tw = counts
+        cw *= tw_len[0] if tw_len[0] == tw_len[-1] else tw_len[:, None]
+        tw *= cw_len[0] if cw_len[0] == cw_len[-1] else cw_len[:, None]
+        np.minimum(cw, tw, out=cw)
+        yield s, cw.sum(axis=1) / (cw_len * tw_len)
+        c0, m0, t0 = c1, m1, t1
 
 
 #: Elements per block of the NEWMA series pass: bounds the per-block
@@ -588,7 +624,12 @@ class SharedTraceKernels:
             codes, _ = self.codes()
             ends = self.step_ends(skip)
             if weighted:
-                sims = _weighted_general_sims(codes, cwc, twc, ends, self.total)
+                sims = np.zeros(ends.size)
+                filled = int(np.searchsorted(ends, cwc + twc))
+                for at, block in _scan_weighted(
+                    codes, ends, skip, filled, 0, 0, cwc, twc
+                ):
+                    sims[at : at + block.size] = block
                 counts = None
             else:
                 counts = (
@@ -706,7 +747,12 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> None:
       :func:`_scan_head_unweighted` (O(1) per element) and the blocks
       :func:`_scan_phase_unweighted`; weighted, the head is
       :func:`_scan_head_weighted` (per-code count tables) and the
-      blocks :func:`_scan_phase_weighted`.
+      blocks :func:`_scan_weighted`.  Neither window is ever empty at
+      an in-phase step ``c > c_entry``: the anchor is at most ``twc``
+      into the pre-resize TW, so ``A <= c_entry - cwc`` and ``|TW| =
+      max(L, c - cwc) - A >= c - c_entry >= 1``, and the entry resize
+      shifts ``L`` by at most ``cwc - 1``, so ``L < c_entry < c`` and
+      ``|CW| >= 1``, under MOVE and SLIDE alike.
 
     The carry ``(total, count)`` that leaves the scan is the phase mean's
     numerator and denominator, and the open phase's analyzer statistics.
@@ -735,7 +781,7 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> None:
     total = shared.total
     if total == 0:
         return
-    codes, n_codes = shared.codes()
+    codes, _ = shared.codes()
     step_ends = shared.step_ends(skip)
     n_steps = int(step_ends.size)
     weighted = type(runtime.model) is WeightedSetModel
@@ -746,7 +792,6 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> None:
         slide = config.resize is ResizePolicy.SLIDE
         prev = None if weighted else shared.prev()
         distinct_all = counts[0] if counts is not None else None
-        base_counts = np.zeros(n_codes, dtype=np.int64) if weighted else None
 
     tracker = runtime.tracker
     rn_anchor = config.anchor is AnchorPolicy.RN
@@ -791,9 +836,9 @@ def _walk_windowed(runtime, shared: SharedTraceKernels) -> None:
                     codes, step_ends, entry + 1, head_stop,
                     tw_left, cw_left, cwc,
                 )
-                blocks = _scan_phase_weighted(
-                    codes, base_counts, step_ends, head_stop,
-                    tw_left, cw_left, cwc, n_steps,
+                blocks = _scan_weighted(
+                    codes, step_ends, skip, head_stop,
+                    tw_left, cw_left, cwc, total,
                 )
             else:
                 head = _scan_head_unweighted(
@@ -1111,7 +1156,7 @@ def _scan_exit(
     :func:`_scan_head_weighted`);
     ``blocks`` yields ``(first_step, sims)`` blocks of the steps after
     the head (:func:`_scan_phase_constant`,
-    :func:`_scan_phase_unweighted`, :func:`_scan_phase_weighted`) and is
+    :func:`_scan_phase_unweighted`, :func:`_scan_weighted`) and is
     only started when the head ends without an exit.  A step exits the
     phase when its similarity is below its bar:
 
@@ -1249,7 +1294,7 @@ def _scan_head_weighted(
     steps ``first .. stop-1``: the weighted twin of
     :func:`_scan_head_unweighted`.
 
-    Same geometry as :func:`_scan_phase_weighted`: at step end ``c`` the
+    Same geometry as :func:`_scan_weighted`: at step end ``c`` the
     CW is ``[left, c)`` with ``left = max(L, c - cwc)`` and the TW is
     ``[A, left)``.  Two per-code count tables, seeded once from
     ``codes[A:c_entry]``, follow the windows: an entering element adds
@@ -1259,7 +1304,7 @@ def _scan_head_weighted(
     (a code absent from the CW adds nothing), an exact integer, so the
     one ``int / int`` equals the blocks' true division.  Neither window
     is empty at an in-phase step (the argument is in
-    :func:`_scan_phase_weighted`), so the quotient needs no guard.
+    :func:`_walk_windowed`), so the quotient needs no guard.
     """
     if first >= stop:
         return
@@ -1372,75 +1417,6 @@ def _scan_phase_unweighted(
             r = ends_blk[:n_refill] - cw_left
             sims = np.concatenate((s_cum[r] / d_cum[r], sims))
         yield s, sims
-
-
-def _scan_phase_weighted(
-    codes: np.ndarray,
-    base_counts: np.ndarray,
-    step_ends: np.ndarray,
-    first: int,
-    tw_left: int,
-    cw_left: int,
-    cwc: int,
-    n_steps: int,
-):
-    """Blockwise in-phase weighted similarities for one Adaptive episode.
-
-    Same geometry and contract as :func:`_scan_phase_unweighted`.  The
-    growing TW's per-code counts split as ``tw_e = base_counts[e] +
-    occ[cw_start]``: ``base_counts`` (a reusable per-code vector,
-    advanced with one ``np.add.at`` over the elements the CW's left edge
-    passes into the TW for good, O(elements) and not O(codes)) covers
-    ``[A, block_lo)`` and the block's cumulative occurrence matrix
-    covers the rest, so each block is one ``np.minimum``
-    reduction over its local code set — a code absent from the block has
-    ``cw_e = 0`` and contributes nothing, which keeps the restriction
-    exact.  The numerator ``sum_e min(cw_e * tw_len, tw_e * cw_len)`` is
-    a pure integer sum, so any evaluation order is bit-exact; the single
-    float division matches the fused loop's.  Yields ``(first_step,
-    sims)`` per block of steps from ``first`` on (the steps after the
-    episode's head, :func:`_scan_head_weighted`).  ``base_counts`` must
-    arrive all-zero and is re-zeroed (sparsely) when the generator
-    finishes or is closed.
-
-    Neither window is ever empty at an in-phase step ``c > c_entry``, so
-    the division needs no guard.  The anchor is at most ``twc`` into the
-    pre-resize TW, so ``A <= c_entry - cwc``, and ``tw_len = max(L, c -
-    cwc) - A >= c - c_entry >= 1``, under MOVE and SLIDE alike.  The
-    entry resize shifts ``L`` by at most ``cwc - 1``, so ``L < c_entry
-    < c`` and ``cw_len = c - max(L, c - cwc) >= 1``.
-    """
-    covered = tw_left
-    s = first
-    try:
-        while s < n_steps:
-            take = min(_BLOCK_STEPS, n_steps - s)
-            while True:
-                b1 = s + take
-                ends_blk = step_ends[s:b1]
-                cw_start = np.maximum(cw_left, ends_blk - cwc)
-                p_lo = int(cw_start[0])
-                p_cov = int(ends_blk[-1])
-                occ, uniq = _occurrence_matrix(codes, p_lo, p_cov)
-                if take == 1 or occ.size <= _OCC_CELL_LIMIT:
-                    break
-                take = max(1, take // 2)
-            if covered < p_lo:
-                np.add.at(base_counts, codes[covered:p_lo], 1)
-                covered = p_lo
-            cw_len = ends_blk - cw_start
-            tw_len = cw_start - tw_left
-            start_rows = occ[cw_start - p_lo]
-            cw_e = occ[ends_blk - p_lo] - start_rows
-            tw_e = base_counts[uniq][None, :] + start_rows
-            snum = np.minimum(
-                cw_e * tw_len[:, None], tw_e * cw_len[:, None]
-            ).sum(axis=1)
-            yield s, snum / (cw_len * tw_len)
-            s = b1
-    finally:
-        if covered > tw_left:
-            base_counts[np.unique(codes[tw_left:covered])] = 0
 
 
 #: The walk :func:`run_bank_batched` runs per engine ``family``.

@@ -234,8 +234,9 @@ class PhaseServer:
         return session
 
     def _fail(self, session: Session, error: Exception) -> str:
-        """Kill a session whose step raised and remember why: its next
-        message gets the reason as an ``error`` reply."""
+        """Kill a session whose step raised and remember why; return the
+        reason, which the failing message and every later one for the
+        sid get as an ``error`` reply."""
         failure = self._failures[session.sid] = str(error)
         logger.warning("session %s failed: %s", session.sid, error)
         session.kill()
@@ -268,8 +269,9 @@ class PhaseServer:
         return session
 
     def _feed(self, sid: str, elements: Sequence[int]) -> None:
-        """Feed one chunk.  A step that raises fails the session; the
-        failure is reported on its next message, not here."""
+        """Feed one chunk.  A step that raises fails the session and
+        raises :class:`SessionError` with the reason, so the failing
+        chunk itself gets the ``error``; later messages get it too."""
         session = self._session(sid)
         started = time.perf_counter()
         try:
@@ -278,8 +280,7 @@ class PhaseServer:
                     self.metrics.time_histogram("serve.feed_seconds"):
                 session.feed(elements)
         except Exception as error:  # noqa: BLE001 - reported to the client
-            self._fail(session, error)
-            return
+            raise SessionError(self._fail(session, error)) from error
         self.metrics.counter("serve.events_in").inc(len(elements))
         self.metrics.counter("serve.chunks_in").inc()
         if self.latency_samples is not None:
@@ -319,11 +320,16 @@ class PhaseServer:
         return session
 
     async def feed(self, sid: str, elements: Sequence[int]) -> None:
-        """Feed one chunk to ``sid`` now, then await its ``flush``."""
-        self._feed(sid, elements)
+        """Feed one chunk to ``sid`` now, then await its ``flush``.
+
+        Raises :class:`SessionError` for an unknown or failed session,
+        and for the chunk whose step fails it (after the flush)."""
         flush = self._flushes.get(sid)
-        if flush is not None:
-            await flush()
+        try:
+            self._feed(sid, elements)
+        finally:
+            if flush is not None:
+                await flush()
 
     async def close_session(self, sid: str) -> Dict[str, object]:
         """Finish ``sid`` and await its ``flush``; return its summary."""

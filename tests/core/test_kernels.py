@@ -2,17 +2,21 @@
 predicate, the ``kernels`` flag, bank partitioning) routes every
 configuration — windowed, NEWMA, FOCuS, Das Pearson or Lu DYNAMO — to
 its path, and bank lanes share their series; the weighted Adaptive
-exit scan's scalar head yields what its blocks would, the unweighted
-Adaptive head and blocks equal the set definition of the similarity,
-and the entry anchor is ``WindowPair.anchor_index``.  That every route
+exit scan's scalar head yields what its blocks would, the weighted scan
+equals literal per-step counts, weighted lanes at CW 50,000 match the
+fused loop, the unweighted Adaptive head and blocks equal the set
+definition of the similarity, and the entry anchor is
+``WindowPair.anchor_index``.  That every route
 is bit-identical to the reference ``step()`` loop is checked in
 ``tests/properties/test_oracle_harness.py``."""
 
 import json
+from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import (
     AnalyzerKind,
@@ -25,12 +29,14 @@ from repro.core import kernels as kernels_mod
 from repro.core.analyzers import ThresholdAnalyzer
 from repro.core.bank import DetectorBank
 from repro.core.decision import build_engine, restore_engine
+from repro.core.engine import run_detector
 from repro.core.kernels import run_bank_batched, vectorized_eligible
 from repro.core.runtime import DetectorRuntime
 from repro.core.windows import WindowPair
 from repro.obs.bus import MemorySink
 from repro.obs.trace import Tracer
 from repro.profiles.synthetic import SyntheticTraceBuilder
+from repro.profiles.trace import BranchTrace
 
 
 @pytest.fixture(scope="module")
@@ -306,7 +312,7 @@ def weighted_episodes(draw):
     c_entry = int(step_ends[entry])
     tw_left = draw(st.integers(0, c_entry - cwc), label="tw_left")
     cw_left = c_entry - cwc + draw(st.integers(0, cwc - 1), label="moved")
-    return codes, step_ends, entry, tw_left, cw_left, cwc
+    return codes, step_ends, skip, entry, tw_left, cw_left, cwc
 
 
 class TestWeightedHead:
@@ -314,8 +320,9 @@ class TestWeightedHead:
     @given(weighted_episodes())
     def test_head_equals_first_blocks(self, episode):
         """``_scan_head_weighted``'s similarities equal, by ``float.hex``,
-        the values ``_scan_phase_weighted`` yields for the same steps."""
-        codes, step_ends, entry, tw_left, cw_left, cwc = episode
+        the values ``_scan_weighted`` yields for the same steps with the
+        episode's pinned edges and a TW that never slides."""
+        codes, step_ends, skip, entry, tw_left, cw_left, cwc = episode
         n_steps = int(step_ends.size)
         first = entry + 1
         stop = min(first + kernels_mod._HEAD_STEPS, n_steps)
@@ -324,10 +331,8 @@ class TestWeightedHead:
                 codes, step_ends, first, stop, tw_left, cw_left, cwc
             )
         )
-        base_counts = np.zeros(int(codes.max()) + 1, dtype=np.int64)
-        blocks = kernels_mod._scan_phase_weighted(
-            codes, base_counts, step_ends, first,
-            tw_left, cw_left, cwc, n_steps,
+        blocks = kernels_mod._scan_weighted(
+            codes, step_ends, skip, first, tw_left, cw_left, cwc, codes.size
         )
         expected = []
         for _, blk in blocks:
@@ -339,7 +344,155 @@ class TestWeightedHead:
         assert [float.hex(v) for v in head] == [
             float.hex(v) for v in expected[: len(head)]
         ]
-        assert not base_counts.any()
+
+
+def _literal_weighted(seq, ends, tw_left, cw_left, cwc, twc):
+    """The weighted similarity at each step end in ``ends`` from two
+    ``Counter``s of the step's windows, CW = ``[m, c)`` with ``m =
+    max(cw_left, c - cwc)`` and TW = ``[max(tw_left, m - twc), m)``."""
+    sims = []
+    for c in ends:
+        m = max(cw_left, c - cwc)
+        t = max(tw_left, m - twc)
+        cw = Counter(seq[m:c])
+        tw = Counter(seq[t:m])
+        cw_len = c - m
+        tw_len = m - t
+        snum = sum(min(n * tw_len, tw[e] * cw_len) for e, n in cw.items())
+        sims.append(snum / (cw_len * tw_len))
+    return sims
+
+
+@st.composite
+def weighted_scans(draw):
+    """A trace and one geometry of ``_scan_weighted`` on it.
+
+    The Constant geometry (both left limits 0) starts at any filled
+    step; the Adaptive one pins ``A`` and ``L`` as an entry resize
+    leaves them (:func:`weighted_episodes`), starts up to a head's
+    length after the entry and never slides its TW.  Some codes occur
+    once, so they leave the TW in blocks whose CW never held them.
+    Small block budgets cut short traces into many blocks, down to one
+    step each.
+    """
+    cwc = draw(st.integers(1, 12), label="cwc")
+    skip = draw(st.integers(1, 5), label="skip")
+    total = draw(
+        st.one_of(st.integers(cwc + 2, 120), st.integers(600, 900)), label="total"
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    codes = rng.integers(0, draw(st.integers(1, 8), label="alphabet"), total)
+    fresh = rng.random(total) < draw(st.sampled_from([0.0, 0.1, 0.5]), label="fresh")
+    codes[fresh] = 100 + np.flatnonzero(fresh)
+    step_ends = np.minimum(
+        np.arange(1, -(-total // skip) + 1, dtype=np.int64) * skip, total
+    )
+    n_steps = int(step_ends.size)
+    if draw(st.booleans(), label="adaptive"):
+        first_entry = int(np.searchsorted(step_ends, cwc + 1))
+        assume(first_entry < n_steps - 1)
+        entry = draw(st.integers(first_entry, n_steps - 2), label="entry")
+        c_entry = int(step_ends[entry])
+        tw_left = draw(st.integers(0, c_entry - cwc), label="tw_left")
+        cw_left = c_entry - cwc + draw(st.integers(0, cwc - 1), label="moved")
+        first = min(entry + 1 + draw(st.integers(0, 16), label="head"), n_steps - 1)
+        twc = total
+    else:
+        twc = draw(st.integers(1, 12), label="twc")
+        filled = int(np.searchsorted(step_ends, cwc + twc))
+        assume(filled < n_steps)
+        first = draw(st.integers(filled, n_steps - 1), label="first")
+        tw_left = cw_left = 0
+    budget = draw(st.sampled_from([kernels_mod._BLOCK_ELEMENTS, 1, 7, 40]))
+    return codes, step_ends, skip, first, tw_left, cw_left, cwc, twc, budget
+
+
+class TestWeightedScan:
+    @settings(max_examples=300, deadline=None)
+    @given(weighted_scans())
+    def test_equals_literal_counters(self, scan):
+        """Every similarity ``_scan_weighted`` yields equals, by
+        ``float.hex``, the literal per-step ``Counter`` numerator over
+        the step's windows, and the blocks tile the steps from
+        ``first`` to the trace's last (ragged) step."""
+        codes, step_ends, skip, first, tw_left, cw_left, cwc, twc, budget = scan
+        got = []
+        with mock.patch.object(kernels_mod, "_BLOCK_ELEMENTS", budget):
+            for s, blk in kernels_mod._scan_weighted(
+                codes, step_ends, skip, first, tw_left, cw_left, cwc, twc
+            ):
+                assert s == first + len(got)
+                got.extend(blk.tolist())
+        expected = _literal_weighted(
+            codes.tolist(), step_ends[first:].tolist(), tw_left, cw_left, cwc, twc
+        )
+        assert [float.hex(v) for v in got] == [float.hex(v) for v in expected]
+
+    def test_code_leaves_tw_outside_the_blocks_cw(self):
+        """Code 7 sits only at position 0: it leaves the TW at the
+        step ending at 7, in a one-step block whose CW never held it."""
+        codes = np.array([7] + [0, 1] * 6, dtype=np.int64)
+        step_ends = np.arange(1, codes.size + 1, dtype=np.int64)
+        with mock.patch.object(kernels_mod, "_BLOCK_ELEMENTS", 1):
+            got = [
+                blk.tolist()
+                for _, blk in kernels_mod._scan_weighted(
+                    codes, step_ends, 1, 5, 0, 0, 2, 4
+                )
+            ]
+        assert [len(blk) for blk in got] == [1] * (codes.size - 5)
+        expected = _literal_weighted(codes.tolist(), range(6, 14), 0, 0, 2, 4)
+        assert [v for blk in got for v in blk] == expected
+        assert expected[0] != expected[1]
+
+
+def large_window_trace():
+    """About 200k elements: three long loops (bodies of 9, 15 and 6
+    sites, 2% of their elements drawn from a 60-site noise pool) between
+    transitions from that pool; 90 distinct sites, a real program's
+    order of magnitude."""
+    rng = np.random.default_rng(5)
+    parts = []
+    for loop, (body, length) in enumerate(((9, 60_000), (15, 70_000), (6, 60_000))):
+        parts.append(rng.integers(1_000, 1_060, 3_000))
+        elements = 100 * loop + np.arange(length) % body
+        noisy = rng.random(length) < 0.02
+        elements[noisy] = rng.integers(1_000, 1_060, int(noisy.sum()))
+        parts.append(elements)
+    parts.append(rng.integers(1_000, 1_060, 3_000))
+    return BranchTrace(np.concatenate(parts).astype(np.int64), name="large-windows")
+
+
+class TestLargeWindows:
+    def test_weighted_lanes_at_cw_50000_match_no_kernels(self):
+        """Weighted Constant, Adaptive and Fixed lanes at CW 50,000 give
+        the same phases, ``mean_similarity.hex()`` included, with kernels
+        on (one bank) and off.  A weighted scan whose cost grows with
+        the window takes minutes here."""
+        trace = large_window_trace()
+        weighted = dict(model=ModelKind.WEIGHTED, threshold=0.5)
+        configs = [
+            DetectorConfig(cw_size=50_000, **weighted),
+            DetectorConfig(
+                cw_size=50_000, trailing=TrailingPolicy.ADAPTIVE, **weighted
+            ),
+            DetectorConfig(
+                cw_size=50_000,
+                trailing=TrailingPolicy.ADAPTIVE,
+                anchor=AnchorPolicy.LNN,
+                model=ModelKind.WEIGHTED,
+                analyzer=AnalyzerKind.AVERAGE,
+                delta=0.05,
+            ),
+            DetectorConfig.fixed_interval(50_000, **weighted),
+        ]
+        bank = DetectorBank(configs).run(trace)
+        for config, result in zip(configs, bank):
+            reference = run_detector(trace, config, kernels=False)
+            assert result.detected_phases
+            assert phase_key(result.detected_phases) == phase_key(
+                reference.detected_phases
+            )
 
 
 def _anchor_index(tw, cw, policy):

@@ -228,7 +228,9 @@ class TestLifecycleManagement:
             # file behind it, so the rehydrate on next feed blows up.
             await server.open_session("bad", CONFIG)
             server._sessions["bad"]._detector = None
-            await server.feed("bad", [1, 2, 3])
+            # The failing chunk raises; later messages name the failure.
+            with pytest.raises(SessionError):
+                await server.feed("bad", [1, 2, 3])
             with pytest.raises(SessionError, match="bad failed"):
                 await server.feed("bad", [1, 2, 3])
             # The server still serves other sessions.
@@ -243,6 +245,36 @@ class TestLifecycleManagement:
         states = {r["sid"]: r for r in manifest["sessions"]}
         assert states["bad"]["killed"] is True
         assert states["good"]["state"] == "closed"
+        assert manifest["metrics"]["counters"]["serve.sessions_failed"] == 1
+
+    def test_unreadable_spool_fails_its_chunk(self, trace, tmp_path):
+        """In process, the chunk that finds a parked session's spool
+        file gone raises the failure naming the file, after awaiting the
+        session's flush; the close after it names the failure again."""
+        async def run():
+            server = PhaseServer(spool_dir=tmp_path, max_resident=1)
+            flushes = []
+
+            async def flush():
+                flushes.append(len(flushes))
+
+            await server.open_session("victim", CONFIG, flush=flush)
+            await server.feed("victim", trace.array[:600].tolist())
+            await server.open_session("bystander", CONFIG)  # parks the victim
+            victim = server._sessions["victim"]
+            assert victim.state is SessionState.PARKED
+            victim.spool_path.unlink()
+            with pytest.raises(SessionError, match="victim.ckpt"):
+                await server.feed("victim", trace.array[600:900].tolist())
+            with pytest.raises(SessionError, match="victim failed"):
+                await server.close_session("victim")
+            await server.close_session("bystander")
+            manifest = await server.drain()
+            server.close()
+            return flushes, manifest
+
+        flushes, manifest = asyncio.run(run())
+        assert flushes == [0, 1]
         assert manifest["metrics"]["counters"]["serve.sessions_failed"] == 1
 
     def test_idle_sessions_park(self, trace):

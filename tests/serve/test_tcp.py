@@ -234,10 +234,15 @@ class TestUnreadableSpool:
                 victim.spool_path.write_bytes(data[: len(data) // 2])
             else:
                 victim.spool_path.unlink()
+            chunk_errors = None
             for start in range(0, 1_800, 300):
                 await client.send("bystander", elements[start : start + 300])
                 if start == 600:
                     await client.send("victim", elements[600:900])
+                    # Replies come in line order: by the pong, the
+                    # failing chunk has had its own reply.
+                    await client.ping()
+                    chunk_errors = client.errors
             with pytest.raises(ServeError, match="victim.ckpt"):
                 await client.close_session("victim")
             summary = await client.close_session("bystander")
@@ -246,12 +251,15 @@ class TestUnreadableSpool:
             await client.aclose()
             manifest = await server.drain()
             server.close()
-            return summary, streamed, errors, manifest
+            return summary, streamed, chunk_errors, errors, manifest
 
-        summary, streamed, errors, manifest = asyncio.run(run())
+        summary, streamed, chunk_errors, errors, manifest = asyncio.run(run())
         assert summary["elements"] == 1_800
         assert encode(streamed) == offline_stream(trace, CONFIG, 1_800)
-        assert [e["sid"] for e in errors] == ["victim"]
+        # The failing chunk is answered, and so is the later close.
+        assert [e["sid"] for e in chunk_errors] == ["victim"]
+        assert "victim.ckpt" in chunk_errors[0]["error"]
+        assert [e["sid"] for e in errors] == ["victim", "victim"]
         records = {r["sid"]: r for r in manifest["sessions"]}
         assert records["victim"]["killed"] is True
         assert records["bystander"]["state"] == "closed"
