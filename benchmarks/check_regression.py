@@ -701,7 +701,6 @@ def _measure_observer():
 #: sweep the workers write them concurrently with evaluation, so the
 #: parent-side persistence cost is exactly what the two sides compare.
 STORE_BENCHMARKS = 4
-STORE_CHUNK_SIZE = 15
 STORE_MPLS = (1_000, 10_000)
 STORE_INTERLEAVE = 3
 #: The compaction fold must beat the legacy per-row parent loop by this
@@ -742,14 +741,7 @@ def _store_fixture():
     benchmarks = [f"bench{i}" for i in range(STORE_BENCHMARKS)]
     fingerprints = {name: f"fp-{name}" for name in benchmarks}
     work = [(name, specs) for name in benchmarks]
-
-    def chunker(items):
-        return [
-            list(items[i : i + STORE_CHUNK_SIZE])
-            for i in range(0, len(items), STORE_CHUNK_SIZE)
-        ]
-
-    planned = plan_chunks(work, fingerprints, "bench", STORE_MPLS, chunker)
+    planned = plan_chunks(work, fingerprints, "bench", STORE_MPLS)
     records = {}
     for chunk in planned:
         chunk_records = []

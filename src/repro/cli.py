@@ -390,7 +390,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
         tracer = Tracer()
         if jobs is not None and jobs > 1:
-            print("--trace records serial evaluation only; forcing --jobs 1",
+            print("--trace records in-process evaluation only; forcing --jobs 1",
                   file=sys.stderr)
             jobs = 1
     sweep = Sweep(
@@ -913,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument(
         "--trace", default=None, metavar="FILE",
         help="record sweep/bank/kernel spans to FILE as JSONL "
-             "(serial evaluation; export with `repro obs trace export`)",
+             "(forces --jobs 1; export with `repro obs trace export`)",
     )
     sweep_parser.add_argument(
         "--families", nargs="+", default=None, metavar="NAME",

@@ -1,55 +1,52 @@
-"""Multiprocess sweep execution.
+"""Sweep execution through the chunk store, in-process or over a pool.
 
 The paper's evaluation is >10,000 detector instantiations (Section 4);
-each (benchmark, grid point) cell is independent, so the sweep is
-embarrassingly parallel.  This module fans (benchmark, spec-chunk) work
-items out over a :class:`~concurrent.futures.ProcessPoolExecutor` while
-preserving the serial sweep's observable behavior exactly:
+each (benchmark, grid point) cell is independent.  Every sweep, at every
+``--jobs``, runs the same route: the missing work is planned into
+content-addressed one-bank chunks (:func:`repro.experiments.store.plan_chunks`),
+each chunk is evaluated by :func:`evaluate_chunk` and written to the
+chunk store, and a deterministic compaction folds the chunks into the
+JSONL cache in plan order.  ``jobs`` only decides *where*
+:func:`evaluate_chunk` runs:
 
-* **Workers load traces from the on-disk cache, not the pipe.**  The
-  parent materializes every trace before the pool starts (a cache
-  miss runs the workload once); workers then call
-  ``load_traces`` themselves, mapping each cached trace and its
-  dense-code sidecar read-only so all workers share one physical copy
-  through the OS page cache; the only things pickled across the pipe
-  are small ``ConfigSpec`` values outbound and accounting inbound.
-* **Per-worker memoization.**  Each worker process keeps one
-  ``(branch trace, BaselineSet)`` pair per benchmark it has seen, so the
-  expensive oracle solve is paid at most ``jobs`` times per benchmark,
-  and chunking keeps that amortized over many grid points.
-* **Single-pass banks.**  A work item is a trace name plus a slice of
-  grid points; the worker evaluates the slice as one
-  :class:`~repro.core.bank.DetectorBank` pass over the trace (see
-  :func:`repro.experiments.runner.evaluate_bank`), decoding and
-  chunking the trace once per batch instead of once per grid point.
-* **Barrier-free delivery through the chunk store.**
-  :meth:`ParallelSweepExecutor.run_store` has workers write each
-  completed chunk as an atomic content-addressed file in the chunk
-  store (:mod:`repro.experiments.store`) the moment it finishes —
-  record rows never cross the pipe, completion order does not matter,
-  and a deterministic compaction step folds the chunks into the JSONL
-  cache in plan order afterwards (byte-identical to a serial run).
-  Chunks already in the store are *reused* (that is the resume path:
-  an interrupted run costs only its missing chunk set), and chunks
-  leased by another executor sharing the results directory are
-  skipped and awaited.
-* **Progress/ETA.**  With ``progress=True`` a per-benchmark line
-  (configs evaluated, wall time, configs/s) plus a running ETA for the
-  whole sweep is logged at INFO on the ``repro.sweep`` logger (the CLI
-  routes it to stderr; see :mod:`repro.obs.logsetup`).  The ETA weights
-  remaining configs by their benchmark's trace length, so skewed grids
-  (one 10x-longer trace still pending) do not produce the wild
-  misestimates a flat configs/s extrapolation gives.
-* **Per-worker accounting.**  Every chunk result carries its worker's
-  pid, wall time and record count, plus a cumulative snapshot of the
-  worker's process-local metrics registry (trace reads, cache hits).
-  After :meth:`ParallelSweepExecutor.run_store` the aggregation is available
-  as :attr:`worker_stats`/:attr:`worker_metrics` — the sum of
-  per-worker record counts equals the records delivered, which is the
+* **``jobs=1``: in-process.**  The executor calls it with the caller's
+  own traces, baselines, tracer and metrics registry (the ``context``
+  the :class:`~repro.experiments.sweep.Sweep` passes in), so a traced
+  run records a ``sweep.job`` span per chunk.
+* **``jobs>1``: over a process pool.**  Workers map the cached traces
+  read-only (the parent materialized them), so all share one page-cache
+  copy, and memoize one ``(branch trace, BaselineSet)`` pair per
+  benchmark (:func:`_benchmark_context`), so the oracle solve is paid
+  at most ``jobs`` times per benchmark.  Only the planned chunk goes
+  out and small accounting comes back; record rows never cross the
+  pipe.
+* **A stolen lease** (another executor died holding a chunk) is redone
+  in-process like ``jobs=1``.
+
+Chunks already in the store are *reused* (that is the resume path: an
+interrupted run costs only its missing chunk set), and chunks leased by
+another executor sharing the results directory are skipped and
+awaited.  Because a chunk is one :data:`~repro.experiments.runner.DEFAULT_BANK_SIZE`
+bank of grid points, the plan does not depend on ``jobs``: executors at
+different worker counts share one results directory and each other's
+chunk files.
+
+* **Progress/ETA.**  With ``progress=True`` a per-benchmark line and a
+  running ETA, weighted by trace length, are logged at INFO on the
+  ``repro.sweep`` logger (see :class:`_Progress`).
+* **Per-worker accounting.**  Every evaluated chunk reports the pid
+  that ran it, its wall time and record count.  After
+  :meth:`ParallelSweepExecutor.run_store` the aggregation is available
+  as :attr:`~ParallelSweepExecutor.worker_stats` — the sum of
+  per-worker record counts equals the records evaluated, which is the
   invariant the run manifest records and ``repro obs summary`` checks.
+  A pool worker also ships a cumulative snapshot of its process-local
+  metrics registry (:attr:`~ParallelSweepExecutor.worker_metrics`);
+  in-process chunks record straight into the caller's registry.
 * **Opt-in chunk profiling.**  With ``profiling=True`` each chunk is
   wrapped in a :class:`~repro.obs.profiling.ChunkProfiler` (wall time +
-  ``tracemalloc`` peak); profiles come back in :attr:`chunk_profiles`.
+  ``tracemalloc`` peak); profiles come back in
+  :attr:`~ParallelSweepExecutor.chunk_profiles`.
 
 Worker count resolution order: explicit ``jobs`` argument, then the
 ``REPRO_JOBS`` environment variable, then ``os.cpu_count()``.
@@ -76,16 +73,6 @@ from repro.obs.profiling import ChunkProfiler
 
 logger = logging.getLogger("repro.sweep")
 
-#: The *floor* on grid points per work item.  Large enough to amortize
-#: pipe and memoization overhead; the auto size grows past it on huge
-#: grids (see :meth:`ParallelSweepExecutor._chunk_specs`).
-DEFAULT_CHUNK_SIZE = 8
-
-#: Auto chunk sizing targets about this many work items per worker per
-#: benchmark: enough slack for load balancing, few enough chunks that
-#: per-item overhead stays amortized on paper-scale grids.
-TARGET_CHUNKS_PER_WORKER = 4
-
 
 def resolve_jobs(jobs: Optional[int] = None) -> int:
     """Resolve a worker count: argument, then ``REPRO_JOBS``, then cores.
@@ -106,11 +93,110 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
+def evaluate_chunk(
+    chunk,
+    trace,
+    baselines: BaselineSet,
+    store,
+    profile: SuiteProfile,
+    kernels: bool = True,
+    profiling: bool = False,
+    metrics=None,
+    tracer=None,
+    trace_parent=None,
+) -> Dict:
+    """Evaluate one planned chunk and write its chunk file.
+
+    The sweep's one evaluator: pool workers, the in-process ``jobs=1``
+    route and a stolen-lease redo all call it.  ``chunk`` is a
+    :class:`~repro.experiments.store.PlannedChunk`; ``trace`` and
+    ``baselines`` are its benchmark's branch trace and solved
+    :class:`BaselineSet`.  The records are serialized to canonical
+    cache lines and written to ``store`` atomically under the chunk's
+    key.  With a ``tracer`` the chunk is a ``sweep.job`` span under
+    ``trace_parent``; ``metrics`` (optional) receives the bank's
+    ``bank.advance_seconds`` and the ``sweep.chunk_seconds`` /
+    ``sweep.chunk_rows_written`` instruments.
+
+    Returns this chunk's accounting: the pid that ran it, wall time,
+    config and record counts, and the :class:`ChunkProfiler` memory
+    peak when ``profiling`` is on (else ``None``).
+    """
+    from repro.experiments.store import cache_line
+
+    profiler = (
+        ChunkProfiler(f"{chunk.benchmark}[{len(chunk.specs)} specs]")
+        if profiling
+        else None
+    )
+    span = (
+        tracer.span("sweep.job", parent=trace_parent,
+                    benchmark=chunk.benchmark, specs=len(chunk.specs))
+        if tracer is not None
+        else nullcontext(None)
+    )
+    started = time.perf_counter()
+    with span as job_span, profiler if profiler is not None else nullcontext():
+        records = evaluate_bank(
+            trace, baselines, chunk.specs, profile, kernels=kernels,
+            tracer=tracer, trace_parent=job_span, metrics=metrics,
+        )
+        lines = [cache_line(record, chunk.fingerprint) for record in records]
+        store.write(
+            chunk.key, benchmark=chunk.benchmark, fingerprint=chunk.fingerprint,
+            configs=len(chunk.specs), lines=lines, worker={"pid": os.getpid()},
+        )
+    wall = time.perf_counter() - started
+    if metrics is not None:
+        metrics.histogram("sweep.chunk_seconds").observe(wall)
+        metrics.counter("sweep.chunk_rows_written").inc(len(lines))
+    return {
+        "pid": os.getpid(),
+        "wall_seconds": wall,
+        "configs": len(chunk.specs),
+        "records": len(lines),
+        "peak_bytes": profiler.profile.peak_bytes if profiler is not None else None,
+    }
+
+
+class _TraceContexts:
+    """benchmark -> (branch trace, solved BaselineSet), loaded once each.
+
+    Traces come from the on-disk trace cache; the baselines are solved
+    locally on first use.  A pool worker keeps one of these for its
+    lifetime; an executor without a caller-supplied context keeps one
+    for its in-process chunks.
+    """
+
+    def __init__(
+        self, profile: SuiteProfile, cache_dir, mpl_nominals: Sequence[int]
+    ) -> None:
+        self.profile = profile
+        self.cache_dir = cache_dir
+        self.mpl_nominals = tuple(mpl_nominals)
+        self._loaded: Dict[str, Tuple] = {}
+
+    def __call__(self, benchmark: str) -> Tuple:
+        if benchmark not in self._loaded:
+            from repro.workloads.suite import load_traces
+
+            branch_trace, call_loop = load_traces(
+                benchmark,
+                scale=self.profile.workload_scale,
+                cache_dir=self.cache_dir,
+            )
+            baselines = BaselineSet(
+                call_loop, self.profile, self.mpl_nominals, name=benchmark
+            )
+            self._loaded[benchmark] = (branch_trace, baselines)
+        return self._loaded[benchmark]
+
+
 # -- worker side --------------------------------------------------------------
 #
 # Module-level so it pickles under both fork and spawn start methods.
-# _init_worker runs once per worker process; _WORKER_STATE is therefore
-# per-process, never shared.
+# _init_worker runs once per pool worker process (never in the parent);
+# _WORKER_STATE is therefore per-process, never shared.
 
 _WORKER_STATE: Dict[str, object] = {}
 
@@ -123,96 +209,38 @@ def _init_worker(
     kernels: bool = True,
 ) -> None:
     _WORKER_STATE["profile"] = profile
-    _WORKER_STATE["cache_dir"] = cache_dir
-    _WORKER_STATE["mpl_nominals"] = mpl_nominals
-    _WORKER_STATE["benchmarks"] = {}
+    _WORKER_STATE["contexts"] = _TraceContexts(profile, cache_dir, mpl_nominals)
     _WORKER_STATE["profiling"] = profiling
     _WORKER_STATE["kernels"] = kernels
-    # A forked worker inherits the parent's accumulated counts; reset so
-    # the snapshots shipped back are purely this worker's own activity.
+    # A forked worker inherits the parent's accumulated counts; reset
+    # this process's copy so the snapshots shipped back are purely this
+    # worker's own activity.
     GLOBAL_METRICS.reset()
 
 
-def _benchmark_context(benchmark: str):
-    """Per-worker memoized (branch trace, baselines) for a benchmark."""
-    contexts: Dict = _WORKER_STATE["benchmarks"]  # type: ignore[assignment]
-    if benchmark not in contexts:
-        from repro.workloads.suite import load_traces
-
-        profile: SuiteProfile = _WORKER_STATE["profile"]  # type: ignore[assignment]
-        branch_trace, call_loop = load_traces(
-            benchmark,
-            scale=profile.workload_scale,
-            cache_dir=_WORKER_STATE["cache_dir"],  # type: ignore[arg-type]
-        )
-        baselines = BaselineSet(
-            call_loop,
-            profile,
-            _WORKER_STATE["mpl_nominals"],  # type: ignore[arg-type]
-            name=benchmark,
-        )
-        contexts[benchmark] = (branch_trace, baselines)
-    return contexts[benchmark]
+def _benchmark_context(benchmark: str) -> Tuple:
+    """This worker's memoized (branch trace, baselines) for a benchmark."""
+    return _WORKER_STATE["contexts"](benchmark)  # type: ignore[operator]
 
 
-def _evaluate_store_chunk(
-    benchmark: str,
-    specs: Sequence[ConfigSpec],
-    key: str,
-    fingerprint: str,
-    cache_dir: str,
-    profile_name: str,
-) -> Dict:
-    """Evaluate one work item and persist it as a chunk file, in-worker.
+def _evaluate_store_chunk(chunk, store) -> Dict:
+    """:func:`evaluate_chunk` in a pool worker, plus its metrics snapshot.
 
-    The worker serializes its own records to canonical cache lines and
-    writes the content-addressed chunk atomically, so nothing but small
-    accounting crosses the pipe and the parent never re-orders
-    anything.  Returns ``{"key": ..., "stats": ...}`` where ``stats``
-    carries the worker pid, this chunk's wall time / config / record
-    counts, the optional :class:`ChunkProfiler` memory peak, and a
-    cumulative snapshot of the worker's process-local metrics registry
-    (the parent keeps the latest snapshot per pid and merges them).
+    The snapshot is cumulative over the worker's lifetime; the parent
+    keeps the latest per pid and merges them once each.  The pool is
+    handed this function through the module global, so
+    ``benchmarks/e2e/slowdown.py`` can wrap it by name.
     """
-    from repro.experiments.store import ChunkStore, cache_line
-
-    branch_trace, baselines = _benchmark_context(benchmark)
-    profile: SuiteProfile = _WORKER_STATE["profile"]  # type: ignore[assignment]
-    kernels = bool(_WORKER_STATE["kernels"])
-    profiler = (
-        ChunkProfiler(f"{benchmark}[{len(specs)} specs]")
-        if _WORKER_STATE.get("profiling")
-        else None
+    trace, baselines = _benchmark_context(chunk.benchmark)
+    stats = evaluate_chunk(
+        chunk, trace, baselines, store,
+        _WORKER_STATE["profile"],  # type: ignore[arg-type]
+        kernels=bool(_WORKER_STATE["kernels"]),
+        profiling=bool(_WORKER_STATE["profiling"]),
+        metrics=GLOBAL_METRICS,
     )
-    started = time.perf_counter()
-    with profiler if profiler is not None else nullcontext():
-        records = evaluate_bank(
-            branch_trace, baselines, specs, profile, kernels=kernels
-        )
-    lines = [cache_line(record, fingerprint) for record in records]
-    store = ChunkStore(cache_dir, profile_name)
-    store.write(
-        key, benchmark=benchmark, fingerprint=fingerprint,
-        configs=len(specs), lines=lines,
-        worker={"pid": os.getpid()},
-    )
-    wall = time.perf_counter() - started
-    # Per-chunk wall time lands in the worker's process-local histograms;
-    # the cumulative snapshot below ships it home, where the parent's
-    # latest-per-pid merge folds it into the manifest (histograms merge
-    # associatively, so worker order does not matter).
-    GLOBAL_METRICS.histogram("sweep.job_seconds").observe(wall)
-    GLOBAL_METRICS.histogram("sweep.chunk_seconds").observe(wall)
-    GLOBAL_METRICS.counter("sweep.chunk_rows_written").inc(len(lines))
-    stats: Dict = {
-        "pid": os.getpid(),
-        "wall_seconds": wall,
-        "configs": len(specs),
-        "records": len(lines),
-        "peak_bytes": profiler.profile.peak_bytes if profiler is not None else None,
-        "metrics": GLOBAL_METRICS.snapshot(),
-    }
-    return {"key": key, "stats": stats}
+    stats["metrics"] = GLOBAL_METRICS.snapshot()
+    return stats
 
 
 # -- parent side --------------------------------------------------------------
@@ -279,27 +307,29 @@ class _Progress:
 
 
 class ParallelSweepExecutor:
-    """Fan sweep work items over a process pool through the chunk store.
+    """Evaluate sweep work through the chunk store, in-process or pooled.
 
     Args:
-        profile: the suite profile workers evaluate under.
-        cache_dir: the suite trace cache directory workers load from
-            (must already contain every trace — the parent's
-            ``load_suite`` guarantees this).
+        profile: the suite profile chunks are evaluated under.
+        cache_dir: the suite trace cache directory (must already contain
+            every trace — the parent's ``load_suite`` guarantees this).
         mpl_nominals: nominal MPLs each grid point is scored at.
-        jobs: worker count (``None`` → :func:`resolve_jobs`).
-        chunk_size: grid points per work item (``None`` → adaptive:
-            ``grid / (jobs × TARGET_CHUNKS_PER_WORKER)``, with
-            :data:`DEFAULT_CHUNK_SIZE` as the floor — small grids keep
-            the amortization floor, paper-scale grids grow the chunk so
-            per-item overhead stays negligible).
+        jobs: worker count (``None`` → :func:`resolve_jobs`); 1 runs
+            every chunk in this process, more fan them over a pool.
         profiling: wrap each chunk in a :class:`ChunkProfiler`
             (wall time + tracemalloc peak); see :attr:`chunk_profiles`.
+        kernels: ``False`` runs every member on the fused loop.
+        context: ``benchmark -> (branch trace, BaselineSet)`` for the
+            chunks evaluated in this process (``jobs=1`` and stolen
+            leases); ``None`` loads them from ``cache_dir`` once each.
+        tracer: optional span tracer for in-process chunks.
+        metrics: optional registry in-process chunks record into.
 
     After :meth:`run_store` returns, :attr:`worker_stats` holds one
-    accounting entry per worker process, :attr:`worker_metrics` the
-    latest cumulative metrics snapshot per worker, and
-    :attr:`chunk_profiles` any chunk profiles collected.
+    accounting entry per process that evaluated chunks,
+    :attr:`worker_metrics` the latest cumulative metrics snapshot per
+    pool worker, and :attr:`chunk_profiles` any chunk profiles
+    collected.
     """
 
     def __init__(
@@ -308,17 +338,23 @@ class ParallelSweepExecutor:
         cache_dir,
         mpl_nominals: Sequence[int],
         jobs: Optional[int] = None,
-        chunk_size: Optional[int] = None,
         profiling: bool = False,
         kernels: bool = True,
+        context: Optional[Callable[[str], Tuple]] = None,
+        tracer=None,
+        metrics=None,
     ) -> None:
         self.profile = profile
         self.cache_dir = cache_dir
         self.mpl_nominals = tuple(mpl_nominals)
         self.jobs = resolve_jobs(jobs)
-        self.chunk_size = chunk_size
         self.profiling = profiling
         self.kernels = kernels
+        self.context = context if context is not None else _TraceContexts(
+            profile, cache_dir, self.mpl_nominals
+        )
+        self.tracer = tracer
+        self.metrics = metrics
         self.worker_stats: List[Dict] = []
         self.worker_metrics: Dict[int, Dict] = {}
         self.chunk_profiles: List[Dict] = []
@@ -326,20 +362,6 @@ class ParallelSweepExecutor:
         #: (``PlannedChunk`` values, in fold order); the caller hands it
         #: to :func:`repro.experiments.store.compact_chunks`.
         self.planned = []
-
-    def _chunk_specs(self, specs: Sequence[ConfigSpec]) -> List[List[ConfigSpec]]:
-        if self.chunk_size is not None:
-            size = self.chunk_size
-        else:
-            # Adaptive: aim for TARGET_CHUNKS_PER_WORKER items per worker
-            # per benchmark, but never shrink below the amortization
-            # floor.  A 10,000-point grid on 8 workers gets ~313-spec
-            # chunks; a quick 135-point grid keeps the floor of 8.
-            size = max(
-                DEFAULT_CHUNK_SIZE,
-                -(-len(specs) // (self.jobs * TARGET_CHUNKS_PER_WORKER)),
-            )
-        return [list(specs[i : i + size]) for i in range(0, len(specs), size)]
 
     def run_store(
         self,
@@ -351,23 +373,27 @@ class ParallelSweepExecutor:
         on_chunk_done: Optional[Callable[[object, str], None]] = None,
         lease_ttl: Optional[float] = None,
         poll_seconds: float = 0.2,
+        trace_parent=None,
     ) -> Dict[str, int]:
         """Evaluate ``work`` barrier-free through the chunk store.
 
-        The work is planned into content-addressed chunks
+        The work is planned into content-addressed one-bank chunks
         (:func:`repro.experiments.store.plan_chunks`; the plan lands in
         :attr:`planned`).  For each planned chunk, in order:
 
         * a valid chunk file already in the store is **reused** — that
           is the resume path, and costs nothing but a read;
         * otherwise this executor tries to **claim** the chunk's lease;
-          on success the chunk is submitted to the pool, whose worker
-          evaluates it and writes the chunk file itself
-          (:func:`_evaluate_store_chunk`) — completion order is
+          on success it evaluates the chunk with :func:`evaluate_chunk`,
+          which writes the chunk file — in this process at ``jobs=1``,
+          in a pool worker otherwise, where completion order is
           irrelevant, so there is no head-of-line blocking;
         * a chunk leased by another executor sharing the directory is
           left to that executor and **awaited** at the end (with
           TTL-based steal if the other executor died).
+
+        In-process chunks become ``sweep.job`` spans under
+        ``trace_parent`` when the executor has a tracer.
 
         Returns ``{"planned", "reused", "evaluated", "external",
         "evaluated_configs", "evaluated_records"}``.  The caller runs
@@ -382,8 +408,7 @@ class ParallelSweepExecutor:
 
         ttl = DEFAULT_LEASE_TTL if lease_ttl is None else lease_ttl
         planned = plan_chunks(
-            work, fingerprints, self.profile.name, self.mpl_nominals,
-            self._chunk_specs,
+            work, fingerprints, self.profile.name, self.mpl_nominals
         )
         self.planned = planned
         self.worker_stats = []
@@ -422,7 +447,38 @@ class ParallelSweepExecutor:
             remaining_chunks[chunk.benchmark] = (
                 remaining_chunks.get(chunk.benchmark, 0) + 1
             )
-        if mine:
+
+        def account(chunk, stats: Dict) -> None:
+            store.release(chunk.key)
+            self._account(per_worker, chunk, stats)
+            stats_out["evaluated"] += 1
+            stats_out["evaluated_configs"] += stats["configs"]
+            stats_out["evaluated_records"] += stats["records"]
+
+        def finish(chunk, stats: Dict) -> None:
+            account(chunk, stats)
+            if on_chunk_done is not None:
+                on_chunk_done(chunk, "evaluated")
+            if progress:
+                remaining_chunks[chunk.benchmark] -= 1
+                tracker.note(
+                    self.profile.name,
+                    chunk.benchmark,
+                    len(chunk.specs),
+                    remaining_chunks[chunk.benchmark] == 0,
+                    weight=(
+                        len(chunk.specs) * weights.get(chunk.benchmark, 1.0)
+                        if weights else None
+                    ),
+                )
+
+        # On failure, claimed-but-unevaluated leases stay in place: the
+        # TTL lets a successor steal them, and any chunk files already
+        # written survive for the resume path.
+        if self.jobs == 1:
+            for chunk in mine:
+                finish(chunk, self._evaluate_here(chunk, store, trace_parent))
+        elif mine:
             with ProcessPoolExecutor(
                 max_workers=self.jobs,
                 initializer=_init_worker,
@@ -435,15 +491,7 @@ class ParallelSweepExecutor:
                 ),
             ) as pool:
                 futures = {
-                    pool.submit(
-                        _evaluate_store_chunk,
-                        chunk.benchmark,
-                        list(chunk.specs),
-                        chunk.key,
-                        chunk.fingerprint,
-                        str(store.cache_dir),
-                        self.profile.name,
-                    ): chunk
+                    pool.submit(_evaluate_store_chunk, chunk, store): chunk
                     for chunk in mine
                 }
                 pending = set(futures)
@@ -453,41 +501,16 @@ class ParallelSweepExecutor:
                             pending, return_when=FIRST_COMPLETED
                         )
                         for future in finished:
-                            chunk = futures[future]
-                            result = future.result()
-                            store.release(chunk.key)
-                            stats = result["stats"]
-                            self._account(per_worker, chunk, stats)
-                            stats_out["evaluated"] += 1
-                            stats_out["evaluated_configs"] += stats["configs"]
-                            stats_out["evaluated_records"] += stats["records"]
-                            if on_chunk_done is not None:
-                                on_chunk_done(chunk, "evaluated")
-                            if progress:
-                                remaining_chunks[chunk.benchmark] -= 1
-                                tracker.note(
-                                    self.profile.name,
-                                    chunk.benchmark,
-                                    len(chunk.specs),
-                                    remaining_chunks[chunk.benchmark] == 0,
-                                    weight=(
-                                        len(chunk.specs)
-                                        * weights.get(chunk.benchmark, 1.0)
-                                        if weights else None
-                                    ),
-                                )
+                            finish(futures[future], future.result())
                 except BaseException:
-                    # Leave claimed-but-unevaluated leases in place: the
-                    # TTL lets a successor steal them, and any chunk
-                    # files already written survive for the resume path.
                     pool.shutdown(wait=True, cancel_futures=True)
                     raise
         # Await chunks another executor holds the lease on.  Normally
         # the other executor's chunk file just appears; if its lease
         # expires first (it died), steal the lease and redo the chunk
-        # in a one-off worker.  A stolen chunk still counts as
-        # "external" — the stats describe the plan's division of labor,
-        # and the redo is accounted under evaluated_* like any other.
+        # in this process.  A stolen chunk still counts as "external" —
+        # the stats describe the plan's division of labor, and the redo
+        # is accounted under evaluated_* like any other.
         stats_out["external"] = len(external)
         cache_path = store.cache_dir / f"sweep-{store.profile_name}.jsonl"
         for chunk in external:
@@ -507,13 +530,7 @@ class ParallelSweepExecutor:
                         "[%s] stealing expired lease on chunk %s (%s)",
                         self.profile.name, chunk.key, chunk.benchmark,
                     )
-                    result = self._redo_chunk(chunk, store)
-                    store.release(chunk.key)
-                    stats = result["stats"]
-                    self._account(per_worker, chunk, stats)
-                    stats_out["evaluated"] += 1
-                    stats_out["evaluated_configs"] += stats["configs"]
-                    stats_out["evaluated_records"] += stats["records"]
+                    account(chunk, self._evaluate_here(chunk, store, trace_parent))
                     break
                 time.sleep(poll_seconds)
             if on_chunk_done is not None:
@@ -521,33 +538,14 @@ class ParallelSweepExecutor:
         self.worker_stats = [per_worker[pid] for pid in sorted(per_worker)]
         return stats_out
 
-    def _redo_chunk(self, chunk, store) -> Dict:
-        """Re-evaluate one stolen chunk in a one-off worker process.
-
-        A separate process (not inline) so the worker-side globals —
-        ``_WORKER_STATE`` and the process-local metrics reset in
-        ``_init_worker`` — never touch the parent's.
-        """
-        with ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_init_worker,
-            initargs=(
-                self.profile,
-                str(self.cache_dir) if self.cache_dir is not None else None,
-                self.mpl_nominals,
-                self.profiling,
-                self.kernels,
-            ),
-        ) as pool:
-            return pool.submit(
-                _evaluate_store_chunk,
-                chunk.benchmark,
-                list(chunk.specs),
-                chunk.key,
-                chunk.fingerprint,
-                str(store.cache_dir),
-                self.profile.name,
-            ).result()
+    def _evaluate_here(self, chunk, store, trace_parent=None) -> Dict:
+        """:func:`evaluate_chunk` in this process, on :attr:`context`."""
+        trace, baselines = self.context(chunk.benchmark)
+        return evaluate_chunk(
+            chunk, trace, baselines, store, self.profile,
+            kernels=self.kernels, profiling=self.profiling,
+            metrics=self.metrics, tracer=self.tracer, trace_parent=trace_parent,
+        )
 
     def _account(self, per_worker: Dict[int, Dict], chunk, stats: Dict) -> None:
         """Fold one chunk's worker stats into the per-pid aggregation."""
@@ -576,5 +574,7 @@ class ParallelSweepExecutor:
                     "peak_bytes": peak,
                 }
             )
-        # Cumulative snapshot: keep the worker's latest.
-        self.worker_metrics[pid] = stats.get("metrics", {})
+        # A pool worker's snapshot is cumulative: keep its latest.  An
+        # in-process chunk recorded into the caller's registry instead.
+        if "metrics" in stats:
+            self.worker_metrics[pid] = stats["metrics"]

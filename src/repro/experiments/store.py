@@ -3,8 +3,10 @@
 This module is the persistence layer behind sharded, resumable sweeps
 (``docs/sweep.md``).  Three pieces:
 
-**Chunk store.**  A parallel sweep's unit of work is a *chunk*: one
-benchmark plus a slice of grid points, evaluated at every MPL.  Each
+**Chunk store.**  Every sweep's unit of work, at every ``--jobs``, is
+a *chunk*: one benchmark plus one bank of grid points (a run of
+:data:`~repro.experiments.runner.DEFAULT_BANK_SIZE` in grid order),
+evaluated at every MPL.  Each
 chunk is identified by a content hash over (code-version salt, trace
 content fingerprint, profile, spec-chunk identity, MPL set) — see
 :func:`chunk_key` — and its completed records are written as one atomic
@@ -12,10 +14,10 @@ self-describing file under ``sweep-<profile>.chunks/`` (tmp file +
 rename; a torn or truncated file reads as *missing*).  Because the key
 is content-addressed and detector evaluation is deterministic, writes
 are idempotent: two executors racing on the same chunk produce the same
-body bytes, so the last rename wins harmlessly.  Workers write their
-own chunk files, so there is no ordered-delivery barrier — record rows
-never cross the pipe and nothing downstream depends on completion
-order.
+body bytes, so the last rename wins harmlessly.  Whoever evaluates a
+chunk (a pool worker, or the executor itself at ``--jobs 1``) writes
+its file, so there is no ordered-delivery barrier — record rows never
+cross the pipe and nothing downstream depends on completion order.
 
 **Leases.**  Executors sharing a results directory (including separate
 machines on a shared filesystem) divide work through lease files:
@@ -28,8 +30,8 @@ transiently give two executors the same chunk; that is safe
 
 **Compaction + SQLite.**  :func:`compact_chunks` folds completed chunks
 into the existing append-only JSONL record cache *in plan order*
-(benchmark-major, spec-order — the order a serial sweep appends in), so
-the compacted cache is byte-identical to a serial run's.  It runs under
+(benchmark-major, spec-order), so the compacted cache has the same
+bytes at every ``--jobs`` and in every completion order.  It runs under
 a ``compact`` lease so concurrent executors fold once, skips any chunk
 whose cells are already cached (another executor got there first), and
 finishes by syncing the cache into a :class:`ResultDB` — a SQLite
@@ -53,7 +55,6 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import (
-    Callable,
     Dict,
     Iterable,
     List,
@@ -65,7 +66,7 @@ from typing import (
 )
 
 from repro.experiments.config_space import ConfigSpec
-from repro.experiments.runner import SweepRecord
+from repro.experiments.runner import DEFAULT_BANK_SIZE, SweepRecord
 
 PathLike = Union[str, os.PathLike]
 
@@ -107,10 +108,10 @@ class StoreError(RuntimeError):
 def cache_line(record: SweepRecord, fingerprint: str) -> str:
     """The canonical JSONL cache serialization of one record.
 
-    This is the single definition of a cache row's bytes: the serial
-    sweep's appends, the workers' chunk bodies and the compactor all go
-    through it, which is what makes "compacted cache == serial cache"
-    a byte-level identity rather than a semantic one.
+    This is the single definition of a cache row's bytes: every chunk
+    body goes through it and the compactor copies those bytes, which is
+    what makes "same cache at every ``--jobs``" a byte-level identity
+    rather than a semantic one.
     """
     row = record.to_row()
     row["fingerprint"] = fingerprint
@@ -178,20 +179,22 @@ def plan_chunks(
     fingerprints: Dict[str, str],
     profile_name: str,
     mpl_nominals: Sequence[int],
-    chunker: Callable[[Sequence[ConfigSpec]], List[List[ConfigSpec]]],
 ) -> List[PlannedChunk]:
     """Split ``work`` into content-addressed chunks, in plan order.
 
-    The plan is a pure function of (work, fingerprints, profile, MPLs,
-    chunker): executors sharing a results directory compute identical
-    plans — identical keys, identical fold order — as long as they
-    chunk the same way (same ``--jobs``/``chunk_size``; see
-    ``docs/sweep.md``).
+    Each benchmark's specs are cut, in grid order, into runs of
+    :data:`~repro.experiments.runner.DEFAULT_BANK_SIZE`: one chunk is
+    one :class:`~repro.core.bank.DetectorBank` pass.  The plan is a pure
+    function of (work, fingerprints, profile, MPLs) — not of the worker
+    count — so every executor sharing a results directory computes the
+    same keys in the same fold order (see ``docs/sweep.md``).
     """
     planned: List[PlannedChunk] = []
     for benchmark, specs in work:
         fingerprint = fingerprints[benchmark]
-        for piece in chunker(list(specs)):
+        specs = list(specs)
+        for start in range(0, len(specs), DEFAULT_BANK_SIZE):
+            piece = specs[start : start + DEFAULT_BANK_SIZE]
             planned.append(
                 PlannedChunk(
                     index=len(planned),
@@ -491,6 +494,16 @@ def _cache_cells(cache_path: Path) -> Set[Tuple]:
     return cells
 
 
+def _torn_tail(cache_path: Path) -> bool:
+    """True when the cache's last byte is not a newline."""
+    try:
+        with cache_path.open("rb") as handle:
+            handle.seek(-1, os.SEEK_END)
+            return handle.read(1) != b"\n"
+    except OSError:  # missing or empty
+        return False
+
+
 def compact_chunks(
     store: ChunkStore,
     planned: Sequence[PlannedChunk],
@@ -502,9 +515,12 @@ def compact_chunks(
     """Fold completed chunks into the JSONL cache (and SQLite), then gc.
 
     Deterministic: chunks append in plan order, each row with the exact
-    bytes the worker serialized, so a cache grown by compaction is
-    byte-identical to one grown by a serial sweep over the same missing
-    set.  Safe to run from several executors: the whole fold runs under
+    bytes its evaluator serialized, so a cache grown by compaction has
+    the same bytes whatever the worker count or completion order.  A
+    cache whose last line is torn (an interrupted append) gets a newline
+    first, so the torn fragment stays one unreadable line instead of
+    swallowing the first folded row.  Safe to run from several
+    executors: the whole fold runs under
     the store's ``compact`` lock, a fresh re-read of the cache skips
     chunks another compactor already folded, and chunk files are only
     deleted after their rows are durably appended.
@@ -539,8 +555,8 @@ def compact_chunks(
             _, lines = loaded
             # Skip a chunk only when *every* cell is already cached
             # (another compactor folded it; a partially-present chunk —
-            # possible when a serial run cached some of its MPLs — still
-            # folds, matching serial re-evaluation's last-wins appends).
+            # possible when an earlier run cached some of its MPLs —
+            # still folds, and the cache's last row wins).
             # The check parses lazily and short-circuits on the first
             # absent cell, so a fresh compaction parses one line per
             # chunk instead of all of them.  Planned chunks are mutually
@@ -554,6 +570,8 @@ def compact_chunks(
             folded += 1
             rows_appended += len(lines)
         if pieces:
+            if _torn_tail(cache_path):
+                pieces.insert(0, "\n")
             cache_path.parent.mkdir(parents=True, exist_ok=True)
             with cache_path.open("a", encoding="utf-8") as handle:
                 handle.write("".join(pieces))

@@ -2,21 +2,22 @@
 
 A sweep evaluates a set of grid points over every benchmark trace and
 scores each run at every MPL.  Detector runs are the expensive part, so
-completed records are appended to a JSONL cache keyed by (benchmark
+completed records land in a JSONL cache keyed by (benchmark
 fingerprint, grid point, MPL set); re-running a sweep with a warm cache
-only aggregates.  Grid points are evaluated in single-pass
-:class:`~repro.core.bank.DetectorBank` batches per trace (each trace is
-decoded and chunked once per batch, not once per grid point; see
-``docs/sweep.md``).
+only aggregates.
 
-Evaluation runs serially in-process by default (``jobs=1``) or fans out
-over a process pool (``jobs>1`` or ``jobs=None`` with ``REPRO_JOBS``
-set) through the content-addressed chunk store of
-:mod:`repro.experiments.store` (see :mod:`repro.experiments.parallel`).
-Both modes leave the cache rows in the same deterministic order, so the
-cache file is byte-identical either way, and both mirror it into the
-SQLite result database; see ``docs/sweep.md`` for the lifecycle and
-``docs/formats.md`` for the cache schema.
+Evaluation has one route at every worker count: the missing cells are
+planned into one-bank chunks of the content-addressed chunk store
+(:mod:`repro.experiments.store`), each chunk is one single-pass
+:class:`~repro.core.bank.DetectorBank` batch written to its own file,
+and a deterministic compaction folds the chunks into the cache.
+``jobs=1`` (the default) evaluates the chunks in this process on the
+sweep's own traces and baselines; ``jobs>1`` (or ``jobs=None`` with
+``REPRO_JOBS`` set) fans them over a process pool (see
+:mod:`repro.experiments.parallel`).  The cache file is byte-identical
+either way, and is mirrored into the SQLite result database; see
+``docs/sweep.md`` for the lifecycle and ``docs/formats.md`` for the
+cache schema.
 
 Every :meth:`Sweep.ensure` that touches the on-disk cache also writes a
 run manifest next to it (``sweep-<profile>.manifest.json``) recording
@@ -30,11 +31,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import time
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.config_space import (
     ConfigSpec,
@@ -42,12 +42,10 @@ from repro.experiments.config_space import (
     SuiteProfile,
     paper_grid,
 )
-from repro.experiments.runner import BaselineSet, SweepRecord, evaluate_bank
+from repro.experiments.runner import BaselineSet, SweepRecord
 from repro.obs.manifest import build_manifest, manifest_path_for, write_manifest
 from repro.obs.metrics import GLOBAL_METRICS, MetricsRegistry
 from repro.workloads.suite import DEFAULT_CACHE_DIR, load_suite, workload, workload_names
-
-logger = logging.getLogger("repro.sweep")
 
 _CacheKey = Tuple[str, str, Tuple, int]
 
@@ -81,14 +79,14 @@ class Sweep:
         mpl_nominals: nominal MPL values to score at (default: the
             extended set including 200K, so one sweep feeds every
             table and figure).
-        jobs: default worker count for :meth:`ensure` (1 = serial
-            in-process evaluation; >1 fans out over a process pool).
+        jobs: default worker count for :meth:`ensure` (1 = chunks
+            evaluated in this process; >1 fans them over a process pool).
         tracer: optional span tracer (see :mod:`repro.obs.trace`); when
             set, each :meth:`ensure` becomes a ``sweep`` span with one
-            ``sweep.job`` child per (benchmark, missing-specs) unit and
+            ``sweep.job`` child per chunk evaluated in this process and
             ``bank.run``/``bank.kernel`` grandchildren under those.
-            Serial evaluation only — parallel workers live in other
-            processes and are profiled via worker metrics instead.
+            Pool workers live in other processes and record no spans;
+            they are profiled via worker metrics instead.
     """
 
     def __init__(
@@ -110,7 +108,7 @@ class Sweep:
         #: fused loop everywhere — the kernel-equivalence escape hatch,
         #: identical records).
         self.kernels = kernels
-        #: Optional span tracer, passed down the serial evaluation path.
+        #: Optional span tracer, passed to chunks evaluated in-process.
         self.tracer = tracer
         #: Per-sweep metrics registry; snapshotted into the run manifest.
         self.metrics = MetricsRegistry()
@@ -124,6 +122,8 @@ class Sweep:
         self._db = None
         self._last_chunk_stats: Optional[Dict[str, int]] = None
         self._cache_path = self.cache_dir / f"sweep-{profile.name}.jsonl"
+        #: Bytes of the cache already loaded (see :meth:`_load_cache`).
+        self._cache_offset = 0
         self._load_cache()
 
     # -- cache ------------------------------------------------------------------
@@ -136,22 +136,38 @@ class Sweep:
         return cached
 
     def _load_cache(self) -> None:
-        if not self._cache_path.exists():
+        """Load the cache rows appended since the last load.
+
+        The cache only grows by appends, so each load starts where the
+        previous one stopped (a file shorter than that was rebuilt and
+        is read from the start), and every row is counted once.  An
+        unterminated last line — an append in progress, or a torn tail
+        that the next compaction terminates — is left for a later load.
+        """
+        try:
+            size = self._cache_path.stat().st_size
+        except OSError:
             return
+        if size < self._cache_offset:
+            self._cache_offset = 0
         loaded = self.metrics.counter("sweep.cache_rows_loaded")
         stale = self.metrics.counter("sweep.cache_rows_stale")
         torn = self.metrics.counter("sweep.cache_rows_torn")
         fingerprints = {name: self._fingerprint(name) for name in self.benchmarks}
         with self.metrics.time("sweep.cache_load_seconds"):
-            with self._cache_path.open("r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
+            with self._cache_path.open("rb") as handle:
+                handle.seek(self._cache_offset)
+                for raw in handle:
+                    if not raw.endswith(b"\n"):
+                        break
+                    self._cache_offset += len(raw)
+                    line = raw.strip()
                     if not line:
                         continue
                     try:
                         row = json.loads(line)
-                    except json.JSONDecodeError:
-                        torn.inc()  # tolerate a torn tail from an interrupted run
+                    except ValueError:
+                        torn.inc()  # tolerate a torn row from an interrupted run
                         continue
                     fingerprint = row.pop("fingerprint", "")
                     record = SweepRecord.from_row(row)
@@ -171,14 +187,6 @@ class Sweep:
             record.resize,
         )
         return (record.benchmark, self.profile.name, spec_key, record.mpl_nominal)
-
-    def _append_cache(self, records: Iterable[SweepRecord]) -> None:
-        from repro.experiments.store import cache_line
-
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        with self._cache_path.open("a", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(cache_line(record, self._fingerprint(record.benchmark)))
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -238,80 +246,47 @@ class Sweep:
             )
         ]
 
-    def _span(self, name: str, parent=None, **attrs):
+    def _span(self, name: str, **attrs):
         if self.tracer is None:
             return nullcontext(None)
-        return self.tracer.span(name, parent=parent, **attrs)
+        return self.tracer.span(name, **attrs)
 
-    def _evaluate_serial(
-        self,
-        work: Sequence[Tuple[str, List[ConfigSpec]]],
-        progress: bool,
-        trace_parent=None,
-    ) -> int:
-        evaluated = 0
-        for benchmark, missing in work:
-            branch_trace, _ = self._traces[benchmark]
-            baselines = self.baselines(benchmark)
-            started = time.perf_counter()
-            with self._span(
-                "sweep.job", parent=trace_parent,
-                benchmark=benchmark, specs=len(missing),
-            ) as job_span:
-                fresh: List[SweepRecord] = evaluate_bank(
-                    branch_trace, baselines, missing, self.profile,
-                    kernels=self.kernels,
-                    tracer=self.tracer, trace_parent=job_span,
-                    metrics=self.metrics,
-                )
-            for record in fresh:
-                self._records[self._record_key(record)] = record
-            self._append_cache(fresh)
-            evaluated += len(fresh)
-            elapsed = time.perf_counter() - started
-            self.metrics.timing("sweep.benchmark_seconds").observe(elapsed)
-            self.metrics.histogram("sweep.job_seconds").observe(elapsed)
-            self.metrics.counter("sweep.records_evaluated").inc(len(fresh))
-            if progress:
-                logger.info(
-                    "[%s] %s: %d configs in %.1fs",
-                    self.profile.name, benchmark, len(missing), elapsed,
-                )
-        return evaluated
+    def _context(self, benchmark: str) -> Tuple:
+        """(branch trace, baselines) for chunks evaluated in-process."""
+        return self._traces[benchmark][0], self.baselines(benchmark)
 
-    def _evaluate_store(
+    def _evaluate(
         self,
         work: Sequence[Tuple[str, List[ConfigSpec]]],
         jobs: int,
         progress: bool,
-        profiling: bool = False,
-    ) -> Tuple[int, List[Dict], Dict[int, Dict], List[Dict]]:
-        """Barrier-free parallel evaluation through the chunk store.
+        profiling: bool,
+        trace_parent=None,
+    ):
+        """Evaluate ``work`` through the chunk store; return the executor.
 
-        Workers write content-addressed chunk files themselves as they
-        finish — in whatever order — and the parent only collects
-        accounting.  Chunks already present (a resumed run) are reused
-        without evaluation; chunks leased by another live executor are
-        skipped and awaited.  Once every planned chunk exists, a
-        deterministic compaction folds them into the JSONL cache in
-        plan order (byte-identical to a serial sweep) and syncs the
-        SQLite result database.  See :mod:`repro.experiments.store`.
+        Chunks are written as they finish — in whatever order — and the
+        parent only collects accounting.  Chunks already present (a
+        resumed run) are reused without evaluation; chunks leased by
+        another live executor are skipped and awaited.  Once every
+        planned chunk exists, a deterministic compaction folds them into
+        the JSONL cache in plan order and syncs the SQLite result
+        database.  See :mod:`repro.experiments.store`.
         """
-        from repro.experiments.parallel import ParallelSweepExecutor, resolve_jobs
+        from repro.experiments.parallel import ParallelSweepExecutor
         from repro.experiments.store import ChunkStore, compact_chunks
 
-        jobs = resolve_jobs(jobs)
-        if jobs <= 1:
-            return self._evaluate_serial(work, progress), [], {}, []
         executor = ParallelSweepExecutor(
             self.profile, self.cache_dir, self.mpl_nominals, jobs=jobs,
-            profiling=profiling, kernels=self.kernels,
+            profiling=profiling, kernels=self.kernels, context=self._context,
+            tracer=self.tracer, metrics=self.metrics,
         )
         store = ChunkStore(self.cache_dir, self.profile.name)
         fingerprints = {benchmark: self._fingerprint(benchmark) for benchmark, _ in work}
         chunk_stats = executor.run_store(
             work, store, fingerprints, progress=progress,
             benchmark_weights=self._benchmark_weights(),
+            trace_parent=trace_parent,
         )
         summary = compact_chunks(
             store, executor.planned, self._cache_path,
@@ -321,20 +296,16 @@ class Sweep:
         chunk_stats["already_compacted"] = summary["skipped"]
         self._last_chunk_stats = chunk_stats
         # The cache now holds every planned row (including chunks other
-        # executors evaluated or folded); re-reading it is the one
-        # code path that is correct no matter who appended what.
+        # executors evaluated or folded); loading what was appended is
+        # correct no matter who appended it.
         self._load_cache()
-        evaluated = chunk_stats["evaluated_records"]
-        self.metrics.counter("sweep.records_evaluated").inc(evaluated)
+        self.metrics.counter("sweep.records_evaluated").inc(
+            chunk_stats["evaluated_records"]
+        )
         self.metrics.counter("sweep.chunks_planned").inc(chunk_stats["planned"])
         self.metrics.counter("sweep.chunks_reused").inc(chunk_stats["reused"])
         self.metrics.counter("sweep.chunks_evaluated").inc(chunk_stats["evaluated"])
-        return (
-            evaluated,
-            executor.worker_stats,
-            executor.worker_metrics,
-            executor.chunk_profiles,
-        )
+        return executor
 
     @property
     def manifest_path(self) -> Path:
@@ -354,40 +325,35 @@ class Sweep:
         With a warm cache this is pure lookup.  ``progress`` logs a
         one-line-per-benchmark trace (``repro.sweep`` logger, INFO).
         ``jobs`` overrides the sweep's default worker count for this
-        call: 1 evaluates serially in-process, >1 fans work out over a
-        process pool (see :mod:`repro.experiments.parallel`); both
+        call: 1 evaluates the chunks in this process, >1 fans them over
+        a process pool (see :mod:`repro.experiments.parallel`); both
         produce the same records and a byte-identical cache file.
-        ``profiling`` wraps each parallel chunk in a
+        ``profiling`` wraps each chunk in a
         :class:`~repro.obs.profiling.ChunkProfiler`.  Unless
         ``manifest=False``, a run manifest is written next to the cache
         describing this call (see :mod:`repro.obs.manifest`).
         """
+        from repro.experiments.parallel import resolve_jobs
+
         specs = list(specs) if specs is not None else paper_grid(self.profile)
-        jobs = self.jobs if jobs is None else jobs
+        jobs = resolve_jobs(self.jobs if jobs is None else jobs)
         started = time.perf_counter()
         work = [
             (benchmark, missing)
             for benchmark in self.benchmarks
             if (missing := self._missing(benchmark, specs))
         ]
-        evaluated = 0
-        workers: List[Dict] = []
-        worker_metrics: Dict[int, Dict] = {}
-        chunk_profiles: List[Dict] = []
+        executor = None
         self._last_chunk_stats = None
         if work:
             with self._span(
                 "sweep", profile=self.profile.name, benchmarks=len(work),
             ) as sweep_span:
-                if jobs is not None and jobs <= 1:
-                    evaluated = self._evaluate_serial(
-                        work, progress, trace_parent=sweep_span
-                    )
-                else:
-                    evaluated, workers, worker_metrics, chunk_profiles = (
-                        self._evaluate_store(work, jobs, progress, profiling)
-                    )
-        # Keep the SQLite mirror current no matter which path ran
+                executor = self._evaluate(work, jobs, progress, profiling, sweep_span)
+        evaluated = (
+            self._last_chunk_stats["evaluated_records"] if executor is not None else 0
+        )
+        # Keep the SQLite mirror current even when nothing was evaluated
         # (incremental: a warm-cache call parses nothing).
         with self.metrics.time("store.db_sync_seconds"):
             self.result_db().sync_from_cache(self._cache_path, self.profile.name)
@@ -396,7 +362,7 @@ class Sweep:
             self.result_db().record_run(
                 profile=self.profile.name,
                 grid_fingerprint=grid_fingerprint(specs, self.mpl_nominals),
-                jobs=jobs if jobs is not None else 1,
+                jobs=jobs,
                 elapsed_seconds=elapsed,
                 records_evaluated=evaluated,
                 records_total=len(self._records),
@@ -410,26 +376,23 @@ class Sweep:
                     if record is not None:
                         wanted.append(record)
         if manifest:
-            self._write_manifest(
-                specs, jobs, elapsed, evaluated,
-                workers, worker_metrics, chunk_profiles,
-            )
+            self._write_manifest(specs, jobs, elapsed, evaluated, executor)
         return wanted
 
     def _write_manifest(
         self,
         specs: Sequence[ConfigSpec],
-        jobs: Optional[int],
+        jobs: int,
         elapsed: float,
         evaluated: int,
-        workers: List[Dict],
-        worker_metrics: Dict[int, Dict],
-        chunk_profiles: List[Dict],
+        executor,
     ) -> Path:
         """Write this run's manifest next to the cache (atomic)."""
-        # One registry view of the run: the sweep's own instruments, the
-        # parent process's I/O counters, then each worker's latest
-        # cumulative snapshot (cumulative -> merge once per worker).
+        worker_metrics = executor.worker_metrics if executor is not None else {}
+        # One registry view of the run, each source merged once: the
+        # sweep's own instruments (in-process chunks record here), the
+        # parent process's I/O counters, then each pool worker's latest
+        # cumulative snapshot.
         merged = MetricsRegistry.merged(
             [self.metrics.snapshot(), GLOBAL_METRICS.snapshot()]
             + [worker_metrics[pid] for pid in sorted(worker_metrics)]
@@ -440,13 +403,13 @@ class Sweep:
             fingerprints={name: self._fingerprint(name) for name in self.benchmarks},
             grid_fingerprint=grid_fingerprint(specs, self.mpl_nominals),
             mpl_nominals=self.mpl_nominals,
-            jobs=jobs if jobs is not None else 1,
+            jobs=jobs,
             elapsed_seconds=elapsed,
             records_evaluated=evaluated,
             records_total=len(self._records),
-            workers=workers,
+            workers=executor.worker_stats if executor is not None else [],
             metrics=merged.snapshot(),
-            chunk_profiles=chunk_profiles,
+            chunk_profiles=executor.chunk_profiles if executor is not None else [],
             chunks=self._last_chunk_stats,
         )
         return write_manifest(document, self.manifest_path)

@@ -5,15 +5,10 @@ import json
 import pytest
 
 from repro.core.config import AnalyzerKind, ModelKind
-from repro.experiments.config_space import ConfigSpec, SuiteProfile
-from repro.experiments.parallel import (
-    DEFAULT_CHUNK_SIZE,
-    TARGET_CHUNKS_PER_WORKER,
-    ParallelSweepExecutor,
-    _Progress,
-    resolve_jobs,
-)
-from repro.experiments.store import ChunkStore
+from repro.experiments.config_space import ConfigSpec, SuiteProfile, paper_grid
+from repro.experiments.parallel import ParallelSweepExecutor, _Progress, resolve_jobs
+from repro.experiments.runner import DEFAULT_BANK_SIZE
+from repro.experiments.store import ChunkStore, plan_chunks
 from repro.experiments.sweep import Sweep
 from repro.workloads.suite import workload
 
@@ -67,39 +62,31 @@ class TestResolveJobs:
 
 
 class TestChunking:
-    def test_explicit_chunk_size(self, tmp_path):
-        executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2, chunk_size=3)
-        chunks = executor._chunk_specs(SPECS)
-        assert [len(c) for c in chunks] == [3, 1]
-        assert [spec for chunk in chunks for spec in chunk] == SPECS
+    def test_plan_cuts_one_bank_per_chunk(self):
+        many = [
+            ConfigSpec("constant", cw, ModelKind.UNWEIGHTED, AnalyzerKind.THRESHOLD, 0.6)
+            for cw in range(100, 4_100, 100)
+        ]
+        planned = plan_chunks([("db", many)], {"db": "fp"}, TINY.name, MPLS)
+        assert [len(c.specs) for c in planned] == [DEFAULT_BANK_SIZE] * 2 + [8]
+        assert [spec for chunk in planned for spec in chunk.specs] == many
 
-    def test_auto_chunk_size_adapts_to_grid(self, tmp_path):
-        # 120 specs / (1 job * 4 target chunks per worker) = 30-spec chunks.
-        executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=1)
-        many = SPECS * 30
-        chunks = executor._chunk_specs(many)
-        expected = -(-len(many) // (1 * TARGET_CHUNKS_PER_WORKER))
-        assert [len(c) for c in chunks[:-1]] == [expected] * (len(chunks) - 1)
-        assert sum(len(c) for c in chunks) == len(many)
-        assert [spec for chunk in chunks for spec in chunk] == many
-
-    def test_auto_chunk_size_floor(self, tmp_path):
-        # Small grids never shrink below DEFAULT_CHUNK_SIZE: with many
-        # jobs the adaptive divisor would give 1-spec chunks, whose
-        # per-chunk overhead swamps the work.
-        executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=8)
-        chunks = executor._chunk_specs(SPECS * 4)
-        assert all(len(c) <= DEFAULT_CHUNK_SIZE for c in chunks)
-        assert len(chunks[0]) == DEFAULT_CHUNK_SIZE
-
-    def test_auto_chunk_size_spreads_across_workers(self, tmp_path):
-        # A big grid must yield at least jobs * TARGET_CHUNKS_PER_WORKER
-        # chunks so no worker idles while another drains a giant chunk.
-        executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=4)
-        many = SPECS * 250  # 1000 specs
-        chunks = executor._chunk_specs(many)
-        assert len(chunks) >= 4 * TARGET_CHUNKS_PER_WORKER
-        assert sum(len(c) for c in chunks) == len(many)
+    def test_plan_keys_match_at_jobs_1_and_2(self, tmp_path):
+        # The whole TINY grid (36 specs) is big enough that a chunk size
+        # derived from the worker count would cut it differently at
+        # jobs 1 and jobs 2.  A jobs=1 executor must find every chunk a
+        # jobs=2 executor wrote, under the same keys.
+        grid = paper_grid(TINY)
+        assert len(grid) > 2 * DEFAULT_BANK_SIZE
+        Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
+        work = [(name, grid) for name in BENCHMARKS]
+        pooled = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2)
+        _run_store(pooled, tmp_path, work)
+        inline = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=1)
+        _, stats = _run_store(inline, tmp_path, work)
+        assert [c.key for c in inline.planned] == [c.key for c in pooled.planned]
+        assert stats["reused"] == stats["planned"] == len(pooled.planned)
+        assert stats["evaluated"] == 0
 
 
 class TestSerialParallelEquivalence:
@@ -198,8 +185,7 @@ class TestExecutorOrdering:
 class TestWorkerAccounting:
     def test_worker_records_sum_to_delivered_records(self, tmp_path):
         Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
-        executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2,
-                                         chunk_size=1)
+        executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2)
         work = [(name, SPECS) for name in BENCHMARKS]
         store, stats = _run_store(executor, tmp_path, work)
         delivered = sum(len(store.read(chunk.key)[1]) for chunk in executor.planned)
@@ -231,7 +217,7 @@ class TestWorkerAccounting:
     def test_profiling_collects_chunk_profiles(self, tmp_path):
         Sweep(TINY, cache_dir=tmp_path, benchmarks=BENCHMARKS, mpl_nominals=MPLS)
         executor = ParallelSweepExecutor(TINY, tmp_path, MPLS, jobs=2,
-                                         chunk_size=2, profiling=True)
+                                         profiling=True)
         _run_store(executor, tmp_path, [(name, SPECS) for name in BENCHMARKS])
         assert executor.chunk_profiles, "profiling mode must collect profiles"
         for profile in executor.chunk_profiles:

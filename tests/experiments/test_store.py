@@ -15,7 +15,7 @@ import pytest
 from repro.core.config import AnalyzerKind, ModelKind
 from repro.experiments import aggregate
 from repro.experiments import store as store_mod
-from repro.experiments.config_space import ConfigSpec, SuiteProfile
+from repro.experiments.config_space import ConfigSpec, SuiteProfile, paper_grid
 from repro.experiments.parallel import ParallelSweepExecutor
 from repro.experiments.runner import SweepRecord
 from repro.experiments.store import (
@@ -40,6 +40,13 @@ SPECS = [
     ConfigSpec("adaptive", 5_000, ModelKind.UNWEIGHTED, AnalyzerKind.AVERAGE, 0.05),
     ConfigSpec("constant", 1_000, ModelKind.WEIGHTED, AnalyzerKind.AVERAGE, 0.2),
     ConfigSpec("fixed", 1_000, ModelKind.UNWEIGHTED, AnalyzerKind.THRESHOLD, 0.5),
+]
+
+#: The synthetic grid the planning tests cut: 20 specs, so every
+#: benchmark plans a full bank of 16 and a partial one of 4.
+GRID = SPECS + [
+    ConfigSpec("fixed", cw, ModelKind.WEIGHTED, AnalyzerKind.THRESHOLD, 0.5)
+    for cw in range(2_000, 3_400, 100)
 ]
 
 MPLS = (1_000, 10_000)
@@ -69,18 +76,9 @@ def synthetic_record(benchmark, spec, mpl, salt):
     )
 
 
-def chunker_of(size):
-    def chunker(items):
-        return [list(items[i : i + size]) for i in range(0, len(items), size)]
-
-    return chunker
-
-
-def make_plan(chunk_size=2, specs=None, benchmarks=None):
-    specs = SPECS if specs is None else specs
-    benchmarks = BENCHMARKS if benchmarks is None else benchmarks
-    work = [(name, specs) for name in benchmarks]
-    return plan_chunks(work, FINGERPRINTS, PROFILE, MPLS, chunker_of(chunk_size))
+def make_plan():
+    work = [(name, GRID) for name in BENCHMARKS]
+    return plan_chunks(work, FINGERPRINTS, PROFILE, MPLS)
 
 
 def chunk_records(chunk):
@@ -149,18 +147,19 @@ class TestPlan:
         assert make_plan() == make_plan()
 
     def test_plan_order_and_payload(self):
-        planned = make_plan(chunk_size=4)
+        planned = make_plan()
         assert [c.index for c in planned] == list(range(len(planned)))
         assert [c.benchmark for c in planned] == ["db", "db", "jess", "jess"]
+        assert [len(c.specs) for c in planned] == [16, 4, 16, 4]
         for chunk in planned:
             assert chunk.fingerprint == FINGERPRINTS[chunk.benchmark]
             assert chunk.mpl_nominals == MPLS
         # Concatenating the spec slices reproduces the grid.
         db_specs = [s for c in planned if c.benchmark == "db" for s in c.specs]
-        assert db_specs == SPECS
+        assert db_specs == GRID
 
     def test_chunk_cells_match_written_rows(self):
-        chunk = make_plan(chunk_size=3)[0]
+        chunk = make_plan()[0]
         from_rows = {
             tuple(
                 json.loads(line)[field]
@@ -368,6 +367,19 @@ class TestCompaction:
         with pytest.raises(StoreError):
             compact_chunks(store, planned, tmp_path / "cache.jsonl")
 
+    def test_torn_tail_does_not_swallow_the_first_folded_row(self, tmp_path):
+        # An interrupted append left half a row; the fold must start on
+        # a fresh line, or its first row would merge into the torn one.
+        store = ChunkStore(tmp_path, PROFILE)
+        planned = make_plan()
+        for chunk in planned:
+            write_chunk(store, chunk)
+        cache = tmp_path / "cache.jsonl"
+        torn = b'{"benchmark": "db", "trunc'
+        cache.write_bytes(torn)
+        compact_chunks(store, planned, cache)
+        assert cache.read_bytes() == torn + b"\n" + serial_bytes(planned)
+
     def test_chunk_folded_distinguishes_gcd_from_unwritten(self, tmp_path):
         planned = make_plan()
         cache = tmp_path / "cache.jsonl"
@@ -537,11 +549,11 @@ CACHE_NAME = "sweep-tiny.jsonl"
 
 
 class TestEndToEndStore:
-    def _serial_bytes(self, tmp_path):
+    def _serial_bytes(self, tmp_path, specs=SWEEP_SPECS):
         serial_dir = tmp_path / "serial"
         sweep = Sweep(TINY, cache_dir=serial_dir, benchmarks=BENCHMARKS,
                       mpl_nominals=MPLS)
-        records = sweep.ensure(SWEEP_SPECS, jobs=1, manifest=False)
+        records = sweep.ensure(specs, jobs=1, manifest=False)
         return records, (serial_dir / CACHE_NAME).read_bytes()
 
     def test_store_sweep_cache_matches_serial_bytes(self, tmp_path):
@@ -558,10 +570,12 @@ class TestEndToEndStore:
             assert db.load_records(TINY.name) == serial_records
             assert len(db.runs()) == 1
 
-    def test_interrupted_sweep_resumes_exactly_the_missing_chunks(self, tmp_path):
-        _, ref = self._serial_bytes(tmp_path)
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_interrupted_sweep_resumes_exactly_the_missing_chunks(self, tmp_path, jobs):
+        grid = paper_grid(TINY)  # three banks per benchmark
+        _, ref = self._serial_bytes(tmp_path, grid)
         kill_dir = tmp_path / "kill"
-        work = [(name, SWEEP_SPECS) for name in BENCHMARKS]
+        work = [(name, grid) for name in BENCHMARKS]
         sweep = Sweep(TINY, cache_dir=kill_dir, benchmarks=BENCHMARKS,
                       mpl_nominals=MPLS)
         fingerprints = {name: sweep._fingerprint(name) for name in BENCHMARKS}
@@ -572,8 +586,7 @@ class TestEndToEndStore:
         def abort_after_first(chunk, kind):
             raise Abort
 
-        executor = ParallelSweepExecutor(TINY, kill_dir, MPLS, jobs=2,
-                                         chunk_size=2)
+        executor = ParallelSweepExecutor(TINY, kill_dir, MPLS, jobs=jobs)
         store = ChunkStore(kill_dir, TINY.name)
         with pytest.raises(Abort):
             executor.run_store(work, store, fingerprints,
@@ -581,16 +594,35 @@ class TestEndToEndStore:
         survivors = store.keys()
         assert survivors  # at least the chunk that triggered the abort
 
-        resume = ParallelSweepExecutor(TINY, kill_dir, MPLS, jobs=2,
-                                       chunk_size=2)
+        resume = ParallelSweepExecutor(TINY, kill_dir, MPLS, jobs=jobs)
         store2 = ChunkStore(kill_dir, TINY.name)
         stats = resume.run_store(work, store2, fingerprints, lease_ttl=0.2)
         planned_keys = {chunk.key for chunk in resume.planned}
+        assert len(planned_keys) == 6
         assert stats["reused"] == len(survivors & planned_keys)
         # Exactly the missing chunks were evaluated — by pool or steal.
         assert stats["evaluated"] == len(planned_keys - survivors)
         compact_chunks(store2, resume.planned, kill_dir / CACHE_NAME)
         assert (kill_dir / CACHE_NAME).read_bytes() == ref
+
+    def test_inline_ensure_reuses_chunks_a_pool_left(self, tmp_path):
+        _, ref = self._serial_bytes(tmp_path)
+        shared = tmp_path / "shared"
+        sweep = Sweep(TINY, cache_dir=shared, benchmarks=BENCHMARKS,
+                      mpl_nominals=MPLS)
+        # A jobs=2 executor writes every chunk, then stops before
+        # compacting (as a killed run would).
+        pooled = ParallelSweepExecutor(TINY, shared, MPLS, jobs=2)
+        pooled.run_store(
+            [(name, SWEEP_SPECS) for name in BENCHMARKS],
+            ChunkStore(shared, TINY.name),
+            {name: sweep._fingerprint(name) for name in BENCHMARKS},
+        )
+        sweep.ensure(SWEEP_SPECS, jobs=1, manifest=False)
+        stats = sweep._last_chunk_stats
+        assert stats["reused"] == stats["planned"] == len(pooled.planned)
+        assert stats["evaluated"] == 0
+        assert (shared / CACHE_NAME).read_bytes() == ref
 
     def test_two_executors_share_one_results_dir(self, tmp_path):
         _, ref = self._serial_bytes(tmp_path)

@@ -94,6 +94,15 @@ class TestSweepCache:
         fresh = Sweep(TINY, cache_dir=tmp_path, benchmarks=["db"], mpl_nominals=MPLS)
         assert len(fresh.records()) == len(SPECS) * len(MPLS)
 
+    def test_rows_folded_after_a_torn_tail_survive_reload(self, sweep, tmp_path):
+        sweep.ensure(SPECS[:1])
+        with (tmp_path / "sweep-tiny.jsonl").open("a") as handle:
+            handle.write('{"benchmark": "db", "truncat')
+        resumed = Sweep(TINY, cache_dir=tmp_path, benchmarks=["db"], mpl_nominals=MPLS)
+        assert len(resumed.ensure(SPECS)) == len(SPECS) * len(MPLS)
+        reloaded = Sweep(TINY, cache_dir=tmp_path, benchmarks=["db"], mpl_nominals=MPLS)
+        assert len(reloaded.records()) == len(SPECS) * len(MPLS)
+
     def test_baselines_lazy_and_cached(self, sweep):
         first = sweep.baselines("db")
         second = sweep.baselines("db")
@@ -137,6 +146,32 @@ class TestRunManifest:
         assert "account for" in summary
         assert "DO NOT" not in summary
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_manifest_accounts_chunks_and_counts_each_metric_once(
+        self, tmp_path, jobs
+    ):
+        from repro.obs.manifest import load_manifest
+
+        sweep = Sweep(TINY, cache_dir=tmp_path, benchmarks=["db", "jlex"],
+                      mpl_nominals=MPLS)
+        sweep.ensure(SPECS, jobs=jobs)
+        manifest = load_manifest(sweep.manifest_path)
+        evaluated = manifest["records"]["evaluated"]
+        assert evaluated == 2 * len(SPECS) * len(MPLS)
+        chunks = manifest["chunks"]
+        assert chunks["planned"] == chunks["evaluated"] == chunks["folded"] == 2
+        assert sum(w["records"] for w in manifest["workers"]) == evaluated
+        assert sum(w["chunks"] for w in manifest["workers"]) == 2
+        metrics = manifest["metrics"]
+        counters = metrics["counters"]
+        assert counters["sweep.records_evaluated"] == evaluated
+        assert counters["sweep.chunk_rows_written"] == evaluated
+        assert counters["sweep.chunks_evaluated"] == 2
+        assert metrics["histograms"]["sweep.chunk_seconds"]["count"] == 2
+        assert metrics["histograms"]["bank.advance_seconds"]["count"] == 2 * len(SPECS)
+        assert metrics["histograms"]["store.compact_seconds"]["count"] == 1
+        assert "sweep.benchmark_seconds" not in metrics["timings"]
+
     def test_warm_rerun_manifest_reports_zero_evaluated(self, sweep, tmp_path):
         from repro.obs.manifest import load_manifest
 
@@ -148,6 +183,16 @@ class TestRunManifest:
         assert manifest["records"]["evaluated"] == 0
         assert manifest["records"]["total"] == len(SPECS) * len(MPLS)
         counters = manifest["metrics"]["counters"]
+        assert counters["sweep.cache_rows_loaded"] == len(SPECS) * len(MPLS)
+
+    def test_resumed_run_counts_each_cache_row_once(self, sweep, tmp_path):
+        from repro.obs.manifest import load_manifest
+
+        sweep.ensure(SPECS[:1])
+        resumed = Sweep(TINY, cache_dir=tmp_path, benchmarks=["db"],
+                        mpl_nominals=MPLS)
+        resumed.ensure(SPECS)
+        counters = load_manifest(resumed.manifest_path)["metrics"]["counters"]
         assert counters["sweep.cache_rows_loaded"] == len(SPECS) * len(MPLS)
 
     def test_grid_fingerprint_stability(self):

@@ -33,7 +33,7 @@ def sample_manifest(**overrides):
              "wall_seconds": 5.5, "peak_bytes": 2048},
         ],
         metrics={"counters": {"io.trace_reads": 4}, "gauges": {},
-                 "timings": {"sweep.benchmark_seconds":
+                 "timings": {"sweep.load_suite_seconds":
                              {"count": 2, "total": 11.5,
                               "min": 5.5, "max": 6.0}}},
         chunk_profiles=[{"label": "db:chunk-0", "wall_seconds": 0.5,

@@ -1,10 +1,10 @@
 """Compaction round-trip fuzz: any schedule folds to serial bytes.
 
-For an arbitrary spec subset, an arbitrary partition of it into chunks
-and an arbitrary completion interleaving (which order workers finish and
-write chunk files in), the compacted JSONL cache must be byte-identical
-to what a serial sweep would have appended for the same plan — including
-when a prefix of the plan was already cached before the run (a resume).
+For an arbitrary spec subset, its one-bank chunk plan and an arbitrary
+completion interleaving (which order workers finish and write chunk
+files in), the compacted JSONL cache must be byte-identical to the
+plan's rows appended in plan order — including when a prefix of the
+plan was already cached before the run (a resume).
 Records are synthetic: serialization, planning and compaction never look
 inside the scores, so no detector needs to run.
 """
@@ -24,10 +24,14 @@ from repro.experiments.store import (
 MPLS = (1_000, 10_000)
 FINGERPRINTS = {"db": "fp-db", "jess": "fp-jess"}
 
-# A diverse pool of grid points (distinct identities on several axes).
+# A diverse pool of grid points (distinct identities on several axes),
+# larger than one bank so a subset can plan several chunks.
 SPEC_POOL = [
     ConfigSpec(family, cw, model, analyzer, value, anchor, resize)
-    for family, cw in (("constant", 500), ("adaptive", 5_000), ("fixed", 1_000))
+    for family, cw in (
+        ("constant", 500), ("adaptive", 5_000), ("fixed", 1_000),
+        ("constant", 2_000), ("adaptive", 800), ("fixed", 300),
+    )
     for model in (ModelKind.UNWEIGHTED, ModelKind.WEIGHTED)
     for analyzer, value in ((AnalyzerKind.THRESHOLD, 0.6), (AnalyzerKind.AVERAGE, 0.05))
     for anchor in (AnchorPolicy.RN,)
@@ -70,23 +74,9 @@ def _chunk_lines(chunk):
     ]
 
 
-def _partition_chunker(cuts):
-    """A chunker splitting at the (relative) cut points drawn for it."""
-
-    def chunker(items):
-        bounds = sorted({min(cut, len(items)) for cut in cuts} | {0, len(items)})
-        return [
-            list(items[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:])
-            if hi > lo
-        ]
-
-    return chunker
-
-
 @st.composite
 def schedules(draw):
-    """(spec subset, partition cuts, interleaving, cached prefix)."""
+    """(chunk plan of a spec subset, interleaving, cached prefix)."""
     indices = draw(
         st.lists(
             st.integers(min_value=0, max_value=len(SPEC_POOL) - 1),
@@ -94,14 +84,11 @@ def schedules(draw):
         )
     )
     specs = [SPEC_POOL[i] for i in indices]
-    cuts = draw(st.lists(
-        st.integers(min_value=1, max_value=len(specs)), max_size=4,
-    ))
     benchmarks = draw(
         st.sampled_from([["db"], ["jess"], ["db", "jess"]])
     )
     work = [(name, specs) for name in benchmarks]
-    planned = plan_chunks(work, FINGERPRINTS, "prop", MPLS, _partition_chunker(cuts))
+    planned = plan_chunks(work, FINGERPRINTS, "prop", MPLS)
     order = draw(st.permutations(range(len(planned))))
     cached_prefix = draw(st.integers(min_value=0, max_value=len(planned)))
     return planned, order, cached_prefix
